@@ -29,16 +29,13 @@
  * `--smoke` runs shortened workloads and skips the SLO bisections (CI
  * schema-check mode); the JSON schema is identical either way.
  */
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/parallel.h"
-#include "compiler/disk_cache.h"
 #include "fleet/fleet.h"
 #include "serving/simulator.h"
 
@@ -296,84 +293,6 @@ main(int argc, char **argv)
                 "cursor spreads blindly;\nprefix affinity trades some "
                 "balance for per-tenant cache locality.\n\n");
 
-    // ---- Persistent kernel cache shared across the fleet -----------
-    // The same 2-replica fleet three times, each a full cold start
-    // (every replica engine empty):
-    //   mem-cold  - no disk tier: both replicas plan from scratch,
-    //   populate  - empty shared dir: the first replica to compile a
-    //               shape admits it; the second hits cross-replica,
-    //   disk-warm - warm shared dir: zero plan searches fleet-wide.
-    // One store serves the whole fleet (replicas open the same
-    // canonical directory), and the reports stay byte-identical.
-    double disk_mem_cold_ms = 0, disk_warm_ms = 0;
-    compiler::DiskCacheStats disk_cold_stats, disk_warm_stats;
-    bool disk_reports_identical = false;
-    {
-        namespace fs = std::filesystem;
-        using Clock = std::chrono::steady_clock;
-        const std::string cache_dir = "bench_fleet_kernel_cache";
-        std::error_code ec;
-        fs::remove_all(cache_dir, ec);
-
-        auto makeCfg = [&](const std::string &dir) {
-            fleet::FleetConfig cfg = makeFleetConfig(
-                2, fleet::RouterPolicy::RoundRobin, false, 3.0);
-            for (auto &rep : cfg.replicas)
-                rep.sim.kernel_cache_dir = dir;
-            return cfg;
-        };
-        auto timedRun = [&](const std::string &dir,
-                            fleet::FleetReport &report) {
-            auto t0 = Clock::now();
-            report = fleet::FleetSimulator(makeCfg(dir)).run();
-            return std::chrono::duration<double, std::milli>(
-                       Clock::now() - t0)
-                .count();
-        };
-
-        fleet::FleetReport mem_report, populate_report, warm_report;
-        disk_mem_cold_ms = timedRun("", mem_report);
-        {
-            auto disk = compiler::DiskCache::open(cache_dir);
-            timedRun(cache_dir, populate_report);
-            disk_cold_stats = disk->stats();
-        } // drop the handle so the next open() sees a cold instance
-        {
-            auto disk = compiler::DiskCache::open(cache_dir);
-            disk_warm_ms = timedRun(cache_dir, warm_report);
-            disk_warm_stats = disk->stats();
-        }
-        disk_reports_identical =
-            mem_report.json() == populate_report.json() &&
-            mem_report.json() == warm_report.json();
-
-        std::printf("Persistent kernel cache (2 aggregated replicas, "
-                    "one shared store):\n\n");
-        TextTable disk_tbl({"run", "wall (ms)", "disk hits",
-                            "disk misses", "admits"});
-        disk_tbl.addRow({"mem-cold", formatDouble(disk_mem_cold_ms, 1),
-                         "-", "-", "-"});
-        disk_tbl.addRow({"populate", "-",
-                         std::to_string(disk_cold_stats.hits),
-                         std::to_string(disk_cold_stats.misses),
-                         std::to_string(disk_cold_stats.admits)});
-        disk_tbl.addRow({"disk-warm", formatDouble(disk_warm_ms, 1),
-                         std::to_string(disk_warm_stats.hits),
-                         std::to_string(disk_warm_stats.misses),
-                         std::to_string(disk_warm_stats.admits)});
-        std::printf("%s\n", disk_tbl.render().c_str());
-        std::printf("the populate run already hits: replicas share one "
-                    "store, so the second replica\nreuses what the "
-                    "first admitted; a warm directory removes every "
-                    "plan search\n(%.2fx wall-clock vs mem-cold, "
-                    "reports %s).\n\n",
-                    disk_warm_ms > 0 ? disk_mem_cold_ms / disk_warm_ms
-                                     : 0.0,
-                    disk_reports_identical ? "byte-identical"
-                                           : "DIVERGED");
-        fs::remove_all(cache_dir, ec);
-    }
-
     // ---- JSON report (validated by scripts/check_bench_json.py) ----
     std::FILE *f = std::fopen("BENCH_fleet.json", "w");
     if (f != nullptr) {
@@ -428,22 +347,7 @@ main(int argc, char **argv)
                 r.util_min, r.util_max, r.util_imbalance,
                 i + 1 < router_cells.size() ? "," : "");
         }
-        std::fprintf(
-            f,
-            "  ],\n  \"disk_cache\": {\"mem_cold_ms\": %.3f, "
-            "\"disk_warm_ms\": %.3f, \"speedup\": %.3f,\n"
-            "    \"cold_hits\": %llu, \"cold_misses\": %llu, "
-            "\"cold_admits\": %llu,\n"
-            "    \"warm_hits\": %llu, \"warm_misses\": %llu, "
-            "\"reports_identical\": %s}\n}\n",
-            disk_mem_cold_ms, disk_warm_ms,
-            disk_warm_ms > 0 ? disk_mem_cold_ms / disk_warm_ms : 0.0,
-            static_cast<unsigned long long>(disk_cold_stats.hits),
-            static_cast<unsigned long long>(disk_cold_stats.misses),
-            static_cast<unsigned long long>(disk_cold_stats.admits),
-            static_cast<unsigned long long>(disk_warm_stats.hits),
-            static_cast<unsigned long long>(disk_warm_stats.misses),
-            disk_reports_identical ? "true" : "false");
+        std::fprintf(f, "  ]\n}\n");
         std::fclose(f);
         std::printf("wrote BENCH_fleet.json\n");
     }

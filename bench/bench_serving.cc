@@ -36,15 +36,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/parallel.h"
-#include "compiler/disk_cache.h"
 #include "serving/simulator.h"
 
 using namespace vqllm;
@@ -341,83 +338,6 @@ main(int argc, char **argv)
                     warm_ms > 0 ? cold_ms / warm_ms : 0.0);
     }
 
-    // ---- Persistent kernel cache: disk-warm cold start -------------
-    // Three cold starts of the same VQ4 load, each against a FRESH
-    // compiler::Engine (empty in-memory cache), differing only in the
-    // disk tier (DESIGN.md Sec. 13):
-    //   mem-cold  - no disk tier: every kernel plans from scratch,
-    //   populate  - empty cache dir: plans from scratch and admits,
-    //   disk-warm - warm cache dir: every compile deserializes.
-    // The disk tier only moves where artifacts come from, never what
-    // they are, so all three serving reports must be byte-identical.
-    double mem_cold_ms = 0, disk_warm_ms = 0;
-    compiler::DiskCacheStats disk_cold_stats, disk_warm_stats;
-    bool disk_reports_identical = false;
-    {
-        namespace fs = std::filesystem;
-        using Clock = std::chrono::steady_clock;
-        const std::string cache_dir = "bench_kernel_cache";
-        std::error_code ec;
-        fs::remove_all(cache_dir, ec);
-
-        auto timedRun = [&](std::shared_ptr<compiler::DiskCache> disk,
-                            serving::ServingReport &report) {
-            compiler::Engine eng(gpusim::rtx4090());
-            if (disk)
-                eng.setDiskCache(disk);
-            auto cfg = makeConfig(llm::QuantScheme::VQ4, ref_qps);
-            cfg.engine = &eng;
-            auto t0 = Clock::now();
-            report = serving::ServingSimulator(cfg).run();
-            return std::chrono::duration<double, std::milli>(
-                       Clock::now() - t0)
-                .count();
-        };
-
-        serving::ServingReport mem_report, populate_report, warm_report;
-        mem_cold_ms = timedRun(nullptr, mem_report);
-        {
-            auto disk = compiler::DiskCache::open(cache_dir);
-            timedRun(disk, populate_report);
-            disk_cold_stats = disk->stats();
-        } // drop the handle so the next open() sees a cold instance
-        {
-            auto disk = compiler::DiskCache::open(cache_dir);
-            disk_warm_ms = timedRun(disk, warm_report);
-            disk_warm_stats = disk->stats();
-        }
-        disk_reports_identical =
-            mem_report.json() == populate_report.json() &&
-            mem_report.json() == warm_report.json();
-
-        std::printf("Persistent kernel cache (VQ4, %.0f QPS, fresh "
-                    "engine per run):\n\n",
-                    ref_qps);
-        TextTable disk_tbl({"run", "wall (ms)", "disk hits",
-                            "disk misses", "admits"});
-        disk_tbl.addRow({"mem-cold", formatDouble(mem_cold_ms, 1), "-",
-                         "-", "-"});
-        disk_tbl.addRow(
-            {"populate", "-",
-             std::to_string(disk_cold_stats.hits),
-             std::to_string(disk_cold_stats.misses),
-             std::to_string(disk_cold_stats.admits)});
-        disk_tbl.addRow(
-            {"disk-warm", formatDouble(disk_warm_ms, 1),
-             std::to_string(disk_warm_stats.hits),
-             std::to_string(disk_warm_stats.misses),
-             std::to_string(disk_warm_stats.admits)});
-        std::printf("%s\n", disk_tbl.render().c_str());
-        std::printf("a warm cache directory turns every cold-start "
-                    "compile into a deserialization:\n%.2fx wall-clock "
-                    "vs the in-memory-cold run, zero plan searches, "
-                    "reports %s.\n\n",
-                    disk_warm_ms > 0 ? mem_cold_ms / disk_warm_ms : 0.0,
-                    disk_reports_identical ? "byte-identical"
-                                           : "DIVERGED");
-        fs::remove_all(cache_dir, ec);
-    }
-
     // ---- Tensor-parallel sweep -------------------------------------
     // The same reference load on sharded deployments: degree 1/2/4/8
     // per scheme.  Sharded decode shortens TBT while the two per-layer
@@ -604,20 +524,6 @@ main(int argc, char **argv)
                 cold_report.plan_cache_misses),
             static_cast<unsigned long long>(
                 warm_report.plan_cache_misses));
-        std::fprintf(
-            f,
-            "  \"disk_cache\": {\"mem_cold_ms\": %.3f, "
-            "\"disk_warm_ms\": %.3f, \"speedup\": %.3f,\n"
-            "    \"cold_misses\": %llu, \"cold_admits\": %llu, "
-            "\"warm_hits\": %llu, \"warm_misses\": %llu,\n"
-            "    \"reports_identical\": %s},\n",
-            mem_cold_ms, disk_warm_ms,
-            disk_warm_ms > 0 ? mem_cold_ms / disk_warm_ms : 0.0,
-            static_cast<unsigned long long>(disk_cold_stats.misses),
-            static_cast<unsigned long long>(disk_cold_stats.admits),
-            static_cast<unsigned long long>(disk_warm_stats.hits),
-            static_cast<unsigned long long>(disk_warm_stats.misses),
-            disk_reports_identical ? "true" : "false");
         std::fprintf(f, "  \"tp_sweep\": [\n");
         for (std::size_t i = 0; i < tp_cells.size(); ++i) {
             const auto &cell = tp_cells[i];

@@ -34,7 +34,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "compiler/disk_cache.h"
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "serving/simulator.h"
@@ -78,9 +77,6 @@ const char kUsage[] =
     "  --prefix-groups N            shared-prefix tenants in the trace\n"
     "  --prefix-tokens N            shared system-prompt length, > 0\n"
     "  --prefix-cache on|off        per-replica KV prefix caching\n"
-    "  --kernel-cache-dir DIR       persistent compiled-kernel cache\n"
-    "                               shared by every replica (DESIGN.md\n"
-    "                               Sec. 13)\n"
     "                               (default off)\n"
     "  --trace-out FILE             write a merged Chrome/Perfetto trace\n"
     "                               (replica i on tracks prefixed r<i>/)\n"
@@ -234,8 +230,6 @@ main(int argc, char **argv)
                 usageError("--prefix-tokens must be > 0");
         } else if (flag == "--prefix-cache") {
             sim.prefix_cache = parseOnOff(flag, value());
-        } else if (flag == "--kernel-cache-dir") {
-            sim.kernel_cache_dir = value();
         } else if (flag == "--trace-out") {
             trace_out = value();
         } else if (flag == "--metrics-json") {
@@ -262,13 +256,6 @@ main(int argc, char **argv)
         cfg.metrics = &registry;
     cfg.trace = !trace_out.empty();
 
-    // All replicas inherit the same directory through sim, so the
-    // whole fleet warms up from one shared store; holding the instance
-    // here keeps its counters alive past the run.
-    std::shared_ptr<compiler::DiskCache> disk;
-    if (!sim.kernel_cache_dir.empty())
-        disk = compiler::DiskCache::open(sim.kernel_cache_dir);
-
     cfg.replicas.resize(replicas);
     for (std::size_t r = 0; r < replicas; ++r) {
         cfg.replicas[r].sim = sim;
@@ -294,22 +281,6 @@ main(int argc, char **argv)
     fleet::FleetSimulator fsim(cfg);
     auto report = fsim.run();
     std::printf("%s", report.summary().c_str());
-
-    if (disk) {
-        const compiler::DiskCacheStats ds = disk->stats();
-        std::printf("disk-cache: dir=%s hits=%llu misses=%llu "
-                    "admits=%llu evictions=%llu quarantined=%llu "
-                    "entries=%llu bytes=%llu hit_rate=%.4f\n",
-                    disk->dir().c_str(),
-                    static_cast<unsigned long long>(ds.hits),
-                    static_cast<unsigned long long>(ds.misses),
-                    static_cast<unsigned long long>(ds.admits),
-                    static_cast<unsigned long long>(ds.evictions),
-                    static_cast<unsigned long long>(ds.quarantined),
-                    static_cast<unsigned long long>(ds.entries),
-                    static_cast<unsigned long long>(ds.bytes),
-                    ds.hitRate());
-    }
 
     if (!trace_out.empty()) {
         std::ofstream os(trace_out, std::ios::binary);

@@ -10,16 +10,9 @@
  *  5. estimate its GPU latency and print the generated CUDA source.
  *
  * Build: cmake --build build && ./build/examples/quickstart
- *
- * Pass `--kernel-cache-dir DIR` to persist both the fitted codebooks
- * and the compiled kernels across runs (DESIGN.md Sec. 13): a second
- * invocation skips the k-means fit and the plan search entirely.
  */
 #include <cstdio>
-#include <cstring>
-#include <memory>
 
-#include "compiler/disk_cache.h"
 #include "compiler/engine.h"
 #include "kernels/reference.h"
 #include "tensor/datagen.h"
@@ -28,37 +21,16 @@
 using namespace vqllm;
 
 int
-main(int argc, char **argv)
+main()
 {
-    std::shared_ptr<compiler::DiskCache> disk;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--kernel-cache-dir") == 0 &&
-            i + 1 < argc) {
-            disk = compiler::DiskCache::open(argv[++i]);
-        }
-    }
-
     // 1. A small weight matrix and a 2-bit VQ configuration.
     Rng rng(42);
     auto weight = generateLlmWeight(128, 64, rng); // [out, in]
     vq::VQConfig cfg = vq::gptvq2();               // VQ<4,8,1>
     cfg.num_entries = 64;                          // small demo codebook
 
-    // With a persistent cache attached, the quantization itself is an
-    // artifact: a warm run loads the fitted codebooks instead of
-    // re-running the k-means fit.
-    const std::string codebook_key =
-        "quickstart/llm128x64/" + cfg.notation();
-    vq::QuantizedTensor qt;
-    bool codebook_hit = disk && disk->loadCodebook(codebook_key, qt);
-    if (!codebook_hit) {
-        vq::VectorQuantizer quantizer(cfg);
-        qt = quantizer.quantize(weight);
-        if (disk)
-            disk->storeCodebook(codebook_key, qt);
-    } else {
-        std::printf("codebook cache hit: skipped quantization fit\n");
-    }
+    vq::VectorQuantizer quantizer(cfg);
+    auto qt = quantizer.quantize(weight);
     std::printf("quantized %zux%zu weight with %s: %zu -> %zu bytes "
                 "(%.1f%%)\n",
                 qt.rows, qt.cols, cfg.notation().c_str(),
@@ -78,8 +50,6 @@ main(int argc, char **argv)
     //    one call resolves the plan (Alg. 2), prices it, and hands
     //    back a shared immutable artifact.
     compiler::Engine compile_engine(gpusim::rtx4090());
-    if (disk)
-        compile_engine.setDiskCache(disk);
     auto kernel = compile_engine.compile(compiler::KernelRequest::gemvOp(
         {1, qt.rows, qt.cols}, cfg, engine::OptLevel::O4,
         &profile.histograms[0]));
@@ -125,14 +95,5 @@ main(int argc, char **argv)
         pos = next == std::string::npos ? next : next + 1;
     }
     std::printf("  ...\n");
-    if (disk) {
-        auto ds = disk->stats();
-        std::printf("\ndisk-cache: dir=%s hits=%llu misses=%llu "
-                    "admits=%llu\n",
-                    disk->dir().c_str(),
-                    static_cast<unsigned long long>(ds.hits),
-                    static_cast<unsigned long long>(ds.misses),
-                    static_cast<unsigned long long>(ds.admits));
-    }
     return 0;
 }

@@ -38,7 +38,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "compiler/disk_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/simulator.h"
@@ -86,9 +85,6 @@ const char kUsage[] =
     "                               (arrival_us, prompt_len, output_len,\n"
     "                               optional group; malformed lines are a\n"
     "                               hard error) instead of sampling\n"
-    "  --kernel-cache-dir DIR       persistent compiled-kernel cache\n"
-    "                               shared across processes (DESIGN.md\n"
-    "                               Sec. 13); reports stay identical\n"
     "  --trace-out FILE             write a Chrome/Perfetto trace JSON\n"
     "  --metrics-json FILE          write report + metrics as JSON\n"
     "  --help                       print this message and exit\n";
@@ -227,8 +223,6 @@ main(int argc, char **argv)
                            "'");
         } else if (flag == "--trace-in") {
             cfg.workload.trace_path = value();
-        } else if (flag == "--kernel-cache-dir") {
-            cfg.kernel_cache_dir = value();
         } else if (flag == "--trace-out") {
             trace_out = value();
         } else if (flag == "--metrics-json") {
@@ -249,12 +243,6 @@ main(int argc, char **argv)
         cfg.trace = &recorder;
     if (!metrics_out.empty())
         cfg.metrics = &registry;
-
-    // Hold the store so its counters survive the run (the simulator
-    // resolves the same directory to this instance via the registry).
-    std::shared_ptr<compiler::DiskCache> disk;
-    if (!cfg.kernel_cache_dir.empty())
-        disk = compiler::DiskCache::open(cfg.kernel_cache_dir);
 
     serving::ServingSimulator sim(cfg);
     std::string chunk_note =
@@ -314,24 +302,6 @@ main(int argc, char **argv)
                     static_cast<double>(sim.kvCapacityBytes()) / 1e9);
     auto report = sim.run();
     std::printf("%s", report.summary().c_str());
-
-    if (disk) {
-        // One parseable line for scripts/CI: the second of two
-        // back-to-back runs on one directory must be all hits.
-        const compiler::DiskCacheStats ds = disk->stats();
-        std::printf("disk-cache: dir=%s hits=%llu misses=%llu "
-                    "admits=%llu evictions=%llu quarantined=%llu "
-                    "entries=%llu bytes=%llu hit_rate=%.4f\n",
-                    disk->dir().c_str(),
-                    static_cast<unsigned long long>(ds.hits),
-                    static_cast<unsigned long long>(ds.misses),
-                    static_cast<unsigned long long>(ds.admits),
-                    static_cast<unsigned long long>(ds.evictions),
-                    static_cast<unsigned long long>(ds.quarantined),
-                    static_cast<unsigned long long>(ds.entries),
-                    static_cast<unsigned long long>(ds.bytes),
-                    ds.hitRate());
-    }
 
     if (!trace_out.empty()) {
         std::ofstream os(trace_out, std::ios::binary);

@@ -54,9 +54,6 @@ REQUIRED = {
     "BENCH_serving.json": {
         "plan_cache": ["cold_ms", "cached_ms", "speedup",
                        "cold_hit_rate", "cached_hit_rate"],
-        "disk_cache": ["mem_cold_ms", "disk_warm_ms", "speedup",
-                       "cold_misses", "cold_admits", "warm_hits",
-                       "warm_misses", "reports_identical"],
         "tp_sweep[]": ["scheme", "degree", "tokens_per_sec",
                        "tbt_p95_ms", "ttft_p95_ms", "comm_fraction",
                        "kv_capacity_gb", "busy_us", "prefill_us",
@@ -73,10 +70,6 @@ REQUIRED = {
                        "ttft_p95_ms", "tbt_p95_ms", "completed"],
     },
     "BENCH_fleet.json": {
-        "disk_cache": ["mem_cold_ms", "disk_warm_ms", "speedup",
-                       "cold_hits", "cold_misses", "cold_admits",
-                       "warm_hits", "warm_misses",
-                       "reports_identical"],
         "fleet_sweep[]": ["replicas", "router", "disaggregated",
                           "prefill_replicas", "weight_scheme",
                           "kv_scheme", "qps", "ttft_p95_ms",
@@ -328,47 +321,6 @@ def check_fleet_sweep(doc: dict, name: str) -> None:
         print(f"check_bench_json: fleet_sweep OK ({len(entries)} cells)")
 
 
-def check_disk_cache(doc: dict, name: str) -> None:
-    """Semantic checks on the persistent kernel-cache comparison: the
-    disk-warm cold start must beat the in-memory-cold one outright, the
-    warm run must serve every lookup from disk (zero recompiles), the
-    hit/miss/admit counters must be mutually consistent, and the
-    serving reports must be byte-identical across tiers — the cache
-    moves where artifacts come from, never what they are."""
-    e = doc.get("disk_cache")
-    if e is None:
-        return
-    where = f"{name}: disk_cache"
-    if e["mem_cold_ms"] <= 0 or e["disk_warm_ms"] <= 0:
-        fail(f"{where} has non-positive wall times "
-             f"({e['mem_cold_ms']} / {e['disk_warm_ms']} ms)")
-    if e["disk_warm_ms"] >= e["mem_cold_ms"]:
-        fail(f"{where} disk-warm cold start ({e['disk_warm_ms']} ms) "
-             f"is not below the in-memory-cold one "
-             f"({e['mem_cold_ms']} ms)")
-    want = e["mem_cold_ms"] / e["disk_warm_ms"]
-    if not close(e["speedup"], want, rel=1e-3):
-        fail(f"{where} speedup {e['speedup']} inconsistent with the "
-             f"wall times (want ~{want:.3f})")
-    if e["warm_misses"] != 0:
-        fail(f"{where} warm run missed {e['warm_misses']} times — a "
-             f"warm directory must satisfy every compile")
-    if e["cold_admits"] != e["cold_misses"]:
-        fail(f"{where} cold run admitted {e['cold_admits']} entries "
-             f"for {e['cold_misses']} misses (every miss must admit)")
-    # Warm lookups replay the cold run's: its misses plus any
-    # cross-replica hits a shared store served during population.
-    want_hits = e["cold_misses"] + e.get("cold_hits", 0)
-    if e["warm_hits"] != want_hits:
-        fail(f"{where} warm run hit {e['warm_hits']} times; the cold "
-             f"run's lookups predict {want_hits}")
-    if e["reports_identical"] is not True:
-        fail(f"{where} serving reports diverged across cache tiers")
-    print(f"check_bench_json: disk_cache OK "
-          f"({e['speedup']:.2f}x disk-warm vs mem-cold, "
-          f"{e['warm_hits']} warm hits)")
-
-
 def check_router_sweep(doc: dict, name: str) -> None:
     """Semantic checks on the router sweep: utilization fractions in
     range, every policy completed work under the bursty load."""
@@ -567,7 +519,6 @@ def main() -> None:
         check_required(doc, path.name)
         check_prefix_sweep(doc, path.name)
         check_kv_sweep(doc, path.name)
-        check_disk_cache(doc, path.name)
         check_fleet_sweep(doc, path.name)
         check_router_sweep(doc, path.name)
         print(f"check_bench_json: {path.name} OK "

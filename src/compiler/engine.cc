@@ -4,27 +4,14 @@
 #include <sstream>
 
 #include "codegen/cuda_emitter.h"
+#include "common/hash.h"
 #include "common/logging.h"
-#include "compiler/disk_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace vqllm::compiler {
 
 namespace {
-
-/** FNV-1a over a byte range (content hash for histograms). */
-std::uint64_t
-fnv1a(const void *data, std::size_t bytes, std::uint64_t seed)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** Histogram key component: presence plus a content digest (the
  *  request's precomputed digest when supplied). */
@@ -73,10 +60,8 @@ specFingerprint(const gpusim::GpuSpec &spec)
 std::uint64_t
 histogramDigest(const vq::AccessHistogram &hist)
 {
-    std::uint64_t h =
-        fnv1a(hist.counts.data(),
-              hist.counts.size() * sizeof(std::uint64_t),
-              14695981039346656037ull);
+    std::uint64_t h = fnv1a(hist.counts.data(),
+                            hist.counts.size() * sizeof(std::uint64_t));
     // 0 is the "not precomputed" sentinel of KernelRequest.
     return h == 0 ? 1 : h;
 }
@@ -253,28 +238,12 @@ Engine::compile(const KernelRequest &request)
         return it->second;
     }
     ++stats_.misses;
-    // Read through the persistent tier: a disk hit skips planning,
-    // costing and emission entirely, but still counts as an in-memory
-    // miss above so cached-off reports stay byte-identical.
-    std::shared_ptr<const CompiledKernel> artifact;
-    if (disk_)
-        artifact = disk_->loadKernel(key);
-    if (artifact) {
-        if (trace_)
-            trace_->instant(
-                "disk_cache_hit", "compiler", 0, trace_->now(),
-                {{"cache_size", static_cast<double>(cache_.size())}});
-    } else {
-        if (trace_)
-            trace_->instant(
-                "plan_compile", "compiler", 0, trace_->now(),
-                {{"cache_size", static_cast<double>(cache_.size())}});
-        artifact = compileUncached(request);
-        // Write-behind: persist the complete artifact (source forced
-        // inside storeKernel) so the next process starts disk-warm.
-        if (disk_)
-            disk_->storeKernel(key, *artifact);
-    }
+    if (trace_)
+        trace_->instant(
+            "plan_compile", "compiler", 0, trace_->now(),
+            {{"cache_size", static_cast<double>(cache_.size())}});
+    std::shared_ptr<const CompiledKernel> artifact =
+        compileUncached(request);
     cache_.emplace(key, artifact);
     insertion_order_.push_back(key);
     while (cache_.size() > options_.cache_capacity) {
@@ -335,20 +304,6 @@ Engine::exportMetrics(obs::MetricsRegistry &registry,
     registry.counter(prefix + ".evictions").add(s.evictions);
     registry.gauge(prefix + ".size").set(static_cast<double>(s.size));
     registry.gauge(prefix + ".hit_rate").set(s.hitRate());
-}
-
-void
-Engine::setDiskCache(std::shared_ptr<DiskCache> disk)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    disk_ = std::move(disk);
-}
-
-std::shared_ptr<DiskCache>
-Engine::diskCache() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return disk_;
 }
 
 Engine &

@@ -66,8 +66,6 @@ class TraceRecorder;
 
 namespace vqllm::compiler {
 
-class DiskCache;
-
 /** Engine-wide planning policy (fixed per Engine, part of the key). */
 struct EngineOptions
 {
@@ -184,7 +182,6 @@ class CompiledKernel
 
   private:
     friend class Engine;
-    friend class DiskCache; // (De)serializes the private fields.
     CompiledKernel() = default;
 
     engine::KernelPlan plan_;
@@ -291,20 +288,6 @@ class Engine
     void exportMetrics(obs::MetricsRegistry &registry,
                        const std::string &prefix) const;
 
-    /**
-     * Attach a persistent second cache tier (nullptr = off, the
-     * default).  With a tier attached, compile() reads through it on
-     * an in-memory miss (a disk hit deserializes the stored artifact
-     * — bit-identical to a fresh compile — and still counts as an
-     * in-memory miss in stats(), so reports are unchanged) and writes
-     * freshly compiled artifacts behind it.  Multiple engines may
-     * share one DiskCache; see DiskCache::open.
-     */
-    void setDiskCache(std::shared_ptr<DiskCache> disk);
-
-    /** @return the attached second tier (nullptr when detached). */
-    std::shared_ptr<DiskCache> diskCache() const;
-
     /** @return the engine's private copy of the target GPU. */
     const gpusim::GpuSpec &spec() const { return spec_; }
 
@@ -334,8 +317,6 @@ class Engine
     std::vector<std::string> insertion_order_;
     CacheStats stats_;
     obs::TraceRecorder *trace_ = nullptr;
-    /** Persistent second tier (optional). */
-    std::shared_ptr<DiskCache> disk_;
 };
 
 } // namespace vqllm::compiler

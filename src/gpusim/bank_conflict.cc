@@ -1,49 +1,69 @@
 #include "gpusim/bank_conflict.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <mutex>
+#include <unordered_map>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace vqllm::gpusim {
 
-std::uint64_t
-warpTransactions(const GpuSpec &spec,
-                 const std::vector<std::uint32_t> &lane_byte_addrs,
-                 unsigned bytes_per_lane)
-{
-    vqllm_assert(bytes_per_lane > 0, "bytes_per_lane must be positive");
-    vqllm_assert(static_cast<int>(lane_byte_addrs.size()) <= spec.warp_size,
-                 "more lanes than warp size");
-    const unsigned word = 4;
-    unsigned phases = (bytes_per_lane + word - 1) / word;
+namespace {
 
-    std::uint64_t total = 0;
-    for (unsigned p = 0; p < phases; ++p) {
-        // bank -> set of distinct words accessed in that bank this phase
-        std::map<std::uint32_t, std::set<std::uint32_t>> bank_words;
-        for (std::uint32_t addr : lane_byte_addrs) {
-            std::uint32_t w = addr / word + p;
-            std::uint32_t bank = w % spec.smem_banks;
-            bank_words[bank].insert(w);
-        }
-        std::size_t degree = 0;
-        for (const auto &[bank, words] : bank_words)
-            degree = std::max(degree, words.size());
-        total += degree == 0 ? 1 : degree;
-    }
-    return total;
+constexpr unsigned kWordBytes = 4;
+
+/**
+ * Transactions of one warp access given its phase-0 lane word
+ * addresses: phases x the maximum, over banks, of the distinct words
+ * addressed in that bank (same-word lanes broadcast).  Sorts and dedups
+ * `words` in place; `bank_count` is caller-owned scratch with one slot
+ * per bank.
+ *
+ * Phase p reads word w+p for every phase-0 word w.  The shift maps
+ * distinct words to distinct words and rotates every word's bank by
+ * the same p, so each phase's per-bank counts are the phase-0 counts
+ * rotated and their maximum is the same; one pass covers all phases.
+ */
+std::uint64_t
+transactions(std::vector<std::uint32_t> &words,
+             std::vector<std::uint32_t> &bank_count, unsigned phases)
+{
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+    std::fill(bank_count.begin(), bank_count.end(), 0u);
+    const auto banks = static_cast<std::uint32_t>(bank_count.size());
+    // An empty warp still costs one transaction a phase.
+    std::uint32_t degree = 1;
+    for (std::uint32_t w : words)
+        degree = std::max(degree, ++bank_count[w % banks]);
+    return static_cast<std::uint64_t>(phases) * degree;
 }
 
+/** Memo key: content digest of every input the estimate depends on. */
+std::uint64_t
+estimatorDigest(const GpuSpec &spec,
+                const std::vector<double> &entry_weights,
+                unsigned entry_bytes, int samples, std::uint64_t seed)
+{
+    std::uint64_t h = fnv1a(entry_weights.data(),
+                            entry_weights.size() * sizeof(double));
+    const std::uint64_t count = entry_weights.size();
+    h = fnv1a(&count, sizeof count, h);
+    h = fnv1a(&entry_bytes, sizeof entry_bytes, h);
+    h = fnv1a(&samples, sizeof samples, h);
+    h = fnv1a(&seed, sizeof seed, h);
+    h = fnv1a(&spec.warp_size, sizeof spec.warp_size, h);
+    return fnv1a(&spec.smem_banks, sizeof spec.smem_banks, h);
+}
+
+/** Monte-Carlo run behind expectedConflictMultiplier (uncached). */
 double
-expectedConflictMultiplier(const GpuSpec &spec,
+simulateConflictMultiplier(const GpuSpec &spec,
                            const std::vector<double> &entry_weights,
                            unsigned entry_bytes, int samples,
                            std::uint64_t seed)
 {
-    vqllm_assert(!entry_weights.empty(), "no entries");
-    vqllm_assert(entry_bytes > 0, "entry_bytes must be positive");
     Rng rng(seed);
 
     // Precompute the popularity CDF once.
@@ -61,16 +81,66 @@ expectedConflictMultiplier(const GpuSpec &spec,
         return static_cast<std::uint32_t>(it - cdf.begin());
     };
 
-    unsigned phases = (entry_bytes + 3) / 4;
+    unsigned phases = (entry_bytes + kWordBytes - 1) / kWordBytes;
     std::uint64_t total_trans = 0;
-    std::vector<std::uint32_t> addrs(spec.warp_size);
+    std::vector<std::uint32_t> words(spec.warp_size);
+    std::vector<std::uint32_t> bank_count(spec.smem_banks);
     for (int s = 0; s < samples; ++s) {
+        words.resize(spec.warp_size);
         for (int lane = 0; lane < spec.warp_size; ++lane)
-            addrs[lane] = draw() * entry_bytes;
-        total_trans += warpTransactions(spec, addrs, entry_bytes);
+            words[lane] = draw() * entry_bytes / kWordBytes;
+        total_trans += transactions(words, bank_count, phases);
     }
     double avg = static_cast<double>(total_trans) / samples;
     return avg / phases;
+}
+
+} // namespace
+
+std::uint64_t
+warpTransactions(const GpuSpec &spec,
+                 const std::vector<std::uint32_t> &lane_byte_addrs,
+                 unsigned bytes_per_lane)
+{
+    vqllm_assert(bytes_per_lane > 0, "bytes_per_lane must be positive");
+    vqllm_assert(static_cast<int>(lane_byte_addrs.size()) <= spec.warp_size,
+                 "more lanes than warp size");
+    unsigned phases = (bytes_per_lane + kWordBytes - 1) / kWordBytes;
+
+    std::vector<std::uint32_t> words(lane_byte_addrs.size());
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = lane_byte_addrs[i] / kWordBytes;
+    std::vector<std::uint32_t> bank_count(spec.smem_banks);
+    return transactions(words, bank_count, phases);
+}
+
+double
+expectedConflictMultiplier(const GpuSpec &spec,
+                           const std::vector<double> &entry_weights,
+                           unsigned entry_bytes, int samples,
+                           std::uint64_t seed)
+{
+    vqllm_assert(!entry_weights.empty(), "no entries");
+    vqllm_assert(entry_bytes > 0, "entry_bytes must be positive");
+
+    // The estimate is a pure function of its inputs (seeded RNG), so a
+    // memo hit returns exactly what a rerun would.  Misses simulate
+    // outside the lock; racing misses compute the same value.
+    static std::mutex memo_mutex;
+    static std::unordered_map<std::uint64_t, double> memo;
+    const std::uint64_t key =
+        estimatorDigest(spec, entry_weights, entry_bytes, samples, seed);
+    {
+        std::lock_guard<std::mutex> lock(memo_mutex);
+        auto it = memo.find(key);
+        if (it != memo.end())
+            return it->second;
+    }
+    double m = simulateConflictMultiplier(spec, entry_weights, entry_bytes,
+                                          samples, seed);
+    std::lock_guard<std::mutex> lock(memo_mutex);
+    memo.emplace(key, m);
+    return m;
 }
 
 double

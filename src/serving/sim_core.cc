@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "compiler/disk_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -68,13 +67,6 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
     // the pricer snapshots around each shard's pricing.
     eng_ = cfg_.engine != nullptr ? cfg_.engine
                                   : &local_engine_.emplace(spec_);
-    // Persistent second tier: sims/replicas naming one directory share
-    // one store through the open() registry, so a fleet warms up from
-    // a single set of on-disk artifacts.
-    if (!cfg_.kernel_cache_dir.empty()) {
-        disk_ = compiler::DiskCache::open(cfg_.kernel_cache_dir);
-        eng_->setDiskCache(disk_);
-    }
     plan_stats_before_ = eng_->stats();
     std::vector<compiler::Engine *> shard_engines(degree_, eng_);
     pricer_.emplace(shard_engines, model_, cfg_.scheme, kv_scheme_,
@@ -422,18 +414,11 @@ SimulatorCore::finalize()
         // may compile concurrently afterwards.
         eng_->setTrace(nullptr);
     }
-    if (disk_ && cfg_.engine != nullptr) {
-        // Same hygiene as the trace detach: injected engines outlive
-        // this run and must not keep writing to our cache directory.
-        eng_->setDiskCache(nullptr);
-    }
     if (cfg_.metrics != nullptr) {
         obs::MetricsRegistry &reg = *cfg_.metrics;
         pool_.exportMetrics(reg, "serving.kv");
         residency_.exportMetrics(reg, "serving.codebook");
         eng_->exportMetrics(reg, "compiler.plan_cache");
-        if (disk_)
-            disk_->exportMetrics(reg, "compiler.disk_cache");
         if (prefix_cache_) {
             prefix_cache_->exportMetrics(reg, "serving.kv.prefix");
             reg.gauge("serving.kv.prefix.hit_rate")

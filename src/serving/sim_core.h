@@ -133,8 +133,6 @@ class SimulatorCore
     std::optional<compiler::Engine> local_engine_;
     compiler::Engine *eng_ = nullptr;
     compiler::CacheStats plan_stats_before_;
-    /** Persistent kernel-cache tier (set iff cfg.kernel_cache_dir). */
-    std::shared_ptr<compiler::DiskCache> disk_;
     std::optional<IterationPricer> pricer_;
     CodebookResidency residency_;
     bool has_codebooks_ = false;

@@ -85,18 +85,6 @@ struct SimulatorConfig
     compiler::Engine *engine = nullptr;
 
     /**
-     * Persistent kernel-cache directory ("" = off, the default).  When
-     * set, the run opens (or creates) a `compiler::DiskCache` there
-     * and attaches it to its engine as a read-through/write-behind
-     * second tier: compiled-kernel artifacts persist across processes,
-     * so a warm directory prices from disk with zero recompiles and a
-     * bit-identical report.  Replicas/sims naming the same directory
-     * share one store (see DiskCache::open).  The report itself never
-     * reflects disk state, so cache-off output is byte-identical.
-     */
-    std::string kernel_cache_dir;
-
-    /**
      * Tensor parallelism: degree > 1 serves the model sharded across
      * that many identical GPUs (head-sharded attention, column/row
      * -parallel linears, two ring all-reduces per layer priced into
