@@ -8,6 +8,8 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "codegen/cuda_emitter.h"
 #include "compiler/engine.h"
 #include "gpusim/bank_conflict.h"
@@ -57,6 +59,28 @@ BM_CompileCacheHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CompileCacheHit)->Name("compile_cache_hit");
+
+void
+BM_CompileBestCacheHit(benchmark::State &state)
+{
+    // The serving pricer's call: a QuiP#-4 GeMV with its profile's
+    // precomputed digest, best of O2-O4 on a warm engine.  Unlike
+    // compile_cache_hit above, no lookup hashes the histogram.
+    compiler::Engine eng(gpusim::rtx4090());
+    const vq::VQConfig cfg = vq::quip4();
+    auto hist = vq::syntheticZipfHistogram(cfg.storedEntries());
+    auto request = compiler::KernelRequest::gemvOp(
+        {1, 4096, 4096}, cfg, engine::OptLevel::O4, &hist);
+    request.histogram_digest = compiler::histogramDigest(hist);
+    const std::vector<engine::OptLevel> levels = {
+        engine::OptLevel::O2, engine::OptLevel::O3, engine::OptLevel::O4};
+    eng.compileBest(request, levels); // warm
+    for (auto _ : state) {
+        auto kernel = eng.compileBest(request, levels);
+        benchmark::DoNotOptimize(kernel);
+    }
+}
+BENCHMARK(BM_CompileBestCacheHit)->Name("compile_best_cache_hit");
 
 void
 BM_ThreadMapping(benchmark::State &state)

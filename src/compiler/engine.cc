@@ -1,8 +1,5 @@
 #include "compiler/engine.h"
 
-#include <algorithm>
-#include <sstream>
-
 #include "codegen/cuda_emitter.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -10,52 +7,6 @@
 #include "obs/trace.h"
 
 namespace vqllm::compiler {
-
-namespace {
-
-/** Histogram key component: presence plus a content digest (the
- *  request's precomputed digest when supplied). */
-std::string
-histogramKey(const vq::AccessHistogram *hist, std::uint64_t digest)
-{
-    if (hist == nullptr)
-        return "none";
-    if (digest == 0)
-        digest = histogramDigest(*hist);
-    std::ostringstream oss;
-    oss << hist->counts.size() << ":" << std::hex << digest;
-    return oss.str();
-}
-
-/**
- * Every GpuSpec field, serialized.  The whole struct feeds occupancy
- * and the cost model, so the fingerprint must cover all of it — a
- * sensitivity sweep mutating any single field (dram_efficiency,
- * launch overhead, latencies...) must never alias onto another
- * spec's engine or cache entry.
- */
-std::string
-specFingerprint(const gpusim::GpuSpec &spec)
-{
-    std::ostringstream fp;
-    fp << spec.name << "/" << spec.num_sms << "/" << spec.smem_per_sm
-       << "/" << spec.max_smem_per_block << "/" << spec.regs_per_sm
-       << "/" << spec.max_threads_per_sm << "/"
-       << spec.max_blocks_per_sm << "/" << spec.max_regs_per_thread
-       << "/" << spec.warp_size << "/" << spec.smem_banks << "/"
-       << spec.smem_alloc_granularity << "/"
-       << spec.reg_alloc_granularity << "/" << spec.dram_bw_gbps << "/"
-       << spec.dram_efficiency << "/" << spec.clock_ghz << "/"
-       << spec.fp16_tensor_tflops << "/" << spec.fp32_tflops << "/"
-       << spec.smem_bytes_per_cycle << "/" << spec.issue_per_cycle
-       << "/" << spec.dram_latency_cycles << "/"
-       << spec.smem_latency_cycles << "/" << spec.shfl_latency_cycles
-       << "/" << spec.dram_sector_bytes << "/"
-       << spec.launch_overhead_us;
-    return fp.str();
-}
-
-} // namespace
 
 std::uint64_t
 histogramDigest(const vq::AccessHistogram &hist)
@@ -157,47 +108,44 @@ CompiledKernel::runAttention(const vq::QuantizedTensor &qt_k,
 Engine::Engine(const gpusim::GpuSpec &spec, const EngineOptions &options)
     : spec_(spec), options_(options)
 {
-    // The policy/spec part of the cache key is engine-constant;
-    // serialize it once so hot-path lookups only format the request.
-    std::ostringstream suffix;
-    suffix << "|thr=" << options_.shuffle_threshold;
-    const auto &t = options_.tiling;
-    suffix << "|tile=" << t.weight_block_cols << ","
-           << t.gemm_block_rows << "," << t.gemv_split_k << ","
-           << t.attn_block_tokens;
-    suffix << "|spec=" << specFingerprint(spec_);
-    key_suffix_ = suffix.str();
 }
 
-std::string
-Engine::cacheKey(const KernelRequest &request) const
+KernelKey
+Engine::cacheKey(const KernelRequest &request)
 {
-    std::ostringstream key;
-    key << "op=" << engine::opKindName(request.kind) << "|shape=";
+    KernelKey key;
+    key.kind = request.kind;
+    key.level = request.level;
     if (request.kind == engine::OpKind::AttentionDecode) {
         // kvHeads() folds the kv_heads==0 MHA default onto its
         // explicit spelling so the two cannot produce distinct keys.
-        key << request.attn.batch << "," << request.attn.heads << ","
-            << request.attn.seq_len << "," << request.attn.head_dim
-            << "," << request.attn.kvHeads();
+        const auto &a = request.attn;
+        key.shape = {a.batch, a.heads, a.seq_len, a.head_dim,
+                     a.kvHeads()};
     } else {
-        key << request.gemm.m << "," << request.gemm.n << ","
-            << request.gemm.k;
+        key.shape = {request.gemm.m, request.gemm.n, request.gemm.k, 0,
+                     0};
     }
     const auto &cfg = request.config;
-    key << "|cfg=" << cfg.name << "/" << cfg.vector_size << "/"
-        << cfg.num_entries << "/" << cfg.residuals << "/"
-        << static_cast<int>(cfg.scope) << "/" << (cfg.lattice ? 1 : 0)
-        << "/" << cfg.lattice_base_entries;
-    key << "|lvl=" << engine::optLevelName(request.level);
-    key << key_suffix_;
-    key << "|hist=" << histogramKey(request.histogram,
-                                    request.histogram_digest);
-    return key.str();
+    key.config_name = cfg.name;
+    key.vector_size = cfg.vector_size;
+    key.num_entries = cfg.num_entries;
+    key.residuals = cfg.residuals;
+    key.scope = cfg.scope;
+    key.lattice = cfg.lattice;
+    key.lattice_base_entries = cfg.lattice_base_entries;
+    if (request.histogram != nullptr) {
+        key.histogram_entries = request.histogram->counts.size();
+        key.histogram_digest = request.histogram_digest != 0
+                                   ? request.histogram_digest
+                                   : histogramDigest(*request.histogram);
+    }
+    return key;
 }
 
 std::shared_ptr<const CompiledKernel>
-Engine::compileUncached(const KernelRequest &request) const
+Engine::compileUncached(const KernelRequest &request,
+                        engine::OptLevel level) const
 {
     engine::PlanInputs in;
     in.spec = &spec_;
@@ -208,13 +156,12 @@ Engine::compileUncached(const KernelRequest &request) const
     auto artifact = std::shared_ptr<CompiledKernel>(new CompiledKernel);
     if (request.kind == engine::OpKind::AttentionDecode) {
         artifact->plan_ = engine::planAttentionKernel(
-            request.attn, request.config, request.level, in);
+            request.attn, request.config, level, in);
         artifact->estimate_ = kernels::estimateVqAttentionKernel(
             spec_, artifact->plan_, request.histogram);
     } else {
         artifact->plan_ = engine::planWeightKernel(
-            request.kind, request.gemm, request.config, request.level,
-            in);
+            request.kind, request.gemm, request.config, level, in);
         artifact->estimate_ = kernels::estimateVqWeightKernel(
             spec_, artifact->plan_, request.histogram);
     }
@@ -223,15 +170,9 @@ Engine::compileUncached(const KernelRequest &request) const
 }
 
 std::shared_ptr<const CompiledKernel>
-Engine::compile(const KernelRequest &request)
+Engine::findOrCompileLocked(const KernelKey &key,
+                            const KernelRequest &request)
 {
-    std::string key = cacheKey(request);
-
-    // Planning runs under the cache lock: it is host-side microsecond
-    // work, and serializing it guarantees concurrent compiles of one
-    // request observe a single artifact (single-flight without a
-    // per-key future).
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = cache_.find(key);
     if (it != cache_.end()) {
         ++stats_.hits;
@@ -243,7 +184,7 @@ Engine::compile(const KernelRequest &request)
             "plan_compile", "compiler", 0, trace_->now(),
             {{"cache_size", static_cast<double>(cache_.size())}});
     std::shared_ptr<const CompiledKernel> artifact =
-        compileUncached(request);
+        compileUncached(request, key.level);
     cache_.emplace(key, artifact);
     insertion_order_.push_back(key);
     while (cache_.size() > options_.cache_capacity) {
@@ -258,13 +199,31 @@ Engine::compile(const KernelRequest &request)
 }
 
 std::shared_ptr<const CompiledKernel>
+Engine::compile(const KernelRequest &request)
+{
+    KernelKey key = cacheKey(request);
+
+    // Planning runs under the cache lock: it is host-side microsecond
+    // work, and serializing it guarantees concurrent compiles of one
+    // request observe a single artifact (single-flight without a
+    // per-key future).
+    std::lock_guard<std::mutex> lock(mutex_);
+    return findOrCompileLocked(key, request);
+}
+
+std::shared_ptr<const CompiledKernel>
 Engine::compileBest(const KernelRequest &request,
                     const std::vector<engine::OptLevel> &levels)
 {
     vqllm_assert(!levels.empty(), "compileBest needs at least one level");
+    // The rungs differ only in their level: build the key once and
+    // take the lock once for the whole ladder.
+    KernelKey key = cacheKey(request);
+    std::lock_guard<std::mutex> lock(mutex_);
     std::shared_ptr<const CompiledKernel> best;
     for (engine::OptLevel level : levels) {
-        auto k = compile(request.atLevel(level));
+        key.level = level;
+        auto k = findOrCompileLocked(key, request);
         if (!best || k->latencyUs() < best->latencyUs())
             best = std::move(k);
     }
@@ -310,10 +269,10 @@ Engine &
 Engine::shared(const gpusim::GpuSpec &spec)
 {
     static std::mutex registry_mutex;
-    static std::map<std::string, std::unique_ptr<Engine>> registry;
+    static std::map<gpusim::GpuSpec, std::unique_ptr<Engine>> registry;
 
     std::lock_guard<std::mutex> lock(registry_mutex);
-    auto &slot = registry[specFingerprint(spec)];
+    auto &slot = registry[spec];
     if (!slot)
         slot = std::make_unique<Engine>(spec);
     return *slot;

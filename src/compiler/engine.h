@@ -31,22 +31,29 @@
  *
  * ## Memoization
  *
- * Behind compile() sits a thread-safe memoizing cache keyed by the
- * canonical request key (see cacheKey()).  Planning and costing run at
- * most once per distinct request; concurrent compiles of the same
- * request return the *same* artifact pointer.  Hit/miss/eviction
- * counters are exposed via stats() for the benches, and the cache
- * iterates in deterministic (sorted-key) order so cached and uncached
- * runs stay bit-identical at any VQLLM_THREADS setting.  Capacity 0
- * disables retention: every compile is a cold miss followed by an
- * immediate eviction — the reference configuration for cache-parity
- * tests.
+ * Behind compile() sits a thread-safe memoizing cache keyed by a
+ * KernelKey (see cacheKey()): a plain struct of the request fields the
+ * plan depends on, ordered member-wise, so a hit builds no string and
+ * hashes nothing beyond the histogram (and not that when the caller
+ * supplies its digest).  The GPU spec and planning policy are not in
+ * the key: each Engine owns one immutable copy of both, and its cache
+ * dies with it.  Planning and costing run at most once per distinct
+ * request; concurrent compiles of the same request return the *same*
+ * artifact pointer.  compileBest() builds one key and takes the lock
+ * once for its whole ladder.  Hit/miss/eviction counters are exposed
+ * via stats() for the benches, and the cache iterates in deterministic
+ * (sorted-key) order so cached and uncached runs stay bit-identical at
+ * any VQLLM_THREADS setting.  Capacity 0 disables retention: every
+ * compile is a cold miss followed by an immediate eviction — the
+ * reference configuration for cache-parity tests.
  *
  * See DESIGN.md §7 for the pipeline and cache-key canonicalization
  * contract.
  */
 #pragma once
 
+#include <array>
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -66,7 +73,7 @@ class TraceRecorder;
 
 namespace vqllm::compiler {
 
-/** Engine-wide planning policy (fixed per Engine, part of the key). */
+/** Engine-wide planning policy (fixed per Engine). */
 struct EngineOptions
 {
     /** Fusion threshold: max shuffles for register fusion. */
@@ -196,6 +203,37 @@ class CompiledKernel
  *  (FNV-1a over the counts; never returns the 0 sentinel). */
 std::uint64_t histogramDigest(const vq::AccessHistogram &hist);
 
+/**
+ * Canonical cache key of a KernelRequest (Engine::cacheKey()): every
+ * request field a compiled plan depends on, and nothing else.  Keys
+ * order member-wise, so the cache needs no hash function.
+ */
+struct KernelKey
+{
+    engine::OpKind kind = engine::OpKind::GeMV;
+    engine::OptLevel level = engine::OptLevel::O4;
+    /**
+     * Shape of the request's kind: {m, n, k, 0, 0} for GeMM/GeMV and
+     * {batch, heads, seq_len, head_dim, kvHeads()} for attention.
+     */
+    std::array<std::size_t, 5> shape{};
+    /** The vq::VQConfig fields, all of them. */
+    std::string config_name;
+    unsigned vector_size = 0;
+    std::size_t num_entries = 0;
+    unsigned residuals = 0;
+    vq::CodebookScope scope = vq::CodebookScope::PerTensor;
+    bool lattice = false;
+    std::size_t lattice_base_entries = 0;
+    /** Histogram entry count; 0 without a histogram. */
+    std::size_t histogram_entries = 0;
+    /** histogramDigest() of the histogram; 0 exactly when it is absent
+     *  (the digest never returns 0). */
+    std::uint64_t histogram_digest = 0;
+
+    auto operator<=>(const KernelKey &) const = default;
+};
+
 /** Cache observability counters (monotonic over an Engine's life). */
 struct CacheStats
 {
@@ -250,24 +288,26 @@ class Engine
      * Compile `request` at each of `levels` and return the artifact
      * with the lowest modeled latency (ties break toward the earlier
      * level in `levels`).  The adaptive best-of-ladder selection the
-     * end-to-end model and the benches use.
+     * end-to-end model and the benches use.  Each level counts as one
+     * hit or miss; the ladder holds the cache lock throughout.
      */
     std::shared_ptr<const CompiledKernel>
     compileBest(const KernelRequest &request,
                 const std::vector<engine::OptLevel> &levels);
 
     /**
-     * Canonical cache key of a request under this engine's spec and
-     * policy.
+     * Canonical cache key of a request.
      *
      * The key normalizes the shape (only the members of the request's
-     * kind contribute; attention kv_heads resolves the MHA default),
-     * serializes every VQConfig field, the level, the planning policy
-     * (shuffle threshold + tiling), a GPU-spec fingerprint, and a
-     * content hash of the histogram (presence included) — so requests
-     * differing in any plan-affecting input never collide.
+     * kind contribute; attention kv_heads resolves the MHA default) and
+     * copies every VQConfig field, the level, and the histogram's entry
+     * count and content digest (the request's precomputed digest when
+     * supplied, else hashed here) — so requests differing in any
+     * plan-affecting input never collide, while equal histograms at
+     * different addresses do.  Spec and policy are engine constants
+     * and stay out of the key.
      */
-    std::string cacheKey(const KernelRequest &request) const;
+    static KernelKey cacheKey(const KernelRequest &request);
 
     /** @return a snapshot of the cache counters. */
     CacheStats stats() const;
@@ -294,27 +334,35 @@ class Engine
     const EngineOptions &options() const { return options_; }
 
     /**
-     * Process-wide shared engine for a GPU spec (keyed by the spec
-     * fingerprint, created on first use, never destroyed).  The
-     * convenience registry behind the spec-level llm:: helpers;
-     * components wanting isolated caches construct their own Engine.
+     * Process-wide shared engine for a GPU spec (keyed by the whole
+     * spec, every field compared exactly; created on first use, never
+     * destroyed).  The convenience registry behind the spec-level llm::
+     * helpers; components wanting isolated caches construct their own
+     * Engine.
      */
     static Engine &shared(const gpusim::GpuSpec &spec);
 
   private:
+    /** Plan and cost `request` at `level` (the request's own level is
+     *  ignored). */
     std::shared_ptr<const CompiledKernel>
-    compileUncached(const KernelRequest &request) const;
+    compileUncached(const KernelRequest &request,
+                    engine::OptLevel level) const;
+
+    /** The cached artifact of `key`, compiling `request` at key.level
+     *  on a miss.  The caller holds mutex_. */
+    std::shared_ptr<const CompiledKernel>
+    findOrCompileLocked(const KernelKey &key,
+                        const KernelRequest &request);
 
     gpusim::GpuSpec spec_;
     EngineOptions options_;
-    /** Engine-constant key part (policy + spec), serialized once. */
-    std::string key_suffix_;
 
     mutable std::mutex mutex_;
     /** Keyed artifacts; std::map for deterministic iteration order. */
-    std::map<std::string, std::shared_ptr<const CompiledKernel>> cache_;
+    std::map<KernelKey, std::shared_ptr<const CompiledKernel>> cache_;
     /** Insertion order driving FIFO eviction (deterministic). */
-    std::vector<std::string> insertion_order_;
+    std::vector<KernelKey> insertion_order_;
     CacheStats stats_;
     obs::TraceRecorder *trace_ = nullptr;
 };

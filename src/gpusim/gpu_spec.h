@@ -11,6 +11,7 @@
  */
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -104,6 +105,10 @@ struct GpuSpec
 
     /** @return GPU core clock in Hz. */
     double clockHz() const { return clock_ghz * 1e9; }
+
+    /** Member-wise exact comparison: specs differing in any field are
+     *  distinct (the per-spec compiler::Engine registry keys on it). */
+    auto operator<=>(const GpuSpec &) const = default;
 };
 
 /** @return an RTX 4090 (Ada, AD102) model — the paper's primary GPU. */

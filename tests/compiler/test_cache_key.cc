@@ -1,12 +1,23 @@
 /**
  * @file
- * Cache-key canonicalization tests: every plan-affecting input must
- * separate keys (histogram presence and contents, shuffle threshold,
- * tiling, GPU spec, level, shape, config), while equivalent spellings
- * of one request (attention kv_heads MHA default) must collide.
+ * Cache-key canonicalization tests: every plan-affecting request input
+ * must separate keys (histogram presence, size and contents, level,
+ * shape, kind, config), while equivalent spellings of one request
+ * (attention kv_heads MHA default, the unused shape member, an equal
+ * histogram at another address, a precomputed digest) must collide.
+ * The struct key is checked against a reference string key on seeded
+ * random request pairs.  The engine's planning policy is not part of
+ * the key; the policy tests check that the engine owning it plans with
+ * it.
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "compiler/engine.h"
 #include "vq/profiler.h"
 
@@ -22,131 +33,346 @@ baseRequest()
                                  OptLevel::O4);
 }
 
+/**
+ * Reference key: the string the cache used to be keyed on, without its
+ * engine-constant spec and policy suffix.  Two requests must share a
+ * KernelKey exactly when they share this string.
+ */
+std::string
+referenceKey(const KernelRequest &request)
+{
+    std::ostringstream key;
+    key << "op=" << engine::opKindName(request.kind) << "|shape=";
+    if (request.kind == engine::OpKind::AttentionDecode) {
+        key << request.attn.batch << "," << request.attn.heads << ","
+            << request.attn.seq_len << "," << request.attn.head_dim
+            << "," << request.attn.kvHeads();
+    } else {
+        key << request.gemm.m << "," << request.gemm.n << ","
+            << request.gemm.k;
+    }
+    const auto &cfg = request.config;
+    key << "|cfg=" << cfg.name << "/" << cfg.vector_size << "/"
+        << cfg.num_entries << "/" << cfg.residuals << "/"
+        << static_cast<int>(cfg.scope) << "/" << (cfg.lattice ? 1 : 0)
+        << "/" << cfg.lattice_base_entries;
+    key << "|lvl=" << engine::optLevelName(request.level);
+    key << "|hist=";
+    if (request.histogram == nullptr) {
+        key << "none";
+    } else {
+        std::uint64_t digest = request.histogram_digest != 0
+                                   ? request.histogram_digest
+                                   : histogramDigest(*request.histogram);
+        key << request.histogram->counts.size() << ":" << std::hex
+            << digest;
+    }
+    return key.str();
+}
+
+/**
+ * Histograms the random requests point at: two sizes times three
+ * skews, each stored twice so equal contents sit at two addresses
+ * (slots 2i and 2i + 1).
+ */
+std::vector<vq::AccessHistogram>
+histogramPool()
+{
+    std::vector<vq::AccessHistogram> pool;
+    for (std::size_t entries : {256, 512}) {
+        for (double alpha : {0.5, 1.0, 1.5}) {
+            auto hist = vq::syntheticZipfHistogram(entries, alpha);
+            pool.push_back(hist);
+            pool.push_back(hist);
+        }
+    }
+    return pool;
+}
+
+template <typename T>
+T
+pick(Rng &rng, const std::vector<T> &values)
+{
+    return values[rng.uniformInt(values.size())];
+}
+
+OptLevel
+randomLevel(Rng &rng)
+{
+    return engine::kAllOptLevels[rng.uniformInt(
+        std::size(engine::kAllOptLevels))];
+}
+
+KernelRequest
+randomRequest(Rng &rng, const std::vector<vq::AccessHistogram> &hists)
+{
+    KernelRequest r;
+    r.kind = pick<engine::OpKind>(rng, {engine::OpKind::GeMM,
+                                        engine::OpKind::GeMV,
+                                        engine::OpKind::AttentionDecode});
+    r.gemm = {pick<std::size_t>(rng, {1, 16, 4096}),
+              pick<std::size_t>(rng, {4096, 11008}),
+              pick<std::size_t>(rng, {4096, 11008})};
+    r.attn.batch = pick<std::size_t>(rng, {1, 8});
+    r.attn.heads = pick<std::size_t>(rng, {32, 64});
+    r.attn.seq_len = pick<std::size_t>(rng, {1024, 4096});
+    r.attn.head_dim = pick<std::size_t>(rng, {64, 128});
+    r.attn.kv_heads = pick<std::size_t>(rng, {0, r.attn.heads, 8});
+    r.config = pick(rng, vq::paperConfigs());
+    r.level = randomLevel(rng);
+    switch (rng.uniformInt(3)) {
+      case 0:
+        break; // no histogram
+      case 1:
+        r.histogram = &hists[rng.uniformInt(hists.size())];
+        break;
+      default:
+        r.histogram = &hists[rng.uniformInt(hists.size())];
+        r.histogram_digest = histogramDigest(*r.histogram);
+        break;
+    }
+    return r;
+}
+
+/** Change one field of `cfg` (every VQConfig field has a case). */
+void
+mutateConfig(Rng &rng, vq::VQConfig &cfg)
+{
+    switch (rng.uniformInt(7)) {
+      case 0:
+        cfg.name += "'";
+        break;
+      case 1:
+        cfg.vector_size = cfg.vector_size == 4 ? 8 : 4;
+        break;
+      case 2:
+        cfg.num_entries *= 2;
+        break;
+      case 3:
+        cfg.residuals = cfg.residuals == 1 ? 2 : 1;
+        break;
+      case 4:
+        cfg.scope = static_cast<vq::CodebookScope>(
+            (static_cast<int>(cfg.scope) + 1) % 3);
+        break;
+      case 5:
+        cfg.lattice = !cfg.lattice;
+        break;
+      default:
+        cfg.lattice_base_entries *= 2;
+        break;
+    }
+}
+
+/**
+ * Apply one random edit to `r`.  Some edits must change the key (a
+ * single config field, one dimension of the active shape, the kind,
+ * the histogram's size or contents), others must not (the unused shape
+ * member, kv_heads between 0 and its explicit value, an equal
+ * histogram at another address, a precomputed digest); level and
+ * kv_heads edits may land on the old value.
+ */
+void
+mutateRequest(Rng &rng, const std::vector<vq::AccessHistogram> &hists,
+              KernelRequest &r)
+{
+    const bool attention = r.kind == engine::OpKind::AttentionDecode;
+    const auto edit = rng.uniformInt(11);
+    switch (edit) {
+      case 0:
+        r.level = randomLevel(rng);
+        break;
+      case 1:
+        // GeMM <-> GeMV keeps the shape; attention swaps it.
+        r.kind = attention ? engine::OpKind::GeMV
+                 : r.kind == engine::OpKind::GeMM
+                     ? engine::OpKind::GeMV
+                     : engine::OpKind::GeMM;
+        break;
+      case 2:
+      case 3:
+        // One dimension of the active (case 2) or the unused (case 3)
+        // shape member.
+        if ((edit == 2) == attention) {
+            std::size_t *dims[] = {&r.attn.batch, &r.attn.heads,
+                                   &r.attn.seq_len, &r.attn.head_dim};
+            *dims[rng.uniformInt(4)] += 1;
+        } else {
+            std::size_t *dims[] = {&r.gemm.m, &r.gemm.n, &r.gemm.k};
+            *dims[rng.uniformInt(3)] += 1;
+        }
+        break;
+      case 4:
+        r.attn.kv_heads = pick<std::size_t>(rng, {0, r.attn.heads, 8});
+        break;
+      case 5:
+        mutateConfig(rng, r.config);
+        break;
+      case 6:
+        // Drop the histogram, or add one where there was none.
+        r.histogram = r.histogram == nullptr ? &hists[0] : nullptr;
+        r.histogram_digest = 0;
+        break;
+      case 7:
+        // The equal-content twin at another address.
+        if (r.histogram != nullptr)
+            r.histogram = &hists[(r.histogram - hists.data()) ^ 1];
+        break;
+      case 8:
+        // Any histogram of the pool: another size, another content or
+        // the same one.
+        if (r.histogram != nullptr) {
+            r.histogram = &hists[rng.uniformInt(hists.size())];
+            r.histogram_digest = 0;
+        }
+        break;
+      case 9:
+        // Precompute the digest, or drop the precomputed one.
+        if (r.histogram != nullptr)
+            r.histogram_digest = r.histogram_digest == 0
+                                     ? histogramDigest(*r.histogram)
+                                     : 0;
+        break;
+      default:
+        // A histogram of the other size under the old digest.  The
+        // key takes a supplied digest on trust, so only the entry
+        // count tells the two apart.
+        if (r.histogram != nullptr) {
+            std::uint64_t digest = r.histogram_digest != 0
+                                       ? r.histogram_digest
+                                       : histogramDigest(*r.histogram);
+            std::size_t slot = r.histogram - hists.data();
+            r.histogram = &hists[(slot + hists.size() / 2) % hists.size()];
+            r.histogram_digest = digest;
+        }
+        break;
+    }
+}
+
+TEST(CacheKey, MatchesReferenceStringKeyOnRandomPairs)
+{
+    const auto hists = histogramPool();
+    constexpr int kPairs = 12000;
+    Rng rng(1414);
+    int equal = 0;
+    for (int trial = 0; trial < kPairs; ++trial) {
+        KernelRequest a = randomRequest(rng, hists);
+        KernelRequest b = a;
+        auto edits = rng.uniformInt(3);
+        for (std::uint64_t e = 0; e < edits; ++e)
+            mutateRequest(rng, hists, b);
+        const std::string ref_a = referenceKey(a);
+        const std::string ref_b = referenceKey(b);
+        const bool same = ref_a == ref_b;
+        ASSERT_EQ(Engine::cacheKey(a) == Engine::cacheKey(b), same)
+            << "trial " << trial << "\n  a: " << ref_a
+            << "\n  b: " << ref_b;
+        equal += same;
+    }
+    // Both outcomes must be common, or the comparison proves little.
+    EXPECT_GT(equal, kPairs / 5);
+    EXPECT_LT(equal, kPairs * 4 / 5);
+}
+
 TEST(CacheKey, IdenticalRequestsShareAKey)
 {
-    Engine eng(gpusim::rtx4090());
-    EXPECT_EQ(eng.cacheKey(baseRequest()), eng.cacheKey(baseRequest()));
+    EXPECT_EQ(Engine::cacheKey(baseRequest()),
+              Engine::cacheKey(baseRequest()));
 }
 
 TEST(CacheKey, HistogramPresenceSeparatesKeys)
 {
-    Engine eng(gpusim::rtx4090());
     auto hist = vq::syntheticZipfHistogram(256);
     auto with = baseRequest();
     with.histogram = &hist;
-    EXPECT_NE(eng.cacheKey(baseRequest()), eng.cacheKey(with));
+    EXPECT_NE(Engine::cacheKey(baseRequest()), Engine::cacheKey(with));
 }
 
 TEST(CacheKey, HistogramContentsSeparateKeys)
 {
-    Engine eng(gpusim::rtx4090());
     auto flat = vq::syntheticZipfHistogram(256, 0.1);
     auto skewed = vq::syntheticZipfHistogram(256, 1.5);
     auto a = baseRequest();
     a.histogram = &flat;
     auto b = baseRequest();
     b.histogram = &skewed;
-    EXPECT_NE(eng.cacheKey(a), eng.cacheKey(b));
+    EXPECT_NE(Engine::cacheKey(a), Engine::cacheKey(b));
 
     // Same contents at a different address: same key (content hash,
     // not pointer identity).
     auto flat_copy = flat;
     auto c = baseRequest();
     c.histogram = &flat_copy;
-    EXPECT_EQ(eng.cacheKey(a), eng.cacheKey(c));
+    EXPECT_EQ(Engine::cacheKey(a), Engine::cacheKey(c));
 }
 
-TEST(CacheKey, ShuffleThresholdSeparatesKeys)
+TEST(CacheKey, ShuffleThresholdChangesThePlan)
 {
+    // Policy is an engine constant and not part of the key, so each
+    // engine must plan with its own.
     EngineOptions strict;
     strict.shuffle_threshold = 0;
     Engine defaults(gpusim::rtx4090());
     Engine no_shuffles(gpusim::rtx4090(), strict);
-    EXPECT_NE(defaults.cacheKey(baseRequest()),
-              no_shuffles.cacheKey(baseRequest()));
+    // GPTVQ-2's GeMV needs 3 shuffles: fused by default, not at 0.
+    auto fused = defaults.compile(baseRequest());
+    auto unfused = no_shuffles.compile(baseRequest());
+    EXPECT_EQ(fused->plan().fusion.level, engine::FusionLevel::Register);
+    EXPECT_EQ(unfused->plan().fusion.level, engine::FusionLevel::Shared);
+    EXPECT_NE(fused->plan().summary(), unfused->plan().summary());
 }
 
-TEST(CacheKey, TilingSeparatesKeys)
+TEST(CacheKey, TilingChangesThePlan)
 {
     EngineOptions wide;
     wide.tiling.weight_block_cols = 256;
     Engine defaults(gpusim::rtx4090());
     Engine widened(gpusim::rtx4090(), wide);
-    EXPECT_NE(defaults.cacheKey(baseRequest()),
-              widened.cacheKey(baseRequest()));
-}
-
-TEST(CacheKey, GpuSpecSeparatesKeys)
-{
-    Engine ada(gpusim::rtx4090());
-    Engine ampere(gpusim::teslaA40());
-    EXPECT_NE(ada.cacheKey(baseRequest()),
-              ampere.cacheKey(baseRequest()));
-
-    // A same-name spec with different resources must also separate
-    // (the fingerprint is structural, not just the marketing name).
-    gpusim::GpuSpec cut = gpusim::rtx4090();
-    cut.dram_bw_gbps /= 2;
-    Engine degraded(cut);
-    EXPECT_NE(ada.cacheKey(baseRequest()),
-              degraded.cacheKey(baseRequest()));
-
-    // The fingerprint covers *every* spec field the cost model reads,
-    // not a headline subset — a sensitivity sweep over any of them
-    // must never alias onto another spec's entries.
-    gpusim::GpuSpec tuned = gpusim::rtx4090();
-    tuned.dram_efficiency *= 0.5;
-    Engine detuned(tuned);
-    EXPECT_NE(ada.cacheKey(baseRequest()),
-              detuned.cacheKey(baseRequest()));
-
-    gpusim::GpuSpec slow_launch = gpusim::rtx4090();
-    slow_launch.launch_overhead_us += 1.0;
-    Engine overhead(slow_launch);
-    EXPECT_NE(ada.cacheKey(baseRequest()),
-              overhead.cacheKey(baseRequest()));
+    auto narrow_plan = defaults.compile(baseRequest())->plan();
+    auto wide_plan = widened.compile(baseRequest())->plan();
+    EXPECT_NE(narrow_plan.grid_blocks, wide_plan.grid_blocks);
+    EXPECT_NE(narrow_plan.summary(), wide_plan.summary());
 }
 
 TEST(CacheKey, PrecomputedHistogramDigestMatchesInlineHash)
 {
-    Engine eng(gpusim::rtx4090());
     auto hist = vq::syntheticZipfHistogram(256);
     auto inline_hashed = baseRequest();
     inline_hashed.histogram = &hist;
     auto precomputed = inline_hashed;
     precomputed.histogram_digest = histogramDigest(hist);
-    EXPECT_EQ(eng.cacheKey(inline_hashed), eng.cacheKey(precomputed));
+    EXPECT_EQ(Engine::cacheKey(inline_hashed),
+              Engine::cacheKey(precomputed));
 }
 
 TEST(CacheKey, LevelShapeKindAndConfigSeparateKeys)
 {
-    Engine eng(gpusim::rtx4090());
-    auto base = eng.cacheKey(baseRequest());
+    auto base = Engine::cacheKey(baseRequest());
 
-    EXPECT_NE(base, eng.cacheKey(baseRequest().atLevel(OptLevel::O2)));
+    EXPECT_NE(base,
+              Engine::cacheKey(baseRequest().atLevel(OptLevel::O2)));
 
     auto wider = KernelRequest::gemvOp({1, 8192, 4096}, vq::gptvq2(),
                                        OptLevel::O4);
-    EXPECT_NE(base, eng.cacheKey(wider));
+    EXPECT_NE(base, Engine::cacheKey(wider));
 
     auto gemm = KernelRequest::gemmOp({1, 4096, 4096}, vq::gptvq2(),
                                       OptLevel::O4);
-    EXPECT_NE(base, eng.cacheKey(gemm));
+    EXPECT_NE(base, Engine::cacheKey(gemm));
 
     auto quip = KernelRequest::gemvOp({1, 4096, 4096}, vq::quip4(),
                                       OptLevel::O4);
-    EXPECT_NE(base, eng.cacheKey(quip));
+    EXPECT_NE(base, Engine::cacheKey(quip));
 }
 
 TEST(CacheKey, AttentionMhaDefaultIsCanonical)
 {
-    Engine eng(gpusim::rtx4090());
     engine::AttnShape implicit{1, 32, 1024, 128}; // kv_heads = 0 (MHA)
     engine::AttnShape explicit_mha{1, 32, 1024, 128, 32};
     engine::AttnShape gqa{1, 32, 1024, 128, 8};
-    auto key = [&](const engine::AttnShape &s) {
-        return eng.cacheKey(KernelRequest::attentionOp(s, vq::cq2(),
-                                                       OptLevel::O4));
+    auto key = [](const engine::AttnShape &s) {
+        return Engine::cacheKey(
+            KernelRequest::attentionOp(s, vq::cq2(), OptLevel::O4));
     };
     EXPECT_EQ(key(implicit), key(explicit_mha));
     EXPECT_NE(key(implicit), key(gqa));
@@ -157,11 +383,10 @@ TEST(CacheKey, GemmAndAttentionShapesDoNotLeakAcrossKinds)
     // The non-active shape member must not contribute: two GeMV
     // requests differing only in the attn member collide, as do two
     // attention requests differing only in gemm.
-    Engine eng(gpusim::rtx4090());
     auto a = baseRequest();
     auto b = baseRequest();
     b.attn = engine::AttnShape{7, 7, 7, 7};
-    EXPECT_EQ(eng.cacheKey(a), eng.cacheKey(b));
+    EXPECT_EQ(Engine::cacheKey(a), Engine::cacheKey(b));
 }
 
 } // namespace

@@ -100,10 +100,32 @@ TEST(CompilerEngine, CompileBestPicksLowestLatency)
     std::vector<OptLevel> levels = {OptLevel::O2, OptLevel::O3,
                                     OptLevel::O4};
     auto best = eng.compileBest(gemvRequest(), levels);
+    EXPECT_EQ(eng.stats().misses, 3u);
+
+    // Warm: every rung is one hit, and the same artifact wins.
+    auto warm = eng.compileBest(gemvRequest(), levels);
+    EXPECT_EQ(warm.get(), best.get());
+    EXPECT_EQ(eng.stats().hits, 3u);
+    EXPECT_EQ(eng.stats().misses, 3u);
+
     for (auto level : levels) {
         auto k = eng.compile(gemvRequest(level));
         EXPECT_LE(best->latencyUs(), k->latencyUs())
             << engine::optLevelName(level);
+    }
+
+    // Capacity 0: every rung of every call misses and is evicted.
+    EngineOptions opts;
+    opts.cache_capacity = 0;
+    Engine cold(gpusim::rtx4090(), opts);
+    for (std::uint64_t call = 1; call <= 2; ++call) {
+        auto k = cold.compileBest(gemvRequest(), levels);
+        EXPECT_DOUBLE_EQ(k->latencyUs(), best->latencyUs());
+        auto stats = cold.stats();
+        EXPECT_EQ(stats.hits, 0u);
+        EXPECT_EQ(stats.misses, 3 * call);
+        EXPECT_EQ(stats.evictions, 3 * call);
+        EXPECT_EQ(stats.size, 0u);
     }
 }
 
@@ -151,21 +173,31 @@ TEST(CompilerEngine, FifoEvictionIsBounded)
 
 TEST(CompilerEngine, ConcurrentCompilesShareOneArtifact)
 {
-    Engine eng(gpusim::rtx4090());
+    // One compile() and one O2-O4 compileBest() per thread: each rung
+    // misses once in total and hits in every other thread.
+    const std::vector<OptLevel> ladder = {OptLevel::O2, OptLevel::O3,
+                                          OptLevel::O4};
     constexpr int kThreads = 8;
-    std::vector<std::shared_ptr<const CompiledKernel>> seen(kThreads);
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back(
-            [&, t] { seen[t] = eng.compile(gemvRequest()); });
-    for (auto &th : threads)
-        th.join();
-    for (int t = 1; t < kThreads; ++t)
-        EXPECT_EQ(seen[0].get(), seen[t].get());
-    auto stats = eng.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
+    for (bool best : {false, true}) {
+        SCOPED_TRACE(best ? "compileBest" : "compile");
+        Engine eng(gpusim::rtx4090());
+        std::vector<std::shared_ptr<const CompiledKernel>> seen(kThreads);
+        std::vector<std::thread> threads;
+        threads.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                seen[t] = best ? eng.compileBest(gemvRequest(), ladder)
+                               : eng.compile(gemvRequest());
+            });
+        for (auto &th : threads)
+            th.join();
+        for (int t = 1; t < kThreads; ++t)
+            EXPECT_EQ(seen[0].get(), seen[t].get());
+        const std::uint64_t rungs = best ? ladder.size() : 1;
+        auto stats = eng.stats();
+        EXPECT_EQ(stats.misses, rungs);
+        EXPECT_EQ(stats.hits, rungs * (kThreads - 1));
+    }
 }
 
 TEST(CompilerEngine, ArtifactOutlivesEviction)
@@ -221,6 +253,24 @@ TEST(CompilerEngine, SharedRegistryReturnsOneEnginePerSpec)
     Engine &c = Engine::shared(gpusim::teslaA40());
     EXPECT_EQ(&a, &b);
     EXPECT_NE(&a, &c);
+
+    // Specs compare exactly on every field: a same-name spec differing
+    // in any one of them gets its own engine, which reports that spec
+    // (a bandwidth 0.001 GB/s off included).
+    gpusim::GpuSpec nudged = gpusim::rtx4090();
+    nudged.dram_bw_gbps += 0.001;
+    gpusim::GpuSpec cut = gpusim::rtx4090();
+    cut.dram_bw_gbps /= 2;
+    gpusim::GpuSpec detuned = gpusim::rtx4090();
+    detuned.dram_efficiency *= 0.5;
+    gpusim::GpuSpec slow_launch = gpusim::rtx4090();
+    slow_launch.launch_overhead_us += 1.0;
+    for (const auto &variant : {nudged, cut, detuned, slow_launch}) {
+        Engine &e = Engine::shared(variant);
+        EXPECT_NE(&e, &a);
+        EXPECT_EQ(&Engine::shared(variant), &e);
+        EXPECT_TRUE(e.spec() == variant);
+    }
     // The registry copies the spec, so the engine survives the
     // caller's spec object.
     gpusim::GpuSpec local = gpusim::rtx4090();
