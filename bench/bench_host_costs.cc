@@ -4,7 +4,8 @@
  * VQ-LLM — kernel planning, thread-mapping computation, CUDA emission,
  * k-means training, quantization/dequantization throughput, and the
  * bank-conflict estimator.  These are the real CPU costs a deployment
- * pays when generating kernels.
+ * pays when generating kernels.  One serving-side cost rides along:
+ * the prefix cache's reclaimable-capacity query.
  */
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "compiler/engine.h"
 #include "gpusim/bank_conflict.h"
 #include "kernels/vq_kernels.h"
+#include "serving/prefix_cache.h"
 #include "tensor/datagen.h"
 #include "vq/profiler.h"
 #include "vq/quantizer.h"
@@ -178,6 +180,47 @@ BM_EstimateVqAttention(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EstimateVqAttention)->Name("estimate_vq_attention");
+
+void
+BM_PrefixCacheEvictableBlocks(benchmark::State &state)
+{
+    // The reclaimable-capacity query the KV pool runs on every prefill
+    // slice, over 32 retired tenants' 60-block system prompts: 1,920
+    // cached nodes, one leaf per chain.
+    constexpr std::size_t kBlockTokens = 16;
+    constexpr std::size_t kChains = 32;
+    constexpr std::size_t kChainBlocks = 60;
+    serving::KvBlockPoolConfig cfg;
+    cfg.block_tokens = kBlockTokens;
+    cfg.bytes_per_token = 1;
+    // Room for every cached chain plus one live writer.
+    cfg.capacity_bytes = (kChains + 1) * (kChainBlocks + 1) * kBlockTokens;
+    serving::ShardedKvPool pool(cfg, 1);
+    serving::PrefixCache cache(pool, {kBlockTokens, 0});
+    for (std::size_t g = 0; g < kChains; ++g) {
+        serving::Request r;
+        r.id = g + 1;
+        r.prefix_group = static_cast<std::int64_t>(g);
+        r.prefix_tokens = kChainBlocks * kBlockTokens;
+        r.prompt_len = r.prefix_tokens + 1;
+        if (!pool.allocSequence(r.id, r.prompt_len)) {
+            state.SkipWithError("KV pool too small for the chains");
+            return;
+        }
+        r.prefilled_tokens = r.prompt_len;
+        cache.onPrefillAdvance(r);
+        pool.freeSequence(r.id);
+        cache.onRelease(r.id);
+    }
+    for (auto _ : state) {
+        std::uint64_t blocks = cache.evictableBlocks();
+        benchmark::DoNotOptimize(blocks);
+    }
+    state.counters["cached_blocks"] =
+        static_cast<double>(cache.cachedBlocks());
+}
+BENCHMARK(BM_PrefixCacheEvictableBlocks)
+    ->Name("prefix_cache_evictable_blocks");
 
 } // namespace
 

@@ -174,8 +174,12 @@ PrefixCache::insertNode(const Request &r, std::size_t index,
         ++stats_.skipped_inserts;
         return false;
     }
+    // The parent is never the capacity victim: it can be an unpinned
+    // leaf (its writer retired; this writer holds its own copy of that
+    // block), and the new node must hang off it.
     if (cfg_.capacity_blocks > 0 &&
-        by_id_.size() >= cfg_.capacity_blocks && !evictOne(false)) {
+        nodes_.size() >= cfg_.capacity_blocks &&
+        !evictOne(false, parent)) {
         ++stats_.skipped_inserts;
         return false;
     }
@@ -200,31 +204,32 @@ PrefixCache::insertNode(const Request &r, std::size_t index,
         pool_.addBlockRefs(n.blocks);
     }
     n.id = next_node_id_++;
-    if (parent != 0)
-        ++nodes_.at(parent).children;
+    if (parent != 0) {
+        Node &p = nodes_.at(parent);
+        if (p.children++ == 0)
+            leaves_.erase(p.id);
+    }
     cached_tokens_ += tokens;
-    by_id_.emplace(n.id, hash);
-    nodes_.emplace(hash, std::move(n));
+    Node &node = nodes_.emplace(hash, std::move(n)).first->second;
+    leaves_.emplace(node.id, &node);
     ++stats_.inserted_nodes;
     return true;
 }
 
 bool
-PrefixCache::evictOne(bool reclaiming)
+PrefixCache::evictOne(bool reclaiming, std::uint64_t keep)
 {
     // Hit-aware LFU with masked pins: candidates are leaves whose
     // block the cache alone references (shard-0 refcount 1 — running
     // sequences pin their prefixes); victim is min (freq, id), and the
     // ascending-id scan makes the oldest insertion win ties.
     const Node *victim = nullptr;
-    for (const auto &[id, hash] : by_id_) {
-        const Node &n = nodes_.at(hash);
-        if (n.children > 0)
+    for (const auto &[id, n] : leaves_) {
+        if (n->hash == keep ||
+            pool_.shard(0).blockRefs(n->blocks[0]) > 1)
             continue;
-        if (pool_.shard(0).blockRefs(n.blocks[0]) > 1)
-            continue;
-        if (victim == nullptr || n.freq < victim->freq)
-            victim = &n;
+        if (victim == nullptr || n->freq < victim->freq)
+            victim = n;
     }
     if (victim == nullptr)
         return false;
@@ -248,10 +253,13 @@ PrefixCache::eraseNode(std::uint64_t hash)
     Node &n = it->second;
     vqllm_assert(n.children == 0, "erasing a prefix node with children");
     pool_.releaseBlockRefs(n.blocks);
-    if (n.parent != 0)
-        --nodes_.at(n.parent).children;
+    if (n.parent != 0) {
+        Node &p = nodes_.at(n.parent);
+        if (--p.children == 0)
+            leaves_.emplace(p.id, &p);
+    }
     cached_tokens_ -= n.tokens;
-    by_id_.erase(n.id);
+    leaves_.erase(n.id);
     nodes_.erase(it);
 }
 
@@ -275,22 +283,20 @@ std::uint64_t
 PrefixCache::evictableBlocks() const
 {
     std::uint64_t count = 0;
-    for (const auto &[id, hash] : by_id_) {
-        const Node &n = nodes_.at(hash);
-        if (n.children == 0 &&
-            pool_.shard(0).blockRefs(n.blocks[0]) == 1)
+    for (const auto &[id, n] : leaves_)
+        if (pool_.shard(0).blockRefs(n->blocks[0]) == 1)
             ++count;
-    }
     return count;
 }
 
 void
 PrefixCache::clear()
 {
-    // Children always carry larger ids than their parents, so a
-    // descending-id sweep erases leaves first.
-    while (!by_id_.empty())
-        eraseNode(by_id_.rbegin()->second);
+    // Children always carry larger ids than their parents, so the
+    // highest-id node is a leaf: this is the descending-id sweep over
+    // every node.
+    while (!leaves_.empty())
+        eraseNode(leaves_.rbegin()->second->hash);
     inserted_.clear();
     cached_tokens_ = 0;
 }

@@ -31,6 +31,10 @@
  * pressure, so cached prefixes never starve admissions: the pool asks
  * the cache to surrender blocks before failing, and the paired
  * reclaimable query folds evictable blocks into capacity estimates.
+ * Both walk a leaf index kept current on every insert and erase, so
+ * they cost O(leaves), not O(cached blocks): a trie of long shared
+ * prefixes has one leaf per chain.  A capacity eviction never takes the
+ * parent of the node being inserted.
  *
  * Everything is deterministic: keys chain FNV-1a, scans walk a std::map
  * keyed by insertion id, and the pool's LIFO id reuse keeps block
@@ -69,7 +73,9 @@ struct PrefixCacheConfig
 /** Lifetime counters of the prefix cache. */
 struct PrefixCacheStats
 {
-    /** Prefix-bearing requests looked up. */
+    /** match() calls on prefix-bearing requests: one per admission
+     *  attempt, so a queue head blocked on KV counts once per retry
+     *  (lookups can exceed the request count). */
     std::uint64_t lookups = 0;
     /** Lookups that matched at least one block. */
     std::uint64_t hits = 0;
@@ -148,7 +154,7 @@ class PrefixCache
     void clear();
 
     /** @return cached nodes == cached blocks per shard. */
-    std::uint64_t cachedBlocks() const { return by_id_.size(); }
+    std::uint64_t cachedBlocks() const { return nodes_.size(); }
 
     /** @return tokens the cached nodes store (per shard). */
     std::size_t cachedTokens() const { return cached_tokens_; }
@@ -195,15 +201,19 @@ class PrefixCache
     bool insertNode(const Request &r, std::size_t index,
                     std::uint64_t hash, std::uint64_t parent,
                     std::size_t tokens, bool partial);
-    bool evictOne(bool reclaiming);
+    /** Evict the LFU unpinned leaf other than `keep` (a node hash; 0 =
+     *  none). */
+    bool evictOne(bool reclaiming, std::uint64_t keep = 0);
     void eraseNode(std::uint64_t hash);
 
     ShardedKvPool &pool_;
     PrefixCacheConfig cfg_;
+    /** Owns the nodes; element addresses are stable across rehashes,
+     *  which is what lets leaves_ point into it. */
     std::unordered_map<std::uint64_t, Node> nodes_;
-    /** Insertion id -> node hash; deterministic scan order for
-     *  eviction and clear(). */
-    std::map<std::uint64_t, std::uint64_t> by_id_;
+    /** Insertion id -> node, over leaves (children == 0) only; the
+     *  deterministic scan order for eviction and clear(). */
+    std::map<std::uint64_t, Node *> leaves_;
     /** Per-request insertion progress: prefix tokens already indexed
      *  (or attached) for an in-flight sequence. */
     std::unordered_map<std::uint64_t, std::size_t> inserted_;
