@@ -4,18 +4,22 @@
  * VQ-LLM — kernel planning, thread-mapping computation, CUDA emission,
  * k-means training, quantization/dequantization throughput, and the
  * bank-conflict estimator.  These are the real CPU costs a deployment
- * pays when generating kernels.  One serving-side cost rides along:
- * the prefix cache's reclaimable-capacity query.
+ * pays when generating kernels.  Two serving-side costs ride along:
+ * the prefix cache's reclaimable-capacity query and the iteration
+ * pricer's decode step.
  */
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "codegen/cuda_emitter.h"
+#include "common/rng.h"
 #include "compiler/engine.h"
 #include "gpusim/bank_conflict.h"
 #include "kernels/vq_kernels.h"
+#include "llm/model_config.h"
 #include "serving/prefix_cache.h"
+#include "serving/scheduler.h"
 #include "tensor/datagen.h"
 #include "vq/profiler.h"
 #include "vq/quantizer.h"
@@ -221,6 +225,37 @@ BM_PrefixCacheEvictableBlocks(benchmark::State &state)
 }
 BENCHMARK(BM_PrefixCacheEvictableBlocks)
     ->Name("prefix_cache_evictable_blocks");
+
+void
+BM_IterationPricerDecode(benchmark::State &state)
+{
+    // One decode step priced by a warm pricer: a fixed ragged batch of
+    // 32 requests, four in each of 8 context buckets.  Arg 0 prices
+    // EWQ4 weights with INT4 KV (all closed form), arg 1 VQ4 weights
+    // with VQ4 KV (plan-cache hits).
+    const bool vq = state.range(0) != 0;
+    compiler::Engine eng(gpusim::rtx4090());
+    serving::IterationPricer pricer(
+        std::vector<compiler::Engine *>{&eng}, llm::llama7b(),
+        vq ? llm::QuantScheme::VQ4 : llm::QuantScheme::EWQ4,
+        vq ? llm::KvScheme::VQ4 : llm::KvScheme::INT4, llm::TpConfig{});
+    const std::size_t bucket = serving::PricerConfig{}.seq_bucket;
+    Rng rng(16);
+    std::vector<serving::Request> reqs(32);
+    std::vector<serving::Request *> batch;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].id = i;
+        reqs[i].prompt_len = (i % 8) * bucket + 1 + rng.uniformInt(bucket - 1);
+        batch.push_back(&reqs[i]);
+    }
+    pricer.decodeUs(batch); // warm
+    for (auto _ : state) {
+        double us = pricer.decodeUs(batch);
+        benchmark::DoNotOptimize(us);
+    }
+}
+BENCHMARK(BM_IterationPricerDecode)->Arg(0)->Arg(1)->Name(
+    "iteration_pricer_decode(vq)");
 
 } // namespace
 

@@ -115,7 +115,6 @@ double
 schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
                const GemmShape &shape)
 {
-    auto weight_cfg = schemeVqConfigs(scheme).first;
     switch (scheme) {
       case QuantScheme::FP16:
         return kernels::fp16GemvEstimate(eng.spec(), shape).us();
@@ -123,6 +122,7 @@ schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
         return kernels::ewqGemvEstimate(eng.spec(), shape, 4).us();
       case QuantScheme::VQ4:
       case QuantScheme::VQ2: {
+        auto weight_cfg = schemeVqConfigs(scheme).first;
         const auto &profile = configProfile(weight_cfg);
         auto request = compiler::KernelRequest::gemvOp(
             shape, weight_cfg, OptLevel::O4, &profile.histogram);

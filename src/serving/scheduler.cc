@@ -34,6 +34,20 @@ sliceTokens(std::size_t remaining, std::size_t budget, std::size_t avail)
     return take;
 }
 
+/** Shard 0's GPU spec, once the engine list is known to hold one
+ *  non-null engine per TP shard (checked before anything reads it). */
+const gpusim::GpuSpec &
+shardSpec(const std::vector<compiler::Engine *> &engines,
+          const llm::TpConfig &tp)
+{
+    vqllm_assert(tp.degree >= 1, "TP degree must be >= 1");
+    vqllm_assert(engines.size() == static_cast<std::size_t>(tp.degree),
+                 "one engine per TP shard required");
+    for (compiler::Engine *eng : engines)
+        vqllm_assert(eng != nullptr, "null shard engine");
+    return engines.front()->spec();
+}
+
 } // namespace
 
 Scheduler::Scheduler(const SchedulerConfig &cfg, ShardedKvPool &pool)
@@ -401,21 +415,21 @@ IterationPricer::IterationPricer(std::vector<compiler::Engine *> engines,
                                  llm::QuantScheme scheme,
                                  llm::KvScheme kv, const llm::TpConfig &tp,
                                  const PricerConfig &cfg)
-    : engines_(std::move(engines)), spec_(engines_.front()->spec()),
-      model_(model), scheme_(scheme), kv_scheme_(kv), tp_(tp), cfg_(cfg),
-      shard_deltas_(engines_.size())
+    : engines_(std::move(engines)), spec_(shardSpec(engines_, tp)),
+      model_(model), scheme_(scheme), kv_scheme_(kv),
+      closed_form_linears_(scheme == llm::QuantScheme::FP16 ||
+                           scheme == llm::QuantScheme::EWQ4),
+      closed_form_attn_(kv == llm::KvScheme::FP16 ||
+                        kv == llm::KvScheme::INT4),
+      tp_(tp), cfg_(cfg), shard_deltas_(engines_.size()),
+      attn_memo_(engines_.size())
 {
     vqllm_assert(cfg_.seq_bucket > 0, "seq_bucket must be positive");
-    vqllm_assert(tp_.degree >= 1, "TP degree must be >= 1");
-    vqllm_assert(engines_.size() == static_cast<std::size_t>(tp_.degree),
-                 "one engine per TP shard required");
     vqllm_assert(model_.heads % tp_.degree == 0,
                  "heads must divide evenly across TP ranks");
     vqllm_assert(model_.kvHeads() >=
                      static_cast<std::size_t>(tp_.degree),
                  "TP degree exceeds the model's KV heads");
-    for (compiler::Engine *eng : engines_)
-        vqllm_assert(eng != nullptr, "null shard engine");
 }
 
 double
@@ -429,23 +443,26 @@ IterationPricer::prefillChunkUs(std::size_t tokens, std::size_t context)
     auto bucketTo = [](std::size_t n, std::size_t b) {
         return ((n + b - 1) / b) * b;
     };
+    const std::size_t bucket = cfg_.seq_bucket;
     std::size_t fine =
-        std::min<std::size_t>(32, std::max<std::size_t>(cfg_.seq_bucket / 8, 1));
+        std::min<std::size_t>(32, std::max<std::size_t>(bucket / 8, 1));
     tokens = std::max<std::size_t>(tokens, 1);
-    auto key = std::make_pair(tokens < cfg_.seq_bucket
-                                  ? bucketTo(tokens, fine)
-                                  : bucketTo(tokens, cfg_.seq_bucket),
-                              context == 0
-                                  ? 0
-                                  : bucketTo(context, cfg_.seq_bucket));
-    auto memo = prefill_memo_.find(key);
-    if (memo != prefill_memo_.end())
-        return memo->second;
-
-    double us = llm::estimateChunkedPrefillUs(spec_, model_, key.first,
-                                              key.second, tp_);
-    prefill_memo_[key] = us;
-    return us;
+    // Memo column: fine slices number 1..fine_slots, whole-bucket
+    // slices follow them.
+    const std::size_t fine_slots = (bucket + fine - 1) / fine;
+    std::size_t slice, col;
+    if (tokens < bucket) {
+        slice = bucketTo(tokens, fine);
+        col = slice / fine;
+    } else {
+        slice = bucketTo(tokens, bucket);
+        col = fine_slots + slice / bucket;
+    }
+    std::size_t ctx = context == 0 ? 0 : bucketTo(context, bucket);
+    return prefill_memo_.get(ctx / bucket, col, [&] {
+        return llm::estimateChunkedPrefillUs(spec_, model_, slice, ctx,
+                                             tp_);
+    });
 }
 
 double
@@ -459,26 +476,35 @@ double
 IterationPricer::decodeLinearUs(compiler::Engine &eng, std::size_t shard,
                                 std::size_t batch)
 {
-    // No pricer-side memo: the engine's plan cache memoizes the VQ
-    // kernel compiles, so repeated batch sizes are cache hits there
-    // (and the FP16/EWQ closed forms are cheap enough to re-evaluate).
-    double us = 0;
-    std::size_t degree = static_cast<std::size_t>(tp_.degree);
-    for (auto [n, k] : llm::shardLinearShapes(model_, degree, shard)) {
-        engine::GemmShape shape{batch, n, k};
-        us += llm::schemeLinearUs(eng, scheme_, shape);
-    }
-    return us;
+    // VQ weights price through the engine, whose plan cache memoizes
+    // the compiles (and counts every lookup); the FP16/EWQ closed
+    // forms are memoized here.
+    auto price = [&] {
+        double us = 0;
+        std::size_t degree = static_cast<std::size_t>(tp_.degree);
+        for (auto [n, k] : llm::shardLinearShapes(model_, degree, shard)) {
+            engine::GemmShape shape{batch, n, k};
+            us += llm::schemeLinearUs(eng, scheme_, shape);
+        }
+        return us;
+    };
+    return closed_form_linears_ ? linear_memo_.get(shard, batch, price)
+                                : price();
 }
 
 double
 IterationPricer::decodeAttnUs(compiler::Engine &eng, std::size_t shard,
-                              std::size_t batch, std::size_t seq_bucket)
+                              std::size_t batch, std::size_t bucket)
 {
-    return llm::kvSchemeAttentionUs(
-        eng, kv_scheme_,
-        llm::shardAttnShape(model_, batch, seq_bucket,
-                            static_cast<std::size_t>(tp_.degree), shard));
+    auto price = [&] {
+        return llm::kvSchemeAttentionUs(
+            eng, kv_scheme_,
+            llm::shardAttnShape(model_, batch, bucket * cfg_.seq_bucket,
+                                static_cast<std::size_t>(tp_.degree),
+                                shard));
+    };
+    return closed_form_attn_ ? attn_memo_[shard].get(bucket, batch, price)
+                             : price();
 }
 
 double
@@ -489,44 +515,47 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
 
     // Attention over a ragged batch: group sequences into context
     // buckets and price one homogeneous sub-launch per bucket
-    // (flash-decoding style).
-    std::map<std::size_t, std::size_t> bucket_counts;
+    // (flash-decoding style), in ascending bucket order.
     for (const Request *r : batch) {
         std::size_t ctx = std::max<std::size_t>(r->contextTokens(), 1);
-        std::size_t bucket =
-            ((ctx + cfg_.seq_bucket - 1) / cfg_.seq_bucket) *
-            cfg_.seq_bucket;
-        ++bucket_counts[bucket];
+        std::size_t bucket = (ctx + cfg_.seq_bucket - 1) / cfg_.seq_bucket;
+        if (bucket >= bucket_counts_.size())
+            bucket_counts_.resize(bucket + 1, 0);
+        if (bucket_counts_[bucket]++ == 0)
+            buckets_.push_back(bucket);
     }
+    std::sort(buckets_.begin(), buckets_.end());
 
     std::size_t n = batch.size();
-    auto elem_memo = elem_memo_.find(n);
-    double elem_us;
-    if (elem_memo != elem_memo_.end()) {
-        elem_us = elem_memo->second;
-    } else {
-        elem_us = llm::elementwiseLayerLatencyUs(spec_, n, model_.hidden);
-        elem_memo_[n] = elem_us;
-    }
+    double elem_us = elem_memo_.get(0, n, [&] {
+        return llm::elementwiseLayerLatencyUs(spec_, n, model_.hidden);
+    });
 
     // All shards launch in lockstep; the slowest (widest) shard sets
     // the step latency.  Element-wise ops run replicated on the full
-    // hidden width on every shard.
+    // hidden width on every shard.  A shard priced wholly in closed
+    // form never touches its engine, so it skips the stats snapshots.
+    const bool engine_calls = !closed_form_linears_ || !closed_form_attn_;
     double layers = static_cast<double>(model_.layers);
     double step_us = 0;
     double attn0_us = 0;
     for (std::size_t s = 0; s < engines_.size(); ++s) {
         compiler::Engine &eng = *engines_[s];
-        const compiler::CacheStats before = eng.stats();
+        compiler::CacheStats before;
+        if (engine_calls)
+            before = eng.stats();
         double attn_us = 0;
-        for (auto [bucket, count] : bucket_counts)
-            attn_us += decodeAttnUs(eng, s, count, bucket);
+        for (std::size_t bucket : buckets_)
+            attn_us += decodeAttnUs(eng, s, bucket_counts_[bucket], bucket);
         if (s == 0)
             attn0_us = attn_us;
         double shard_us = decodeLinearUs(eng, s, n) + elem_us + attn_us;
-        const compiler::CacheStats after = eng.stats();
-        shard_deltas_[s].plan_cache_hits += after.hits - before.hits;
-        shard_deltas_[s].plan_cache_misses += after.misses - before.misses;
+        if (engine_calls) {
+            const compiler::CacheStats after = eng.stats();
+            shard_deltas_[s].plan_cache_hits += after.hits - before.hits;
+            shard_deltas_[s].plan_cache_misses +=
+                after.misses - before.misses;
+        }
         if (collect_detail_)
             last_detail_.shard_compute_us.push_back(shard_us * layers);
         step_us = std::max(step_us, shard_us);
@@ -534,18 +563,26 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
 
     // KV-dequant attribution: what the same bucketed attention
     // sub-launches would cost with uncompressed FP16 KV (closed form,
-    // no engine cache traffic), on the critical shard 0 geometry.
-    // Pure accounting — the time itself is already inside decode_us.
+    // memoized, no engine cache traffic), on the critical shard 0
+    // geometry.  Pure accounting — the time itself is already inside
+    // decode_us.
     if (kv_scheme_ != llm::KvScheme::FP16) {
         double fp16_us = 0;
-        for (auto [bucket, count] : bucket_counts)
-            fp16_us += llm::kvSchemeAttentionUs(
-                *engines_[0], llm::KvScheme::FP16,
-                llm::shardAttnShape(model_, count, bucket,
-                                    static_cast<std::size_t>(tp_.degree),
-                                    0));
+        for (std::size_t bucket : buckets_) {
+            std::size_t count = bucket_counts_[bucket];
+            fp16_us += fp16_attn_memo_.get(bucket, count, [&] {
+                return llm::kvSchemeAttentionUs(
+                    *engines_[0], llm::KvScheme::FP16,
+                    llm::shardAttnShape(
+                        model_, count, bucket * cfg_.seq_bucket,
+                        static_cast<std::size_t>(tp_.degree), 0));
+            });
+        }
         kv_dequant_us_ += (attn0_us - fp16_us) * layers;
     }
+    for (std::size_t bucket : buckets_)
+        bucket_counts_[bucket] = 0;
+    buckets_.clear();
 
     // Two ring all-reduces per layer gather the attention output and
     // reduce the MLP partials (0 at degree 1).

@@ -35,17 +35,19 @@
  * gpusim::CostModel).  Decode attention is priced per context-length
  * bucket — mirroring flash-decoding's homogeneous sub-launches over a
  * ragged batch — and prefill slices via llm::estimateChunkedPrefillUs
- * on the (slice, context) bucket.  Kernel-level memoization lives in
- * the engine's plan cache: steady-state decode iterations repeat a
- * handful of bucketed shapes, so pricing them is cache hits, which
- * keeps a multi-minute simulation to a few hundred planner
- * invocations.
+ * on the (slice, context) bucket.  Steady-state decode iterations
+ * repeat a handful of bucketed shapes: VQ kernel prices are plan-cache
+ * hits in the engine, and closed-form prices (FP16/EWQ linears, FP16/
+ * INT4 attention, prefill slices, element-wise ops) are hits in the
+ * pricer's own memo tables, so a multi-minute simulation runs a few
+ * hundred planner invocations and few cost-model evaluations.
  */
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -222,10 +224,19 @@ struct PricerConfig
  * Degree 1 takes the exact pre-TP arithmetic: no collectives, unsharded
  * shapes, bit-identical pricing.
  *
+ * VQ kernels are memoized only by the engines' plan caches, so every
+ * VQ price is a compileBest lookup and the per-shard plan-cache deltas
+ * count each one.  Closed-form prices never reach an engine; the
+ * pricer memoizes them itself: FP16/EWQ4 linears per (shard, batch),
+ * FP16/INT4 attention per (shard, count, context bucket), the shard-0
+ * FP16 reference attention behind kvDequantUs() per (count, bucket),
+ * prefill slices per bucket pair and element-wise ops per batch.  A
+ * shard whose weights and KV both price in closed form makes no engine
+ * call at all.
+ *
  * Engines may be shared across pricers and shards (they are
- * thread-safe); the pricer's own residual memo tables (prefill
- * buckets, element-wise ops) and per-shard cache-delta accounting are
- * not, so create one pricer per simulator.
+ * thread-safe); the pricer's memo tables and per-shard cache-delta
+ * accounting are not, so create one pricer per simulator.
  */
 class IterationPricer
 {
@@ -407,16 +418,48 @@ class IterationPricer
     compiler::Engine &engine() const { return *engines_.front(); }
 
   private:
+    /**
+     * Prices memoized on a dense (row, col) key: a jagged table whose
+     * rows and columns grow to the largest keys a run prices, so a hit
+     * is two vector indexings and the table holds no stride beyond
+     * what the run saw.  NaN marks an unpriced slot.
+     */
+    class PriceMemo
+    {
+      public:
+        template <class Price>
+        double
+        get(std::size_t row, std::size_t col, Price &&price)
+        {
+            if (row >= rows_.size())
+                rows_.resize(row + 1);
+            std::vector<double> &slots = rows_[row];
+            if (col >= slots.size())
+                slots.resize(col + 1,
+                             std::numeric_limits<double>::quiet_NaN());
+            if (std::isnan(slots[col]))
+                slots[col] = price();
+            return slots[col];
+        }
+
+      private:
+        std::vector<std::vector<double>> rows_;
+    };
+
     double decodeLinearUs(compiler::Engine &eng, std::size_t shard,
                           std::size_t batch);
     double decodeAttnUs(compiler::Engine &eng, std::size_t shard,
-                        std::size_t batch, std::size_t seq_bucket);
+                        std::size_t batch, std::size_t bucket);
 
     std::vector<compiler::Engine *> engines_;
     const gpusim::GpuSpec &spec_;
     const llm::LlamaConfig &model_;
     llm::QuantScheme scheme_;
     llm::KvScheme kv_scheme_;
+    /** Linears (weights) / decode attention (KV) price in closed form,
+     *  without an engine lookup. */
+    bool closed_form_linears_;
+    bool closed_form_attn_;
     llm::TpConfig tp_;
     PricerConfig cfg_;
     double comm_us_ = 0;
@@ -428,10 +471,24 @@ class IterationPricer
     bool collect_detail_ = false;
     std::vector<ShardCacheDelta> shard_deltas_;
 
-    /** Chunked-prefill slices price FP16 GeMMs (no VQ planning), so
-     *  the plan cache cannot memoize them; bucket-level memo stays. */
-    std::map<std::pair<std::size_t, std::size_t>, double> prefill_memo_;
-    std::map<std::size_t, double> elem_memo_;
+    // Closed-form price memos (see the class comment).  Bucket keys
+    // number context buckets of cfg_.seq_bucket tokens.
+    /** (context bucket, slice index) -> prefill slice. */
+    PriceMemo prefill_memo_;
+    /** (0, batch) -> element-wise ops of one layer. */
+    PriceMemo elem_memo_;
+    /** (shard, batch) -> one layer's FP16/EWQ4 linears. */
+    PriceMemo linear_memo_;
+    /** Per shard: (bucket, count) -> FP16/INT4 attention sub-launch. */
+    std::vector<PriceMemo> attn_memo_;
+    /** (bucket, count) -> shard-0 FP16 attention, kvDequantUs()'s
+     *  reference. */
+    PriceMemo fp16_attn_memo_;
+
+    /** Reused per-step bucketing buffers: sequence counts indexed by
+     *  context bucket, and the step's occupied buckets. */
+    std::vector<std::size_t> bucket_counts_;
+    std::vector<std::size_t> buckets_;
 };
 
 } // namespace vqllm::serving

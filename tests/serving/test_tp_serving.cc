@@ -2,17 +2,24 @@
  * @file
  * Tensor-parallel serving tests: the scheduler-level iteration pricer
  * must agree with the analytical llm::estimateTensorParallel model,
- * degree 1 must be bit-identical to the unsharded pricing formula, and
- * TP simulations must stay deterministic across thread counts and
- * repeated runs (sharded pools move raw Request pointers through
- * preemption paths — any lifetime or ordering bug shows up here).
+ * degree 1 must be bit-identical to the unsharded pricing formula, its
+ * memo tables must reproduce unmemoized pricing exactly at every
+ * degree, and TP simulations must stay deterministic across thread
+ * counts and repeated runs (sharded pools move raw Request pointers
+ * through preemption paths — any lifetime or ordering bug shows up
+ * here).
  */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "compiler/engine.h"
+#include "llm/e2e.h"
 #include "llm/ops.h"
 #include "llm/tensor_parallel.h"
+#include "serving/scheduler.h"
 #include "serving/simulator.h"
 
 namespace vqllm::serving {
@@ -186,6 +193,269 @@ TEST(TpPricing, CodebookUploadShrinksWithDegree)
     // fixed launch cost.
     EXPECT_LT(sharded.codebookMissUs(1), single.codebookMissUs(1));
     EXPECT_GT(sharded.codebookMissUs(1), single.codebookMissUs(1) / 4.5);
+}
+
+TEST(TpPricingDeath, RejectsEmptyEngineList)
+{
+    std::vector<compiler::Engine *> none;
+    EXPECT_DEATH(IterationPricer(none, llm::llama7b(),
+                                 llm::QuantScheme::FP16, llm::TpConfig{}),
+                 "one engine per TP shard required");
+}
+
+TEST(TpPricingDeath, RejectsNullShardEngine)
+{
+    std::vector<compiler::Engine *> null_shard{nullptr};
+    EXPECT_DEATH(IterationPricer(null_shard, llm::llama7b(),
+                                 llm::QuantScheme::FP16, llm::TpConfig{}),
+                 "null shard engine");
+}
+
+// ---------------------------------------------------------------------
+// Memo equivalence
+
+/**
+ * IterationPricer's arithmetic with no memo tables: every price
+ * re-derived on each call through the public llm:: functions on the
+ * reference's own engine (one engine for all shards, as the simulator
+ * shares one), summed in the pricer's order, with plan-cache lookups
+ * counted around each shard's pricing.
+ */
+struct ReferencePricer
+{
+    ReferencePricer(compiler::Engine &eng_, const llm::LlamaConfig &model_,
+                    llm::QuantScheme scheme_, llm::KvScheme kv_,
+                    const llm::TpConfig &tp_)
+        : eng(eng_), model(model_), scheme(scheme_), kv(kv_), tp(tp_),
+          deltas(static_cast<std::size_t>(tp_.degree))
+    {
+    }
+
+    compiler::Engine &eng;
+    const llm::LlamaConfig &model;
+    llm::QuantScheme scheme;
+    llm::KvScheme kv;
+    llm::TpConfig tp;
+    std::size_t seq_bucket = PricerConfig{}.seq_bucket;
+
+    double comm_us = 0;
+    double kv_dequant_us = 0;
+    IterationPricer::Breakdown totals;
+    std::vector<IterationPricer::ShardCacheDelta> deltas;
+    /** Per-shard decode compute of the latest decodeUs call. */
+    std::vector<double> shard_compute_us;
+
+    double
+    prefillChunkUs(std::size_t tokens, std::size_t context) const
+    {
+        auto bucketTo = [](std::size_t n, std::size_t b) {
+            return ((n + b - 1) / b) * b;
+        };
+        std::size_t fine = std::min<std::size_t>(
+            32, std::max<std::size_t>(seq_bucket / 8, 1));
+        tokens = std::max<std::size_t>(tokens, 1);
+        std::size_t slice = tokens < seq_bucket
+                                ? bucketTo(tokens, fine)
+                                : bucketTo(tokens, seq_bucket);
+        std::size_t ctx = context == 0 ? 0 : bucketTo(context, seq_bucket);
+        return llm::estimateChunkedPrefillUs(eng.spec(), model, slice, ctx,
+                                             tp);
+    }
+
+    double
+    decodeUs(const std::vector<Request *> &batch)
+    {
+        std::map<std::size_t, std::size_t> bucket_counts;
+        for (const Request *r : batch) {
+            std::size_t ctx = std::max<std::size_t>(r->contextTokens(), 1);
+            ++bucket_counts[((ctx + seq_bucket - 1) / seq_bucket) *
+                            seq_bucket];
+        }
+        const std::size_t n = batch.size();
+        const std::size_t degree = static_cast<std::size_t>(tp.degree);
+        const double elem_us =
+            llm::elementwiseLayerLatencyUs(eng.spec(), n, model.hidden);
+        const double layers = static_cast<double>(model.layers);
+        double step_us = 0;
+        double attn0_us = 0;
+        shard_compute_us.clear();
+        for (std::size_t s = 0; s < degree; ++s) {
+            const compiler::CacheStats before = eng.stats();
+            double attn_us = 0;
+            for (auto [bucket, count] : bucket_counts)
+                attn_us += llm::kvSchemeAttentionUs(
+                    eng, kv,
+                    llm::shardAttnShape(model, count, bucket, degree, s));
+            if (s == 0)
+                attn0_us = attn_us;
+            double linear_us = 0;
+            for (auto [rows, cols] : llm::shardLinearShapes(model, degree, s))
+                linear_us += llm::schemeLinearUs(
+                    eng, scheme, engine::GemmShape{n, rows, cols});
+            double shard_us = linear_us + elem_us + attn_us;
+            const compiler::CacheStats after = eng.stats();
+            deltas[s].plan_cache_hits += after.hits - before.hits;
+            deltas[s].plan_cache_misses += after.misses - before.misses;
+            shard_compute_us.push_back(shard_us * layers);
+            step_us = std::max(step_us, shard_us);
+        }
+        if (kv != llm::KvScheme::FP16) {
+            double fp16_us = 0;
+            for (auto [bucket, count] : bucket_counts)
+                fp16_us += llm::kvSchemeAttentionUs(
+                    eng, llm::KvScheme::FP16,
+                    llm::shardAttnShape(model, count, bucket, degree, 0));
+            kv_dequant_us += (attn0_us - fp16_us) * layers;
+        }
+        double step_comm_us =
+            llm::layerAllReduceUs(tp, n, model.hidden) * layers;
+        comm_us += step_comm_us;
+        totals.decode_us += step_us * layers;
+        return step_us * layers + step_comm_us;
+    }
+
+    double
+    iterationUs(const Scheduler::Iteration &it)
+    {
+        double us = 0;
+        for (const auto &chunk : it.prefill) {
+            double chunk_us = prefillChunkUs(chunk.tokens, chunk.context);
+            us += chunk_us;
+            totals.prefill_us += chunk_us;
+            double chunk_comm_us =
+                llm::layerAllReduceUs(tp, chunk.tokens, model.hidden) *
+                static_cast<double>(model.layers);
+            comm_us += chunk_comm_us;
+            us += chunk_comm_us;
+        }
+        if (!it.decode.empty())
+            us += decodeUs(it.decode);
+        return us;
+    }
+};
+
+/** A ragged decode batch: 1-64 requests with contexts drawn up to
+ *  256, 2048 or 8192 tokens (1 to 32 context buckets). */
+std::vector<Request>
+raggedBatch(Rng &rng)
+{
+    static const std::size_t kSpans[] = {256, 2048, 8192};
+    const std::size_t span = kSpans[rng.uniformInt(3)];
+    std::vector<Request> reqs(1 + rng.uniformInt(64));
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].id = i;
+        reqs[i].prompt_len = 1 + rng.uniformInt(span);
+        reqs[i].generated = rng.uniformInt(2);
+    }
+    return reqs;
+}
+
+TEST(PricerMemo, MatchesUnmemoizedReferenceOnRaggedBatches)
+{
+    constexpr int kSteps = 60;
+    const auto &model = llm::llama7b();
+    for (auto scheme : {llm::QuantScheme::FP16, llm::QuantScheme::EWQ4,
+                        llm::QuantScheme::VQ4}) {
+        for (auto kv : {llm::KvScheme::FP16, llm::KvScheme::INT4,
+                        llm::KvScheme::VQ4}) {
+            for (int degree : {1, 2, 4}) {
+                SCOPED_TRACE(std::string(llm::quantSchemeName(scheme)) +
+                             " weights, " + llm::kvSchemeName(kv) +
+                             " KV, degree " + std::to_string(degree));
+                compiler::Engine eng(rtx4090());
+                compiler::Engine ref_eng(rtx4090());
+                std::vector<compiler::Engine *> engines(degree, &eng);
+                IterationPricer pricer(engines, model, scheme, kv,
+                                       nvlink(degree));
+                pricer.setCollectDetail(true);
+                ReferencePricer ref(ref_eng, model, scheme, kv,
+                                    nvlink(degree));
+                Rng rng(0x5eed + static_cast<std::uint64_t>(degree));
+
+                std::vector<std::vector<Request>> batches;
+                std::vector<Request> prompts(3);
+                std::size_t replays = 0;
+                for (int step = 0; step < kSteps; ++step) {
+                    // A third of the steps replay an earlier batch, so
+                    // every memo table serves hits as well as misses.
+                    if (!batches.empty() && rng.uniformInt(3) == 0) {
+                        batches.push_back(
+                            batches[rng.uniformInt(batches.size())]);
+                        ++replays;
+                    } else {
+                        batches.push_back(raggedBatch(rng));
+                    }
+                    auto batch = ptrs(batches.back());
+
+                    // Steps alternate: a bare decodeUs call, a
+                    // decode-only iteration, and a mixed iteration
+                    // whose slices cross the fine/whole-bucket split.
+                    double priced = 0;
+                    double expected = 0;
+                    std::vector<double> shard_us;
+                    const int mode = step % 3;
+                    if (mode == 0) {
+                        priced = pricer.decodeUs(batch);
+                        expected = ref.decodeUs(batch);
+                        const auto &all =
+                            pricer.lastDetail().shard_compute_us;
+                        shard_us.assign(all.end() - degree, all.end());
+                    } else {
+                        Scheduler::Iteration it;
+                        it.decode = batch;
+                        if (mode == 2) {
+                            for (auto &p : prompts) {
+                                std::size_t ctx =
+                                    rng.uniformInt(2) == 0
+                                        ? 0
+                                        : 1 + rng.uniformInt(4000);
+                                it.prefill.push_back(
+                                    {&p, 1 + rng.uniformInt(700), ctx,
+                                     false});
+                            }
+                        }
+                        priced = pricer.iterationUs(it);
+                        expected = ref.iterationUs(it);
+                        shard_us = pricer.lastDetail().shard_compute_us;
+                    }
+                    ASSERT_EQ(priced, expected) << "step " << step;
+                    ASSERT_EQ(shard_us, ref.shard_compute_us)
+                        << "step " << step;
+                    ASSERT_EQ(pricer.kvDequantUs(), ref.kv_dequant_us);
+                    ASSERT_EQ(pricer.commUs(), ref.comm_us);
+                    const IterationPricer::Breakdown totals =
+                        pricer.totals();
+                    ASSERT_EQ(totals.prefill_us, ref.totals.prefill_us);
+                    ASSERT_EQ(totals.decode_us, ref.totals.decode_us);
+                    ASSERT_EQ(totals.comm_us, ref.comm_us);
+                    ASSERT_EQ(totals.codebook_upload_us, 0.0);
+                    for (int s = 0; s < degree; ++s) {
+                        const auto &got = pricer.shardCacheDeltas()[s];
+                        ASSERT_EQ(got.plan_cache_hits,
+                                  ref.deltas[s].plan_cache_hits);
+                        ASSERT_EQ(got.plan_cache_misses,
+                                  ref.deltas[s].plan_cache_misses);
+                    }
+                }
+                EXPECT_GT(replays, 0u);
+
+                const bool closed_form =
+                    scheme != llm::QuantScheme::VQ4 &&
+                    kv != llm::KvScheme::VQ4;
+                if (closed_form) {
+                    EXPECT_EQ(eng.stats().lookups(), 0u);
+                    for (const auto &delta : pricer.shardCacheDeltas())
+                        EXPECT_EQ(delta.plan_cache_hits +
+                                      delta.plan_cache_misses,
+                                  0u);
+                } else {
+                    EXPECT_GT(eng.stats().lookups(), 0u);
+                }
+                EXPECT_EQ(eng.stats().lookups(),
+                          ref_eng.stats().lookups());
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
