@@ -2,11 +2,11 @@
  * @file
  * Host-side cost benchmarks (google-benchmark): the offline phase of
  * VQ-LLM — kernel planning, thread-mapping computation, CUDA emission,
- * k-means training, quantization/dequantization throughput, and the
- * bank-conflict estimator.  These are the real CPU costs a deployment
- * pays when generating kernels.  Two serving-side costs ride along:
- * the prefix cache's reclaimable-capacity query and the iteration
- * pricer's decode step.
+ * k-means training, nearest-entry encoding, quantization/dequantization
+ * throughput, and the bank-conflict estimator.  These are the real CPU
+ * costs a deployment pays when generating kernels.  Two serving-side
+ * costs ride along: the prefix cache's reclaimable-capacity query and
+ * the iteration pricer's decode step.
  */
 #include <benchmark/benchmark.h>
 
@@ -128,6 +128,69 @@ BM_KMeansTraining(benchmark::State &state)
 }
 BENCHMARK(BM_KMeansTraining)->Arg(2)->Arg(8)->Unit(
     benchmark::kMillisecond)->Name("kmeans_256_entries(iters)");
+
+/** The repo benchmark's AQLM-3 histogram input: 8,192 clustered 8-D
+ *  rows with a duplicate pool. */
+Tensor<float>
+aqlm3FitData()
+{
+    Rng rng(1);
+    ClusteredDataSpec spec;
+    spec.num_clusters = 512;
+    spec.popularity_alpha = 0.3;
+    spec.duplicate_pool = 22;
+    spec.duplicate_fraction = 0.16;
+    return generateClustered(8192, 8, spec, rng);
+}
+
+/** The repo benchmark's histogram-fit k-means budget. */
+vq::KMeansOptions
+histogramFitOptions()
+{
+    vq::KMeansOptions opts;
+    opts.max_iters = 4;
+    opts.sample_limit = 1024;
+    return opts;
+}
+
+void
+BM_QuantizeFitAqlm3(benchmark::State &state)
+{
+    // The slowest of compile_sweep's five set-up fits: two residual
+    // stages of a 4,096-entry book, each a k-means fit on a 1,024-row
+    // sample plus an encode of all 8,192 rows.
+    const auto data = aqlm3FitData();
+    const vq::VectorQuantizer quantizer(vq::aqlm3(), histogramFitOptions());
+    for (auto _ : state) {
+        auto qt = quantizer.quantize(data);
+        benchmark::DoNotOptimize(qt.indices.sizeBytes());
+    }
+}
+BENCHMARK(BM_QuantizeFitAqlm3)->Unit(benchmark::kMillisecond)->Name(
+    "quantize_fit_aqlm3");
+
+void
+BM_CodebookEncode(benchmark::State &state)
+{
+    // Nearest-entry encoding against a fitted plain book, 1,024 rows
+    // of the AQLM-3 input per iteration.
+    const auto data = aqlm3FitData();
+    const auto book = vq::Codebook::plain(
+        vq::kMeans(data, static_cast<std::size_t>(state.range(0)),
+                   histogramFitOptions())
+            .centroids);
+    constexpr std::size_t kRows = 1024;
+    for (auto _ : state) {
+        std::uint64_t sum = 0;
+        for (std::size_t r = 0; r < kRows; ++r)
+            sum += book.encode(data.data() + r * 8);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            kRows);
+}
+BENCHMARK(BM_CodebookEncode)->Arg(256)->Arg(4096)->Name(
+    "codebook_encode(k)");
 
 void
 BM_QuantizeDequantize(benchmark::State &state)

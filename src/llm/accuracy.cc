@@ -126,13 +126,19 @@ trainMlp(const Dataset &train, std::size_t hidden, int epochs, double lr,
                 for (std::size_t j = 0; j < hidden; ++j)
                     model.w2.at(c, j) -=
                         static_cast<float>(lr * dlogit[c] * h[j]);
+            const float *x = train.features.data() + idx * dim;
             for (std::size_t j = 0; j < hidden; ++j) {
                 if (h[j] <= 0)
                     dh[j] = 0;
                 model.b1[j] -= static_cast<float>(lr * dh[j]);
+                // A ReLU-masked unit's row update subtracts zero from
+                // every weight.
+                if (dh[j] == 0)
+                    continue;
+                float *w = model.w1.data() + j * dim;
+                const double step = lr * dh[j];
                 for (std::size_t d = 0; d < dim; ++d)
-                    model.w1.at(j, d) -= static_cast<float>(
-                        lr * dh[j] * train.features.at(idx, d));
+                    w[d] -= static_cast<float>(step * x[d]);
             }
         }
         lr *= 0.95; // simple decay

@@ -5,7 +5,6 @@
 
 #include "common/bitutils.h"
 #include "common/logging.h"
-#include "common/simd.h"
 
 namespace vqllm::vq {
 
@@ -21,6 +20,7 @@ Codebook::plain(const Tensor<float> &entries)
     cb.vectorSize_ = static_cast<unsigned>(entries.dim(1));
     cb.logicalEntries_ = entries.dim(0);
     cb.lattice_ = false;
+    cb.search_ = NearestEntryIndex(cb.entries_);
     return cb;
 }
 
@@ -70,15 +70,7 @@ Codebook::encode(const float *sub, double *err) const
     std::uint32_t best_idx = 0;
 
     if (!lattice_) {
-        const std::size_t n = entries_.dim(0);
-        const float *cand = entries_.data();
-        for (std::size_t e = 0; e < n; ++e, cand += vectorSize_) {
-            double d = simd::squaredDistance(sub, cand, vectorSize_);
-            if (d < best) {
-                best = d;
-                best_idx = static_cast<std::uint32_t>(e);
-            }
-        }
+        best_idx = search_.nearest(entries_, sub).index;
         if (err) {
             // Selection runs in float SIMD; report the chosen entry's
             // error in double so error comparisons against the
@@ -144,6 +136,8 @@ Codebook::reorder(const std::vector<std::uint32_t> &perm)
                 entries_.at(std::size_t(old_idx), std::size_t(d));
     }
     entries_ = std::move(reordered);
+    if (!lattice_)
+        search_ = NearestEntryIndex(entries_);
     return inverse;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "vq/nearest_entry.h"
 
 namespace vqllm::vq {
 
@@ -105,6 +106,7 @@ class Codebook
 
   private:
     Tensor<float> entries_;  // stored table [stored, vector_size]
+    NearestEntryIndex search_; // over entries_ (plain books only)
     unsigned vectorSize_ = 0;
     std::size_t logicalEntries_ = 0;
     bool lattice_ = false;

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/simd.h"
+#include "vq/nearest_entry.h"
 
 namespace vqllm::vq {
 
@@ -25,28 +26,10 @@ namespace {
 /** Rows per assignment chunk (static layout — see common/parallel.h). */
 constexpr std::size_t kAssignGrain = 256;
 
-/** Nearest centroid of one row: (centroid index, squared distance). */
-std::pair<std::uint32_t, double>
-nearestCentroid(const float *row, const Tensor<float> &centroids)
-{
-    const std::size_t k = centroids.dim(0);
-    const std::size_t dim = centroids.dim(1);
-    float best = std::numeric_limits<float>::max();
-    std::uint32_t best_c = 0;
-    const float *cand = centroids.data();
-    for (std::size_t c = 0; c < k; ++c, cand += dim) {
-        float d = simd::squaredDistance(row, cand, dim);
-        if (d < best) {
-            best = d;
-            best_c = static_cast<std::uint32_t>(c);
-        }
-    }
-    return {best_c, static_cast<double>(best)};
-}
-
 /**
- * Assign every row to its nearest centroid (the single nearest-centroid
- * loop shared by assignToNearest and the Lloyd assignment step).
+ * Assign every row to its nearest centroid (the single assignment loop
+ * behind kMeans, its Lloyd step and assignToNearest).  One search index
+ * serves every chunk read-only.
  *
  * @param assign receives the per-row centroid index (size n)
  * @return total inertia, reduced in chunk order (deterministic for any
@@ -58,14 +41,19 @@ assignRows(const Tensor<float> &data, const Tensor<float> &centroids,
 {
     const std::size_t n = data.dim(0);
     const std::size_t dim = data.dim(1);
+    const NearestEntryIndex index(centroids);
     return par::parallelSum<double>(
         n, kAssignGrain, [&](const par::ChunkRange &c) {
             double inertia = 0;
             for (std::size_t i = c.begin; i < c.end; ++i) {
-                auto [best_c, d] =
-                    nearestCentroid(data.data() + i * dim, centroids);
-                assign[i] = best_c;
-                inertia += d;
+                auto m = index.nearest(centroids, data.data() + i * dim);
+                // The assignment scan has always started from FLT_MAX:
+                // with no distance below it, a row goes to centroid 0
+                // at FLT_MAX.
+                if (!(m.distance < std::numeric_limits<float>::max()))
+                    m = {0, std::numeric_limits<float>::max()};
+                assign[i] = m.index;
+                inertia += m.distance;
             }
             return inertia;
         });
@@ -84,24 +72,37 @@ kMeansPlusPlusInit(const Tensor<float> &data, std::size_t k, Rng &rng)
         centroids.at(std::size_t(0), d) = data.at(first, d);
 
     std::vector<double> dist_sq(n, std::numeric_limits<double>::max());
+    // Once the D^2 total reaches 0, every row sits on a chosen centroid
+    // and min() keeps each weight at 0: later draws are uniform, so the
+    // distance updates are skipped (the RNG stream is unchanged).
+    bool all_covered = false;
     for (std::size_t c = 1; c < k; ++c) {
-        // Update distances against the last added centroid; rows are
-        // independent and the total reduces in chunk order.
-        const float *last = centroids.data() + (c - 1) * dim;
-        double total = par::parallelSum<double>(
-            n, kAssignGrain, [&](const par::ChunkRange &ch) {
+        double total = 0;
+        if (!all_covered) {
+            // Update distances against the last added centroid.  A
+            // pass over the fit rows is a few microseconds, less than a
+            // pool dispatch costs, and k-means++ makes up to k of them
+            // in sequence: run it inline, folding per-chunk partials in
+            // chunk order exactly as par::parallelSum does, so the total
+            // is the same bits.
+            const float *last = centroids.data() + (c - 1) * dim;
+            for (std::size_t ch = 0; ch < par::chunkCount(n, kAssignGrain);
+                 ++ch) {
+                const par::ChunkRange r = par::chunkAt(n, kAssignGrain, ch);
                 double part = 0;
-                for (std::size_t i = ch.begin; i < ch.end; ++i) {
-                    double d = simd::squaredDistance(
-                        data.data() + i * dim, last, dim);
+                for (std::size_t i = r.begin; i < r.end; ++i) {
+                    double d = simd::squaredDistance(data.data() + i * dim,
+                                                     last, dim);
                     dist_sq[i] = std::min(dist_sq[i], d);
                     part += dist_sq[i];
                 }
-                return part;
-            });
+                total += part;
+            }
+            all_covered = total <= 0;
+        }
         std::size_t chosen;
-        if (total <= 0) {
-            chosen = rng.uniformInt(n); // all points identical
+        if (all_covered) {
+            chosen = rng.uniformInt(n); // every weight is 0
         } else {
             double r = rng.uniform() * total;
             double acc = 0;
@@ -135,18 +136,15 @@ subsample(const Tensor<float> &data, std::size_t limit, Rng &rng)
     return out;
 }
 
-} // namespace
-
-std::vector<std::uint32_t>
-assignToNearest(const Tensor<float> &data, const Tensor<float> &centroids)
+/** Lloyd fit: centroids and iterations, without a final assignment. */
+struct LloydFit
 {
-    std::vector<std::uint32_t> assign(data.dim(0), 0);
-    assignRows(data, centroids, assign);
-    return assign;
-}
+    Tensor<float> centroids;
+    int iterations = 0;
+};
 
-KMeansResult
-kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
+LloydFit
+lloydFit(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
 {
     vqllm_assert(data.rank() == 2, "k-means expects [n, dim] data");
     vqllm_assert(k >= 1, "k must be positive");
@@ -164,7 +162,7 @@ kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
     const Tensor<float> &fit = sampled ? fit_storage : data;
     const std::size_t fn = fit.dim(0);
 
-    KMeansResult res;
+    LloydFit res;
     res.centroids = kMeansPlusPlusInit(fit, k, rng);
 
     std::vector<std::uint32_t> fit_assign(fn, 0);
@@ -176,7 +174,7 @@ kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
         double inertia = assignRows(fit, res.centroids, fit_assign);
 
         // Update step (double accumulation for stability; serial — it
-        // is O(n*dim) against the assignment's O(n*k*dim)).
+        // is O(n*dim) against the assignment's search).
         std::vector<double> sums(k * dim, 0.0);
         std::vector<std::size_t> counts(k, 0);
         for (std::size_t i = 0; i < fn; ++i) {
@@ -198,7 +196,6 @@ kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
                     sums[c * dim + d] / static_cast<double>(counts[c]));
         }
 
-        res.inertia = inertia;
         if (prev_inertia < std::numeric_limits<double>::max()) {
             double rel = (prev_inertia - inertia) /
                          std::max(prev_inertia, 1e-30);
@@ -207,20 +204,35 @@ kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
         }
         prev_inertia = inertia;
     }
+    return res;
+}
 
-    // Final assignment over the full dataset.
-    res.assignments = assignToNearest(data, res.centroids);
-    if (sampled) {
-        // Recompute inertia on the full data for a meaningful metric.
-        res.inertia = par::parallelSum<double>(
-            n, kAssignGrain, [&](const par::ChunkRange &c) {
-                double part = 0;
-                for (std::size_t i = c.begin; i < c.end; ++i)
-                    part += rowDistanceSq(data, i, res.centroids,
-                                          res.assignments[i]);
-                return part;
-            });
-    }
+} // namespace
+
+std::vector<std::uint32_t>
+assignToNearest(const Tensor<float> &data, const Tensor<float> &centroids)
+{
+    std::vector<std::uint32_t> assign(data.dim(0), 0);
+    assignRows(data, centroids, assign);
+    return assign;
+}
+
+Tensor<float>
+kMeansCentroids(const Tensor<float> &data, std::size_t k,
+                const KMeansOptions &opts)
+{
+    return std::move(lloydFit(data, k, opts).centroids);
+}
+
+KMeansResult
+kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
+{
+    LloydFit fit = lloydFit(data, k, opts);
+    KMeansResult res;
+    res.assignments.assign(data.dim(0), 0);
+    res.inertia = assignRows(data, fit.centroids, res.assignments);
+    res.centroids = std::move(fit.centroids);
+    res.iterations = fit.iterations;
     return res;
 }
 

@@ -25,8 +25,8 @@ struct KMeansOptions
     std::uint64_t seed = 0x5eedu;
     /**
      * If positive and smaller than the dataset, fit on a deterministic
-     * subsample of this many rows (final assignment still covers all
-     * rows).  Keeps paper-scale tensors trainable on the host.
+     * subsample of this many rows (kMeans' final assignment still covers
+     * all rows).  Keeps paper-scale tensors trainable on the host.
      */
     std::size_t sample_limit = 0;
 };
@@ -38,14 +38,19 @@ struct KMeansResult
     Tensor<float> centroids;
     /** Cluster index per input row. */
     std::vector<std::uint32_t> assignments;
-    /** Final sum of squared distances to assigned centroids. */
+    /**
+     * Sum over all input rows of the squared distance to the assigned
+     * centroid, taken from the final assignment (so it matches
+     * `centroids` and `assignments`, sampled fit or not).
+     */
     double inertia = 0;
     /** Lloyd iterations actually executed. */
     int iterations = 0;
 };
 
 /**
- * Run k-means with k-means++ initialization.
+ * Run k-means with k-means++ initialization: the Lloyd fit of
+ * kMeansCentroids(), then one assignment of every row of `data`.
  *
  * @param data [n, dim] input rows
  * @param k    number of clusters (1 <= k; if k >= n, centroids replicate
@@ -54,6 +59,14 @@ struct KMeansResult
  */
 KMeansResult kMeans(const Tensor<float> &data, std::size_t k,
                     const KMeansOptions &opts = KMeansOptions{});
+
+/**
+ * The Lloyd fit alone: the centroids kMeans() returns for the same
+ * arguments, without assigning the full data to them.  For callers that
+ * encode against the centroids themselves (the quantizer).
+ */
+Tensor<float> kMeansCentroids(const Tensor<float> &data, std::size_t k,
+                              const KMeansOptions &opts = KMeansOptions{});
 
 /**
  * Assign each row of `data` to the nearest centroid.

@@ -131,14 +131,12 @@ VectorQuantizer::quantize(const Tensor<float> &data) const
             KMeansOptions opts = kmeans_;
             opts.seed = kmeans_.seed + u * 131 + stage;
             Codebook cb;
-            if (config_.lattice) {
-                auto km = kMeans(unit_data, config_.lattice_base_entries,
-                                 opts);
-                cb = Codebook::lattice(km.centroids);
-            } else {
-                auto km = kMeans(unit_data, config_.num_entries, opts);
-                cb = Codebook::plain(km.centroids);
-            }
+            if (config_.lattice)
+                cb = Codebook::lattice(kMeansCentroids(
+                    unit_data, config_.lattice_base_entries, opts));
+            else
+                cb = Codebook::plain(
+                    kMeansCentroids(unit_data, config_.num_entries, opts));
 
             // Encode members against the *raw* residual (not abs) and
             // subtract the decoded value.  Members are independent:
