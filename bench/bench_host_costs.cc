@@ -4,9 +4,10 @@
  * VQ-LLM — kernel planning, thread-mapping computation, CUDA emission,
  * k-means training, nearest-entry encoding, quantization/dequantization
  * throughput, and the bank-conflict estimator.  These are the real CPU
- * costs a deployment pays when generating kernels.  Two serving-side
- * costs ride along: the prefix cache's reclaimable-capacity query and
- * the iteration pricer's decode step.
+ * costs a deployment pays when generating kernels.  Three serving-side
+ * costs ride along: the prefix cache's reclaimable-capacity query, the
+ * KV pool's per-token decode append and the iteration pricer's decode
+ * step.
  */
 #include <benchmark/benchmark.h>
 
@@ -262,7 +263,7 @@ BM_PrefixCacheEvictableBlocks(benchmark::State &state)
     cfg.bytes_per_token = 1;
     // Room for every cached chain plus one live writer.
     cfg.capacity_bytes = (kChains + 1) * (kChainBlocks + 1) * kBlockTokens;
-    serving::ShardedKvPool pool(cfg, 1);
+    serving::KvBlockPool pool(cfg);
     serving::PrefixCache cache(pool, {kBlockTokens, 0});
     for (std::size_t g = 0; g < kChains; ++g) {
         serving::Request r;
@@ -288,6 +289,41 @@ BM_PrefixCacheEvictableBlocks(benchmark::State &state)
 }
 BENCHMARK(BM_PrefixCacheEvictableBlocks)
     ->Name("prefix_cache_evictable_blocks");
+
+void
+BM_KvPoolAppendToken(benchmark::State &state)
+{
+    // One decode step's KV append, the pool op every running sequence
+    // pays per generated token.  The sequence holds ~64 blocks: it
+    // grows from 56 to 72 blocks over each 256-token window, then is
+    // re-allocated at 56 blocks with the timer paused.
+    constexpr std::size_t kBlockTokens = 16;
+    constexpr std::size_t kStartTokens = 56 * kBlockTokens;
+    constexpr std::size_t kWindow = 16 * kBlockTokens;
+    serving::KvBlockPoolConfig cfg;
+    cfg.block_tokens = kBlockTokens;
+    cfg.bytes_per_token = 1;
+    cfg.capacity_bytes = 128 * kBlockTokens;
+    serving::KvBlockPool pool(cfg);
+    if (!pool.allocSequence(1, kStartTokens)) {
+        state.SkipWithError("KV pool too small for the sequence");
+        return;
+    }
+    std::size_t appended = 0;
+    for (auto _ : state) {
+        if (appended == kWindow) {
+            state.PauseTiming();
+            pool.freeSequence(1);
+            pool.allocSequence(1, kStartTokens);
+            appended = 0;
+            state.ResumeTiming();
+        }
+        bool ok = pool.appendToken(1);
+        benchmark::DoNotOptimize(ok);
+        ++appended;
+    }
+}
+BENCHMARK(BM_KvPoolAppendToken)->Name("kv_pool_append_token");
 
 void
 BM_IterationPricerDecode(benchmark::State &state)

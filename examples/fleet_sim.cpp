@@ -25,14 +25,17 @@
  * prefill role and the rest decode; prefill replicas stream each
  * finished sequence's KV cache to the least-loaded decode replica over
  * the handoff link.  A 1-replica aggregated fleet reproduces
- * serving_sim's report bit-identically.  Unrecognized arguments are a
- * hard error.
+ * serving_sim's report bit-identically.  Unrecognized arguments and
+ * malformed numeric values (see cli_flags.h) are usage errors (exit
+ * code 2).
  */
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "cli_flags.h"
 #include "common/logging.h"
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
@@ -144,6 +147,7 @@ main(int argc, char **argv)
     bool hbm_set = false;
     std::string trace_out;
     std::string metrics_out;
+    const cli::NumericFlags num{usageError};
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];
         auto value = [&]() -> std::string {
@@ -152,9 +156,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (flag == "--replicas") {
-            replicas = std::stoul(value());
-            if (replicas == 0)
-                usageError("--replicas must be >= 1");
+            replicas = num.count(flag, value(), 1);
         } else if (flag == "--router") {
             std::string v = value();
             auto p = fleet::parseRouterPolicy(v);
@@ -165,7 +167,7 @@ main(int argc, char **argv)
         } else if (flag == "--disaggregated") {
             disaggregated = parseOnOff(flag, value());
         } else if (flag == "--prefill-replicas") {
-            prefill_replicas = std::stoul(value());
+            prefill_replicas = num.count(flag, value());
         } else if (flag == "--scheme") {
             if (!llm::parseQuantScheme(value(), &sim.scheme))
                 vqllm_fatal("unknown scheme (fp16|ewq4|vq4|vq2)");
@@ -179,30 +181,30 @@ main(int argc, char **argv)
         } else if (flag == "--gpu") {
             sim.spec = &gpuByName(value());
         } else if (flag == "--tp-degree") {
-            sim.tp.degree = std::stoi(value());
-            if (sim.tp.degree < 1)
-                usageError("--tp-degree must be >= 1");
+            sim.tp.degree = static_cast<int>(num.count(
+                flag, value(), 1, std::numeric_limits<int>::max()));
         } else if (flag == "--hbm-gb") {
-            sim.hbm_gb = std::stod(value());
+            sim.hbm_gb = num.real(flag, value());
             hbm_set = true;
         } else if (flag == "--chunk-tokens") {
-            sim.scheduler.chunk_tokens = std::stoul(value());
+            sim.scheduler.chunk_tokens = num.count(flag, value());
         } else if (flag == "--max-batch") {
-            sim.scheduler.max_batch = std::stoul(value());
+            sim.scheduler.max_batch = num.count(flag, value(), 1);
         } else if (flag == "--handoff-gbps") {
-            cfg.handoff_link.link_bw_gbps = std::stod(value());
+            cfg.handoff_link.link_bw_gbps = num.real(flag, value());
             if (cfg.handoff_link.link_bw_gbps <= 0)
                 usageError("--handoff-gbps must be > 0");
         } else if (flag == "--handoff-latency-us") {
-            cfg.handoff_link.collective_latency_us = std::stod(value());
+            cfg.handoff_link.collective_latency_us =
+                num.real(flag, value());
             if (cfg.handoff_link.collective_latency_us < 0)
                 usageError("--handoff-latency-us must be >= 0");
         } else if (flag == "--qps") {
-            cfg.workload.qps = std::stod(value());
+            cfg.workload.qps = num.real(flag, value());
         } else if (flag == "--duration") {
-            cfg.workload.duration_s = std::stod(value());
+            cfg.workload.duration_s = num.real(flag, value());
         } else if (flag == "--seed") {
-            cfg.workload.seed = std::stoull(value());
+            cfg.workload.seed = num.count(flag, value());
         } else if (flag == "--arrival") {
             std::string v = value();
             auto p = serving::parseArrivalPattern(v);
@@ -211,23 +213,21 @@ main(int argc, char **argv)
                            "got '" + v + "'");
             cfg.workload.arrival = *p;
         } else if (flag == "--burst-period") {
-            cfg.workload.burst_period_s = std::stod(value());
+            cfg.workload.burst_period_s = num.real(flag, value());
         } else if (flag == "--burst-duty") {
-            cfg.workload.burst_duty = std::stod(value());
+            cfg.workload.burst_duty = num.real(flag, value());
         } else if (flag == "--burst-peak") {
-            cfg.workload.burst_peak = std::stod(value());
+            cfg.workload.burst_peak = num.real(flag, value());
         } else if (flag == "--diurnal-period") {
-            cfg.workload.diurnal_period_s = std::stod(value());
+            cfg.workload.diurnal_period_s = num.real(flag, value());
         } else if (flag == "--diurnal-amplitude") {
-            cfg.workload.diurnal_amplitude = std::stod(value());
+            cfg.workload.diurnal_amplitude = num.real(flag, value());
         } else if (flag == "--prompt-median") {
-            cfg.workload.prompt_len_median = std::stoul(value());
+            cfg.workload.prompt_len_median = num.count(flag, value());
         } else if (flag == "--prefix-groups") {
-            cfg.workload.prefix_groups = std::stoul(value());
+            cfg.workload.prefix_groups = num.count(flag, value());
         } else if (flag == "--prefix-tokens") {
-            cfg.workload.prefix_tokens = std::stoul(value());
-            if (cfg.workload.prefix_tokens == 0)
-                usageError("--prefix-tokens must be > 0");
+            cfg.workload.prefix_tokens = num.count(flag, value(), 1);
         } else if (flag == "--prefix-cache") {
             sim.prefix_cache = parseOnOff(flag, value());
         } else if (flag == "--trace-out") {

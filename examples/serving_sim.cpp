@@ -20,11 +20,13 @@
  *
  * Generates a Poisson request trace, serves it with the
  * policy-driven continuous-batching scheduler over a paged VQ KV
- * cache (chunked prefill when --chunk-tokens > 0; per-device sharded
- * pools and per-layer ring all-reduces when --tp-degree > 1), and
+ * cache (chunked prefill when --chunk-tokens > 0; head-sharded KV in
+ * one block table and per-layer ring all-reduces when --tp-degree > 1),
+ * and
  * reports TTFT/TBT/E2E percentiles, sustained tokens/sec, the KV
  * high-water mark and codebook residency statistics.  Deterministic
- * in --seed.  Unrecognized arguments are a hard error.
+ * in --seed.  Unrecognized arguments and malformed numeric values
+ * (see cli_flags.h) are usage errors (exit code 2).
  *
  * --trace-out writes a Chrome trace-event JSON timeline of the run
  * (open in https://ui.perfetto.dev or chrome://tracing);
@@ -35,8 +37,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "cli_flags.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -132,6 +136,7 @@ main(int argc, char **argv)
     bool hbm_set = false;
     std::string trace_out;
     std::string metrics_out;
+    const cli::NumericFlags num{usageError};
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];
         auto value = [&]() -> std::string {
@@ -152,11 +157,11 @@ main(int argc, char **argv)
         } else if (flag == "--gpu") {
             cfg.spec = &gpuByName(value());
         } else if (flag == "--qps") {
-            cfg.workload.qps = std::stod(value());
+            cfg.workload.qps = num.real(flag, value());
         } else if (flag == "--duration") {
-            cfg.workload.duration_s = std::stod(value());
+            cfg.workload.duration_s = num.real(flag, value());
         } else if (flag == "--seed") {
-            cfg.workload.seed = std::stoull(value());
+            cfg.workload.seed = num.count(flag, value());
         } else if (flag == "--arrival") {
             std::string v = value();
             auto p = serving::parseArrivalPattern(v);
@@ -165,53 +170,50 @@ main(int argc, char **argv)
                            "got '" + v + "'");
             cfg.workload.arrival = *p;
         } else if (flag == "--burst-period") {
-            cfg.workload.burst_period_s = std::stod(value());
+            cfg.workload.burst_period_s = num.real(flag, value());
         } else if (flag == "--burst-duty") {
-            cfg.workload.burst_duty = std::stod(value());
+            cfg.workload.burst_duty = num.real(flag, value());
         } else if (flag == "--burst-peak") {
-            cfg.workload.burst_peak = std::stod(value());
+            cfg.workload.burst_peak = num.real(flag, value());
         } else if (flag == "--diurnal-period") {
-            cfg.workload.diurnal_period_s = std::stod(value());
+            cfg.workload.diurnal_period_s = num.real(flag, value());
         } else if (flag == "--diurnal-amplitude") {
-            cfg.workload.diurnal_amplitude = std::stod(value());
+            cfg.workload.diurnal_amplitude = num.real(flag, value());
         } else if (flag == "--max-batch") {
-            cfg.scheduler.max_batch = std::stoul(value());
+            cfg.scheduler.max_batch = num.count(flag, value(), 1);
         } else if (flag == "--block-tokens") {
-            cfg.kv_block_tokens = std::stoul(value());
+            cfg.kv_block_tokens = num.count(flag, value(), 1);
         } else if (flag == "--hbm-gb") {
-            cfg.hbm_gb = std::stod(value());
+            cfg.hbm_gb = num.real(flag, value());
             hbm_set = true;
         } else if (flag == "--codebook-slots") {
-            cfg.codebook_slots = std::stoul(value());
+            cfg.codebook_slots = num.count(flag, value(), 1);
         } else if (flag == "--codebook-groups") {
-            cfg.workload.num_codebook_groups = std::stoul(value());
+            cfg.workload.num_codebook_groups = num.count(flag, value());
         } else if (flag == "--policy") {
             if (!serving::parsePolicyKind(value(), &cfg.scheduler.policy))
                 vqllm_fatal("unknown policy (fcfs|priority|edf)");
         } else if (flag == "--chunk-tokens") {
-            cfg.scheduler.chunk_tokens = std::stoul(value());
+            cfg.scheduler.chunk_tokens = num.count(flag, value());
         } else if (flag == "--priority-levels") {
-            cfg.workload.priority_levels = std::stoul(value());
+            cfg.workload.priority_levels = num.count(flag, value());
         } else if (flag == "--prompt-median") {
-            cfg.workload.prompt_len_median = std::stoul(value());
+            cfg.workload.prompt_len_median = num.count(flag, value());
         } else if (flag == "--tp-degree") {
-            cfg.tp.degree = std::stoi(value());
-            if (cfg.tp.degree < 1)
-                usageError("--tp-degree must be >= 1");
+            cfg.tp.degree = static_cast<int>(num.count(
+                flag, value(), 1, std::numeric_limits<int>::max()));
         } else if (flag == "--link-gbps") {
-            cfg.tp.link_bw_gbps = std::stod(value());
+            cfg.tp.link_bw_gbps = num.real(flag, value());
             if (cfg.tp.link_bw_gbps <= 0)
                 usageError("--link-gbps must be > 0");
         } else if (flag == "--collective-us") {
-            cfg.tp.collective_latency_us = std::stod(value());
+            cfg.tp.collective_latency_us = num.real(flag, value());
             if (cfg.tp.collective_latency_us < 0)
                 usageError("--collective-us must be >= 0");
         } else if (flag == "--prefix-groups") {
-            cfg.workload.prefix_groups = std::stoul(value());
+            cfg.workload.prefix_groups = num.count(flag, value());
         } else if (flag == "--prefix-tokens") {
-            cfg.workload.prefix_tokens = std::stoul(value());
-            if (cfg.workload.prefix_tokens == 0)
-                usageError("--prefix-tokens must be > 0");
+            cfg.workload.prefix_tokens = num.count(flag, value(), 1);
         } else if (flag == "--prefix-cache") {
             std::string v = value();
             if (v == "on")

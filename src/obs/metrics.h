@@ -11,7 +11,7 @@
  *
  * Naming convention: `<layer>.<component>.<metric>`, lower_snake_case
  * leaves, with the unit as the trailing suffix where one applies —
- * `serving.kv.shard0.block_allocs`, `serving.latency.ttft_us`,
+ * `serving.kv.block_allocs`, `serving.latency.ttft_us`,
  * `compiler.plan_cache.hits`.  The registry stores entries in sorted
  * (std::map) order, so JSON output is deterministic.
  *

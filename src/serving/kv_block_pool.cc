@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace vqllm::serving {
 
@@ -85,6 +86,13 @@ KvBlockPool::allocSequence(std::uint64_t seq_id, std::size_t tokens)
     std::uint64_t need = blocksForTokens(tokens);
     if (!ensureFree(need)) {
         ++stats_.failed_allocs;
+        // `shard` names the device whose table refused: always 0, the
+        // widest device's table this pool is sized by.
+        if (trace_)
+            trace_->instant("kv_alloc_fail", "kv", 0, trace_->now(),
+                            {{"seq", static_cast<double>(seq_id)},
+                             {"tokens", static_cast<double>(tokens)},
+                             {"shard", 0.0}});
         return false;
     }
     SeqEntry &e = seqs_[seq_id];
@@ -97,6 +105,10 @@ KvBlockPool::allocSequence(std::uint64_t seq_id, std::size_t tokens)
                             tokens - static_cast<std::size_t>(i) *
                                          cfg_.block_tokens));
     }
+    if (trace_)
+        trace_->instant("kv_alloc", "kv", 0, trace_->now(),
+                        {{"seq", static_cast<double>(seq_id)},
+                         {"tokens", static_cast<double>(tokens)}});
     return true;
 }
 
@@ -125,8 +137,7 @@ KvBlockPool::attachSequence(std::uint64_t seq_id,
 }
 
 bool
-KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens,
-                            ExtendUndo *undo)
+KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens)
 {
     auto it = seqs_.find(seq_id);
     vqllm_assert(it != seqs_.end(), "sequence not resident");
@@ -143,11 +154,12 @@ KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens,
     std::uint64_t fresh = (need_total - held) + (fork ? 1 : 0);
     if (fresh > 0 && !ensureFree(fresh)) {
         ++stats_.failed_allocs;
+        if (trace_)
+            trace_->instant("kv_extend_fail", "kv", 0, trace_->now(),
+                            {{"seq", static_cast<double>(seq_id)},
+                             {"tokens", static_cast<double>(tokens)},
+                             {"shard", 0.0}});
         return false;
-    }
-    if (undo) {
-        undo->old_tokens = e.tokens;
-        undo->old_blocks = e.blocks;
     }
     std::size_t first_changed = e.blocks.empty() ? 0 : held - 1;
     if (fork) {
@@ -164,34 +176,15 @@ KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens,
                 std::min(cfg_.block_tokens,
                          new_tokens - i * cfg_.block_tokens));
     e.tokens = new_tokens;
-    return true;
-}
-
-void
-KvBlockPool::undoExtend(std::uint64_t seq_id, const ExtendUndo &undo)
-{
-    auto it = seqs_.find(seq_id);
-    vqllm_assert(it != seqs_.end(), "sequence not resident");
-    SeqEntry &e = it->second;
-    std::size_t k = undo.old_blocks.size();
-    vqllm_assert(e.blocks.size() >= k && e.tokens >= undo.old_tokens,
-                "undo record does not match the sequence");
-    for (std::size_t i = e.blocks.size(); i-- > k;)
-        dropRef(e.blocks[i]);
-    if (k > 0) {
-        if (e.blocks[k - 1] != undo.old_blocks[k - 1]) {
-            // The extension COW-forked the tail: re-share the original
-            // block and discard the private copy.
-            ++block_refs_[undo.old_blocks[k - 1]];
-            dropRef(e.blocks[k - 1]);
-            --stats_.cow_forks;
-        } else {
-            setFill(e.blocks[k - 1],
-                    undo.old_tokens - (k - 1) * cfg_.block_tokens);
-        }
+    if (trace_) {
+        if (fork)
+            trace_->instant("cow_fork", "prefix", 0, trace_->now(),
+                            {{"seq", static_cast<double>(seq_id)}});
+        trace_->instant("kv_extend", "kv", 0, trace_->now(),
+                        {{"seq", static_cast<double>(seq_id)},
+                         {"tokens", static_cast<double>(tokens)}});
     }
-    e.tokens = undo.old_tokens;
-    e.blocks = undo.old_blocks;
+    return true;
 }
 
 std::size_t
@@ -223,6 +216,11 @@ KvBlockPool::freeSequence(std::uint64_t seq_id)
         return;
     for (BlockId b : it->second.blocks)
         dropRef(b);
+    if (trace_ && it->second.tokens > 0)
+        trace_->instant("kv_free", "kv", 0, trace_->now(),
+                        {{"seq", static_cast<double>(seq_id)},
+                         {"tokens",
+                          static_cast<double>(it->second.tokens)}});
     seqs_.erase(it);
 }
 

@@ -12,6 +12,15 @@
  * (llm::schemeKvBytesPerToken), which is where VQ buys its capacity: a
  * CQ-2 cache packs ~7x the tokens of FP16 into the same HBM.
  *
+ * Under tensor parallelism one pool serves every device.  Each device
+ * stores its KV-head share of every cached token, so all devices hold
+ * the same sequences and the same block structure; only a block's
+ * bytes differ.  The pool is sized with the widest device's bytes per
+ * token (device 0's, see llm::shardSplit), the device with the fewest
+ * blocks, so a request every device could serve is exactly one this
+ * table accepts.  Per-device bytes are blocks x that device's block
+ * bytes (SimulatorCore reports them).
+ *
  * Blocks carry identities and reference counts so the prefix cache can
  * map one physical block into many sequences (cross-request prefix
  * sharing): attachSequence() raises refcounts instead of consuming free
@@ -45,6 +54,7 @@
 
 namespace vqllm::obs {
 class MetricsRegistry;
+class TraceRecorder;
 }
 
 namespace vqllm::serving {
@@ -144,33 +154,17 @@ class KvBlockPool
                         const std::vector<BlockId> &blocks,
                         std::size_t tokens);
 
-    /** Undo record of one extendSequence call, for the all-or-nothing
-     *  cross-shard rollback in ShardedKvPool. */
-    struct ExtendUndo
-    {
-        std::size_t old_tokens = 0;
-        std::vector<BlockId> old_blocks;
-    };
-
     /**
      * Extend a resident sequence by n tokens, taking fresh blocks as
      * tokens cross block boundaries.  If the tail block is shared and
      * has slack, it is copy-on-write forked first (one extra fresh
      * block; counted in stats().cow_forks).
      *
-     * @param undo when non-null, filled with the state needed to revert
-     *        a successful extension via undoExtend()
      * @return false if blocks were needed and too few were free even
      *         after reclaim (the scheduler's preemption signal); the
      *         sequence is unchanged
      */
-    bool extendSequence(std::uint64_t seq_id, std::size_t tokens,
-                        ExtendUndo *undo = nullptr);
-
-    /** Revert a successful extendSequence (a sharded extension hit
-     *  capacity on a later shard): appended blocks free, a COW-forked
-     *  tail re-shares the original block. */
-    void undoExtend(std::uint64_t seq_id, const ExtendUndo &undo);
+    bool extendSequence(std::uint64_t seq_id, std::size_t tokens);
 
     /**
      * Extend a resident sequence by one token (decode step).
@@ -261,12 +255,6 @@ class KvBlockPool
         reclaimable_ = std::move(reclaimable);
     }
 
-    std::uint64_t
-    usedBytes() const
-    {
-        return used_blocks_ * blockBytes();
-    }
-
     /** @return peak concurrently-used KV bytes (high-water mark). */
     std::uint64_t
     peakBytes() const
@@ -291,8 +279,13 @@ class KvBlockPool
     const KvBlockPoolStats &stats() const { return stats_; }
     const KvBlockPoolConfig &config() const { return cfg_; }
 
+    /** Attach a trace recorder (nullptr = off, the default): sequence
+     *  alloc/extend/free, their capacity failures and copy-on-write
+     *  forks record as instants at the recorder's simulated clock. */
+    void setTrace(obs::TraceRecorder *trace) { trace_ = trace; }
+
     /** Publish the pool's counters and occupancy under
-     *  `<prefix>.`-qualified names (e.g. `serving.kv.shard0`). */
+     *  `<prefix>.`-qualified names (e.g. `serving.kv`). */
     void exportMetrics(obs::MetricsRegistry &registry,
                        const std::string &prefix) const;
 
@@ -323,6 +316,7 @@ class KvBlockPool
     std::function<void(std::uint64_t)> reclaimer_;
     std::function<std::uint64_t()> reclaimable_;
     KvBlockPoolStats stats_;
+    obs::TraceRecorder *trace_ = nullptr;
 };
 
 /** Lifetime counters of the residency cache. */

@@ -96,7 +96,7 @@ struct ShardReport
 {
     /** KV high-water mark on this device, bytes. */
     std::uint64_t kv_peak_bytes = 0;
-    /** KV capacity of this device's pool, bytes. */
+    /** KV capacity of this device, bytes. */
     std::uint64_t kv_capacity_bytes = 0;
     /** Plan-cache lookups this shard's pricing performed (per-shard
      *  delta; shards sharing one engine attribute correctly because
@@ -193,7 +193,8 @@ struct ServingReport
     /** Cached blocks evicted (LFU capacity plus pool-pressure
      *  reclaim). */
     std::uint64_t prefix_evicted_blocks = 0;
-    /** Cached blocks resident at end of run (per shard). */
+    /** Cached blocks resident at end of run (blocks of the one KV
+     *  table, which every TP device holds). */
     std::uint64_t prefix_cached_blocks = 0;
     /** Copy-on-write forks: writes into a shared tail block's slack
      *  that privatized it first. */

@@ -8,14 +8,12 @@
 
 namespace vqllm::serving {
 
-PrefixCache::PrefixCache(ShardedKvPool &pool,
-                         const PrefixCacheConfig &cfg)
+PrefixCache::PrefixCache(KvBlockPool &pool, const PrefixCacheConfig &cfg)
     : pool_(pool), cfg_(cfg)
 {
     vqllm_assert(cfg_.block_tokens > 0, "block_tokens must be positive");
-    vqllm_assert(cfg_.block_tokens ==
-                     pool_.shard(0).config().block_tokens,
-                "prefix cache block size must match the KV pools");
+    vqllm_assert(cfg_.block_tokens == pool_.config().block_tokens,
+                "prefix cache block size must match the KV pool");
     pool_.setReclaimer(
         [this](std::uint64_t need) { reclaim(need); },
         [this] { return evictableBlocks(); });
@@ -90,16 +88,14 @@ PrefixCache::attach(const Request &r, const Match &m)
 {
     vqllm_assert(m.tokens > 0 && !m.node_hashes.empty(),
                 "attach needs a non-empty match");
-    std::vector<std::vector<BlockId>> per_shard(pool_.degree());
-    for (auto &list : per_shard)
-        list.reserve(m.node_hashes.size());
+    std::vector<BlockId> blocks;
+    blocks.reserve(m.node_hashes.size());
     for (std::uint64_t h : m.node_hashes) {
         Node &n = nodes_.at(h);
         ++n.freq;
-        for (std::size_t s = 0; s < pool_.degree(); ++s)
-            per_shard[s].push_back(n.blocks[s]);
+        blocks.push_back(n.block);
     }
-    pool_.attachSequence(r.id, per_shard, m.tokens);
+    pool_.attachSequence(r.id, blocks, m.tokens);
     // The matched prefix is already indexed for this sequence.
     inserted_[r.id] = m.tokens;
     ++stats_.hits;
@@ -193,15 +189,13 @@ PrefixCache::insertNode(const Request &r, std::size_t index,
         // The tail is not block-aligned, so the writer's own tail
         // block keeps growing past it: store the partial prefix in a
         // cache-owned block instead.
-        if (!pool_.allocCacheBlocks(tokens, &n.blocks)) {
+        if (!pool_.allocCacheBlock(tokens, &n.block)) {
             ++stats_.skipped_inserts;
             return false;
         }
     } else {
-        n.blocks.reserve(pool_.degree());
-        for (std::size_t s = 0; s < pool_.degree(); ++s)
-            n.blocks.push_back(pool_.shard(s).seqBlockIds(r.id)[index]);
-        pool_.addBlockRefs(n.blocks);
+        n.block = pool_.seqBlockIds(r.id)[index];
+        pool_.addBlockRef(n.block);
     }
     n.id = next_node_id_++;
     if (parent != 0) {
@@ -220,13 +214,12 @@ bool
 PrefixCache::evictOne(bool reclaiming, std::uint64_t keep)
 {
     // Hit-aware LFU with masked pins: candidates are leaves whose
-    // block the cache alone references (shard-0 refcount 1 — running
-    // sequences pin their prefixes); victim is min (freq, id), and the
+    // block the cache alone references (refcount 1 — running sequences
+    // pin their prefixes); victim is min (freq, id), and the
     // ascending-id scan makes the oldest insertion win ties.
     const Node *victim = nullptr;
     for (const auto &[id, n] : leaves_) {
-        if (n->hash == keep ||
-            pool_.shard(0).blockRefs(n->blocks[0]) > 1)
+        if (n->hash == keep || pool_.blockRefs(n->block) > 1)
             continue;
         if (victim == nullptr || n->freq < victim->freq)
             victim = n;
@@ -252,7 +245,7 @@ PrefixCache::eraseNode(std::uint64_t hash)
     vqllm_assert(it != nodes_.end(), "erasing an unknown prefix node");
     Node &n = it->second;
     vqllm_assert(n.children == 0, "erasing a prefix node with children");
-    pool_.releaseBlockRefs(n.blocks);
+    pool_.releaseBlockRef(n.block);
     if (n.parent != 0) {
         Node &p = nodes_.at(n.parent);
         if (--p.children == 0)
@@ -284,7 +277,7 @@ PrefixCache::evictableBlocks() const
 {
     std::uint64_t count = 0;
     for (const auto &[id, n] : leaves_)
-        if (pool_.shard(0).blockRefs(n->blocks[0]) == 1)
+        if (pool_.blockRefs(n->block) == 1)
             ++count;
     return count;
 }

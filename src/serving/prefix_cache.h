@@ -1,6 +1,6 @@
 /**
  * @file
- * Cross-request KV prefix cache over the paged block pools.
+ * Cross-request KV prefix cache over the paged block pool.
  *
  * Requests that share a prefix (a tenant's system prompt, a few-shot
  * preamble) should not prefill it more than once.  The cache indexes
@@ -9,23 +9,23 @@
  * tokens), so equal chains of blocks collapse to equal keys and a
  * lookup is a radix-style longest-match walk from the root — O(matched
  * blocks), no token comparison.  A hit maps the matched blocks into the
- * new sequence as shared ref-counted blocks (ShardedKvPool::
- * attachSequence, identical on every TP shard) and the scheduler
- * prefills only the unmatched suffix.
+ * new sequence as shared ref-counted blocks (KvBlockPool::
+ * attachSequence; one block table serves every TP device) and the
+ * scheduler prefills only the unmatched suffix.
  *
  * Lifecycle: as a request's prefill advances past block boundaries
  * inside its declared prefix, the cache inserts nodes referencing the
  * just-written blocks (raising their refcounts, so the blocks outlive
  * the writer).  A prefix whose length is not block-aligned ends in a
- * *partial* node backed by a cache-owned block (allocCacheBlocks); a
+ * *partial* node backed by a cache-owned block (allocCacheBlock); a
  * sequence attached through a partial node copy-on-write forks it on
  * its first divergent write (KvBlockPool handles the fork; the cache's
  * copy is untouched).
  *
  * Eviction is hit-aware LFU with masked pins, the CodebookResidency
  * discipline: only leaf nodes (children == 0) whose block no running
- * sequence references (shard-0 refcount == 1, i.e. the cache holds the
- * only reference) are candidates; the victim is the minimum (freq,
+ * sequence references (refcount == 1, i.e. the cache holds the only
+ * reference) are candidates; the victim is the minimum (freq,
  * insertion id).  Eviction triggers on the node-count capacity at
  * insert time and — via the pool's reclaimer hook — under allocation
  * pressure, so cached prefixes never starve admissions: the pool asks
@@ -50,8 +50,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "serving/kv_block_pool.h"
 #include "serving/request.h"
-#include "serving/sharded_kv_pool.h"
 
 namespace vqllm::obs {
 class TraceRecorder;
@@ -63,10 +63,10 @@ namespace vqllm::serving {
 /** Static parameters of the prefix cache. */
 struct PrefixCacheConfig
 {
-    /** Tokens per block; must match the KV pools'. */
+    /** Tokens per block; must match the KV pool's. */
     std::size_t block_tokens = 16;
-    /** Max cached nodes (= blocks per shard); 0 = bounded only by
-     *  pool pressure via the reclaimer. */
+    /** Max cached nodes (= cached blocks); 0 = bounded only by pool
+     *  pressure via the reclaimer. */
     std::uint64_t capacity_blocks = 0;
 };
 
@@ -95,7 +95,7 @@ struct PrefixCacheStats
 };
 
 /**
- * Block-granular prefix index over a ShardedKvPool.
+ * Block-granular prefix index over a KvBlockPool.
  *
  * The scheduler drives it: match() before admission, attach() on a hit
  * (or rollbackAttach() if admission then stalls), onPrefillAdvance()
@@ -106,7 +106,7 @@ struct PrefixCacheStats
 class PrefixCache
 {
   public:
-    PrefixCache(ShardedKvPool &pool, const PrefixCacheConfig &cfg);
+    PrefixCache(KvBlockPool &pool, const PrefixCacheConfig &cfg);
     ~PrefixCache();
 
     PrefixCache(const PrefixCache &) = delete;
@@ -125,8 +125,8 @@ class PrefixCache
      *  token (attention needs a query). */
     Match match(const Request &r);
 
-    /** Map a match's blocks into the request's sequence on every shard
-     *  (no free blocks consumed) and count the hit. */
+    /** Map a match's blocks into the request's sequence (no free
+     *  blocks consumed) and count the hit. */
     void attach(const Request &r, const Match &m);
 
     /** Revert attach(): the request could not take a prefill slice
@@ -141,10 +141,10 @@ class PrefixCache
     void onRelease(std::uint64_t seq_id);
 
     /** Pool pressure hook: evict cold unpinned nodes until
-     *  `need_blocks` per-shard blocks are freed or none qualify. */
+     *  `need_blocks` blocks are freed or none qualify. */
     void reclaim(std::uint64_t need_blocks);
 
-    /** @return per-shard blocks reclaim() could free right now
+    /** @return blocks reclaim() could free right now
      *  (unpinned leaves; a conservative undercount of whole evictable
      *  chains). */
     std::uint64_t evictableBlocks() const;
@@ -153,10 +153,10 @@ class PrefixCache
      *  leak check). */
     void clear();
 
-    /** @return cached nodes == cached blocks per shard. */
+    /** @return cached nodes == cached blocks. */
     std::uint64_t cachedBlocks() const { return nodes_.size(); }
 
-    /** @return tokens the cached nodes store (per shard). */
+    /** @return tokens the cached nodes store. */
     std::size_t cachedTokens() const { return cached_tokens_; }
 
     const PrefixCacheStats &stats() const { return stats_; }
@@ -189,8 +189,7 @@ class PrefixCache
         bool partial = false;
         /** Hit-aware LFU frequency. */
         std::uint64_t freq = 0;
-        /** One block per shard. */
-        std::vector<BlockId> blocks;
+        BlockId block = 0;
     };
 
     static std::uint64_t chainHash(std::uint64_t parent,
@@ -206,7 +205,7 @@ class PrefixCache
     bool evictOne(bool reclaiming, std::uint64_t keep = 0);
     void eraseNode(std::uint64_t hash);
 
-    ShardedKvPool &pool_;
+    KvBlockPool &pool_;
     PrefixCacheConfig cfg_;
     /** Owns the nodes; element addresses are stable across rehashes,
      *  which is what lets leaves_ point into it. */

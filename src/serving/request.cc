@@ -202,6 +202,14 @@ generateWorkload(const WorkloadConfig &cfg)
     // process.  Plain Poisson takes peak == mean and skips the thinning
     // draw, so its RNG sequence (and every pre-pattern trace) is
     // bit-identical.
+    // A non-positive or NaN rate never advances the clock past the
+    // horizon, and neither does a NaN horizon: the loop below would
+    // append requests until memory runs out.
+    if (!(std::isfinite(cfg.qps) && cfg.qps > 0))
+        vqllm_fatal("qps must be finite and > 0, got ", cfg.qps);
+    if (!(std::isfinite(cfg.duration_s) && cfg.duration_s >= 0))
+        vqllm_fatal("duration_s must be finite and >= 0, got ",
+                    cfg.duration_s);
     double peak_qps = cfg.qps;
     if (cfg.arrival == ArrivalPattern::Bursty) {
         if (!(cfg.burst_period_s > 0))

@@ -50,7 +50,7 @@ shardSpec(const std::vector<compiler::Engine *> &engines,
 
 } // namespace
 
-Scheduler::Scheduler(const SchedulerConfig &cfg, ShardedKvPool &pool)
+Scheduler::Scheduler(const SchedulerConfig &cfg, KvBlockPool &pool)
     : cfg_(cfg), pool_(pool), policy_(makePolicy(cfg.policy))
 {
     vqllm_assert(cfg_.max_batch > 0, "max_batch must be positive");

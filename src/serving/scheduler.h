@@ -5,10 +5,11 @@
  * The scheduler owns the waiting/running queues and forms one
  * *iteration* at a time.  Queue order and preemption-victim selection
  * are delegated to a SchedulingPolicy (FCFS, priority, SLO-aware EDF),
- * so every policy shares the same KV block accounting through
- * ShardedKvPool (per-device pools under tensor parallelism; one pool at
- * degree 1) and the same recompute-style preemption: a sequence that
- * loses its blocks re-queues and re-prefills its full context later.
+ * so every policy shares the same KV block accounting through one
+ * KvBlockPool (one block table for every device under tensor
+ * parallelism) and the same recompute-style preemption: a sequence
+ * that loses its blocks re-queues and re-prefills its full context
+ * later.
  *
  * Two batch-formation regimes:
  *  - **Unchunked** (chunk_tokens == 0): vLLM-style prefill-prioritized
@@ -54,9 +55,9 @@
 #include "gpusim/gpu_spec.h"
 #include "llm/model_config.h"
 #include "llm/tensor_parallel.h"
+#include "serving/kv_block_pool.h"
 #include "serving/policy.h"
 #include "serving/request.h"
-#include "serving/sharded_kv_pool.h"
 
 namespace vqllm::compiler {
 class Engine;
@@ -97,7 +98,7 @@ struct SchedulerConfig
 class Scheduler
 {
   public:
-    Scheduler(const SchedulerConfig &cfg, ShardedKvPool &pool);
+    Scheduler(const SchedulerConfig &cfg, KvBlockPool &pool);
 
     /** One prefill slice scheduled in an iteration. */
     struct PrefillChunk
@@ -183,7 +184,7 @@ class Scheduler
     void requeue(Request *r);
 
     SchedulerConfig cfg_;
-    ShardedKvPool &pool_;
+    KvBlockPool &pool_;
     std::unique_ptr<SchedulingPolicy> policy_;
     /** Waiting queue, kept in policy admission order (requeue()). */
     std::vector<Request *> waiting_;

@@ -11,23 +11,20 @@ namespace vqllm::serving {
 
 namespace {
 
-/** Per-shard pool configs: each device stores its KV-head share of
- *  every cached token, so per-device bytes per token are the shard's
- *  proportional slice of the scheme's full-token footprint. */
-std::vector<KvBlockPoolConfig>
-makeShardConfigs(std::size_t degree, std::uint64_t capacity_per_device,
-                 std::size_t block_tokens, std::uint64_t total_bpt,
-                 std::uint64_t kv_heads)
+/** Per-device KV bytes per token: each device stores its KV-head
+ *  share of every cached token, so its bytes per token are that
+ *  share's slice of the scheme's full-token footprint. */
+std::vector<std::uint64_t>
+deviceBytesPerToken(std::size_t degree, std::uint64_t total_bpt,
+                    std::uint64_t kv_heads)
 {
-    std::vector<KvBlockPoolConfig> shard_cfgs(degree);
+    std::vector<std::uint64_t> bpt(degree);
     for (std::size_t i = 0; i < degree; ++i) {
-        std::uint64_t shard_heads = llm::shardSplit(kv_heads, degree, i);
-        shard_cfgs[i].capacity_bytes = capacity_per_device;
-        shard_cfgs[i].block_tokens = block_tokens;
-        shard_cfgs[i].bytes_per_token = std::max<std::uint64_t>(
-            (total_bpt * shard_heads + kv_heads - 1) / kv_heads, 1);
+        std::uint64_t heads = llm::shardSplit(kv_heads, degree, i);
+        bpt[i] = std::max<std::uint64_t>(
+            (total_bpt * heads + kv_heads - 1) / kv_heads, 1);
     }
-    return shard_cfgs;
+    return bpt;
 }
 
 } // namespace
@@ -44,9 +41,14 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
           llm::kvSchemeBytesPerToken(model_, kv_scheme_), 1)),
       kv_capacity_per_device_(kvCapacityPerDeviceBytes(cfg_, model_)),
       kv_capacity_bytes_(kv_capacity_per_device_ * degree_),
-      pool_(makeShardConfigs(degree_, kv_capacity_per_device_,
-                             cfg_.kv_block_tokens, total_bpt_,
-                             model_.kvHeads())),
+      device_bpt_(deviceBytesPerToken(degree_, total_bpt_,
+                                      model_.kvHeads())),
+      // Every device holds the same blocks, and device 0 (the largest
+      // KV-head share under llm::shardSplit) affords the fewest, so
+      // its bytes per token size the one table.
+      pool_({.capacity_bytes = kv_capacity_per_device_,
+             .block_tokens = cfg_.kv_block_tokens,
+             .bytes_per_token = device_bpt_[0]}),
       scheduler_(cfg_.scheduler, pool_),
       residency_(cfg_.codebook_slots),
       metrics_(cfg_.metrics),
@@ -272,24 +274,20 @@ SimulatorCore::step()
                          "context for request ", r->id);
         running_tokens += r->prefilled_tokens;
     }
-    // Pool-level conservation per shard.  Without sharing, stored
-    // tokens equal the per-sequence sum exactly.  With the prefix
-    // cache, shared blocks store their tokens once in the pool but
-    // once per owner in the sum, so the pool view is bounded by the
-    // sum plus the cache-held tokens — summing seqTokens over
-    // sequences would double-count shared prefixes.
-    for (std::size_t s = 0; s < degree_; ++s) {
-        if (!prefix_cache_)
-            vqllm_assert(pool_.storedTokens(s) == running_tokens,
-                         "pool stored tokens diverged from the running "
-                         "set on shard ", s);
-        else
-            vqllm_assert(pool_.storedTokens(s) <=
-                             running_tokens +
-                                 prefix_cache_->cachedTokens(),
-                         "pool stored tokens exceed running set plus "
-                         "cached prefixes on shard ", s);
-    }
+    // Pool-level conservation.  Without sharing, stored tokens equal
+    // the per-sequence sum exactly.  With the prefix cache, shared
+    // blocks store their tokens once in the pool but once per owner in
+    // the sum, so the pool view is bounded by the sum plus the
+    // cache-held tokens — summing seqTokens over sequences would
+    // double-count shared prefixes.
+    if (!prefix_cache_)
+        vqllm_assert(pool_.storedTokens() == running_tokens,
+                     "pool stored tokens diverged from the running set");
+    else
+        vqllm_assert(pool_.storedTokens() <=
+                         running_tokens + prefix_cache_->cachedTokens(),
+                     "pool stored tokens exceed running set plus cached "
+                     "prefixes");
 }
 
 std::uint64_t
@@ -355,7 +353,6 @@ SimulatorCore::finalize()
     report.decode_tokens = metrics_.decodeTokens();
     report.prefill_tokens = metrics_.prefillTokens();
     report.iterations = iterations_;
-    report.kv_peak_bytes = pool_.peakBytes();
     report.kv_capacity_bytes = kv_capacity_bytes_;
     report.codebook_hit_rate =
         has_codebooks_ ? residency_.stats().hitRate() : 1.0;
@@ -373,7 +370,7 @@ SimulatorCore::finalize()
         report.prefix_matched_tokens = pc.matched_tokens;
         report.prefix_evicted_blocks = pc.evicted_nodes;
         report.prefix_cached_blocks = prefix_cache_->cachedBlocks();
-        report.cow_forks = pool_.cowForks();
+        report.cow_forks = pool_.stats().cow_forks;
         // Fraction of prefill demand served from cache: matched tokens
         // over matched plus actually-prefilled tokens.
         std::uint64_t demand = pc.matched_tokens + report.prefill_tokens;
@@ -400,7 +397,11 @@ SimulatorCore::finalize()
     report.shards.resize(degree_);
     const auto &shard_deltas = pricer_->shardCacheDeltas();
     for (std::size_t i = 0; i < degree_; ++i) {
-        report.shards[i].kv_peak_bytes = pool_.shard(i).peakBytes();
+        // Every device holds the table's blocks at its own block size.
+        report.shards[i].kv_peak_bytes = pool_.stats().peak_used_blocks *
+                                         pool_.config().block_tokens *
+                                         device_bpt_[i];
+        report.kv_peak_bytes += report.shards[i].kv_peak_bytes;
         report.shards[i].kv_capacity_bytes = kv_capacity_per_device_;
         report.shards[i].plan_cache_hits =
             shard_deltas[i].plan_cache_hits;

@@ -123,7 +123,11 @@ class SimulatorCore
     std::uint64_t total_bpt_ = 0;
     std::uint64_t kv_capacity_per_device_ = 0;
     std::uint64_t kv_capacity_bytes_ = 0;
-    ShardedKvPool pool_;
+    /** KV bytes per token on each TP device (its KV-head share). */
+    std::vector<std::uint64_t> device_bpt_;
+    /** One block table for every device, sized by device 0, the
+     *  widest KV-head share. */
+    KvBlockPool pool_;
     Scheduler scheduler_;
     /** Declared after the pool: the cache's destructor drops its block
      *  references and unregisters the reclaimer before the pool dies. */

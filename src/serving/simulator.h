@@ -29,7 +29,6 @@
 #include "serving/metrics.h"
 #include "serving/request.h"
 #include "serving/scheduler.h"
-#include "serving/sharded_kv_pool.h"
 
 namespace vqllm::compiler {
 class Engine;
@@ -88,11 +87,12 @@ struct SimulatorConfig
      * Tensor parallelism: degree > 1 serves the model sharded across
      * that many identical GPUs (head-sharded attention, column/row
      * -parallel linears, two ring all-reduces per layer priced into
-     * every decode step and prefill chunk) with one KV pool per device
-     * behind a ShardedKvPool.  Weights shard by the degree, so each
-     * device's pool gets hbm_gb minus its weight shard minus the
-     * reserve.  Degree 1 is the single-GPU path, bit-identical to a
-     * config without this member.
+     * every decode step and prefill chunk).  One KV block table serves
+     * every device: each device stores its KV-head share of every
+     * token, sized by the widest device (KvBlockPool).  Weights shard
+     * by the degree, so each device's KV budget is hbm_gb minus its
+     * weight shard minus the reserve.  Degree 1 is the single-GPU
+     * path, bit-identical to a config without this member.
      */
     llm::TpConfig tp;
 
@@ -117,8 +117,8 @@ struct SimulatorConfig
      * report is bit-identical to a build without the cache.
      */
     bool prefix_cache = false;
-    /** Prefix-cache capacity, cached blocks per shard (0 = bounded
-     *  only by KV pool pressure via the reclaimer). */
+    /** Prefix-cache capacity, cached blocks (0 = bounded only by KV
+     *  pool pressure via the reclaimer). */
     std::uint64_t prefix_capacity_blocks = 0;
 
     /**
@@ -184,11 +184,11 @@ class ServingSimulator
             std::vector<std::unique_ptr<obs::MetricsRegistry>>
                 *registries);
 
-    /** @return KV bytes available to the pools under this config,
-     *  summed over the TP shards. */
+    /** @return KV bytes available under this config, summed over the
+     *  TP devices. */
     std::uint64_t kvCapacityBytes() const { return kv_capacity_bytes_; }
 
-    /** @return KV bytes available to one device's pool. */
+    /** @return KV bytes available on one device. */
     std::uint64_t
     kvCapacityBytesPerDevice() const
     {

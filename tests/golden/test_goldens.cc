@@ -1,0 +1,293 @@
+/**
+ * @file
+ * Golden reports: a small matrix of serving and fleet configurations
+ * (weight scheme x KV scheme x TP degree x prefix cache x aggregated /
+ * disaggregated) whose report json() and Chrome-trace bytes are pinned
+ * by committed files in this directory.  Any change to modeled
+ * numbers, scheduling decisions, KV accounting or trace events shows
+ * up here as a byte difference.
+ *
+ * Each `<name>.golden` file holds one line:
+ *   {"config":"<name>","trace_fnv1a64":"<hex>","report":<json()>}
+ * where the digest is 64-bit FNV-1a over the full trace bytes.
+ *
+ * Rewrite the files from the current build with
+ * `scripts/bless_goldens.sh` (it runs this test with
+ * VQLLM_BLESS_GOLDENS=1) and review the diff before committing.
+ */
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "fleet/fleet.h"
+#include "obs/trace.h"
+#include "serving/simulator.h"
+
+#ifndef VQLLM_GOLDEN_DIR
+#error "VQLLM_GOLDEN_DIR must name the directory of the golden files"
+#endif
+
+namespace vqllm {
+namespace {
+
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** One run's pinned outputs plus the counters the config exists to
+ *  exercise (a golden that stops reaching its path is a bad golden). */
+struct GoldenRun
+{
+    std::string report_json;
+    std::string trace;
+    std::uint64_t preemptions = 0;
+    std::uint64_t evicted_blocks = 0;
+};
+
+struct GoldenCase
+{
+    std::string name;
+    std::function<GoldenRun()> run;
+    bool expect_preemptions = false;
+    bool expect_evictions = false;
+};
+
+serving::SimulatorConfig
+baseSim(llm::QuantScheme scheme, double qps, double duration_s)
+{
+    serving::SimulatorConfig cfg;
+    cfg.scheme = scheme;
+    cfg.spec = &gpusim::rtx4090();
+    cfg.model = &llm::llama7b();
+    cfg.workload.qps = qps;
+    cfg.workload.duration_s = duration_s;
+    cfg.workload.seed = 42;
+    return cfg;
+}
+
+GoldenRun
+runServing(serving::SimulatorConfig cfg)
+{
+    obs::TraceRecorder rec;
+    cfg.trace = &rec;
+    serving::ServingReport report = serving::ServingSimulator(cfg).run();
+    std::ostringstream os;
+    rec.writeChromeJson(os);
+    GoldenRun out;
+    out.report_json = report.json();
+    out.trace = os.str();
+    out.preemptions = report.preemptions;
+    out.evicted_blocks = report.prefix_evicted_blocks;
+    return out;
+}
+
+GoldenRun
+runDisaggregatedFleet(const serving::SimulatorConfig &sim, double qps,
+                      double duration_s)
+{
+    fleet::FleetConfig cfg;
+    cfg.router = fleet::RouterPolicy::SloAware;
+    cfg.workload = sim.workload;
+    cfg.workload.qps = qps;
+    cfg.workload.duration_s = duration_s;
+    cfg.trace = true;
+    cfg.replicas.resize(2);
+    cfg.replicas[0].sim = sim;
+    cfg.replicas[0].role = fleet::ReplicaRole::Prefill;
+    cfg.replicas[1].sim = sim;
+    cfg.replicas[1].role = fleet::ReplicaRole::Decode;
+    fleet::FleetSimulator fsim(cfg);
+    fleet::FleetReport report = fsim.run();
+    std::ostringstream os;
+    fsim.writeChromeTrace(os);
+    GoldenRun out;
+    out.report_json = report.json();
+    out.trace = os.str();
+    for (const auto &rep : report.replicas) {
+        out.preemptions += rep.report.preemptions;
+        out.evicted_blocks += rep.report.prefix_evicted_blocks;
+    }
+    return out;
+}
+
+std::vector<GoldenCase>
+goldenCases()
+{
+    using llm::KvScheme;
+    using llm::QuantScheme;
+    std::vector<GoldenCase> cases;
+
+    cases.push_back({"vq4_tp1", [] {
+                         return runServing(
+                             baseSim(QuantScheme::VQ4, 4, 8));
+                     }});
+    cases.push_back({"fp16_tp2_hbm8p5_preempt",
+                     [] {
+                         auto cfg = baseSim(QuantScheme::FP16, 6, 10);
+                         cfg.tp.degree = 2;
+                         cfg.hbm_gb = 8.5;
+                         return runServing(cfg);
+                     },
+                     true});
+    cases.push_back({"vq2_kvvq4_tp2_prefix_hbm3_pressure",
+                     [] {
+                         auto cfg = baseSim(QuantScheme::VQ2, 4, 12);
+                         cfg.kv_scheme = KvScheme::VQ4;
+                         cfg.tp.degree = 2;
+                         cfg.hbm_gb = 3;
+                         cfg.workload.prefix_groups = 32;
+                         cfg.workload.prefix_tokens = 1000;
+                         cfg.prefix_cache = true;
+                         cfg.scheduler.chunk_tokens = 512;
+                         return runServing(cfg);
+                     },
+                     true, true});
+    cases.push_back({"ewq4_prefix32_hbm12_evict",
+                     [] {
+                         auto cfg = baseSim(QuantScheme::EWQ4, 4, 20);
+                         cfg.hbm_gb = 12;
+                         cfg.workload.prefix_groups = 32;
+                         cfg.workload.prefix_tokens = 1000;
+                         cfg.prefix_cache = true;
+                         cfg.scheduler.chunk_tokens = 512;
+                         return runServing(cfg);
+                     },
+                     false, true});
+    cases.push_back({"vq2_tp4_prefix", [] {
+                         auto cfg = baseSim(QuantScheme::VQ2, 4, 6);
+                         cfg.tp.degree = 4;
+                         cfg.tp.link_bw_gbps = 300;
+                         cfg.workload.prefix_groups = 4;
+                         cfg.workload.prefix_tokens = 1536;
+                         cfg.prefix_cache = true;
+                         cfg.scheduler.chunk_tokens = 512;
+                         return runServing(cfg);
+                     }});
+    cases.push_back({"ewq4_kvint4_tp2", [] {
+                         auto cfg = baseSim(QuantScheme::EWQ4, 6, 8);
+                         cfg.kv_scheme = KvScheme::INT4;
+                         cfg.tp.degree = 2;
+                         return runServing(cfg);
+                     }});
+    cases.push_back({"fp16_kvvq2_chunked", [] {
+                         auto cfg = baseSim(QuantScheme::FP16, 4, 8);
+                         cfg.kv_scheme = KvScheme::VQ2;
+                         cfg.workload.prompt_len_median = 2048;
+                         cfg.scheduler.chunk_tokens = 512;
+                         return runServing(cfg);
+                     }});
+    cases.push_back({"llama70b_vq4_tp8_hbm12", [] {
+                         auto cfg = baseSim(QuantScheme::VQ4, 2, 6);
+                         cfg.model = &llm::llama70b();
+                         cfg.tp.degree = 8;
+                         cfg.hbm_gb = 12;
+                         return runServing(cfg);
+                     }});
+    cases.push_back({"fleet_disagg_fp16_kvvq4", [] {
+                         auto sim = baseSim(QuantScheme::FP16, 0, 0);
+                         sim.kv_scheme = KvScheme::VQ4;
+                         sim.scheduler.chunk_tokens = 512;
+                         return runDisaggregatedFleet(sim, 6, 6);
+                     }});
+    cases.push_back({"fleet_disagg_ewq4_kvint4_tp2_prefix", [] {
+                         auto sim = baseSim(QuantScheme::EWQ4, 0, 0);
+                         sim.kv_scheme = KvScheme::INT4;
+                         sim.tp.degree = 2;
+                         sim.prefix_cache = true;
+                         sim.scheduler.chunk_tokens = 512;
+                         sim.workload.prefix_groups = 4;
+                         sim.workload.prefix_tokens = 1024;
+                         return runDisaggregatedFleet(sim, 6, 6);
+                     }});
+    return cases;
+}
+
+std::string
+goldenLine(const std::string &name, const GoldenRun &run)
+{
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(run.trace)));
+    return "{\"config\":\"" + name + "\",\"trace_fnv1a64\":\"" + digest +
+           "\",\"report\":" + run.report_json + "}\n";
+}
+
+std::string
+goldenPath(const std::string &name)
+{
+    return std::string(VQLLM_GOLDEN_DIR) + "/" + name + ".golden";
+}
+
+bool
+blessing()
+{
+    const char *env = std::getenv("VQLLM_BLESS_GOLDENS");
+    return env != nullptr && std::string(env) == "1";
+}
+
+class Golden : public testing::TestWithParam<GoldenCase>
+{
+};
+
+TEST_P(Golden, ReportAndTraceMatchCommittedFile)
+{
+    const GoldenCase &c = GetParam();
+    const GoldenRun run = c.run();
+    if (c.expect_preemptions) {
+        EXPECT_GT(run.preemptions, 0u)
+            << c.name << " no longer preempts";
+    }
+    if (c.expect_evictions) {
+        EXPECT_GT(run.evicted_blocks, 0u)
+            << c.name << " no longer evicts prefix blocks";
+    }
+    const std::string actual = goldenLine(c.name, run);
+    const std::string path = goldenPath(c.name);
+
+    if (blessing()) {
+        std::ofstream os(path, std::ios::binary);
+        ASSERT_TRUE(os) << "cannot write " << path;
+        os << actual;
+        return;
+    }
+    std::ifstream is(path, std::ios::binary);
+    ASSERT_TRUE(is) << "missing golden " << path
+                    << " (run scripts/bless_goldens.sh)";
+    std::ostringstream expected;
+    expected << is.rdbuf();
+    const std::string want = expected.str();
+    if (want == actual)
+        return;
+    std::size_t at = 0;
+    while (at < want.size() && at < actual.size() &&
+           want[at] == actual[at])
+        ++at;
+    const std::size_t from = at < 60 ? 0 : at - 60;
+    ADD_FAILURE() << c.name << " differs from " << path
+                  << " at byte " << at << "\n  golden: ..."
+                  << want.substr(from, 140) << "\n  actual: ..."
+                  << actual.substr(from, 140);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, Golden, testing::ValuesIn(goldenCases()),
+    [](const testing::TestParamInfo<GoldenCase> &info) {
+        return info.param.name;
+    });
+
+} // namespace
+} // namespace vqllm

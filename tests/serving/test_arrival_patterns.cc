@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "serving/request.h"
 
@@ -145,6 +146,20 @@ TEST(ArrivalPatterns, InvalidParametersAreFatal)
         cfg.arrival = ArrivalPattern::Diurnal;
         cfg.diurnal_amplitude = 1.0;
         EXPECT_DEATH({ generateWorkload(cfg); }, "diurnal_amplitude");
+    }
+    // A negative or NaN rate, or a NaN or infinite horizon, never
+    // reaches the horizon: generation would not return.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double qps : {-1.0, 0.0, nan}) {
+        auto cfg = baseConfig();
+        cfg.qps = qps;
+        EXPECT_DEATH({ generateWorkload(cfg); }, "qps");
+    }
+    for (double duration : {nan, std::numeric_limits<double>::infinity(),
+                            -1.0}) {
+        auto cfg = baseConfig();
+        cfg.duration_s = duration;
+        EXPECT_DEATH({ generateWorkload(cfg); }, "duration_s");
     }
 }
 

@@ -40,7 +40,7 @@ makeRequest(std::uint64_t id, double arrival_us, std::size_t prompt,
 
 TEST(ChunkedPrefill, SlicesPromptUnderBudgetAndCompletesOnLastChunk)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     SchedulerConfig cfg;
     cfg.chunk_tokens = 32;
     Scheduler sched(cfg, pool);
@@ -80,7 +80,7 @@ TEST(ChunkedPrefill, SlicesPromptUnderBudgetAndCompletesOnLastChunk)
 
 TEST(ChunkedPrefill, MixesDecodeAndPrefillInOneIteration)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     SchedulerConfig cfg;
     cfg.chunk_tokens = 16;
     Scheduler sched(cfg, pool);
@@ -105,7 +105,7 @@ TEST(ChunkedPrefill, MixesDecodeAndPrefillInOneIteration)
 
 TEST(ChunkedPrefill, BudgetSpreadsAcrossContinueAndAdmission)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     SchedulerConfig cfg;
     cfg.chunk_tokens = 24;
     Scheduler sched(cfg, pool);

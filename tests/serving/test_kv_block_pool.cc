@@ -187,26 +187,6 @@ TEST(KvBlockPool, ExtendableTokensChargesTheCowFork)
     EXPECT_EQ(pool.extendableTokens(1), 2u);
 }
 
-TEST(KvBlockPool, UndoExtendRestoresSharingExactly)
-{
-    KvBlockPool pool(smallPool(8));
-    ASSERT_TRUE(pool.allocSequence(1, 6));
-    auto blocks = pool.seqBlockIds(1);
-    pool.attachSequence(2, blocks, 6);
-    std::size_t stored_before = pool.storedTokens();
-
-    KvBlockPool::ExtendUndo undo;
-    ASSERT_TRUE(pool.extendSequence(2, 7, &undo)); // fork + new block
-    EXPECT_EQ(pool.stats().cow_forks, 1u);
-    pool.undoExtend(2, undo);
-    EXPECT_EQ(pool.stats().cow_forks, 0u);
-    EXPECT_EQ(pool.seqTokens(2), 6u);
-    EXPECT_EQ(pool.seqBlockIds(2), blocks); // shares the original tail again
-    EXPECT_EQ(pool.blockRefs(blocks[1]), 2u);
-    EXPECT_EQ(pool.usedBlocks(), 2u);
-    EXPECT_EQ(pool.storedTokens(), stored_before);
-}
-
 TEST(KvBlockPool, CacheBlocksAndRefsRoundTrip)
 {
     KvBlockPool pool(smallPool(4));

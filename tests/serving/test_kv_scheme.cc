@@ -20,7 +20,6 @@
 #include "llm/model_config.h"
 #include "serving/kv_block_pool.h"
 #include "serving/request.h"
-#include "serving/sharded_kv_pool.h"
 #include "serving/simulator.h"
 
 namespace vqllm::serving {
@@ -189,24 +188,22 @@ TEST(KvSchemeCapacity, BlockPoolMultipliesTokensAtEqualBytes)
     }
 }
 
-TEST(KvSchemeCapacity, ShardedPoolKeepsTheMultiplierPerShard)
+TEST(KvSchemeCapacity, TpBlockTableKeepsTheMultiplier)
 {
+    // Under 2-way TP the one block table is sized by a device's half of
+    // every token's KV; the compression multiplier survives the split.
     const auto &model = llm::llama7b();
     auto mkPool = [&](llm::KvScheme kv) {
         KvBlockPoolConfig cfg;
         cfg.capacity_bytes = 4ull << 30; // per device
         cfg.bytes_per_token = std::max<std::uint64_t>(
             llm::kvSchemeBytesPerToken(model, kv) / 2, 1); // 2-way TP
-        return ShardedKvPool(cfg, 2);
+        return KvBlockPool(cfg);
     };
-    auto fp16 = mkPool(llm::KvScheme::FP16);
-    auto vq4 = mkPool(llm::KvScheme::VQ4);
-    for (std::size_t s = 0; s < 2; ++s) {
-        double ratio =
-            static_cast<double>(vq4.shard(s).totalBlocks()) /
-            static_cast<double>(fp16.shard(s).totalBlocks());
-        EXPECT_GE(ratio, 2.0) << "shard " << s;
-    }
+    double ratio =
+        static_cast<double>(mkPool(llm::KvScheme::VQ4).totalBlocks()) /
+        static_cast<double>(mkPool(llm::KvScheme::FP16).totalBlocks());
+    EXPECT_GE(ratio, 2.0);
 }
 
 TEST(KvSchemeCapacity, CompressedKvRaisesPeakConcurrency)
@@ -270,7 +267,7 @@ TEST(KvSchemeDeterminism, VqKvComposesWithTensorParallelism)
     ASSERT_EQ(a.shards.size(), 2u);
     EXPECT_GT(a.completed_requests, 0u);
     EXPECT_EQ(a.kv_scheme, "vq4");
-    // Sharded pools split the compressed bytes/token across KV heads;
+    // TP devices split the compressed bytes/token across KV heads;
     // the aggregate multiplier is still the compression factor.
     EXPECT_GE(a.kv_capacity_multiplier, 2.0);
 }

@@ -168,10 +168,8 @@ TEST(Observability, RegistryAgreesWithReport)
               r.iterations);
 
     // Component metrics published at end of run.
-    ASSERT_NE(reg.findCounter("serving.kv.shard0.block_allocs"),
-              nullptr);
-    EXPECT_DOUBLE_EQ(reg.findGauge("serving.kv.shard0.peak_bytes")
-                         ->value(),
+    ASSERT_NE(reg.findCounter("serving.kv.block_allocs"), nullptr);
+    EXPECT_DOUBLE_EQ(reg.findGauge("serving.kv.peak_bytes")->value(),
                      static_cast<double>(r.shards[0].kv_peak_bytes));
     ASSERT_NE(reg.findCounter("compiler.plan_cache.misses"), nullptr);
     // Private per-run engine: absolute counters equal the run's deltas.

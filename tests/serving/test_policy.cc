@@ -97,7 +97,7 @@ TEST(Policy, NamesRoundTrip)
 
 TEST(PolicyScheduler, PriorityAdmitsHighPriorityFirst)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     SchedulerConfig cfg;
     cfg.policy = PolicyKind::Priority;
     Scheduler sched(cfg, pool);
@@ -114,7 +114,7 @@ TEST(PolicyScheduler, PriorityAdmitsHighPriorityFirst)
 
 TEST(PolicyScheduler, PriorityEvictsLowestPriorityNotLatestArrival)
 {
-    ShardedKvPool pool(poolCfg(4, 4), 1);
+    KvBlockPool pool(poolCfg(4, 4));
     SchedulerConfig cfg;
     cfg.policy = PolicyKind::Priority;
     Scheduler sched(cfg, pool);
@@ -141,7 +141,7 @@ TEST(PolicyScheduler, HighPriorityNeverSelfPreemptsPastProtectedLow)
     // eviction-protected for the iteration) and force a younger
     // high-priority sequence under pressure to preempt *itself*.
     // Decode must visit most-protected-first instead.
-    ShardedKvPool pool(poolCfg(4, 4), 1);
+    KvBlockPool pool(poolCfg(4, 4));
     SchedulerConfig cfg;
     cfg.policy = PolicyKind::Priority;
     Scheduler sched(cfg, pool);
@@ -164,7 +164,7 @@ TEST(PolicyScheduler, HighPriorityNeverSelfPreemptsPastProtectedLow)
 
 TEST(PolicyScheduler, EdfAdmitsTightestDeadlineFirst)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     SchedulerConfig cfg;
     cfg.policy = PolicyKind::EDF;
     Scheduler sched(cfg, pool);

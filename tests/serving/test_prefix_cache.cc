@@ -31,14 +31,14 @@ struct ThreadGuard
 
 constexpr std::size_t kBt = 16;
 
-ShardedKvPool
-smallSharded(std::uint64_t blocks_per_shard, std::size_t degree)
+KvBlockPool
+smallPool(std::uint64_t blocks)
 {
     KvBlockPoolConfig cfg;
     cfg.block_tokens = kBt;
     cfg.bytes_per_token = 1;
-    cfg.capacity_bytes = blocks_per_shard * kBt;
-    return ShardedKvPool(cfg, degree);
+    cfg.capacity_bytes = blocks * kBt;
+    return KvBlockPool(cfg);
 }
 
 Request
@@ -57,7 +57,7 @@ prefixRequest(std::uint64_t id, std::size_t prompt_len,
 /** Drive one writer through the scheduler protocol: allocate its
  *  context, mark it fully prefilled, index its prefix. */
 void
-writePrefix(ShardedKvPool &pool, PrefixCache &cache, Request &r)
+writePrefix(KvBlockPool &pool, PrefixCache &cache, Request &r)
 {
     ASSERT_TRUE(pool.allocSequence(r.id, r.prompt_len));
     r.prefilled_tokens = r.prompt_len;
@@ -66,7 +66,7 @@ writePrefix(ShardedKvPool &pool, PrefixCache &cache, Request &r)
 
 TEST(PrefixCache, MissThenHitAfterIndexing)
 {
-    auto pool = smallSharded(32, 2);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
 
     Request a = prefixRequest(1, 48, 0, 32);
@@ -82,8 +82,8 @@ TEST(PrefixCache, MissThenHitAfterIndexing)
     cache.attach(b, m);
     EXPECT_EQ(pool.seqTokens(2), 32u);
     // Attach shares the writer's blocks instead of taking free ones:
-    // per shard only the writer's 3 blocks are live.
-    EXPECT_EQ(pool.usedBlocks(), 2u * 3u);
+    // only the writer's 3 blocks are live.
+    EXPECT_EQ(pool.usedBlocks(), 3u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().matched_tokens, 32u);
     // A different group shares nothing.
@@ -98,7 +98,7 @@ TEST(PrefixCache, MissThenHitAfterIndexing)
 
 TEST(PrefixCache, MatchLeavesOneTokenToPrefill)
 {
-    auto pool = smallSharded(32, 1);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
     Request a = prefixRequest(1, 40, 0, 32);
     writePrefix(pool, cache, a);
@@ -113,15 +113,15 @@ TEST(PrefixCache, MatchLeavesOneTokenToPrefill)
 
 TEST(PrefixCache, PartialTailIsCacheOwnedAndForksOnWrite)
 {
-    auto pool = smallSharded(32, 2);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
 
     Request a = prefixRequest(1, 40, 0, 24); // 1 full node + 8-token tail
     writePrefix(pool, cache, a);
     EXPECT_EQ(cache.cachedBlocks(), 2u);
     EXPECT_EQ(cache.cachedTokens(), 24u);
-    // Per shard: 3 writer blocks + 1 cache-owned partial copy.
-    EXPECT_EQ(pool.usedBlocks(), 2u * 4u);
+    // 3 writer blocks + 1 cache-owned partial copy.
+    EXPECT_EQ(pool.usedBlocks(), 4u);
 
     Request b = prefixRequest(2, 30, 0, 24);
     auto m = cache.match(b);
@@ -132,7 +132,7 @@ TEST(PrefixCache, PartialTailIsCacheOwnedAndForksOnWrite)
     // Seq 2's first divergent write lands in the shared partial tail's
     // slack: the tail COW-forks, leaving the cache's copy untouched.
     ASSERT_TRUE(pool.extendSequence(2, 1));
-    EXPECT_EQ(pool.cowForks(), 1u);
+    EXPECT_EQ(pool.stats().cow_forks, 1u);
     EXPECT_EQ(pool.seqTokens(2), 25u);
     EXPECT_EQ(cache.cachedTokens(), 24u);
 
@@ -147,7 +147,7 @@ TEST(PrefixCache, PartialTailIsCacheOwnedAndForksOnWrite)
 
 TEST(PrefixCache, RollbackAttachRestoresEverything)
 {
-    auto pool = smallSharded(32, 2);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
     Request a = prefixRequest(1, 48, 0, 32);
     writePrefix(pool, cache, a);
@@ -169,7 +169,7 @@ TEST(PrefixCache, RollbackAttachRestoresEverything)
 
 TEST(PrefixCache, EvictionPinsBlocksOfRunningSequences)
 {
-    auto pool = smallSharded(64, 1);
+    auto pool = smallPool(64);
     PrefixCache cache(pool, {kBt, 2}); // room for one 2-node chain
 
     Request a = prefixRequest(1, 48, 0, 32);
@@ -201,7 +201,7 @@ TEST(PrefixCache, EvictionPinsBlocksOfRunningSequences)
 
 TEST(PrefixCache, PoolPressureReclaimsColdPrefixes)
 {
-    auto pool = smallSharded(8, 1);
+    auto pool = smallPool(8);
     PrefixCache cache(pool, {kBt, 0});
 
     Request a = prefixRequest(1, 48, 0, 32); // 3 blocks + 2 cached refs
@@ -224,7 +224,7 @@ TEST(PrefixCache, PoolPressureReclaimsColdPrefixes)
 
 TEST(PrefixCache, EvictionOrderIsLfuOverUnpinnedLeaves)
 {
-    auto pool = smallSharded(32, 1);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
     obs::TraceRecorder rec;
     cache.setTrace(&rec);
@@ -276,7 +276,7 @@ TEST(PrefixCache, EvictionOrderIsLfuOverUnpinnedLeaves)
 
 TEST(PrefixCache, EvictionTiesGoToTheOldestLeaf)
 {
-    auto pool = smallSharded(32, 1);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
     Request a = prefixRequest(1, 32, 0, 16); // node 1
     Request b = prefixRequest(2, 32, 1, 16); // node 2
@@ -294,7 +294,7 @@ TEST(PrefixCache, EvictionTiesGoToTheOldestLeaf)
 
 TEST(PrefixCache, CapacityEvictionSparesTheInsertingParent)
 {
-    auto pool = smallSharded(32, 1);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 3});
 
     // Two writers of group 0 each index the first 32 prefix tokens;
@@ -330,15 +330,6 @@ TEST(PrefixCache, CapacityEvictionSparesTheInsertingParent)
 
 // ---- Randomized op sequences ----------------------------------------
 
-std::vector<std::uint64_t>
-usedPerShard(const ShardedKvPool &pool)
-{
-    std::vector<std::uint64_t> used;
-    for (std::size_t s = 0; s < pool.degree(); ++s)
-        used.push_back(pool.shard(s).usedBlocks());
-    return used;
-}
-
 /**
  * Seeded random operations in the scheduler's protocol over one pool
  * and cache, checking the pool/cache bounds after every operation.
@@ -349,9 +340,8 @@ usedPerShard(const ShardedKvPool &pool)
 class OpSequence
 {
   public:
-    OpSequence(std::uint64_t seed, std::size_t degree,
-               std::uint64_t capacity)
-        : rng_(seed), pool_(smallSharded(24, degree)),
+    OpSequence(std::uint64_t seed, std::uint64_t capacity)
+        : rng_(seed), pool_(smallPool(24)),
           cache_(pool_, {kBt, capacity})
     {
     }
@@ -389,16 +379,15 @@ class OpSequence
         live_.clear();
         while (cache_.cachedBlocks() > 0) {
             ASSERT_GE(cache_.evictableBlocks(), 1u);
-            std::vector<std::uint64_t> used = usedPerShard(pool_);
+            const std::uint64_t used = pool_.usedBlocks();
             cache_.reclaim(1);
-            for (std::size_t s = 0; s < pool_.degree(); ++s)
-                ASSERT_EQ(pool_.shard(s).usedBlocks(), used[s] - 1);
+            ASSERT_EQ(pool_.usedBlocks(), used - 1);
         }
         EXPECT_EQ(pool_.usedBlocks(), 0u);
     }
 
     const PrefixCacheStats &stats() const { return cache_.stats(); }
-    std::uint64_t cowForks() const { return pool_.cowForks(); }
+    std::uint64_t cowForks() const { return pool_.stats().cow_forks; }
 
   private:
     Request
@@ -488,19 +477,18 @@ class OpSequence
         live_.erase(it);
     }
 
-    /** reclaim(k) for k <= evictableBlocks() frees exactly k blocks
-     *  per shard. */
+    /** reclaim(k) for k <= evictableBlocks() frees exactly k
+     *  blocks. */
     void
     reclaim()
     {
         const std::uint64_t k =
             rng_.uniformInt(cache_.evictableBlocks() + 1);
         const std::uint64_t cached = cache_.cachedBlocks();
-        std::vector<std::uint64_t> used = usedPerShard(pool_);
+        const std::uint64_t used = pool_.usedBlocks();
         cache_.reclaim(k);
         EXPECT_EQ(cache_.cachedBlocks(), cached - k);
-        for (std::size_t s = 0; s < pool_.degree(); ++s)
-            EXPECT_EQ(pool_.shard(s).usedBlocks(), used[s] - k);
+        EXPECT_EQ(pool_.usedBlocks(), used - k);
     }
 
     void
@@ -508,14 +496,13 @@ class OpSequence
     {
         const std::uint64_t cached = cache_.cachedBlocks();
         ASSERT_LE(cache_.evictableBlocks(), cached);
-        for (std::size_t s = 0; s < pool_.degree(); ++s)
-            ASSERT_LE(cached, pool_.shard(s).usedBlocks());
+        ASSERT_LE(cached, pool_.usedBlocks());
         for (const Request &r : live_)
             ASSERT_EQ(pool_.seqTokens(r.id), r.prefilled_tokens);
     }
 
     Rng rng_;
-    ShardedKvPool pool_;
+    KvBlockPool pool_;
     PrefixCache cache_;
     std::vector<Request> live_;
     std::uint64_t next_id_ = 1;
@@ -525,22 +512,19 @@ TEST(PrefixCacheProperty, RandomOpSequencesKeepPoolAndCacheBounds)
 {
     PrefixCacheStats total;
     std::uint64_t forks = 0;
-    for (std::size_t degree : {1u, 2u}) {
-        for (std::uint64_t capacity : {0u, 4u}) {
-            for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-                SCOPED_TRACE(testing::Message()
-                             << "degree " << degree << " capacity "
-                             << capacity << " seed " << seed);
-                OpSequence ops(seed, degree, capacity);
-                ASSERT_NO_FATAL_FAILURE(ops.run(400));
-                ASSERT_NO_FATAL_FAILURE(ops.drain());
-                total.hits += ops.stats().hits;
-                total.evicted_nodes += ops.stats().evicted_nodes;
-                total.reclaimed_blocks += ops.stats().reclaimed_blocks;
-                total.skipped_inserts += ops.stats().skipped_inserts;
-                total.rollbacks += ops.stats().rollbacks;
-                forks += ops.cowForks();
-            }
+    for (std::uint64_t capacity : {0u, 4u}) {
+        for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+            SCOPED_TRACE(testing::Message() << "capacity " << capacity
+                                            << " seed " << seed);
+            OpSequence ops(seed, capacity);
+            ASSERT_NO_FATAL_FAILURE(ops.run(400));
+            ASSERT_NO_FATAL_FAILURE(ops.drain());
+            total.hits += ops.stats().hits;
+            total.evicted_nodes += ops.stats().evicted_nodes;
+            total.reclaimed_blocks += ops.stats().reclaimed_blocks;
+            total.skipped_inserts += ops.stats().skipped_inserts;
+            total.rollbacks += ops.stats().rollbacks;
+            forks += ops.cowForks();
         }
     }
     // The sequences reach every path they claim to cover: hits and

@@ -36,7 +36,7 @@ makeRequest(std::uint64_t id, double arrival_us, std::size_t prompt,
 
 TEST(Scheduler, PrefillBeforeDecode)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     Scheduler sched(SchedulerConfig{}, pool);
     auto a = makeRequest(0, 0, 8, 4);
     sched.submit(&a);
@@ -58,7 +58,7 @@ TEST(Scheduler, PrefillBeforeDecode)
 
 TEST(Scheduler, PrefillBatchRespectsTokenBudget)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     SchedulerConfig cfg;
     cfg.max_prefill_tokens = 10;
     Scheduler sched(cfg, pool);
@@ -79,7 +79,7 @@ TEST(Scheduler, PrefillBatchRespectsTokenBudget)
 
 TEST(Scheduler, OversizedPromptAdmittedAlone)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     SchedulerConfig cfg;
     cfg.max_prefill_tokens = 8;
     Scheduler sched(cfg, pool);
@@ -91,7 +91,7 @@ TEST(Scheduler, OversizedPromptAdmittedAlone)
 
 TEST(Scheduler, AdmissionIsFcfsNoHoleSkipping)
 {
-    ShardedKvPool pool(poolCfg(8), 1); // 32 token slots
+    KvBlockPool pool(poolCfg(8)); // 32 token slots
     Scheduler sched(SchedulerConfig{}, pool);
     auto a = makeRequest(0, 0, 24, 2);
     auto b = makeRequest(1, 1, 24, 2); // does not fit beside a
@@ -112,7 +112,7 @@ TEST(Scheduler, AdmissionIsFcfsNoHoleSkipping)
 
 TEST(Scheduler, ImpossibleRequestRejectedAtSubmit)
 {
-    ShardedKvPool pool(poolCfg(4), 1); // 16 token slots total
+    KvBlockPool pool(poolCfg(4)); // 16 token slots total
     Scheduler sched(SchedulerConfig{}, pool);
     auto a = makeRequest(0, 0, 20, 4); // can never fit
     sched.submit(&a);
@@ -123,7 +123,7 @@ TEST(Scheduler, ImpossibleRequestRejectedAtSubmit)
 
 TEST(Scheduler, DecodePreemptsLatestArrivalUnderPressure)
 {
-    ShardedKvPool pool(poolCfg(4, 4), 1); // 4 blocks of 4 tokens
+    KvBlockPool pool(poolCfg(4, 4)); // 4 blocks of 4 tokens
     Scheduler sched(SchedulerConfig{}, pool);
     auto a = makeRequest(0, 0, 7, 8); // 7+1 tokens = 2 blocks, full
     auto b = makeRequest(1, 1, 7, 8); // 7+1 tokens = 2 blocks, full
@@ -146,7 +146,7 @@ TEST(Scheduler, DecodePreemptsLatestArrivalUnderPressure)
 
 TEST(Scheduler, PreemptedRequestReadmittedWithContext)
 {
-    ShardedKvPool pool(poolCfg(4, 4), 1);
+    KvBlockPool pool(poolCfg(4, 4));
     Scheduler sched(SchedulerConfig{}, pool);
     auto a = makeRequest(0, 0, 7, 8);
     auto b = makeRequest(1, 1, 7, 8);
@@ -167,7 +167,7 @@ TEST(Scheduler, PreemptedRequestReadmittedWithContext)
 
 TEST(Scheduler, SelfPreemptionWhenDecodingHeadIsNewestArrival)
 {
-    ShardedKvPool pool(poolCfg(8, 4), 1); // 32 token slots
+    KvBlockPool pool(poolCfg(8, 4)); // 32 token slots
     Scheduler sched(SchedulerConfig{}, pool);
     // Half the pool is held by a sequence the scheduler does not
     // manage, so the lone running request eventually runs out of
@@ -192,7 +192,7 @@ TEST(Scheduler, SelfPreemptionWhenDecodingHeadIsNewestArrival)
 
 TEST(Scheduler, PreemptedOlderThanAllRunningReadmitsFirst)
 {
-    ShardedKvPool pool(poolCfg(4, 4), 1);
+    KvBlockPool pool(poolCfg(4, 4));
     Scheduler sched(SchedulerConfig{}, pool);
     auto a = makeRequest(0, 0, 7, 8);
     auto b = makeRequest(1, 1, 7, 8);
@@ -216,7 +216,7 @@ TEST(Scheduler, PreemptedOlderThanAllRunningReadmitsFirst)
 
 TEST(Scheduler, RetireReleasesBlocksAndRunningSlot)
 {
-    ShardedKvPool pool(poolCfg(16), 1);
+    KvBlockPool pool(poolCfg(16));
     Scheduler sched(SchedulerConfig{}, pool);
     auto a = makeRequest(0, 0, 8, 2);
     sched.submit(&a);
@@ -230,7 +230,7 @@ TEST(Scheduler, RetireReleasesBlocksAndRunningSlot)
 
 TEST(Scheduler, MaxBatchCapsAdmission)
 {
-    ShardedKvPool pool(poolCfg(64), 1);
+    KvBlockPool pool(poolCfg(64));
     SchedulerConfig cfg;
     cfg.max_batch = 2;
     cfg.max_prefill_tokens = 1024;

@@ -5,7 +5,7 @@
  * degree 1 must be bit-identical to the unsharded pricing formula, its
  * memo tables must reproduce unmemoized pricing exactly at every
  * degree, and TP simulations must stay deterministic across thread
- * counts and repeated runs (sharded pools move raw Request pointers
+ * counts and repeated runs (TP runs move raw Request pointers
  * through preemption paths — any lifetime or ordering bug shows up
  * here).
  */
