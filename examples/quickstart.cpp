@@ -7,9 +7,14 @@
  *  3. compile a fused kernel through compiler::Engine (plan -> cost ->
  *     emit -> execute behind one call),
  *  4. run it functionally and check the numerics,
- *  5. estimate its GPU latency and print the generated CUDA source.
+ *  5. run fused decode attention over a CQ-2-quantized KV cache and
+ *     check it the same way,
+ *  6. estimate the GeMV's GPU latency and print its CUDA source.
  *
- * Build: cmake --build build && ./build/examples/quickstart
+ * Exits 1 when a functional check misses the tolerance of the
+ * VqGemvFunctional/VqAttentionFunctional tests (ctest runs it).
+ *
+ * Build: cmake --build build && ./build/quickstart
  */
 #include <cstdio>
 
@@ -19,6 +24,36 @@
 #include "vq/profiler.h"
 
 using namespace vqllm;
+
+namespace {
+
+/** Prints a functional check; false past the tests' 1e-3 tolerance. */
+bool
+check(const char *kernel, double max_abs_diff)
+{
+    std::printf("%s functional check: max |vq - reference| = %.2e\n",
+                kernel, max_abs_diff);
+    if (max_abs_diff <= 1e-3)
+        return true;
+    std::fprintf(stderr, "quickstart: %s error exceeds 1e-3\n", kernel);
+    return false;
+}
+
+/** The reference's [heads, tokens, channels] view of a KV cache that
+ *  VQ stores one row per token, [tokens, heads * channels]. */
+Tensor<float>
+perHead(const Tensor<float> &rows, std::size_t heads)
+{
+    const std::size_t tokens = rows.dim(0), channels = rows.dim(1) / heads;
+    Tensor<float> kv({heads, tokens, channels});
+    for (std::size_t h = 0; h < heads; ++h)
+        for (std::size_t t = 0; t < tokens; ++t)
+            for (std::size_t c = 0; c < channels; ++c)
+                kv.at(h, t, c) = rows.at(t, h * channels + c);
+    return kv;
+}
+
+} // namespace
 
 int
 main()
@@ -61,8 +96,8 @@ main()
     auto result = kernel->runGemv(qt, x);
     auto reference = kernels::referenceGemv(
         vq::VectorQuantizer::dequantize(qt), x);
-    std::printf("functional check: max |vq - reference| = %.2e\n",
-                maxAbsDiff(result.output, reference));
+    if (!check("GeMV", maxAbsDiff(result.output, reference)))
+        return 1;
     std::printf("cache tier hits: %llu register / %llu shared / %llu "
                 "global\n",
                 static_cast<unsigned long long>(result.stats.reg_hits),
@@ -71,7 +106,34 @@ main()
                 static_cast<unsigned long long>(
                     result.stats.global_hits));
 
-    // 5. Latency estimate at paper scale, plus the CUDA source — both
+    // 5. Decode attention over a CQ-2 KV cache (the long-context case,
+    //    where the KV cache dominates memory), against the reference
+    //    over the dequantized cache.
+    const std::size_t heads = 4, tokens = 96, channels = 16;
+    vq::VQConfig kv_cfg = vq::cq2();
+    kv_cfg.num_entries = 64;
+    auto quantizeKv = [&] {
+        auto rows = generateKvCache(1, tokens, heads * channels, rng);
+        rows.reshape({tokens, heads * channels});
+        return vq::VectorQuantizer(kv_cfg).quantize(rows);
+    };
+    auto qt_k = quantizeKv();
+    auto qt_v = quantizeKv();
+    Tensor<float> q({heads, channels});
+    fillNormal(q, rng);
+    auto attention = compile_engine.compile(
+        compiler::KernelRequest::attentionOp(
+            {1, heads, tokens, channels}, kv_cfg, engine::OptLevel::O4));
+    auto reference_attn = kernels::referenceAttention(
+        q, perHead(vq::VectorQuantizer::dequantize(qt_k), heads),
+        perHead(vq::VectorQuantizer::dequantize(qt_v), heads));
+    std::printf("\n%s\n", attention->plan().summary().c_str());
+    if (!check("attention",
+               maxAbsDiff(attention->runAttention(qt_k, qt_v, q).output,
+                          reference_attn)))
+        return 1;
+
+    // 6. Latency estimate at paper scale, plus the CUDA source — both
     //    come off the same compiled artifact (the estimate was priced
     //    at compile time; the source is emitted lazily and memoized).
     auto big = compile_engine.compile(compiler::KernelRequest::gemvOp(

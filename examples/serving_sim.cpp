@@ -3,20 +3,11 @@
  * serving_sim: continuous-batching serving simulation from the command
  * line.
  *
- *   serving_sim [--scheme fp16|ewq4|vq4|vq2]
- *               [--kv-scheme fp16|int4|vq4|vq2] [--model 7b|65b|70b]
- *               [--gpu 4090|a40] [--qps N] [--duration S] [--seed N]
- *               [--arrival poisson|bursty|diurnal] [--burst-period S]
- *               [--burst-duty F] [--burst-peak M] [--diurnal-period S]
- *               [--diurnal-amplitude A]
- *               [--max-batch N] [--block-tokens N] [--hbm-gb G]
- *               [--codebook-slots N] [--codebook-groups N]
- *               [--policy fcfs|priority|edf] [--chunk-tokens N]
- *               [--priority-levels N] [--prompt-median N]
- *               [--tp-degree N] [--link-gbps G] [--collective-us U]
- *               [--prefix-groups N] [--prefix-tokens N]
- *               [--prefix-cache on|off] [--trace-in FILE]
- *               [--trace-out FILE] [--metrics-json FILE]
+ *   serving_sim [simulator flags, see cli_flags.h]
+ *               [--policy fcfs|priority|edf] [--priority-levels N]
+ *               [--block-tokens N] [--codebook-slots N]
+ *               [--codebook-groups N] [--link-gbps G]
+ *               [--collective-us U] [--trace-in FILE]
  *
  * Generates a Poisson request trace, serves it with the
  * policy-driven continuous-batching scheduler over a paged VQ KV
@@ -25,8 +16,8 @@
  * and
  * reports TTFT/TBT/E2E percentiles, sustained tokens/sec, the KV
  * high-water mark and codebook residency statistics.  Deterministic
- * in --seed.  Unrecognized arguments and malformed numeric values
- * (see cli_flags.h) are usage errors (exit code 2).
+ * in --seed.  Unknown flags and malformed values (see cli_flags.h)
+ * are usage errors (exit code 2).
  *
  * --trace-out writes a Chrome trace-event JSON timeline of the run
  * (open in https://ui.perfetto.dev or chrome://tracing);
@@ -34,10 +25,7 @@
  * JSON.  Neither flag changes the simulation or the report.
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <string>
 
 #include "cli_flags.h"
@@ -52,75 +40,17 @@ namespace {
 
 const char kUsage[] =
     "usage: serving_sim [options]\n"
-    "  --scheme fp16|ewq4|vq4|vq2   quantization scheme (default vq2)\n"
-    "  --kv-scheme fp16|int4|vq4|vq2  KV-cache storage scheme (default:\n"
-    "                               follows --scheme)\n"
-    "  --model 7b|65b|70b           model configuration (default 7b)\n"
-    "  --gpu 4090|a40               per-GPU hardware model (default 4090)\n"
-    "  --qps N                      mean arrival rate (default 8)\n"
-    "  --duration S                 arrival window, seconds (default 60)\n"
-    "  --seed N                     workload seed (default 42)\n"
-    "  --arrival poisson|bursty|diurnal\n"
-    "                               arrival process shape (default\n"
-    "                               poisson; all preserve the mean rate)\n"
-    "  --burst-period S             bursty: cycle length, seconds\n"
-    "  --burst-duty F               bursty: burst fraction, in (0,1)\n"
-    "  --burst-peak M               bursty: burst rate multiplier, >= 1\n"
-    "  --diurnal-period S           diurnal: cycle length, seconds\n"
-    "  --diurnal-amplitude A        diurnal: rate swing, in [0,1)\n"
-    "  --max-batch N                max concurrent sequences\n"
+    "  --policy fcfs|priority|edf   scheduling policy (default fcfs)\n"
+    "  --priority-levels N          distinct priority levels in the trace\n"
     "  --block-tokens N             KV tokens per paged block\n"
-    "  --hbm-gb G                   per-GPU HBM capacity, GB\n"
     "  --codebook-slots N           resident codebook-group slots\n"
     "  --codebook-groups N          distinct codebook groups in the trace\n"
-    "  --policy fcfs|priority|edf   scheduling policy (default fcfs)\n"
-    "  --chunk-tokens N             chunked-prefill token budget (0 = off)\n"
-    "  --priority-levels N          distinct priority levels in the trace\n"
-    "  --prompt-median N            median prompt length, tokens\n"
-    "  --tp-degree N                tensor-parallel degree, >= 1 (default 1)\n"
     "  --link-gbps G                all-reduce link bandwidth, GB/s, > 0\n"
     "  --collective-us U            per-collective launch latency, us\n"
-    "  --prefix-groups N            shared-prefix tenants in the trace\n"
-    "                               (0 = no shared prefixes, the default)\n"
-    "  --prefix-tokens N            shared system-prompt length, tokens, > 0\n"
-    "  --prefix-cache on|off        cross-request KV prefix caching\n"
-    "                               (default off)\n"
     "  --trace-in FILE              replay a JSONL workload trace\n"
     "                               (arrival_us, prompt_len, output_len,\n"
     "                               optional group; malformed lines are a\n"
-    "                               hard error) instead of sampling\n"
-    "  --trace-out FILE             write a Chrome/Perfetto trace JSON\n"
-    "  --metrics-json FILE          write report + metrics as JSON\n"
-    "  --help                       print this message and exit\n";
-
-[[noreturn]] void
-usageError(const std::string &message)
-{
-    std::fprintf(stderr, "serving_sim: %s\n%s", message.c_str(), kUsage);
-    std::exit(2);
-}
-
-const llm::LlamaConfig &
-modelByName(const std::string &name)
-{
-    if (name == "7b")
-        return llm::llama7b();
-    if (name == "65b")
-        return llm::llama65b();
-    if (name == "70b")
-        return llm::llama70b();
-    vqllm_fatal("unknown model '", name, "' (expected 7b|65b|70b)");
-}
-
-const gpusim::GpuSpec &
-gpuByName(const std::string &name)
-{
-    if (name == "4090")
-        return gpusim::rtx4090();
-    if (name == "a40")
-        return gpusim::teslaA40();
-    vqllm_fatal("unknown gpu '", name, "' (expected 4090|a40)");
-}
+    "                               hard error) instead of sampling\n";
 
 } // namespace
 
@@ -133,117 +63,42 @@ main(int argc, char **argv)
     cfg.workload.qps = 8;
     cfg.workload.duration_s = 60;
 
-    bool hbm_set = false;
-    std::string trace_out;
-    std::string metrics_out;
-    const cli::NumericFlags num{usageError};
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageError("flag " + flag + " needs a value");
-            return argv[++i];
-        };
-        if (flag == "--scheme") {
-            if (!llm::parseQuantScheme(value(), &cfg.scheme))
-                vqllm_fatal("unknown scheme (fp16|ewq4|vq4|vq2)");
-        } else if (flag == "--kv-scheme") {
-            llm::KvScheme kv;
-            if (!llm::parseKvScheme(value(), &kv))
-                vqllm_fatal("unknown KV scheme (fp16|int4|vq4|vq2)");
-            cfg.kv_scheme = kv;
-        } else if (flag == "--model") {
-            cfg.model = &modelByName(value());
-        } else if (flag == "--gpu") {
-            cfg.spec = &gpuByName(value());
-        } else if (flag == "--qps") {
-            cfg.workload.qps = num.real(flag, value());
-        } else if (flag == "--duration") {
-            cfg.workload.duration_s = num.real(flag, value());
-        } else if (flag == "--seed") {
-            cfg.workload.seed = num.count(flag, value());
-        } else if (flag == "--arrival") {
-            std::string v = value();
-            auto p = serving::parseArrivalPattern(v);
-            if (!p)
-                usageError("--arrival expects poisson|bursty|diurnal, "
-                           "got '" + v + "'");
-            cfg.workload.arrival = *p;
-        } else if (flag == "--burst-period") {
-            cfg.workload.burst_period_s = num.real(flag, value());
-        } else if (flag == "--burst-duty") {
-            cfg.workload.burst_duty = num.real(flag, value());
-        } else if (flag == "--burst-peak") {
-            cfg.workload.burst_peak = num.real(flag, value());
-        } else if (flag == "--diurnal-period") {
-            cfg.workload.diurnal_period_s = num.real(flag, value());
-        } else if (flag == "--diurnal-amplitude") {
-            cfg.workload.diurnal_amplitude = num.real(flag, value());
-        } else if (flag == "--max-batch") {
-            cfg.scheduler.max_batch = num.count(flag, value(), 1);
-        } else if (flag == "--block-tokens") {
-            cfg.kv_block_tokens = num.count(flag, value(), 1);
-        } else if (flag == "--hbm-gb") {
-            cfg.hbm_gb = num.real(flag, value());
-            hbm_set = true;
-        } else if (flag == "--codebook-slots") {
-            cfg.codebook_slots = num.count(flag, value(), 1);
-        } else if (flag == "--codebook-groups") {
-            cfg.workload.num_codebook_groups = num.count(flag, value());
-        } else if (flag == "--policy") {
-            if (!serving::parsePolicyKind(value(), &cfg.scheduler.policy))
-                vqllm_fatal("unknown policy (fcfs|priority|edf)");
-        } else if (flag == "--chunk-tokens") {
-            cfg.scheduler.chunk_tokens = num.count(flag, value());
+    cli::SimFlags flags("serving_sim", kUsage, cfg, cfg.workload);
+    flags.parse(argc, argv, [&] {
+        const std::string &flag = flags.flag();
+        if (flag == "--policy") {
+            const std::string v = flags.value();
+            if (!serving::parsePolicyKind(v, &cfg.scheduler.policy))
+                flags.badChoice(v, "fcfs|priority|edf");
         } else if (flag == "--priority-levels") {
-            cfg.workload.priority_levels = num.count(flag, value());
-        } else if (flag == "--prompt-median") {
-            cfg.workload.prompt_len_median = num.count(flag, value());
-        } else if (flag == "--tp-degree") {
-            cfg.tp.degree = static_cast<int>(num.count(
-                flag, value(), 1, std::numeric_limits<int>::max()));
+            cfg.workload.priority_levels = flags.count();
+        } else if (flag == "--block-tokens") {
+            cfg.kv_block_tokens = flags.count(1);
+        } else if (flag == "--codebook-slots") {
+            cfg.codebook_slots = flags.count(1);
+        } else if (flag == "--codebook-groups") {
+            cfg.workload.num_codebook_groups = flags.count();
         } else if (flag == "--link-gbps") {
-            cfg.tp.link_bw_gbps = num.real(flag, value());
+            cfg.tp.link_bw_gbps = flags.real();
             if (cfg.tp.link_bw_gbps <= 0)
-                usageError("--link-gbps must be > 0");
+                flags.usageError("--link-gbps must be > 0");
         } else if (flag == "--collective-us") {
-            cfg.tp.collective_latency_us = num.real(flag, value());
+            cfg.tp.collective_latency_us = flags.real();
             if (cfg.tp.collective_latency_us < 0)
-                usageError("--collective-us must be >= 0");
-        } else if (flag == "--prefix-groups") {
-            cfg.workload.prefix_groups = num.count(flag, value());
-        } else if (flag == "--prefix-tokens") {
-            cfg.workload.prefix_tokens = num.count(flag, value(), 1);
-        } else if (flag == "--prefix-cache") {
-            std::string v = value();
-            if (v == "on")
-                cfg.prefix_cache = true;
-            else if (v == "off")
-                cfg.prefix_cache = false;
-            else
-                usageError("--prefix-cache expects on|off, got '" + v +
-                           "'");
+                flags.usageError("--collective-us must be >= 0");
         } else if (flag == "--trace-in") {
-            cfg.workload.trace_path = value();
-        } else if (flag == "--trace-out") {
-            trace_out = value();
-        } else if (flag == "--metrics-json") {
-            metrics_out = value();
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("%s", kUsage);
-            return 0;
+            cfg.workload.trace_path = flags.value();
         } else {
-            usageError("unknown flag '" + flag + "'");
+            return false;
         }
-    }
-    if (!hbm_set && cfg.spec == &gpusim::teslaA40())
-        cfg.hbm_gb = 48.0; // A40 ships 48 GB
+        return true;
+    });
 
     obs::TraceRecorder recorder;
     obs::MetricsRegistry registry;
-    if (!trace_out.empty())
+    if (!flags.trace_out.empty())
         cfg.trace = &recorder;
-    if (!metrics_out.empty())
+    if (!flags.metrics_out.empty())
         cfg.metrics = &registry;
 
     serving::ServingSimulator sim(cfg);
@@ -305,24 +160,24 @@ main(int argc, char **argv)
     auto report = sim.run();
     std::printf("%s", report.summary().c_str());
 
-    if (!trace_out.empty()) {
-        std::ofstream os(trace_out, std::ios::binary);
+    if (!flags.trace_out.empty()) {
+        std::ofstream os(flags.trace_out, std::ios::binary);
         if (!os)
-            vqllm_fatal("cannot open trace output '", trace_out, "'");
+            vqllm_fatal("cannot open trace output '", flags.trace_out, "'");
         recorder.writeChromeJson(os);
         std::printf("trace: %zu events -> %s (load in "
                     "https://ui.perfetto.dev)\n",
-                    recorder.eventCount(), trace_out.c_str());
+                    recorder.eventCount(), flags.trace_out.c_str());
     }
-    if (!metrics_out.empty()) {
-        std::ofstream os(metrics_out, std::ios::binary);
+    if (!flags.metrics_out.empty()) {
+        std::ofstream os(flags.metrics_out, std::ios::binary);
         if (!os)
-            vqllm_fatal("cannot open metrics output '", metrics_out,
+            vqllm_fatal("cannot open metrics output '", flags.metrics_out,
                         "'");
         os << "{\"report\":" << report.json()
            << ",\"metrics\":" << registry.json() << "}\n";
         std::printf("metrics: %zu instruments -> %s\n", registry.size(),
-                    metrics_out.c_str());
+                    flags.metrics_out.c_str());
     }
     return 0;
 }

@@ -220,7 +220,7 @@ estimateE2E(const gpusim::GpuSpec &spec, const LlamaConfig &model,
     result.kv_bytes = static_cast<std::uint64_t>(
         static_cast<double>(model.kvCacheBytesFp16(
             cfg.batch, cfg.prompt_len + cfg.gen_tokens)) *
-        schemeKvScale(scheme));
+        kvSchemeScale(defaultKvScheme(scheme)));
     return result;
 }
 

@@ -147,18 +147,6 @@ kvSchemeBytesPerToken(const LlamaConfig &model, KvScheme scheme)
     return static_cast<std::uint64_t>(fp16 * kvSchemeScale(scheme));
 }
 
-double
-schemeKvScale(QuantScheme scheme)
-{
-    return kvSchemeScale(defaultKvScheme(scheme));
-}
-
-std::uint64_t
-schemeKvBytesPerToken(const LlamaConfig &model, QuantScheme scheme)
-{
-    return kvSchemeBytesPerToken(model, defaultKvScheme(scheme));
-}
-
 std::uint64_t
 kvPackedBytesFp16(std::uint64_t elements)
 {

@@ -171,15 +171,6 @@ double kvSchemeScale(KvScheme scheme);
 std::uint64_t kvSchemeBytesPerToken(const LlamaConfig &model,
                                     KvScheme scheme);
 
-/** KV-cache bytes under a scheme relative to FP16; equivalent to
- *  `kvSchemeScale(defaultKvScheme(scheme))`. */
-double schemeKvScale(QuantScheme scheme);
-
-/** KV-cache bytes one cached token occupies across the whole decoder
- *  stack (all layers, K and V) under a scheme. */
-std::uint64_t schemeKvBytesPerToken(const LlamaConfig &model,
-                                    QuantScheme scheme);
-
 /** Packed byte footprint of `elements` FP16 values.  Single source of
  *  truth for the KV traffic math in the kernel estimators. */
 std::uint64_t kvPackedBytesFp16(std::uint64_t elements);

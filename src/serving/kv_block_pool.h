@@ -8,8 +8,8 @@
  * per-sequence block lists, capacity pressure (a failed extension is the
  * scheduler's preemption signal), the high-water mark, and internal
  * fragmentation (allocated-but-unused token slots in tail blocks).
- * Bytes per token come from the quantization scheme
- * (llm::schemeKvBytesPerToken), which is where VQ buys its capacity: a
+ * Bytes per token come from the KV storage scheme
+ * (llm::kvSchemeBytesPerToken), which is where VQ buys its capacity: a
  * CQ-2 cache packs ~7x the tokens of FP16 into the same HBM.
  *
  * Under tensor parallelism one pool serves every device.  Each device

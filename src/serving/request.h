@@ -6,8 +6,8 @@
  * arrivals over a wall-clock window with log-normally distributed prompt
  * and generation lengths, the shape reported for production LLM traffic.
  * Each request also names a *codebook group* — the set of VQ codebooks
- * its KV cache was quantized with (per-tenant / per-adapter codebooks,
- * cf. src/cache/online_update).  Group popularity is Zipf-distributed so
+ * its KV cache was quantized with (per-tenant / per-adapter
+ * codebooks).  Group popularity is Zipf-distributed so
  * a small residency cache of hot groups captures most of the batch.
  *
  * All sampling is driven by common/rng.h: one seed reproduces one trace.

@@ -13,12 +13,17 @@ std::uint64_t
 kvCapacityPerDeviceBytes(const SimulatorConfig &cfg,
                          const llm::LlamaConfig &model)
 {
-    vqllm_assert(cfg.tp.degree >= 1, "TP degree must be >= 1");
-    vqllm_assert(model.heads % cfg.tp.degree == 0,
-                 "heads must divide evenly across TP ranks");
+    // The config arrives from outside the library (CLI flags, caller
+    // structs), so a bad one is a user error, not an internal bug.
+    if (cfg.tp.degree < 1 || model.heads % cfg.tp.degree != 0)
+        vqllm_fatal("TP degree ", cfg.tp.degree, " must divide ",
+                    model.name, "'s ", model.heads, " heads evenly (",
+                    model.kvHeads(), " KV heads)");
     const auto degree = static_cast<std::size_t>(cfg.tp.degree);
-    vqllm_assert(model.kvHeads() >= degree,
-                 "TP degree exceeds the model's KV heads");
+    if (degree > model.kvHeads())
+        vqllm_fatal("TP degree ", degree, " exceeds ", model.name, "'s ",
+                    model.kvHeads(), " KV heads (", model.heads,
+                    " heads)");
     // Each device holds 1/degree of the weights; its pool gets what
     // that shard leaves free of the per-GPU HBM.
     double weight_bytes = static_cast<double>(model.decoderParams()) *
@@ -26,10 +31,14 @@ kvCapacityPerDeviceBytes(const SimulatorConfig &cfg,
                           static_cast<double>(degree);
     double free_bytes =
         cfg.hbm_gb * 1e9 - weight_bytes - cfg.hbm_reserve_gb * 1e9;
-    if (free_bytes <= 0)
-        vqllm_fatal("model weight shard (", weight_bytes / 1e9,
-                    " GB) exceeds HBM budget of ", cfg.hbm_gb,
-                    " GB per device at TP degree ", cfg.tp.degree);
+    // Negated so NaN fails too; 2^64 and above would overflow the
+    // integer conversion (undefined behaviour).
+    if (!(free_bytes > 0 && free_bytes < 0x1p64))
+        vqllm_fatal("per-device KV budget must be > 0 and < 2^64 bytes: ",
+                    cfg.hbm_gb, " GB HBM - ", weight_bytes / 1e9,
+                    " GB weight shard at TP degree ", cfg.tp.degree,
+                    " - ", cfg.hbm_reserve_gb, " GB reserve = ",
+                    free_bytes / 1e9, " GB");
     return static_cast<std::uint64_t>(free_bytes);
 }
 

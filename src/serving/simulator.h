@@ -45,9 +45,11 @@ struct SimulatorConfig;
 
 /**
  * KV bytes one device's pool gets under @p cfg: per-GPU HBM minus the
- * device's weight shard minus the activation reserve.  Fatal when the
- * shard alone exceeds the budget.  Shared by ServingSimulator and
- * SimulatorCore so capacity accounting cannot drift between them.
+ * device's weight shard minus the activation reserve.  Fatal (exit 1)
+ * when the TP degree does not divide the model's heads or exceeds its
+ * KV heads, or when the budget is not in (0, 2^64) bytes.  Shared by
+ * ServingSimulator and SimulatorCore so capacity accounting cannot
+ * drift between them.
  */
 std::uint64_t kvCapacityPerDeviceBytes(const SimulatorConfig &cfg,
                                        const llm::LlamaConfig &model);

@@ -73,16 +73,6 @@ TEST(KvScheme, DefaultsFollowTheWeightScheme)
               llm::KvScheme::VQ4);
     EXPECT_EQ(llm::defaultKvScheme(llm::QuantScheme::VQ2),
               llm::KvScheme::VQ2);
-    // The legacy weight-scheme helpers are exactly the KvScheme
-    // helpers through defaultKvScheme — the parity the serving layer
-    // relies on.
-    for (auto ws : llm::kAllQuantSchemes) {
-        EXPECT_EQ(llm::schemeKvScale(ws),
-                  llm::kvSchemeScale(llm::defaultKvScheme(ws)));
-        EXPECT_EQ(llm::schemeKvBytesPerToken(llm::llama7b(), ws),
-                  llm::kvSchemeBytesPerToken(
-                      llm::llama7b(), llm::defaultKvScheme(ws)));
-    }
 }
 
 TEST(KvScheme, ScalesAndBytesPerToken)

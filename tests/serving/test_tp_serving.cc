@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/parallel.h"
@@ -556,9 +557,32 @@ TEST(TpSimulation, RunManyTpConfigsMatchesSerialRuns)
         expectReportsIdentical(serial[i], fanned[i]);
 }
 
+// A TP degree or HBM budget arrives from outside the library, so a bad
+// one is a clean fatal (exit 1), not an internal assertion (abort).
 TEST(TpSimulationDeath, RejectsUnevenHeadSharding)
 {
-    EXPECT_DEATH(ServingSimulator(tpConfig(3)), "divide");
+    EXPECT_EXIT(ServingSimulator(tpConfig(3)), testing::ExitedWithCode(1),
+                "TP degree 3 must divide .* 32 heads evenly");
+}
+
+TEST(TpSimulationDeath, RejectsDegreeAboveKvHeads)
+{
+    SimulatorConfig cfg = tpConfig(16);
+    cfg.model = &llm::llama70b();
+    EXPECT_EXIT(ServingSimulator{cfg}, testing::ExitedWithCode(1),
+                "TP degree 16 exceeds .* 8 KV heads");
+}
+
+TEST(TpSimulationDeath, RejectsKvBudgetOutsideUint64)
+{
+    // 1e11 GB is 1e20 bytes, past what the byte count can hold.
+    for (double hbm_gb : {1e11, std::nan("")}) {
+        SimulatorConfig cfg = tpConfig(1);
+        cfg.hbm_gb = hbm_gb;
+        EXPECT_EXIT(ServingSimulator{cfg}, testing::ExitedWithCode(1),
+                    "KV budget must be > 0 and < 2")
+            << "hbm_gb " << hbm_gb;
+    }
 }
 
 } // namespace
