@@ -264,7 +264,7 @@ BM_PrefixCacheEvictableBlocks(benchmark::State &state)
     // Room for every cached chain plus one live writer.
     cfg.capacity_bytes = (kChains + 1) * (kChainBlocks + 1) * kBlockTokens;
     serving::KvBlockPool pool(cfg);
-    serving::PrefixCache cache(pool, {kBlockTokens, 0});
+    serving::PrefixCache cache(pool, 0);
     for (std::size_t g = 0; g < kChains; ++g) {
         serving::Request r;
         r.id = g + 1;
@@ -338,7 +338,7 @@ BM_IterationPricerDecode(benchmark::State &state)
         std::vector<compiler::Engine *>{&eng}, llm::llama7b(),
         vq ? llm::QuantScheme::VQ4 : llm::QuantScheme::EWQ4,
         vq ? llm::KvScheme::VQ4 : llm::KvScheme::INT4, llm::TpConfig{});
-    const std::size_t bucket = serving::PricerConfig{}.seq_bucket;
+    const std::size_t bucket = serving::IterationPricer::kSeqBucket;
     Rng rng(16);
     std::vector<serving::Request> reqs(32);
     std::vector<serving::Request *> batch;

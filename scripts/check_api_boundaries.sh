@@ -42,7 +42,7 @@ serving_include_hits=$(grep -rn \
     src/serving/ 2>/dev/null)
 if [ -n "${serving_include_hits}" ]; then
     echo "ERROR: serving must price kernels through compiler::Engine" \
-         "(llm::schemeLinearUs / schemeAttentionUs), not include the" \
+         "(llm::schemeLinearUs / kvSchemeAttentionUs), not include the" \
          "planner or kernel estimators directly:"
     echo "${serving_include_hits}"
     status=1

@@ -17,8 +17,9 @@ The script also validates serving_sim observability output:
                 ends unless fully contained), and timestamps must be
                 non-negative.
 --metrics FILE  a metrics JSON (serving_sim --metrics-json): the
-                report object must carry the busy-time breakdown, and
-                prefill + decode + comm + codebook upload must equal
+                report object must carry the busy-time breakdown and
+                its prefix_cache and kv_scheme objects, and prefill +
+                decode + comm + codebook upload must equal
                 busy_time_us within tolerance.  Given both --trace and
                 --metrics, the trace's per-category span durations are
                 checked against the report's breakdown too.
@@ -436,6 +437,9 @@ def check_metrics(metrics_path: pathlib.Path, cat_us) -> None:
                 "codebook_upload_us", "sim_time_us", "tp_degree"):
         if key not in report:
             fail(f"{metrics_path.name}: report lacks '{key}'")
+    for key in ("prefix_cache", "kv_scheme"):
+        if not isinstance(report.get(key), dict):
+            fail(f"{metrics_path.name}: report lacks the '{key}' object")
     busy = report["busy_time_us"]
     parts = (report["prefill_us"] + report["decode_us"] +
              report["comm_us"] + report["codebook_upload_us"])

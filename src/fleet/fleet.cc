@@ -16,49 +16,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** %.17g — shortest representation that round-trips a double. */
-std::string
-jsonDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonU64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-void
-writeLatency(std::ostream &os, const char *name,
-             const serving::LatencyStats &s)
-{
-    os << "\"" << name << "\":{\"count\":" << s.count
-       << ",\"mean_us\":" << jsonDouble(s.mean_us)
-       << ",\"p50_us\":" << jsonDouble(s.p50_us)
-       << ",\"p95_us\":" << jsonDouble(s.p95_us)
-       << ",\"p99_us\":" << jsonDouble(s.p99_us)
-       << ",\"max_us\":" << jsonDouble(s.max_us) << "}";
-}
-
-/** Effective KV scheme of a replica config (mirrors the core). */
-llm::KvScheme
-effectiveKvScheme(const serving::SimulatorConfig &sim)
-{
-    return sim.kv_scheme.value_or(llm::defaultKvScheme(sim.scheme));
-}
-
-const llm::LlamaConfig &
-replicaModel(const serving::SimulatorConfig &sim)
-{
-    return sim.model != nullptr ? *sim.model : llm::llama7b();
-}
-
 } // namespace
 
 const char *
@@ -110,14 +67,13 @@ FleetSimulator::FleetSimulator(const FleetConfig &cfg)
         // (specs, HBM and TP degrees may still differ).
         const serving::SimulatorConfig &ref = cfg_.replicas[0].sim;
         for (const ReplicaConfig &rc : cfg_.replicas) {
-            if (effectiveKvScheme(rc.sim) != effectiveKvScheme(ref))
+            if (rc.sim.kvScheme() != ref.kvScheme())
                 vqllm_fatal("disaggregated replicas disagree on the "
                             "KV scheme: handoff blocks would not be "
                             "loadable");
-            if (replicaModel(rc.sim).decoderParams() !=
-                    replicaModel(ref).decoderParams() ||
-                replicaModel(rc.sim).kvHeads() !=
-                    replicaModel(ref).kvHeads())
+            const llm::LlamaConfig &model = rc.sim.modelConfig();
+            if (model.decoderParams() != ref.modelConfig().decoderParams() ||
+                model.kvHeads() != ref.modelConfig().kvHeads())
                 vqllm_fatal("disaggregated replicas disagree on the "
                             "model: handoff KV state would not match "
                             "the receiver's layout");
@@ -476,6 +432,9 @@ FleetSimulator::writeChromeTrace(std::ostream &os) const
 std::string
 FleetReport::json() const
 {
+    using serving::jsonDouble;
+    using serving::jsonU64;
+    using serving::writeLatency;
     std::ostringstream os;
     os << "{\"router\":\"" << router << "\",\"disaggregated\":"
        << (disaggregated ? "true" : "false") << ",";

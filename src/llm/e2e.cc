@@ -7,7 +7,7 @@
 #include "kernels/ewq_kernels.h"
 #include "kernels/fp16_kernels.h"
 #include "kernels/vq_kernels.h"
-#include "llm/ops.h"
+#include "llm/tensor_parallel.h"
 
 namespace vqllm::llm {
 
@@ -86,32 +86,6 @@ prefillLayersUs(const gpusim::GpuSpec &spec, const LlamaConfig &model,
 }
 
 double
-estimatePrefillUs(const gpusim::GpuSpec &spec, const LlamaConfig &model,
-                  std::size_t batch, std::size_t prompt_len)
-{
-    // Causal attention: ~B*H*(T^2/2)*C MACs per layer.
-    double positions = static_cast<double>(batch) * 0.5 *
-                       static_cast<double>(prompt_len) * prompt_len;
-    return prefillLayersUs(spec, model, batch * prompt_len, positions,
-                           model.heads, model.layerLinearShapes());
-}
-
-double
-estimateChunkedPrefillUs(const gpusim::GpuSpec &spec,
-                         const LlamaConfig &model,
-                         std::size_t slice_tokens,
-                         std::size_t context_tokens)
-{
-    // Each of the T slice tokens attends over the C cached tokens plus
-    // the slice prefix: ~C*T + T^2/2 key positions.
-    double positions =
-        static_cast<double>(slice_tokens) * context_tokens +
-        0.5 * static_cast<double>(slice_tokens) * slice_tokens;
-    return prefillLayersUs(spec, model, slice_tokens, positions,
-                           model.heads, model.layerLinearShapes());
-}
-
-double
 schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
                const GemmShape &shape)
 {
@@ -131,13 +105,6 @@ schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
       }
     }
     return 0;
-}
-
-double
-schemeAttentionUs(compiler::Engine &eng, QuantScheme scheme,
-                  const engine::AttnShape &shape)
-{
-    return kvSchemeAttentionUs(eng, defaultKvScheme(scheme), shape);
 }
 
 double
@@ -162,58 +129,12 @@ kvSchemeAttentionUs(compiler::Engine &eng, KvScheme kv,
     return 0;
 }
 
-double
-schemeLinearUs(const gpusim::GpuSpec &spec, QuantScheme scheme,
-               const GemmShape &shape)
-{
-    return schemeLinearUs(compiler::Engine::shared(spec), scheme, shape);
-}
-
-double
-schemeAttentionUs(const gpusim::GpuSpec &spec, QuantScheme scheme,
-                  const engine::AttnShape &shape)
-{
-    return schemeAttentionUs(compiler::Engine::shared(spec), scheme,
-                             shape);
-}
-
-double
-kvSchemeAttentionUs(const gpusim::GpuSpec &spec, KvScheme kv,
-                    const engine::AttnShape &shape)
-{
-    return kvSchemeAttentionUs(compiler::Engine::shared(spec), kv, shape);
-}
-
 E2EResult
-estimateE2E(const gpusim::GpuSpec &spec, const LlamaConfig &model,
-            QuantScheme scheme, const E2EConfig &cfg)
+estimateFootprint(const LlamaConfig &model, QuantScheme scheme,
+                  const E2EConfig &cfg)
 {
+    // Shared scheme scales (model_config.h).
     E2EResult result;
-
-    // ---- Decode: evaluate one representative step at mid-generation
-    // and scale (kernel latencies vary slowly with sequence length).
-    std::size_t mid_seq = cfg.prompt_len + cfg.gen_tokens / 2;
-    double step_linear_us = 0;
-    for (auto [n, k] : model.layerLinearShapes()) {
-        GemmShape shape{cfg.batch, n, k};
-        step_linear_us += schemeLinearUs(spec, scheme, shape);
-    }
-    double step_attn_us = schemeAttentionUs(
-        spec, scheme, model.attnShape(cfg.batch, mid_seq));
-    double step_elem_us =
-        elementwiseLayerLatencyUs(spec, cfg.batch, model.hidden);
-    double step_us = (step_linear_us + step_elem_us) *
-                         static_cast<double>(model.layers) +
-                     step_attn_us * static_cast<double>(model.layers);
-    result.decode_us = step_us * static_cast<double>(cfg.gen_tokens);
-    result.elementwise_fraction =
-        step_elem_us * model.layers / step_us;
-
-    // ---- Prefill (scheme-independent, see estimatePrefillUs).
-    result.prefill_us =
-        estimatePrefillUs(spec, model, cfg.batch, cfg.prompt_len);
-
-    // ---- Memory footprint (shared scheme scales, model_config.h).
     result.weight_bytes = static_cast<std::uint64_t>(
         static_cast<double>(model.decoderParams()) *
         schemeWeightBytesPerParam(scheme));
@@ -221,6 +142,34 @@ estimateE2E(const gpusim::GpuSpec &spec, const LlamaConfig &model,
         static_cast<double>(model.kvCacheBytesFp16(
             cfg.batch, cfg.prompt_len + cfg.gen_tokens)) *
         kvSchemeScale(defaultKvScheme(scheme)));
+    return result;
+}
+
+E2EResult
+estimateE2E(const gpusim::GpuSpec &spec, const LlamaConfig &model,
+            QuantScheme scheme, const E2EConfig &cfg)
+{
+    E2EResult result = estimateFootprint(model, scheme, cfg);
+
+    // ---- Decode: evaluate one representative step at mid-generation
+    // and scale (kernel latencies vary slowly with sequence length).
+    // A single GPU is a TP group of one.
+    const DecodeStep step =
+        estimateDecodeStep(spec, model, scheme, TpConfig{}, cfg.batch,
+                           cfg.prompt_len + cfg.gen_tokens / 2);
+    const double layers = static_cast<double>(model.layers);
+    const double step_us = step.layerUs() * layers;
+    result.decode_us = step_us * static_cast<double>(cfg.gen_tokens);
+    result.elementwise_fraction = step.elementwise_us * layers / step_us;
+
+    // ---- Prefill (scheme-independent, see prefillLayersUs): causal
+    // attention spans ~B*H*(T^2/2)*C MACs per layer.
+    double positions = static_cast<double>(cfg.batch) * 0.5 *
+                       static_cast<double>(cfg.prompt_len) *
+                       cfg.prompt_len;
+    result.prefill_us =
+        prefillLayersUs(spec, model, cfg.batch * cfg.prompt_len,
+                        positions, model.heads, model.layerLinearShapes());
     return result;
 }
 

@@ -60,6 +60,9 @@ struct E2EResult
 /**
  * Estimate an end-to-end generation run.
  *
+ * The decode step is the tensor-parallel step at degree 1
+ * (llm::estimateDecodeStep in llm/tensor_parallel.h).
+ *
  * @param spec   target GPU
  * @param model  model configuration
  * @param scheme quantization scheme
@@ -70,38 +73,24 @@ E2EResult estimateE2E(const gpusim::GpuSpec &spec,
                       const E2EConfig &cfg = E2EConfig{});
 
 /**
- * Full-stack prefill latency of a batch of equal-length prompts.
- *
- * GeMM-dominated: weight quantization barely helps the compute-bound
- * prefill, so every scheme prices GeMMs with the FP16 model (the paper
- * leaves cutlass GeMM unmodified, Sec. VII-D), plus the causal
- * attention flops.  Shared by estimateE2E and the serving simulator's
- * iteration pricer.
+ * The memory fields of estimateE2E (weight_bytes and kv_bytes; the
+ * latencies stay 0): the decoder weights under `scheme`, and the KV
+ * cache of the whole batch at the end of generation under the scheme's
+ * default KV storage.  estimateTensorParallel shards this footprint.
  */
-double estimatePrefillUs(const gpusim::GpuSpec &spec,
-                         const LlamaConfig &model, std::size_t batch,
-                         std::size_t prompt_len);
-
-/**
- * Prefill latency of one chunk of a single sequence: `slice_tokens`
- * prompt tokens run against `context_tokens` already-cached tokens
- * (chunked prefill).  The slice's GeMMs see slice_tokens rows; its
- * causal attention spans the cached context plus the slice prefix.
- * With context 0 and the whole prompt as the slice this equals
- * estimatePrefillUs(spec, model, 1, prompt_len).
- */
-double estimateChunkedPrefillUs(const gpusim::GpuSpec &spec,
-                                const LlamaConfig &model,
-                                std::size_t slice_tokens,
-                                std::size_t context_tokens);
+E2EResult estimateFootprint(const LlamaConfig &model, QuantScheme scheme,
+                            const E2EConfig &cfg = E2EConfig{});
 
 /**
  * Shared prefill-layer pricing over explicit linear shapes and a head
  * count: FP16 GeMMs over `rows` tokens per layer plus causal attention
- * over `attn_positions` key positions, scaled to all layers.  Every
- * prefill entry point — whole-prompt, chunked, and the tensor-parallel
- * shard overload (which passes sharded geometry) — prices through
- * here, so the estimates cannot drift apart.
+ * over `attn_positions` key positions, scaled to all layers.
+ * GeMM-dominated: weight quantization barely helps the compute-bound
+ * prefill, so every scheme prices its GeMMs with the FP16 model (the
+ * paper leaves cutlass GeMM unmodified, Sec. VII-D).  estimateE2E's
+ * whole-prompt prefill and llm::estimateChunkedPrefillUs (which passes
+ * one TP shard's geometry) both price through here, so the estimates
+ * cannot drift apart.
  */
 double prefillLayersUs(
     const gpusim::GpuSpec &spec, const LlamaConfig &model,
@@ -119,29 +108,15 @@ double prefillLayersUs(
 double schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
                       const engine::GemmShape &shape);
 
-/** Latency of one decode-attention kernel under a scheme (compiled
- *  through `eng` for the VQ schemes, like schemeLinearUs).  Equivalent
- *  to kvSchemeAttentionUs with defaultKvScheme(scheme). */
-double schemeAttentionUs(compiler::Engine &eng, QuantScheme scheme,
-                         const engine::AttnShape &shape);
-
 /**
- * Latency of one decode-attention kernel under an explicit KV storage
- * scheme: FP16 KV prices the closed-form flash-decoding model, INT4 KV
- * the element-wise dequant model, and the VQ schemes compile a fused
+ * Latency of one decode-attention kernel under a KV storage scheme:
+ * FP16 KV prices the closed-form flash-decoding model, INT4 KV the
+ * element-wise dequant model, and the VQ schemes compile a fused
  * dequant-attention kernel through `eng` carrying the KV `VQConfig`
- * (plan-cache hits in the serving steady state).
+ * (plan-cache hits in the serving steady state).  A weight scheme's
+ * own KV storage is llm::defaultKvScheme(scheme).
  */
 double kvSchemeAttentionUs(compiler::Engine &eng, KvScheme kv,
-                           const engine::AttnShape &shape);
-
-/** Convenience overloads pricing through the process-wide shared
- *  engine of `spec` (compiler::Engine::shared). */
-double schemeLinearUs(const gpusim::GpuSpec &spec, QuantScheme scheme,
-                      const engine::GemmShape &shape);
-double schemeAttentionUs(const gpusim::GpuSpec &spec, QuantScheme scheme,
-                         const engine::AttnShape &shape);
-double kvSchemeAttentionUs(const gpusim::GpuSpec &spec, KvScheme kv,
                            const engine::AttnShape &shape);
 
 } // namespace vqllm::llm

@@ -133,10 +133,9 @@ const char *kvSchemeToken(KvScheme scheme);
  */
 bool parseKvScheme(const std::string &token, KvScheme *out);
 
-/** KV scheme a weight scheme historically implied (FP16 -> FP16,
- *  EWQ4 -> INT4, VQ4 -> VQ4, VQ2 -> VQ2).  Runs that do not override
- *  the KV scheme resolve through this and are bit-identical to the
- *  pre-KvScheme behaviour. */
+/** KV scheme a weight scheme implies (FP16 -> FP16, EWQ4 -> INT4,
+ *  VQ4 -> VQ4, VQ2 -> VQ2): the analytic models' KV storage, and a
+ *  serving run's when serving::SimulatorConfig::kv_scheme is unset. */
 KvScheme defaultKvScheme(QuantScheme scheme);
 
 /** KV codebook configuration of a VQ KV scheme (CQ-2 for VQ2, CQ-4

@@ -1,6 +1,7 @@
 #include "llm/tensor_parallel.h"
 
 #include "common/logging.h"
+#include "compiler/engine.h"
 #include "llm/ops.h"
 
 namespace vqllm::llm {
@@ -80,20 +81,38 @@ estimateChunkedPrefillUs(const gpusim::GpuSpec &spec,
                          std::size_t slice_tokens,
                          std::size_t context_tokens, const TpConfig &tp)
 {
-    if (tp.degree <= 1)
-        return estimateChunkedPrefillUs(spec, model, slice_tokens,
-                                        context_tokens);
     const std::size_t g = static_cast<std::size_t>(tp.degree);
-
-    // Critical (widest) shard: sharded FP16 GeMMs over the slice rows
-    // plus head-sharded causal attention, through the same shared
-    // pricing as the single-GPU estimates — only the geometry differs.
+    // Each of the T slice tokens attends over the C cached tokens plus
+    // the slice prefix: ~C*T + T^2/2 key positions.
     double positions =
         static_cast<double>(slice_tokens) * context_tokens +
         0.5 * static_cast<double>(slice_tokens) * slice_tokens;
     return prefillLayersUs(spec, model, slice_tokens, positions,
                            shardSplit(model.heads, g, 0),
                            shardLinearShapes(model, g, 0));
+}
+
+DecodeStep
+estimateDecodeStep(const gpusim::GpuSpec &spec, const LlamaConfig &model,
+                   QuantScheme scheme, const TpConfig &tp,
+                   std::size_t batch, std::size_t seq_len)
+{
+    compiler::Engine &eng = compiler::Engine::shared(spec);
+    const std::size_t g = static_cast<std::size_t>(tp.degree);
+    DecodeStep step;
+    // Megatron layout: column-parallel Wq/Wk/Wv/W_gate/W_up split the
+    // output features, row-parallel Wo/W_down the reduced ones.
+    for (auto [n, k] : shardLinearShapes(model, g, 0))
+        step.linear_us +=
+            schemeLinearUs(eng, scheme, engine::GemmShape{batch, n, k});
+    step.attn_us = kvSchemeAttentionUs(
+        eng, defaultKvScheme(scheme),
+        shardAttnShape(model, batch, seq_len, g, 0));
+    step.elementwise_us =
+        elementwiseLayerLatencyUs(spec, batch, model.hidden);
+    // Two all-reduces per layer (after Wo and after W_down).
+    step.comm_us = layerAllReduceUs(tp, batch, model.hidden);
+    return step;
 }
 
 TpResult
@@ -104,44 +123,22 @@ estimateTensorParallel(const gpusim::GpuSpec &spec,
     vqllm_assert(tp.degree >= 1, "TP degree must be >= 1");
     vqllm_assert(model.heads % tp.degree == 0,
                  "heads must divide evenly across TP ranks");
-    const std::size_t g = static_cast<std::size_t>(tp.degree);
+    const double layers = static_cast<double>(model.layers);
+    const double gen_tokens = static_cast<double>(cfg.gen_tokens);
     TpResult result;
 
-    // ---- Sharded per-layer linears (Megatron layout):
-    //  column-parallel: Wq/Wk/Wv (n/G), W_gate/W_up (n/G)
-    //  row-parallel:    Wo (k/G), W_down (k/G)
-    std::size_t mid_seq = cfg.prompt_len + cfg.gen_tokens / 2;
-    double step_linear_us = 0;
-    for (auto [n, k] : shardLinearShapes(model, g, 0)) {
-        engine::GemmShape shard{cfg.batch, n, k};
-        step_linear_us += schemeLinearUs(spec, scheme, shard);
-    }
+    const DecodeStep step =
+        estimateDecodeStep(spec, model, scheme, tp, cfg.batch,
+                           cfg.prompt_len + cfg.gen_tokens / 2);
+    result.decode_us = step.layerUs() * layers * gen_tokens;
+    result.comm_us_per_step = step.comm_us * layers;
+    result.comm_fraction =
+        result.comm_us_per_step * gen_tokens / result.decode_us;
 
-    // ---- Head-sharded attention.
-    double step_attn_us = schemeAttentionUs(
-        spec, scheme, shardAttnShape(model, cfg.batch, mid_seq, g, 0));
-
-    // ---- Element-wise ops run replicated on the full hidden width.
-    double step_elem_us =
-        elementwiseLayerLatencyUs(spec, cfg.batch, model.hidden);
-
-    // ---- Two all-reduces per layer (after Wo and after W_down).
-    double comm_layer_us = layerAllReduceUs(tp, cfg.batch, model.hidden);
-
-    double step_us =
-        (step_linear_us + step_attn_us + step_elem_us + comm_layer_us) *
-        static_cast<double>(model.layers);
-    result.decode_us = step_us * static_cast<double>(cfg.gen_tokens);
-    result.comm_us_per_step =
-        comm_layer_us * static_cast<double>(model.layers);
-    result.comm_fraction = result.comm_us_per_step *
-                           static_cast<double>(cfg.gen_tokens) /
-                           result.decode_us;
-
-    // ---- Per-GPU memory: weights and KV shard by G.
-    E2EResult single = estimateE2E(spec, model, scheme, cfg);
+    // ---- Per-GPU memory: weights and KV shard by the degree.
     result.memory_per_gpu =
-        (single.weight_bytes + single.kv_bytes) / g;
+        estimateFootprint(model, scheme, cfg).totalMemoryBytes() /
+        static_cast<std::size_t>(tp.degree);
     return result;
 }
 

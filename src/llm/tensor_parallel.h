@@ -113,16 +113,53 @@ engine::AttnShape shardAttnShape(const LlamaConfig &model,
                                  std::size_t degree, std::size_t shard);
 
 /**
- * TP-aware chunked-prefill compute latency: the critical shard's
- * sharded GeMMs plus head-sharded causal attention over the cached
- * context (no collectives — callers add layerAllReduceUs per layer).
- * Degree <= 1 delegates to the single-GPU estimateChunkedPrefillUs and
- * is bit-identical to it.
+ * Chunked-prefill compute latency of the critical (widest) TP shard:
+ * `slice_tokens` prompt tokens run against `context_tokens`
+ * already-cached tokens.  The slice's sharded GeMMs see slice_tokens
+ * rows; its head-sharded causal attention spans the cached context
+ * plus the slice prefix.  No collectives — callers add
+ * layerAllReduceUs per layer.  Degree 1 is the single-GPU slice.
  */
 double estimateChunkedPrefillUs(const gpusim::GpuSpec &spec,
                                 const LlamaConfig &model,
                                 std::size_t slice_tokens,
                                 std::size_t context_tokens,
                                 const TpConfig &tp);
+
+/**
+ * Per-layer prices of one decode step on the critical (widest) shard
+ * of a TP group, microseconds.  Degree 1 is the single-GPU step:
+ * unsharded shapes and no collectives.
+ */
+struct DecodeStep
+{
+    /** Sharded linears (Megatron layout, shardLinearShapes). */
+    double linear_us = 0;
+    /** Head-sharded decode attention (shardAttnShape). */
+    double attn_us = 0;
+    /** Element-wise ops, replicated on the full hidden width. */
+    double elementwise_us = 0;
+    /** The layer's two ring all-reduces (layerAllReduceUs). */
+    double comm_us = 0;
+
+    /** One layer of the step. */
+    double
+    layerUs() const
+    {
+        return linear_us + attn_us + elementwise_us + comm_us;
+    }
+};
+
+/**
+ * Price one decode step of `batch` sequences at `seq_len` context
+ * tokens: linears under `scheme`, attention under the scheme's default
+ * KV storage, compiled through the process-wide shared engine of
+ * `spec` (compiler::Engine::shared).  estimateE2E (at degree 1) and
+ * estimateTensorParallel take their representative step from here.
+ */
+DecodeStep estimateDecodeStep(const gpusim::GpuSpec &spec,
+                              const LlamaConfig &model,
+                              QuantScheme scheme, const TpConfig &tp,
+                              std::size_t batch, std::size_t seq_len);
 
 } // namespace vqllm::llm

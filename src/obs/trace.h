@@ -27,8 +27,7 @@
  *
  * Tracing is opt-in and zero-cost when off: every instrumentation site
  * holds a `TraceRecorder *` that defaults to nullptr and checks it
- * before doing any work, so a run without a recorder executes exactly
- * the pre-instrumentation code path.  Recording methods are
+ * before doing any work.  Recording methods are
  * mutex-guarded, so one recorder may observe components shared across
  * threads (a traced run itself is sequential, which is what keeps the
  * event order deterministic).

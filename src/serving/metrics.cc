@@ -10,9 +10,6 @@
 
 namespace vqllm::serving {
 
-namespace {
-
-/** %.17g — shortest representation that round-trips a double. */
 std::string
 jsonDouble(double v)
 {
@@ -40,8 +37,6 @@ writeLatency(std::ostream &os, const char *name, const LatencyStats &s)
        << ",\"p99_us\":" << jsonDouble(s.p99_us)
        << ",\"max_us\":" << jsonDouble(s.max_us) << "}";
 }
-
-} // namespace
 
 double
 percentile(const std::vector<double> &sorted, double q)
@@ -271,30 +266,22 @@ ServingReport::json() const
        << ",\"codebook_hit_rate\":" << jsonDouble(codebook_hit_rate)
        << ",\"plan_cache_hits\":" << jsonU64(plan_cache_hits)
        << ",\"plan_cache_misses\":" << jsonU64(plan_cache_misses)
-       << ",\"plan_cache_evictions\":" << jsonU64(plan_cache_evictions);
-    if (prefix_cache_enabled) {
-        // Emitted only when the cache served the run: cache-off
-        // reports stay byte-identical to pre-cache builds.
-        os << ",\"prefix_cache\":{\"lookups\":" << jsonU64(prefix_lookups)
-           << ",\"hits\":" << jsonU64(prefix_hits)
-           << ",\"matched_tokens\":" << jsonU64(prefix_matched_tokens)
-           << ",\"evicted_blocks\":" << jsonU64(prefix_evicted_blocks)
-           << ",\"cached_blocks\":" << jsonU64(prefix_cached_blocks)
-           << ",\"cow_forks\":" << jsonU64(cow_forks)
-           << ",\"hit_rate\":" << jsonDouble(prefix_hit_rate) << "}";
-    }
-    if (kv_scheme != "fp16") {
-        // Emitted only for compressed KV: FP16-KV reports stay
-        // byte-identical to pre-KvScheme builds.
-        os << ",\"kv_scheme\":{\"scheme\":\"" << kv_scheme << "\""
-           << ",\"bytes_per_token\":" << jsonU64(kv_bytes_per_token)
-           << ",\"capacity_multiplier\":"
-           << jsonDouble(kv_capacity_multiplier)
-           << ",\"dequant_us\":" << jsonDouble(kv_dequant_us)
-           << ",\"peak_running_seqs\":" << jsonU64(peak_running_seqs)
-           << "}";
-    }
-    os << ",\"shards\":[";
+       << ",\"plan_cache_evictions\":" << jsonU64(plan_cache_evictions)
+       << ",\"prefix_cache\":{\"enabled\":"
+       << (prefix_cache_enabled ? "true" : "false")
+       << ",\"lookups\":" << jsonU64(prefix_lookups)
+       << ",\"hits\":" << jsonU64(prefix_hits)
+       << ",\"matched_tokens\":" << jsonU64(prefix_matched_tokens)
+       << ",\"evicted_blocks\":" << jsonU64(prefix_evicted_blocks)
+       << ",\"cached_blocks\":" << jsonU64(prefix_cached_blocks)
+       << ",\"cow_forks\":" << jsonU64(cow_forks)
+       << ",\"hit_rate\":" << jsonDouble(prefix_hit_rate) << "}"
+       << ",\"kv_scheme\":{\"scheme\":\"" << kv_scheme << "\""
+       << ",\"bytes_per_token\":" << jsonU64(kv_bytes_per_token)
+       << ",\"capacity_multiplier\":" << jsonDouble(kv_capacity_multiplier)
+       << ",\"dequant_us\":" << jsonDouble(kv_dequant_us)
+       << ",\"peak_running_seqs\":" << jsonU64(peak_running_seqs) << "}"
+       << ",\"shards\":[";
     for (std::size_t i = 0; i < shards.size(); ++i) {
         const ShardReport &s = shards[i];
         if (i > 0)

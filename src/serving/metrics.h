@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,14 @@ double percentile(const std::vector<double> &sorted, double q);
 
 /** Summarize a latency population (sorts a copy; empty input → zeros). */
 LatencyStats summarize(std::vector<double> samples);
+
+// JSON writers of ServingReport::json() and fleet::FleetReport::json().
+/** %.17g: the shortest form that round-trips a double. */
+std::string jsonDouble(double v);
+std::string jsonU64(std::uint64_t v);
+/** `"name":{"count":..,"mean_us":..,"p50_us":..,..,"max_us":..}`. */
+void writeLatency(std::ostream &os, const char *name,
+                  const LatencyStats &s);
 
 /**
  * Accumulator the simulator feeds while the clock advances.
@@ -178,9 +187,8 @@ struct ServingReport
     std::uint64_t plan_cache_evictions = 0;
 
     // Cross-request prefix caching (SimulatorConfig::prefix_cache).
-    // The fields below stay at their defaults — and out of json() /
-    // summary() — when the cache is off, keeping cache-off reports
-    // bit-identical to pre-cache builds.
+    // The fields below stay at their defaults when the cache is off;
+    // json() always carries them, summary() only when enabled.
     /** True when the run served with the prefix cache enabled. */
     bool prefix_cache_enabled = false;
     /** Prefix-bearing prompts matched against the index. */
@@ -203,11 +211,9 @@ struct ServingReport
      *  prefilled), [0,1]. */
     double prefix_hit_rate = 0;
 
-    // KV storage scheme (SimulatorConfig::kv_scheme).  Like the prefix
-    // section above, the JSON/summary section only appears when the
-    // resolved KV scheme is not FP16 — FP16-KV reports stay
-    // bit-identical to pre-KvScheme builds.  The struct fields are
-    // populated for every run.
+    // KV storage scheme (SimulatorConfig::kv_scheme), populated for
+    // every run.  json() always carries them; summary() only when the
+    // resolved KV scheme is not FP16.
     /** CLI/JSON token of the resolved KV scheme ("fp16", "int4",
      *  "vq4", "vq2"). */
     std::string kv_scheme = "fp16";

@@ -8,12 +8,9 @@
 
 namespace vqllm::serving {
 
-PrefixCache::PrefixCache(KvBlockPool &pool, const PrefixCacheConfig &cfg)
-    : pool_(pool), cfg_(cfg)
+PrefixCache::PrefixCache(KvBlockPool &pool, std::uint64_t capacity_blocks)
+    : pool_(pool), capacity_blocks_(capacity_blocks)
 {
-    vqllm_assert(cfg_.block_tokens > 0, "block_tokens must be positive");
-    vqllm_assert(cfg_.block_tokens == pool_.config().block_tokens,
-                "prefix cache block size must match the KV pool");
     pool_.setReclaimer(
         [this](std::uint64_t need) { reclaim(need); },
         [this] { return evictableBlocks(); });
@@ -53,7 +50,7 @@ PrefixCache::match(const Request &r)
     if (r.prefix_group < 0 || r.prefix_tokens == 0 || r.prompt_len < 2)
         return m;
     ++stats_.lookups;
-    const std::size_t bt = cfg_.block_tokens;
+    const std::size_t bt = pool_.config().block_tokens;
     // Leave at least one prompt token to prefill: attention needs a
     // query, and a zero-token admission could not take a slice.
     const std::size_t cap =
@@ -126,7 +123,7 @@ PrefixCache::onPrefillAdvance(const Request &r)
 {
     if (r.prefix_group < 0 || r.prefix_tokens == 0)
         return;
-    const std::size_t bt = cfg_.block_tokens;
+    const std::size_t bt = pool_.config().block_tokens;
     const std::size_t written =
         std::min(r.prefilled_tokens, r.prefix_tokens);
     auto prog = inserted_.find(r.id);
@@ -173,8 +170,8 @@ PrefixCache::insertNode(const Request &r, std::size_t index,
     // The parent is never the capacity victim: it can be an unpinned
     // leaf (its writer retired; this writer holds its own copy of that
     // block), and the new node must hang off it.
-    if (cfg_.capacity_blocks > 0 &&
-        nodes_.size() >= cfg_.capacity_blocks &&
+    if (capacity_blocks_ > 0 &&
+        nodes_.size() >= capacity_blocks_ &&
         !evictOne(false, parent)) {
         ++stats_.skipped_inserts;
         return false;

@@ -60,16 +60,6 @@ class MetricsRegistry;
 
 namespace vqllm::serving {
 
-/** Static parameters of the prefix cache. */
-struct PrefixCacheConfig
-{
-    /** Tokens per block; must match the KV pool's. */
-    std::size_t block_tokens = 16;
-    /** Max cached nodes (= cached blocks); 0 = bounded only by pool
-     *  pressure via the reclaimer. */
-    std::uint64_t capacity_blocks = 0;
-};
-
 /** Lifetime counters of the prefix cache. */
 struct PrefixCacheStats
 {
@@ -101,12 +91,15 @@ struct PrefixCacheStats
  * (or rollbackAttach() if admission then stalls), onPrefillAdvance()
  * after every prefill slice, onRelease() at retire/preempt.  The
  * constructor registers the cache as the pool's reclaimer; the
- * destructor drops every cached reference and unregisters.
+ * destructor drops every cached reference and unregisters.  Nodes are
+ * the pool's blocks, so they hold the pool's block_tokens.
  */
 class PrefixCache
 {
   public:
-    PrefixCache(KvBlockPool &pool, const PrefixCacheConfig &cfg);
+    /** @param capacity_blocks max cached nodes (= cached blocks); 0 =
+     *  bounded only by pool pressure via the reclaimer. */
+    PrefixCache(KvBlockPool &pool, std::uint64_t capacity_blocks);
     ~PrefixCache();
 
     PrefixCache(const PrefixCache &) = delete;
@@ -160,7 +153,6 @@ class PrefixCache
     std::size_t cachedTokens() const { return cached_tokens_; }
 
     const PrefixCacheStats &stats() const { return stats_; }
-    const PrefixCacheConfig &config() const { return cfg_; }
 
     /** Attach a trace recorder (nullptr = off): prefix_hit /
      *  prefix_rollback / prefix_evict record as instants. */
@@ -206,7 +198,7 @@ class PrefixCache
     void eraseNode(std::uint64_t hash);
 
     KvBlockPool &pool_;
-    PrefixCacheConfig cfg_;
+    std::uint64_t capacity_blocks_;
     /** Owns the nodes; element addresses are stable across rehashes,
      *  which is what lets leaves_ point into it. */
     std::unordered_map<std::uint64_t, Node> nodes_;

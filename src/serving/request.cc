@@ -90,15 +90,19 @@ parseTraceLine(const std::string &line, std::size_t lineno,
     return fields;
 }
 
-/** Non-negative integral field check for token counts and group ids. */
+/** Integral field check for token counts and group ids: 0..2^53, the
+ *  range in which a double holds every integer (beyond it, and for inf,
+ *  the conversion to an integer count would wrap or be undefined). */
 std::uint64_t
 traceCount(double value, const char *key, std::size_t lineno,
            const std::string &path)
 {
-    if (!(value >= 0) || value != std::floor(value))
+    // Negated so NaN fails too.
+    if (!(value >= 0 && value <= 0x1p53) || value != std::floor(value))
         vqllm_fatal("malformed trace line ", lineno, " in ", path,
                     ": field '", key,
-                    "' must be a non-negative integer, got ", value);
+                    "' must be a non-negative integer of at most 2^53, "
+                    "got ", value);
     return static_cast<std::uint64_t>(value);
 }
 

@@ -34,6 +34,11 @@ sliceTokens(std::size_t remaining, std::size_t budget, std::size_t avail)
     return take;
 }
 
+/** Host->device bandwidth of codebook-group uploads, GB/s. */
+constexpr double kUploadGbps = 32.0;
+/** Fixed per-upload latency (launch + synchronization), us. */
+constexpr double kUploadFixedUs = 10.0;
+
 /** Shard 0's GPU spec, once the engine list is known to hold one
  *  non-null engine per TP shard (checked before anything reads it). */
 const gpusim::GpuSpec &
@@ -391,40 +396,19 @@ Scheduler::retire(Request *r)
 // ---------------------------------------------------------------------
 // IterationPricer
 
-IterationPricer::IterationPricer(compiler::Engine &eng,
-                                 const llm::LlamaConfig &model,
-                                 llm::QuantScheme scheme,
-                                 const PricerConfig &cfg)
-    : IterationPricer(std::vector<compiler::Engine *>{&eng}, model,
-                      scheme, llm::TpConfig{}, cfg)
-{
-}
-
 IterationPricer::IterationPricer(std::vector<compiler::Engine *> engines,
                                  const llm::LlamaConfig &model,
                                  llm::QuantScheme scheme,
-                                 const llm::TpConfig &tp,
-                                 const PricerConfig &cfg)
-    : IterationPricer(std::move(engines), model, scheme,
-                      llm::defaultKvScheme(scheme), tp, cfg)
-{
-}
-
-IterationPricer::IterationPricer(std::vector<compiler::Engine *> engines,
-                                 const llm::LlamaConfig &model,
-                                 llm::QuantScheme scheme,
-                                 llm::KvScheme kv, const llm::TpConfig &tp,
-                                 const PricerConfig &cfg)
+                                 llm::KvScheme kv, const llm::TpConfig &tp)
     : engines_(std::move(engines)), spec_(shardSpec(engines_, tp)),
       model_(model), scheme_(scheme), kv_scheme_(kv),
       closed_form_linears_(scheme == llm::QuantScheme::FP16 ||
                            scheme == llm::QuantScheme::EWQ4),
       closed_form_attn_(kv == llm::KvScheme::FP16 ||
                         kv == llm::KvScheme::INT4),
-      tp_(tp), cfg_(cfg), shard_deltas_(engines_.size()),
+      tp_(tp), shard_deltas_(engines_.size()),
       attn_memo_(engines_.size())
 {
-    vqllm_assert(cfg_.seq_bucket > 0, "seq_bucket must be positive");
     vqllm_assert(model_.heads % tp_.degree == 0,
                  "heads must divide evenly across TP ranks");
     vqllm_assert(model_.kvHeads() >=
@@ -436,20 +420,19 @@ double
 IterationPricer::prefillChunkUs(std::size_t tokens, std::size_t context)
 {
     // Bucket both dimensions for memoization; chunk cost is smooth in
-    // slice length and context.  Slices below one seq_bucket get a
+    // slice length and context.  Slices below one bucket get a
     // finer granularity — budget sharing routinely produces small
     // leftover slices, and charging each a whole bucket of phantom
     // tokens would systematically overprice the chunked regime.
     auto bucketTo = [](std::size_t n, std::size_t b) {
         return ((n + b - 1) / b) * b;
     };
-    const std::size_t bucket = cfg_.seq_bucket;
-    std::size_t fine =
-        std::min<std::size_t>(32, std::max<std::size_t>(bucket / 8, 1));
+    constexpr std::size_t bucket = kSeqBucket;
+    constexpr std::size_t fine = bucket / 8;
     tokens = std::max<std::size_t>(tokens, 1);
     // Memo column: fine slices number 1..fine_slots, whole-bucket
     // slices follow them.
-    const std::size_t fine_slots = (bucket + fine - 1) / fine;
+    constexpr std::size_t fine_slots = (bucket + fine - 1) / fine;
     std::size_t slice, col;
     if (tokens < bucket) {
         slice = bucketTo(tokens, fine);
@@ -499,7 +482,7 @@ IterationPricer::decodeAttnUs(compiler::Engine &eng, std::size_t shard,
     auto price = [&] {
         return llm::kvSchemeAttentionUs(
             eng, kv_scheme_,
-            llm::shardAttnShape(model_, batch, bucket * cfg_.seq_bucket,
+            llm::shardAttnShape(model_, batch, bucket * kSeqBucket,
                                 static_cast<std::size_t>(tp_.degree),
                                 shard));
     };
@@ -518,7 +501,7 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
     // (flash-decoding style), in ascending bucket order.
     for (const Request *r : batch) {
         std::size_t ctx = std::max<std::size_t>(r->contextTokens(), 1);
-        std::size_t bucket = (ctx + cfg_.seq_bucket - 1) / cfg_.seq_bucket;
+        std::size_t bucket = (ctx + kSeqBucket - 1) / kSeqBucket;
         if (bucket >= bucket_counts_.size())
             bucket_counts_.resize(bucket + 1, 0);
         if (bucket_counts_[bucket]++ == 0)
@@ -574,7 +557,7 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
                 return llm::kvSchemeAttentionUs(
                     *engines_[0], llm::KvScheme::FP16,
                     llm::shardAttnShape(
-                        model_, count, bucket * cfg_.seq_bucket,
+                        model_, count, bucket * kSeqBucket,
                         static_cast<std::size_t>(tp_.degree), 0));
             });
         }
@@ -638,7 +621,7 @@ IterationPricer::codebookGroupBytes() const
     // the flattened KV heads, per layer, for K and V.
     std::uint64_t channels = model_.kvHeads() * model_.head_dim;
     std::uint64_t books_per_layer =
-        2 * (channels + kv_cfg.vector_size - 1) / kv_cfg.vector_size;
+        2 * ((channels + kv_cfg.vector_size - 1) / kv_cfg.vector_size);
     return books_per_layer * model_.layers * kv_cfg.codebookBytes();
 }
 
@@ -650,18 +633,16 @@ IterationPricer::codebookMissUs(std::size_t misses)
     std::uint64_t bytes = codebookGroupBytes();
     if (bytes == 0)
         return 0;
-    if (tp_.degree > 1) {
-        // Each device uploads only its KV-head shard and the uploads
-        // overlap across devices, so the serialized penalty is the
-        // critical (widest) shard's share of the group.
-        std::size_t degree = static_cast<std::size_t>(tp_.degree);
-        std::uint64_t kv_heads = model_.kvHeads();
-        std::uint64_t shard_heads = llm::shardSplit(kv_heads, degree, 0);
-        bytes = (bytes * shard_heads + kv_heads - 1) / kv_heads;
-    }
+    // Each device uploads only its KV-head shard and the uploads overlap
+    // across devices, so the serialized penalty is the critical
+    // (widest) shard's share of the group (all of it at degree 1).
+    std::uint64_t kv_heads = model_.kvHeads();
+    std::uint64_t shard_heads = llm::shardSplit(
+        kv_heads, static_cast<std::size_t>(tp_.degree), 0);
+    bytes = (bytes * shard_heads + kv_heads - 1) / kv_heads;
     double per_upload_us =
-        static_cast<double>(bytes) / (cfg_.upload_gbps * 1e9) * 1e6 +
-        cfg_.upload_fixed_us;
+        static_cast<double>(bytes) / (kUploadGbps * 1e9) * 1e6 +
+        kUploadFixedUs;
     double upload_us = per_upload_us * static_cast<double>(misses);
     last_breakdown_.codebook_upload_us += upload_us;
     totals_.codebook_upload_us += upload_us;

@@ -31,7 +31,7 @@
  *
  * IterationPricer turns a formed iteration into simulated microseconds
  * by calling the same machinery the end-to-end model uses
- * (llm::schemeLinearUs / schemeAttentionUs, which compile adaptive VQ
+ * (llm::schemeLinearUs / kvSchemeAttentionUs, which compile adaptive VQ
  * kernels through the compiler::Engine facade and price them with
  * gpusim::CostModel).  Decode attention is priced per context-length
  * bucket — mirroring flash-decoding's homogeneous sub-launches over a
@@ -197,17 +197,6 @@ class Scheduler
     PrefixCache *prefix_cache_ = nullptr;
 };
 
-/** Tunables of the iteration pricer. */
-struct PricerConfig
-{
-    /** Context-length bucket for attention memoization, tokens. */
-    std::size_t seq_bucket = 256;
-    /** Host->device bandwidth for codebook-group uploads, GB/s. */
-    double upload_gbps = 32.0;
-    /** Fixed per-upload latency (launch + synchronization), us. */
-    double upload_fixed_us = 10.0;
-};
-
 /**
  * Prices scheduler iterations in simulated microseconds, across the
  * shards of a tensor-parallel deployment.
@@ -222,8 +211,7 @@ struct PricerConfig
  * llm::shardLinearShapes / shardAttnShape, the same helpers
  * llm::estimateTensorParallel uses, so the two models stay consistent)
  * plus the two per-layer ring all-reduces via llm::layerAllReduceUs.
- * Degree 1 takes the exact pre-TP arithmetic: no collectives, unsharded
- * shapes, bit-identical pricing.
+ * Degree 1 is a TP group of one: unsharded shapes, no collectives.
  *
  * VQ kernels are memoized only by the engines' plan caches, so every
  * VQ price is a compileBest lookup and the per-shard plan-cache deltas
@@ -303,37 +291,23 @@ class IterationPricer
         std::size_t decode_batch = 0;
     };
 
-    /** Single-GPU convenience: degree-1 TP over one engine.  The KV
-     *  storage scheme follows the weight scheme
-     *  (llm::defaultKvScheme). */
-    IterationPricer(compiler::Engine &eng,
-                    const llm::LlamaConfig &model,
-                    llm::QuantScheme scheme,
-                    const PricerConfig &cfg = PricerConfig{});
+    /** Context-length bucket of attention and prefill memoization,
+     *  tokens. */
+    static constexpr std::size_t kSeqBucket = 256;
 
     /**
-     * Tensor-parallel pricer: one engine per shard (entries may repeat
-     * one shared engine).  engines.size() must equal tp.degree, and
-     * model.heads must divide evenly across the degree.  The KV
-     * storage scheme follows the weight scheme.
-     */
-    IterationPricer(std::vector<compiler::Engine *> engines,
-                    const llm::LlamaConfig &model,
-                    llm::QuantScheme scheme, const llm::TpConfig &tp,
-                    const PricerConfig &cfg = PricerConfig{});
-
-    /**
-     * Fully decoupled pricer: weight scheme `scheme` for the decode
-     * linears, KV storage scheme `kv` for decode attention (FP16 KV
-     * prices flash decoding, INT4 the element-wise dequant path, VQ4 /
-     * VQ2 compile fused dequant-attention kernels carrying the KV
-     * VQConfig) and for the codebook-residency model.
+     * One engine per TP shard (entries may repeat one shared engine):
+     * engines.size() must equal tp.degree, and model.heads must divide
+     * evenly across the degree.  Weight scheme `scheme` prices the
+     * decode linears; KV storage scheme `kv` prices decode attention
+     * (FP16 KV prices flash decoding, INT4 the element-wise dequant
+     * path, VQ4 / VQ2 compile fused dequant-attention kernels carrying
+     * the KV VQConfig) and sizes the codebook-residency model.
      */
     IterationPricer(std::vector<compiler::Engine *> engines,
                     const llm::LlamaConfig &model,
                     llm::QuantScheme scheme, llm::KvScheme kv,
-                    const llm::TpConfig &tp,
-                    const PricerConfig &cfg = PricerConfig{});
+                    const llm::TpConfig &tp);
 
     /** Full mixed iteration: chunked-prefill GEMM slices plus decode
      *  attention buckets plus (degree > 1) the per-layer collectives,
@@ -462,7 +436,6 @@ class IterationPricer
     bool closed_form_linears_;
     bool closed_form_attn_;
     llm::TpConfig tp_;
-    PricerConfig cfg_;
     double comm_us_ = 0;
     double kv_dequant_us_ = 0;
     /** Cumulative breakdown (comm tracked by comm_us_ above). */
@@ -473,7 +446,7 @@ class IterationPricer
     std::vector<ShardCacheDelta> shard_deltas_;
 
     // Closed-form price memos (see the class comment).  Bucket keys
-    // number context buckets of cfg_.seq_bucket tokens.
+    // number context buckets of kSeqBucket tokens.
     /** (context bucket, slice index) -> prefill slice. */
     PriceMemo prefill_memo_;
     /** (0, batch) -> element-wise ops of one layer. */

@@ -30,16 +30,12 @@ deviceBytesPerToken(std::size_t degree, std::uint64_t total_bpt,
 } // namespace
 
 SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
-    : cfg_(cfg),
-      spec_(cfg.spec != nullptr ? *cfg.spec : gpusim::rtx4090()),
-      model_(cfg.model != nullptr ? *cfg.model : llm::llama7b()),
+    : cfg_(cfg), model_(cfg_.modelConfig()),
       degree_(static_cast<std::size_t>(cfg_.tp.degree)),
-      // KV storage scheme: explicit when configured, otherwise implied
-      // by the weight scheme (the pre-KvScheme behaviour).
-      kv_scheme_(cfg_.kv_scheme.value_or(llm::defaultKvScheme(cfg_.scheme))),
+      kv_scheme_(cfg_.kvScheme()),
       total_bpt_(std::max<std::uint64_t>(
           llm::kvSchemeBytesPerToken(model_, kv_scheme_), 1)),
-      kv_capacity_per_device_(kvCapacityPerDeviceBytes(cfg_, model_)),
+      kv_capacity_per_device_(kvCapacityPerDeviceBytes(cfg_)),
       kv_capacity_bytes_(kv_capacity_per_device_ * degree_),
       device_bpt_(deviceBytesPerToken(degree_, total_bpt_,
                                       model_.kvHeads())),
@@ -55,10 +51,7 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
       trace_rec_(cfg_.trace)
 {
     if (cfg_.prefix_cache) {
-        PrefixCacheConfig pc_cfg;
-        pc_cfg.block_tokens = cfg_.kv_block_tokens;
-        pc_cfg.capacity_blocks = cfg_.prefix_capacity_blocks;
-        prefix_cache_.emplace(pool_, pc_cfg);
+        prefix_cache_.emplace(pool_, cfg_.prefix_capacity_blocks);
         scheduler_.setPrefixCache(&*prefix_cache_);
     }
     // Private per-run engine unless one is injected: reports then
@@ -68,16 +61,16 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
     // per-shard plan-cache deltas still attribute correctly because
     // the pricer snapshots around each shard's pricing.
     eng_ = cfg_.engine != nullptr ? cfg_.engine
-                                  : &local_engine_.emplace(spec_);
+                                  : &local_engine_.emplace(cfg_.gpuSpec());
     plan_stats_before_ = eng_->stats();
     std::vector<compiler::Engine *> shard_engines(degree_, eng_);
     pricer_.emplace(shard_engines, model_, cfg_.scheme, kv_scheme_,
-                    cfg_.tp, cfg_.pricer);
+                    cfg_.tp);
     has_codebooks_ = pricer_->codebookGroupBytes() > 0;
 
     // ---- Observability hookup.  Every instrumentation site guards on
-    // its own nullptr, so a run without a recorder/registry executes
-    // exactly the pre-instrumentation code path (bit-identical report).
+    // its own nullptr, and the report is bit-identical with or without
+    // a recorder/registry.
     if (trace_rec_ != nullptr) {
         trace_rec_->setNow(0);
         trace_rec_->nameTrack(0, "scheduler");
@@ -427,18 +420,14 @@ SimulatorCore::finalize()
             reg.counter("serving.kv.prefix.cow_forks")
                 .add(report.cow_forks);
         }
-        if (kv_scheme_ != llm::KvScheme::FP16) {
-            // Gated like the report's kv_scheme section: FP16-KV
-            // metric exports stay identical to pre-KvScheme builds.
-            reg.gauge("serving.kv.scheme.bytes_per_token")
-                .set(static_cast<double>(total_bpt_));
-            reg.gauge("serving.kv.scheme.capacity_multiplier")
-                .set(report.kv_capacity_multiplier);
-            reg.gauge("serving.kv.scheme.dequant_us")
-                .set(report.kv_dequant_us);
-            reg.gauge("serving.kv.scheme.peak_running_seqs")
-                .set(static_cast<double>(peak_running_));
-        }
+        reg.gauge("serving.kv.scheme.bytes_per_token")
+            .set(static_cast<double>(total_bpt_));
+        reg.gauge("serving.kv.scheme.capacity_multiplier")
+            .set(report.kv_capacity_multiplier);
+        reg.gauge("serving.kv.scheme.dequant_us")
+            .set(report.kv_dequant_us);
+        reg.gauge("serving.kv.scheme.peak_running_seqs")
+            .set(static_cast<double>(peak_running_));
         reg.counter("serving.requests.completed").add(completed_);
         reg.counter("serving.requests.rejected")
             .add(report.rejected_requests);

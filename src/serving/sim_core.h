@@ -6,9 +6,7 @@
  * timeline and route arrivals between them.
  *
  * ServingSimulator::run() is a thin driver over this class — deliver
- * arrivals, fast-forward idle gaps, step until the trace drains — so a
- * single-replica run through the core is *the same code path* as the
- * pre-core simulator: reports and traces stay bit-identical.
+ * arrivals, fast-forward idle gaps, step until the trace drains.
  *
  * Beyond the bare loop the core adds the two hooks disaggregated
  * serving needs:
@@ -105,18 +103,14 @@ class SimulatorCore
     /** Latency/token sample buffers of the run so far. */
     const MetricsCollector &collector() const { return metrics_; }
 
-    /** Resolved KV storage scheme of this replica. */
-    llm::KvScheme kvScheme() const { return kv_scheme_; }
-
-    /** Full (all-shard) KV bytes per cached token under kvScheme() —
-     *  what a fleet handoff streams per token. */
+    /** Full (all-shard) KV bytes per cached token under the replica's
+     *  KV scheme — what a fleet handoff streams per token. */
     std::uint64_t kvBytesPerToken() const { return total_bpt_; }
 
     const llm::LlamaConfig &model() const { return model_; }
 
   private:
     SimulatorConfig cfg_;
-    const gpusim::GpuSpec &spec_;
     const llm::LlamaConfig &model_;
     std::size_t degree_;
     llm::KvScheme kv_scheme_;

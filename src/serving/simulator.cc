@@ -9,10 +9,35 @@
 
 namespace vqllm::serving {
 
-std::uint64_t
-kvCapacityPerDeviceBytes(const SimulatorConfig &cfg,
-                         const llm::LlamaConfig &model)
+namespace {
+
+/** HBM each device holds back for activations and scratch, GB. */
+constexpr double kHbmReserveGb = 1.0;
+
+} // namespace
+
+const gpusim::GpuSpec &
+SimulatorConfig::gpuSpec() const
 {
+    return spec != nullptr ? *spec : gpusim::rtx4090();
+}
+
+const llm::LlamaConfig &
+SimulatorConfig::modelConfig() const
+{
+    return model != nullptr ? *model : llm::llama7b();
+}
+
+llm::KvScheme
+SimulatorConfig::kvScheme() const
+{
+    return kv_scheme.value_or(llm::defaultKvScheme(scheme));
+}
+
+std::uint64_t
+kvCapacityPerDeviceBytes(const SimulatorConfig &cfg)
+{
+    const llm::LlamaConfig &model = cfg.modelConfig();
     // The config arrives from outside the library (CLI flags, caller
     // structs), so a bad one is a user error, not an internal bug.
     if (cfg.tp.degree < 1 || model.heads % cfg.tp.degree != 0)
@@ -30,26 +55,23 @@ kvCapacityPerDeviceBytes(const SimulatorConfig &cfg,
                           llm::schemeWeightBytesPerParam(cfg.scheme) /
                           static_cast<double>(degree);
     double free_bytes =
-        cfg.hbm_gb * 1e9 - weight_bytes - cfg.hbm_reserve_gb * 1e9;
+        cfg.hbm_gb * 1e9 - weight_bytes - kHbmReserveGb * 1e9;
     // Negated so NaN fails too; 2^64 and above would overflow the
     // integer conversion (undefined behaviour).
     if (!(free_bytes > 0 && free_bytes < 0x1p64))
         vqllm_fatal("per-device KV budget must be > 0 and < 2^64 bytes: ",
                     cfg.hbm_gb, " GB HBM - ", weight_bytes / 1e9,
                     " GB weight shard at TP degree ", cfg.tp.degree,
-                    " - ", cfg.hbm_reserve_gb, " GB reserve = ",
+                    " - ", kHbmReserveGb, " GB reserve = ",
                     free_bytes / 1e9, " GB");
     return static_cast<std::uint64_t>(free_bytes);
 }
 
 ServingSimulator::ServingSimulator(const SimulatorConfig &cfg)
-    : cfg_(cfg),
-      spec_(cfg.spec != nullptr ? *cfg.spec : gpusim::rtx4090()),
-      model_(cfg.model != nullptr ? *cfg.model : llm::llama7b())
+    : cfg_(cfg), kv_capacity_per_device_(kvCapacityPerDeviceBytes(cfg_)),
+      kv_capacity_bytes_(kv_capacity_per_device_ *
+                         static_cast<std::size_t>(cfg_.tp.degree))
 {
-    kv_capacity_per_device_ = kvCapacityPerDeviceBytes(cfg_, model_);
-    kv_capacity_bytes_ = kv_capacity_per_device_ *
-                         static_cast<std::size_t>(cfg_.tp.degree);
 }
 
 ServingReport

@@ -45,14 +45,13 @@ struct SimulatorConfig;
 
 /**
  * KV bytes one device's pool gets under @p cfg: per-GPU HBM minus the
- * device's weight shard minus the activation reserve.  Fatal (exit 1)
- * when the TP degree does not divide the model's heads or exceeds its
- * KV heads, or when the budget is not in (0, 2^64) bytes.  Shared by
- * ServingSimulator and SimulatorCore so capacity accounting cannot
- * drift between them.
+ * device's weight shard minus a 1 GB reserve for activations and
+ * scratch.  Fatal (exit 1) when the TP degree does not divide the
+ * model's heads or exceeds its KV heads, or when the budget is not in
+ * (0, 2^64) bytes.  Shared by ServingSimulator and SimulatorCore so
+ * capacity accounting cannot drift between them.
  */
-std::uint64_t kvCapacityPerDeviceBytes(const SimulatorConfig &cfg,
-                                       const llm::LlamaConfig &model);
+std::uint64_t kvCapacityPerDeviceBytes(const SimulatorConfig &cfg);
 
 /** Full parameterization of one serving simulation. */
 struct SimulatorConfig
@@ -65,13 +64,12 @@ struct SimulatorConfig
      * 1/scale more resident tokens at equal bytes) and decode
      * attention prices the matching dequant path (fused VQ
      * dequant-attention kernels for VQ4/VQ2).  Unset (the default)
-     * follows the weight scheme via llm::defaultKvScheme — the
-     * pre-KvScheme behaviour, bit-identical reports included.
+     * follows the weight scheme; read it through kvScheme().
      */
     std::optional<llm::KvScheme> kv_scheme;
 
-    const gpusim::GpuSpec *spec = nullptr;   ///< default: rtx4090()
-    const llm::LlamaConfig *model = nullptr; ///< default: llama7b()
+    const gpusim::GpuSpec *spec = nullptr;   ///< unset: gpuSpec()
+    const llm::LlamaConfig *model = nullptr; ///< unset: modelConfig()
 
     /**
      * Compile engine pricing the iterations.  nullptr (default): the
@@ -93,19 +91,15 @@ struct SimulatorConfig
      * every device: each device stores its KV-head share of every
      * token, sized by the widest device (KvBlockPool).  Weights shard
      * by the degree, so each device's KV budget is hbm_gb minus its
-     * weight shard minus the reserve.  Degree 1 is the single-GPU
-     * path, bit-identical to a config without this member.
+     * weight shard minus the reserve.  Degree 1 is a single GPU.
      */
     llm::TpConfig tp;
 
     WorkloadConfig workload;
     SchedulerConfig scheduler;
-    PricerConfig pricer;
 
     /** Per-GPU HBM capacity, GB (24 matches the RTX 4090). */
     double hbm_gb = 24.0;
-    /** HBM held back for activations and scratch, GB. */
-    double hbm_reserve_gb = 1.0;
     /** Tokens per KV block (paged-attention page size). */
     std::size_t kv_block_tokens = 16;
     /** Codebook-group residency slots (hit-aware LFU capacity). */
@@ -115,8 +109,7 @@ struct SimulatorConfig
      * Cross-request KV prefix caching: index prefix-bearing prompts at
      * block granularity, map matches in as shared ref-counted blocks
      * and prefill only the unmatched suffix (serving/prefix_cache.h).
-     * Off (the default) runs the exact pre-cache code path — the
-     * report is bit-identical to a build without the cache.
+     * Off by default.
      */
     bool prefix_cache = false;
     /** Prefix-cache capacity, cached blocks (0 = bounded only by KV
@@ -141,6 +134,15 @@ struct SimulatorConfig
      * run completes.
      */
     obs::MetricsRegistry *metrics = nullptr;
+
+    // Resolved settings: every reader of the three optional members
+    // above goes through these, so the defaults live in one place.
+    /** `spec`, or the RTX 4090 when unset. */
+    const gpusim::GpuSpec &gpuSpec() const;
+    /** `model`, or Llama-7B when unset. */
+    const llm::LlamaConfig &modelConfig() const;
+    /** `kv_scheme`, or llm::defaultKvScheme(scheme) when unset. */
+    llm::KvScheme kvScheme() const;
 };
 
 /**
@@ -199,10 +201,8 @@ class ServingSimulator
 
   private:
     SimulatorConfig cfg_;
-    const gpusim::GpuSpec &spec_;
-    const llm::LlamaConfig &model_;
-    std::uint64_t kv_capacity_bytes_ = 0;
     std::uint64_t kv_capacity_per_device_ = 0;
+    std::uint64_t kv_capacity_bytes_ = 0;
 };
 
 } // namespace vqllm::serving

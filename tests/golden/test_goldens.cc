@@ -11,12 +11,19 @@
  *   {"config":"<name>","trace_fnv1a64":"<hex>","report":<json()>}
  * where the digest is 64-bit FNV-1a over the full trace bytes.
  *
+ * `llm_analytic.golden` pins the analytic models the same way: the
+ * end-to-end estimate (paper Fig. 17) and the tensor-parallel decode
+ * estimate, one `<key> <%.17g value>` line each.  Those compare at
+ * 1e-12 relative, so reordering a sum passes and any modeling change
+ * fails.
+ *
  * Rewrite the files from the current build with
  * `scripts/bless_goldens.sh` (it runs this test with
  * VQLLM_BLESS_GOLDENS=1) and review the diff before committing.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,9 +31,12 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet.h"
+#include "llm/tensor_parallel.h"
 #include "obs/trace.h"
 #include "serving/simulator.h"
 
@@ -288,6 +298,107 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<GoldenCase> &info) {
         return info.param.name;
     });
+
+/** One pinned number of the analytic models. */
+struct AnalyticValue
+{
+    std::string key;
+    double value = 0;
+};
+
+/** estimateE2E for every scheme on both GPUs and two model sizes, and
+ *  estimateTensorParallel of Llama-65B over the degree sweep and both
+ *  interconnects of bench_tensor_parallel. */
+std::vector<AnalyticValue>
+analyticValues()
+{
+    using llm::QuantScheme;
+    std::vector<AnalyticValue> out;
+    auto add = [&out](const std::string &key, double value) {
+        out.push_back({key, value});
+    };
+    const std::pair<const char *, QuantScheme> schemes[] = {
+        {"fp16", QuantScheme::FP16},
+        {"ewq4", QuantScheme::EWQ4},
+        {"vq4", QuantScheme::VQ4},
+        {"vq2", QuantScheme::VQ2}};
+    const std::pair<const char *, const gpusim::GpuSpec *> specs[] = {
+        {"rtx4090", &gpusim::rtx4090()}, {"a40", &gpusim::teslaA40()}};
+    const std::pair<const char *, const llm::LlamaConfig *> models[] = {
+        {"7b", &llm::llama7b()}, {"65b", &llm::llama65b()}};
+    for (auto [spec_name, spec] : specs) {
+        for (auto [model_name, model] : models) {
+            for (auto [scheme_name, scheme] : schemes) {
+                const std::string p = std::string("e2e.") + spec_name +
+                                      "." + model_name + "." +
+                                      scheme_name + ".";
+                const llm::E2EResult r =
+                    llm::estimateE2E(*spec, *model, scheme);
+                add(p + "prefill_us", r.prefill_us);
+                add(p + "decode_us", r.decode_us);
+                add(p + "elementwise_fraction", r.elementwise_fraction);
+                add(p + "weight_bytes",
+                    static_cast<double>(r.weight_bytes));
+                add(p + "kv_bytes", static_cast<double>(r.kv_bytes));
+            }
+        }
+    }
+    const std::tuple<const char *, double, double> links[] = {
+        {"nvlink", 300.0, 8.0}, {"pcie", 25.0, 15.0}};
+    for (auto [link_name, bw, lat] : links) {
+        for (int degree : {1, 2, 4, 8}) {
+            for (auto [scheme_name, scheme] :
+                 {schemes[0], schemes[2]}) {
+                const std::string p = std::string("tp.rtx4090.65b.") +
+                                      link_name + ".tp" +
+                                      std::to_string(degree) + "." +
+                                      scheme_name + ".";
+                llm::TpConfig tp;
+                tp.degree = degree;
+                tp.link_bw_gbps = bw;
+                tp.collective_latency_us = lat;
+                const llm::TpResult r = llm::estimateTensorParallel(
+                    gpusim::rtx4090(), llm::llama65b(), scheme, tp);
+                add(p + "decode_us", r.decode_us);
+                add(p + "comm_fraction", r.comm_fraction);
+                add(p + "comm_us_per_step", r.comm_us_per_step);
+                add(p + "memory_per_gpu",
+                    static_cast<double>(r.memory_per_gpu));
+            }
+        }
+    }
+    return out;
+}
+
+TEST(AnalyticGolden, E2EAndTensorParallelMatchCommittedFile)
+{
+    const std::vector<AnalyticValue> actual = analyticValues();
+    const std::string path = goldenPath("llm_analytic");
+
+    if (blessing()) {
+        std::ofstream os(path, std::ios::binary);
+        ASSERT_TRUE(os) << "cannot write " << path;
+        for (const AnalyticValue &v : actual)
+            os << v.key << " " << serving::jsonDouble(v.value) << "\n";
+        return;
+    }
+    std::ifstream is(path, std::ios::binary);
+    ASSERT_TRUE(is) << "missing golden " << path
+                    << " (run scripts/bless_goldens.sh)";
+    std::vector<AnalyticValue> want;
+    AnalyticValue v;
+    while (is >> v.key >> v.value)
+        want.push_back(v);
+    ASSERT_TRUE(is.eof()) << path << " does not parse after line "
+                          << want.size();
+    ASSERT_EQ(want.size(), actual.size()) << path;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(actual[i].key, want[i].key) << path << " line " << i + 1;
+        EXPECT_NEAR(actual[i].value, want[i].value,
+                    1e-12 * std::fabs(want[i].value))
+            << actual[i].key;
+    }
+}
 
 } // namespace
 } // namespace vqllm

@@ -22,12 +22,20 @@ nvlink(int degree)
 
 TEST(TensorParallel, Degree1MatchesSingleGpuDecode)
 {
-    auto tp1 = estimateTensorParallel(rtx4090(), llama7b(),
-                                      QuantScheme::FP16, nvlink(1));
-    auto single = estimateE2E(rtx4090(), llama7b(), QuantScheme::FP16);
-    EXPECT_NEAR(tp1.decode_us / single.decode_us, 1.0, 0.02);
-    EXPECT_DOUBLE_EQ(tp1.comm_us_per_step, 0.0);
-    EXPECT_DOUBLE_EQ(tp1.comm_fraction, 0.0);
+    // A single GPU is a TP group of one: both estimates price the same
+    // decode step, so they agree exactly.
+    for (auto scheme : {QuantScheme::FP16, QuantScheme::EWQ4,
+                        QuantScheme::VQ4, QuantScheme::VQ2}) {
+        auto tp1 = estimateTensorParallel(rtx4090(), llama7b(), scheme,
+                                          nvlink(1));
+        auto single = estimateE2E(rtx4090(), llama7b(), scheme);
+        EXPECT_EQ(tp1.decode_us, single.decode_us)
+            << quantSchemeName(scheme);
+        EXPECT_EQ(tp1.memory_per_gpu, single.totalMemoryBytes())
+            << quantSchemeName(scheme);
+        EXPECT_EQ(tp1.comm_us_per_step, 0.0);
+        EXPECT_EQ(tp1.comm_fraction, 0.0);
+    }
 }
 
 TEST(TensorParallel, ShardingSpeedsUpLargeModels)

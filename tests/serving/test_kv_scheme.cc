@@ -2,21 +2,29 @@
  * @file
  * KV-scheme decoupling tests: selecting a KV storage scheme
  * independently of the weight scheme must (1) leave FP16-KV serving
- * reports bit-identical to the pre-KvScheme defaults, (2) multiply
- * block-pool token capacity by the compression factor at equal pool
- * bytes, (3) stay deterministic across host thread counts and TP
- * degrees, and (4) compose with the cross-request prefix cache.  The
- * JSONL workload-trace loader (`--trace-in`) is covered here too:
+ * reports identical to the default config's, (2) multiply block-pool
+ * token capacity by the compression factor at equal pool bytes, (3)
+ * stay deterministic across host thread counts and TP degrees, and
+ * (4) compose with the cross-request prefix cache; the pricer's KV
+ * codebook group holds one book per channel group.  The JSONL
+ * workload-trace loader (`--trace-in`) is covered here too:
  * well-formed traces replay sorted with fresh ids and stamped
- * deadlines, malformed lines are hard errors.
+ * deadlines, malformed lines are hard errors, and seeded mutations of
+ * a valid line load or fail cleanly.
  */
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include "common/parallel.h"
+#include "common/rng.h"
+#include "compiler/engine.h"
 #include "llm/model_config.h"
 #include "serving/kv_block_pool.h"
 #include "serving/request.h"
@@ -128,9 +136,15 @@ TEST(KvSchemeParity, ExplicitFp16KvIsByteIdenticalToDefault)
     auto b = ServingSimulator(explicit_cfg).run();
     EXPECT_EQ(a.json(), b.json());
     EXPECT_EQ(a.summary(), b.summary());
-    // FP16 KV emits no kv_scheme section at all — the JSON is the
-    // pre-KvScheme document byte for byte.
-    EXPECT_EQ(a.json().find("\"kv_scheme\""), std::string::npos);
+    // The JSON always carries the kv_scheme section; under FP16 KV it
+    // holds the uncompressed values.  The summary shows it only for
+    // compressed KV.
+    EXPECT_NE(a.json().find(
+                  "\"kv_scheme\":{\"scheme\":\"fp16\",\"bytes_per_token\":" +
+                  std::to_string(llm::llama7b().kvCacheBytesFp16(1, 1)) +
+                  ",\"capacity_multiplier\":1,\"dequant_us\":0,"),
+              std::string::npos);
+    EXPECT_EQ(a.summary().find("KV scheme"), std::string::npos);
     EXPECT_EQ(a.kv_scheme, "fp16");
     EXPECT_EQ(a.kv_bytes_per_token,
               llm::llama7b().kvCacheBytesFp16(1, 1));
@@ -363,8 +377,114 @@ TEST(WorkloadTraceDeath, MalformedLinesAreHardErrors)
         cfg.trace_path = file.path();
         EXPECT_DEATH(generateWorkload(cfg), "must be positive");
     }
+    // Counts beyond 2^53 do not survive the conversion to an integer:
+    // inf and 1e30 have no integer value, and 2^63 + 2^63 wraps the
+    // scheduler's peak-context sum to 0.
+    for (auto [line, field] :
+         {std::pair{"{\"arrival_us\":0,\"prompt_len\":inf,"
+                    "\"output_len\":8}\n",
+                    "prompt_len"},
+          std::pair{"{\"arrival_us\":0,\"prompt_len\":64,"
+                    "\"output_len\":1e30}\n",
+                    "output_len"},
+          std::pair{"{\"arrival_us\":0,"
+                    "\"prompt_len\":9223372036854775808,"
+                    "\"output_len\":9223372036854775808}\n",
+                    "prompt_len"}}) {
+        TraceFile file(line);
+        cfg.trace_path = file.path();
+        EXPECT_DEATH(generateWorkload(cfg),
+                     std::string("field '") + field +
+                         "' must be a non-negative integer of at most "
+                         "2\\^53")
+            << line;
+    }
     cfg.trace_path = "definitely_missing_trace.jsonl";
     EXPECT_DEATH(generateWorkload(cfg), "cannot open workload trace");
+}
+
+TEST(WorkloadTraceDeath, MutatedLinesLoadOrFailCleanly)
+{
+    // Up to three seeded byte edits (replace, insert, erase) of a valid
+    // line, 64 times.  Each mutant must either load into a valid trace
+    // (exit 0) or be a clean "malformed trace line" fatal (exit 1):
+    // never a crash, a wrapped count or another error.
+    const std::string valid = "{\"arrival_us\": 1500.5, \"prompt_len\": "
+                              "512, \"output_len\": 64, \"group\": 3}";
+    // Bytes that keep the line close to JSON, so mutants reach the
+    // value checks and not only the parser.
+    const std::string alphabet = "0123456789.-+eExp:,{}\" \tinfa\n";
+    Rng rng(21);
+    for (int trial = 0; trial < 64; ++trial) {
+        std::string line = valid;
+        const std::uint64_t edits = 1 + rng.uniformInt(3);
+        for (std::uint64_t e = 0; e < edits && !line.empty(); ++e) {
+            const std::size_t at = rng.uniformInt(line.size());
+            const char byte =
+                rng.uniformInt(2) == 0
+                    ? alphabet[rng.uniformInt(alphabet.size())]
+                    : static_cast<char>(1 + rng.uniformInt(255));
+            switch (rng.uniformInt(3)) {
+              case 0: line[at] = byte; break;
+              case 1: line.insert(at, 1, byte); break;
+              default: line.erase(at, 1); break;
+            }
+        }
+        TraceFile file(line + "\n");
+        WorkloadConfig cfg;
+        cfg.trace_path = file.path();
+        EXPECT_EXIT(
+            {
+                const std::vector<Request> trace = generateWorkload(cfg);
+                for (const Request &r : trace)
+                    if (!(std::isfinite(r.arrival_us) &&
+                          r.arrival_us >= 0 && r.prompt_len > 0 &&
+                          r.max_new_tokens > 0 &&
+                          r.prompt_len <= (1ull << 53) &&
+                          r.max_new_tokens <= (1ull << 53)))
+                        std::exit(2);
+                std::fprintf(stderr, "loaded %zu requests\n",
+                             trace.size());
+                std::exit(0);
+            },
+            [](int status) {
+                return WIFEXITED(status) && (WEXITSTATUS(status) == 0 ||
+                                             WEXITSTATUS(status) == 1);
+            },
+            "malformed trace line|loaded [0-9]+ requests")
+            << "mutant " << trial << ": " << line;
+    }
+}
+
+// ---------------------------------------------------------------------
+// KV codebook residency
+
+TEST(KvSchemePricing, CodebookGroupHoldsOneBookPerChannelGroup)
+{
+    // Per-channel-group scope: one codebook per vector_size channels of
+    // the flattened KV heads (CQ-4 pairs, CQ-2 quads), for K and V, in
+    // every layer.
+    compiler::Engine eng(gpusim::rtx4090());
+    struct Case
+    {
+        const llm::LlamaConfig *model;
+        llm::KvScheme kv;
+        std::uint64_t books_per_layer;
+    };
+    const Case cases[] = {
+        {&llm::llama7b(), llm::KvScheme::VQ4, 4096}, // 32 x 128 channels
+        {&llm::llama7b(), llm::KvScheme::VQ2, 2048},
+        {&llm::llama70b(), llm::KvScheme::VQ4, 1024}, // 8 x 128 channels
+        {&llm::llama70b(), llm::KvScheme::VQ2, 512},
+    };
+    for (const Case &c : cases) {
+        IterationPricer pricer({&eng}, *c.model, llm::QuantScheme::FP16,
+                               c.kv, llm::TpConfig{});
+        EXPECT_EQ(pricer.codebookGroupBytes(),
+                  c.books_per_layer * c.model->layers *
+                      llm::kvSchemeVqConfig(c.kv).codebookBytes())
+            << c.model->name << " " << llm::kvSchemeToken(c.kv);
+    }
 }
 
 } // namespace

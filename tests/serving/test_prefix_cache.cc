@@ -5,9 +5,9 @@
  * forks on divergent writes, hit-aware LFU eviction that pins blocks
  * referenced by running sequences, pool-pressure reclaim, seeded
  * random op sequences checked against the pool/cache bounds, and the
- * simulator-level contracts (cache-off reports carry no prefix section,
- * cache-on runs save prefill and stay bit-identical across host thread
- * counts and TP degrees).
+ * simulator-level contracts (cache-off reports carry a disabled prefix
+ * section, cache-on runs save prefill and stay bit-identical across
+ * host thread counts and TP degrees).
  */
 #include <gtest/gtest.h>
 
@@ -67,7 +67,7 @@ writePrefix(KvBlockPool &pool, PrefixCache &cache, Request &r)
 TEST(PrefixCache, MissThenHitAfterIndexing)
 {
     auto pool = smallPool(32);
-    PrefixCache cache(pool, {kBt, 0});
+    PrefixCache cache(pool, 0);
 
     Request a = prefixRequest(1, 48, 0, 32);
     EXPECT_EQ(cache.match(a).tokens, 0u); // cold: nothing indexed
@@ -99,7 +99,7 @@ TEST(PrefixCache, MissThenHitAfterIndexing)
 TEST(PrefixCache, MatchLeavesOneTokenToPrefill)
 {
     auto pool = smallPool(32);
-    PrefixCache cache(pool, {kBt, 0});
+    PrefixCache cache(pool, 0);
     Request a = prefixRequest(1, 40, 0, 32);
     writePrefix(pool, cache, a);
 
@@ -114,7 +114,7 @@ TEST(PrefixCache, MatchLeavesOneTokenToPrefill)
 TEST(PrefixCache, PartialTailIsCacheOwnedAndForksOnWrite)
 {
     auto pool = smallPool(32);
-    PrefixCache cache(pool, {kBt, 0});
+    PrefixCache cache(pool, 0);
 
     Request a = prefixRequest(1, 40, 0, 24); // 1 full node + 8-token tail
     writePrefix(pool, cache, a);
@@ -148,7 +148,7 @@ TEST(PrefixCache, PartialTailIsCacheOwnedAndForksOnWrite)
 TEST(PrefixCache, RollbackAttachRestoresEverything)
 {
     auto pool = smallPool(32);
-    PrefixCache cache(pool, {kBt, 0});
+    PrefixCache cache(pool, 0);
     Request a = prefixRequest(1, 48, 0, 32);
     writePrefix(pool, cache, a);
 
@@ -170,7 +170,7 @@ TEST(PrefixCache, RollbackAttachRestoresEverything)
 TEST(PrefixCache, EvictionPinsBlocksOfRunningSequences)
 {
     auto pool = smallPool(64);
-    PrefixCache cache(pool, {kBt, 2}); // room for one 2-node chain
+    PrefixCache cache(pool, 2); // room for one 2-node chain
 
     Request a = prefixRequest(1, 48, 0, 32);
     writePrefix(pool, cache, a);
@@ -202,7 +202,7 @@ TEST(PrefixCache, EvictionPinsBlocksOfRunningSequences)
 TEST(PrefixCache, PoolPressureReclaimsColdPrefixes)
 {
     auto pool = smallPool(8);
-    PrefixCache cache(pool, {kBt, 0});
+    PrefixCache cache(pool, 0);
 
     Request a = prefixRequest(1, 48, 0, 32); // 3 blocks + 2 cached refs
     writePrefix(pool, cache, a);
@@ -225,7 +225,7 @@ TEST(PrefixCache, PoolPressureReclaimsColdPrefixes)
 TEST(PrefixCache, EvictionOrderIsLfuOverUnpinnedLeaves)
 {
     auto pool = smallPool(32);
-    PrefixCache cache(pool, {kBt, 0});
+    PrefixCache cache(pool, 0);
     obs::TraceRecorder rec;
     cache.setTrace(&rec);
 
@@ -277,7 +277,7 @@ TEST(PrefixCache, EvictionOrderIsLfuOverUnpinnedLeaves)
 TEST(PrefixCache, EvictionTiesGoToTheOldestLeaf)
 {
     auto pool = smallPool(32);
-    PrefixCache cache(pool, {kBt, 0});
+    PrefixCache cache(pool, 0);
     Request a = prefixRequest(1, 32, 0, 16); // node 1
     Request b = prefixRequest(2, 32, 1, 16); // node 2
     writePrefix(pool, cache, a);
@@ -295,7 +295,7 @@ TEST(PrefixCache, EvictionTiesGoToTheOldestLeaf)
 TEST(PrefixCache, CapacityEvictionSparesTheInsertingParent)
 {
     auto pool = smallPool(32);
-    PrefixCache cache(pool, {kBt, 3});
+    PrefixCache cache(pool, 3);
 
     // Two writers of group 0 each index the first 32 prefix tokens;
     // nodes 1-2 reference seq 1's blocks, seq 2 keeps its own copies.
@@ -342,7 +342,7 @@ class OpSequence
   public:
     OpSequence(std::uint64_t seed, std::uint64_t capacity)
         : rng_(seed), pool_(smallPool(24)),
-          cache_(pool_, {kBt, capacity})
+          cache_(pool_, capacity)
     {
     }
 
@@ -555,11 +555,15 @@ prefixConfig(bool cache_on, int tp_degree = 1)
     return cfg;
 }
 
-TEST(PrefixCacheSim, CacheOffReportCarriesNoPrefixSection)
+TEST(PrefixCacheSim, CacheOffReportCarriesDisabledPrefixSection)
 {
     ServingReport off = ServingSimulator(prefixConfig(false)).run();
     EXPECT_FALSE(off.prefix_cache_enabled);
-    EXPECT_EQ(off.json().find("prefix_cache"), std::string::npos);
+    EXPECT_NE(off.json().find(
+                  "\"prefix_cache\":{\"enabled\":false,\"lookups\":0,"
+                  "\"hits\":0,\"matched_tokens\":0,\"evicted_blocks\":0,"
+                  "\"cached_blocks\":0,\"cow_forks\":0,\"hit_rate\":0}"),
+              std::string::npos);
     EXPECT_EQ(off.summary().find("prefix cache"), std::string::npos);
     // Determinism: a second cache-off run is bit-identical.
     ServingReport again = ServingSimulator(prefixConfig(false)).run();
@@ -577,7 +581,8 @@ TEST(PrefixCacheSim, CacheOnSavesPrefillAndImprovesTtft)
     EXPECT_GT(on.prefix_matched_tokens, 0u);
     EXPECT_GT(on.prefix_hit_rate, 0.0);
     EXPECT_LE(on.prefix_hit_rate, 1.0);
-    EXPECT_NE(on.json().find("prefix_cache"), std::string::npos);
+    EXPECT_NE(on.json().find("\"prefix_cache\":{\"enabled\":true,"),
+              std::string::npos);
 
     // Identical arrival trace: the cache can only remove prefill work,
     // and removing the shared prefix from the critical path must show

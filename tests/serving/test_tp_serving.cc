@@ -100,12 +100,13 @@ TEST(TpPricing, SteadyStateDecodeMatchesEstimateTensorParallel)
     // must agree to floating-point noise (they share shard-geometry
     // helpers, so any drift is a real modeling divergence).
     const std::size_t batch = 8;
-    const std::size_t ctx = 512; // multiple of PricerConfig::seq_bucket
+    const std::size_t ctx = 512; // multiple of IterationPricer::kSeqBucket
     for (auto scheme : {llm::QuantScheme::FP16, llm::QuantScheme::VQ4}) {
         for (int degree : {2, 4}) {
             compiler::Engine eng(rtx4090());
             std::vector<compiler::Engine *> engines(degree, &eng);
             IterationPricer pricer(engines, llm::llama7b(), scheme,
+                                   llm::defaultKvScheme(scheme),
                                    nvlink(degree));
             auto reqs = decodeBatch(batch, ctx);
             auto batch_ptrs = ptrs(reqs);
@@ -134,12 +135,13 @@ TEST(TpPricing, Degree1IsBitIdenticalToUnshardedFormula)
     const std::size_t ctx = 256;
     compiler::Engine eng(rtx4090());
     compiler::Engine ref_eng(rtx4090());
-    IterationPricer pricer(eng, llm::llama7b(), llm::QuantScheme::VQ4);
+    IterationPricer pricer({&eng}, llm::llama7b(), llm::QuantScheme::VQ4,
+                           llm::KvScheme::VQ4, llm::TpConfig{});
     auto reqs = decodeBatch(batch, ctx);
     auto batch_ptrs = ptrs(reqs);
     double priced = pricer.decodeUs(batch_ptrs);
 
-    // The pre-TP pricing formula, reproduced verbatim.
+    // The unsharded single-GPU pricing formula.
     const auto &model = llm::llama7b();
     double linear_us = 0;
     for (auto [n, k] : model.layerLinearShapes())
@@ -148,32 +150,32 @@ TEST(TpPricing, Degree1IsBitIdenticalToUnshardedFormula)
             engine::GemmShape{batch, n, k});
     double elem_us = llm::elementwiseLayerLatencyUs(
         eng.spec(), batch, model.hidden);
-    double attn_us = llm::schemeAttentionUs(
-        ref_eng, llm::QuantScheme::VQ4, model.attnShape(batch, ctx));
+    double attn_us = llm::kvSchemeAttentionUs(
+        ref_eng, llm::KvScheme::VQ4, model.attnShape(batch, ctx));
     double expected =
         (linear_us + elem_us + attn_us) * static_cast<double>(model.layers);
     EXPECT_DOUBLE_EQ(priced, expected);
     EXPECT_DOUBLE_EQ(pricer.commUs(), 0.0);
 
-    // Prefill chunks at degree 1 price through the unsharded estimate.
+    // Prefill chunks at degree 1 price the unsharded geometry: every
+    // head and the full linear shapes over 256 x 512 + 256^2 / 2 key
+    // positions.
     EXPECT_DOUBLE_EQ(
         pricer.prefillChunkUs(256, 512),
-        llm::estimateChunkedPrefillUs(eng.spec(), model, 256, 512));
+        llm::prefillLayersUs(eng.spec(), model, 256,
+                             256.0 * 512 + 0.5 * 256 * 256, model.heads,
+                             model.layerLinearShapes()));
     EXPECT_DOUBLE_EQ(pricer.prefillCommUs(256), 0.0);
 }
 
 TEST(TpPricing, ShardedChunkedPrefillConverges)
 {
     // Degree-g chunked prefill must be cheaper than single-GPU but more
-    // than 1/g of it (replicated attention span, uneven splits), and
-    // degree 1 of the TP overload must equal the plain estimate.
+    // than 1/g of it (replicated attention span, uneven splits).
     const auto &spec = rtx4090();
     const auto &model = llm::llama7b();
     double single =
-        llm::estimateChunkedPrefillUs(spec, model, 512, 1024);
-    EXPECT_DOUBLE_EQ(llm::estimateChunkedPrefillUs(spec, model, 512,
-                                                   1024, nvlink(1)),
-                     single);
+        llm::estimateChunkedPrefillUs(spec, model, 512, 1024, nvlink(1));
     for (int degree : {2, 4, 8}) {
         double sharded = llm::estimateChunkedPrefillUs(
             spec, model, 512, 1024, nvlink(degree));
@@ -185,10 +187,12 @@ TEST(TpPricing, ShardedChunkedPrefillConverges)
 TEST(TpPricing, CodebookUploadShrinksWithDegree)
 {
     compiler::Engine eng(rtx4090());
-    IterationPricer single(eng, llm::llama7b(), llm::QuantScheme::VQ2);
+    IterationPricer single({&eng}, llm::llama7b(), llm::QuantScheme::VQ2,
+                           llm::KvScheme::VQ2, nvlink(1));
     std::vector<compiler::Engine *> engines(4, &eng);
     IterationPricer sharded(engines, llm::llama7b(),
-                            llm::QuantScheme::VQ2, nvlink(4));
+                            llm::QuantScheme::VQ2, llm::KvScheme::VQ2,
+                            nvlink(4));
     ASSERT_GT(single.codebookMissUs(1), 0.0);
     // Per-device shard uploads overlap: roughly 1/4 the bytes, plus the
     // fixed launch cost.
@@ -200,7 +204,8 @@ TEST(TpPricingDeath, RejectsEmptyEngineList)
 {
     std::vector<compiler::Engine *> none;
     EXPECT_DEATH(IterationPricer(none, llm::llama7b(),
-                                 llm::QuantScheme::FP16, llm::TpConfig{}),
+                                 llm::QuantScheme::FP16,
+                                 llm::KvScheme::FP16, llm::TpConfig{}),
                  "one engine per TP shard required");
 }
 
@@ -208,7 +213,8 @@ TEST(TpPricingDeath, RejectsNullShardEngine)
 {
     std::vector<compiler::Engine *> null_shard{nullptr};
     EXPECT_DEATH(IterationPricer(null_shard, llm::llama7b(),
-                                 llm::QuantScheme::FP16, llm::TpConfig{}),
+                                 llm::QuantScheme::FP16,
+                                 llm::KvScheme::FP16, llm::TpConfig{}),
                  "null shard engine");
 }
 
@@ -237,7 +243,7 @@ struct ReferencePricer
     llm::QuantScheme scheme;
     llm::KvScheme kv;
     llm::TpConfig tp;
-    std::size_t seq_bucket = PricerConfig{}.seq_bucket;
+    std::size_t seq_bucket = IterationPricer::kSeqBucket;
 
     double comm_us = 0;
     double kv_dequant_us = 0;
