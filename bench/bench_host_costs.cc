@@ -330,12 +330,13 @@ BM_IterationPricerDecode(benchmark::State &state)
 {
     // One decode step priced by a warm pricer: a fixed ragged batch of
     // 32 requests, four in each of 8 context buckets.  Arg 0 prices
-    // EWQ4 weights with INT4 KV (all closed form), arg 1 VQ4 weights
-    // with VQ4 KV (plan-cache hits).
+    // EWQ4 weights with INT4 KV (closed forms), arg 1 VQ4 weights with
+    // VQ4 KV (compiled kernels).  Both price from the pricer's memo
+    // tables once warm, with no engine lookup.
     const bool vq = state.range(0) != 0;
     compiler::Engine eng(gpusim::rtx4090());
     serving::IterationPricer pricer(
-        std::vector<compiler::Engine *>{&eng}, llm::llama7b(),
+        eng, llm::llama7b(),
         vq ? llm::QuantScheme::VQ4 : llm::QuantScheme::EWQ4,
         vq ? llm::KvScheme::VQ4 : llm::KvScheme::INT4, llm::TpConfig{});
     const std::size_t bucket = serving::IterationPricer::kSeqBucket;

@@ -190,7 +190,7 @@ main()
     // ------------------------------------------- plan-cache pricing
     // The compile facade's memoizing cache: wall-clock of pricing the
     // same decode shapes cold (capacity 0 retains nothing, every
-    // compile re-plans) vs through the cache (steady-state serving).
+    // compile re-plans) vs through the cache.
     double plan_cold_ms = 0, plan_cached_ms = 0, plan_hit_rate = 0;
     {
         auto pricingSweep = [](compiler::Engine &eng) {

@@ -296,8 +296,8 @@ main(int argc, char **argv)
 
     // ---- Plan-cache effect on iteration pricing --------------------
     // The same VQ4 simulation twice against one shared engine: the
-    // first run compiles every kernel cold, the second prices its
-    // steady-state decode iterations entirely from the plan cache.
+    // first run compiles every kernel cold, the second fills its
+    // pricer's memo tables from plan-cache hits and compiles nothing.
     serving::ServingReport cold_report, warm_report;
     double cold_ms = 0, warm_ms = 0;
     {
@@ -332,9 +332,10 @@ main(int argc, char **argv)
              std::to_string(warm_report.plan_cache_misses)});
         std::printf("%s\n", cache_tbl.render().c_str());
         std::printf("steady-state iterations repeat a handful of "
-                    "bucketed shapes, so pricing them is\ncache hits; "
-                    "a warm cache removes the cold-compile tail "
-                    "entirely (%.2fx wall-clock).\n\n",
+                    "bucketed shapes, so the pricer's memo\nanswers "
+                    "them without an engine lookup; a warm cache turns "
+                    "each shape's first\nprice into a hit and removes "
+                    "the cold-compile tail (%.2fx wall-clock).\n\n",
                     warm_ms > 0 ? cold_ms / warm_ms : 0.0);
     }
 

@@ -102,8 +102,8 @@ double prefillLayersUs(
  * adaptive VQ version for the VQ schemes).
  *
  * VQ schemes compile through `eng` — the O2..O4 ladder rungs resolve
- * via Engine::compileBest, so repeated shapes (the serving steady
- * state) are plan-cache hits.  FP16/EWQ baselines price closed-form.
+ * via Engine::compileBest, so a repeated shape is a plan-cache hit.
+ * FP16/EWQ baselines price closed-form.
  */
 double schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
                       const engine::GemmShape &shape);
@@ -113,8 +113,8 @@ double schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
  * FP16 KV prices the closed-form flash-decoding model, INT4 KV the
  * element-wise dequant model, and the VQ schemes compile a fused
  * dequant-attention kernel through `eng` carrying the KV `VQConfig`
- * (plan-cache hits in the serving steady state).  A weight scheme's
- * own KV storage is llm::defaultKvScheme(scheme).
+ * (a repeated shape is a plan-cache hit).  A weight scheme's own KV
+ * storage is llm::defaultKvScheme(scheme).
  */
 double kvSchemeAttentionUs(compiler::Engine &eng, KvScheme kv,
                            const engine::AttnShape &shape);

@@ -222,13 +222,10 @@ ServingReport::summary() const
             const ShardReport &s = shards[i];
             std::snprintf(
                 buf, sizeof(buf),
-                "    shard %zu: KV peak %.2f GB of %.2f GB (%.1f%%), "
-                "plan cache %llu/%llu hits/misses\n",
+                "    shard %zu: KV peak %.2f GB of %.2f GB (%.1f%%)\n",
                 i, static_cast<double>(s.kv_peak_bytes) / 1e9,
                 static_cast<double>(s.kv_capacity_bytes) / 1e9,
-                s.kvPeakFraction() * 100.0,
-                static_cast<unsigned long long>(s.plan_cache_hits),
-                static_cast<unsigned long long>(s.plan_cache_misses));
+                s.kvPeakFraction() * 100.0);
             out += buf;
         }
     }
@@ -288,8 +285,6 @@ ServingReport::json() const
             os << ",";
         os << "{\"kv_peak_bytes\":" << jsonU64(s.kv_peak_bytes)
            << ",\"kv_capacity_bytes\":" << jsonU64(s.kv_capacity_bytes)
-           << ",\"plan_cache_hits\":" << jsonU64(s.plan_cache_hits)
-           << ",\"plan_cache_misses\":" << jsonU64(s.plan_cache_misses)
            << "}";
     }
     os << "]}";

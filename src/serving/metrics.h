@@ -107,11 +107,6 @@ struct ShardReport
     std::uint64_t kv_peak_bytes = 0;
     /** KV capacity of this device, bytes. */
     std::uint64_t kv_capacity_bytes = 0;
-    /** Plan-cache lookups this shard's pricing performed (per-shard
-     *  delta; shards sharing one engine attribute correctly because
-     *  pricing is sequential within a run). */
-    std::uint64_t plan_cache_hits = 0;
-    std::uint64_t plan_cache_misses = 0;
 
     /** @return peak KV occupancy of this device ([0,1]). */
     double
@@ -166,8 +161,8 @@ struct ServingReport
     double decode_us = 0;
     /** Codebook upload (residency misses) summed, microseconds. */
     double codebook_upload_us = 0;
-    /** Per-device KV occupancy and plan-cache deltas (one entry per
-     *  shard; a single entry at degree 1). */
+    /** Per-device KV occupancy (one entry per shard; a single entry
+     *  at degree 1). */
     std::vector<ShardReport> shards;
 
     /** KV-cache high-water mark, bytes (summed over shards). */
@@ -178,10 +173,15 @@ struct ServingReport
      *  scheme has no codebooks). */
     double codebook_hit_rate = 1.0;
 
-    /** compiler::Engine plan-cache lookups observed by this run (the
-     *  delta across the run; see SimulatorConfig::engine for sharing
-     *  caveats).  Zero lookups for schemes that never compile VQ
-     *  kernels (FP16/EWQ price closed-form). */
+    /** compiler::Engine plan-cache lookups this run made (the delta
+     *  across the run; see SimulatorConfig::engine for sharing
+     *  caveats).  The pricer memoizes every price, so a lookup happens
+     *  only the first time the run prices a (shard, batch) linear or a
+     *  (shard, bucket, count) VQ attention sub-launch: misses count
+     *  the kernels compiled, hits the ones another slot or an earlier
+     *  run on a shared engine already compiled.  Zero lookups for
+     *  schemes that never compile VQ kernels (FP16/EWQ weights with
+     *  FP16/INT4 KV price closed-form). */
     std::uint64_t plan_cache_hits = 0;
     std::uint64_t plan_cache_misses = 0;
     std::uint64_t plan_cache_evictions = 0;

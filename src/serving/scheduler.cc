@@ -39,20 +39,6 @@ constexpr double kUploadGbps = 32.0;
 /** Fixed per-upload latency (launch + synchronization), us. */
 constexpr double kUploadFixedUs = 10.0;
 
-/** Shard 0's GPU spec, once the engine list is known to hold one
- *  non-null engine per TP shard (checked before anything reads it). */
-const gpusim::GpuSpec &
-shardSpec(const std::vector<compiler::Engine *> &engines,
-          const llm::TpConfig &tp)
-{
-    vqllm_assert(tp.degree >= 1, "TP degree must be >= 1");
-    vqllm_assert(engines.size() == static_cast<std::size_t>(tp.degree),
-                 "one engine per TP shard required");
-    for (compiler::Engine *eng : engines)
-        vqllm_assert(eng != nullptr, "null shard engine");
-    return engines.front()->spec();
-}
-
 } // namespace
 
 Scheduler::Scheduler(const SchedulerConfig &cfg, KvBlockPool &pool)
@@ -396,24 +382,19 @@ Scheduler::retire(Request *r)
 // ---------------------------------------------------------------------
 // IterationPricer
 
-IterationPricer::IterationPricer(std::vector<compiler::Engine *> engines,
+IterationPricer::IterationPricer(compiler::Engine &eng,
                                  const llm::LlamaConfig &model,
                                  llm::QuantScheme scheme,
                                  llm::KvScheme kv, const llm::TpConfig &tp)
-    : engines_(std::move(engines)), spec_(shardSpec(engines_, tp)),
-      model_(model), scheme_(scheme), kv_scheme_(kv),
-      closed_form_linears_(scheme == llm::QuantScheme::FP16 ||
-                           scheme == llm::QuantScheme::EWQ4),
-      closed_form_attn_(kv == llm::KvScheme::FP16 ||
-                        kv == llm::KvScheme::INT4),
-      tp_(tp), shard_deltas_(engines_.size()),
-      attn_memo_(engines_.size())
+    : eng_(eng), model_(model), scheme_(scheme), kv_scheme_(kv), tp_(tp)
 {
+    vqllm_assert(tp_.degree >= 1, "TP degree must be >= 1");
     vqllm_assert(model_.heads % tp_.degree == 0,
                  "heads must divide evenly across TP ranks");
     vqllm_assert(model_.kvHeads() >=
                      static_cast<std::size_t>(tp_.degree),
                  "TP degree exceeds the model's KV heads");
+    attn_memo_.resize(static_cast<std::size_t>(tp_.degree));
 }
 
 double
@@ -443,8 +424,8 @@ IterationPricer::prefillChunkUs(std::size_t tokens, std::size_t context)
     }
     std::size_t ctx = context == 0 ? 0 : bucketTo(context, bucket);
     return prefill_memo_.get(ctx / bucket, col, [&] {
-        return llm::estimateChunkedPrefillUs(spec_, model_, slice, ctx,
-                                             tp_);
+        return llm::estimateChunkedPrefillUs(eng_.spec(), model_, slice,
+                                             ctx, tp_);
     });
 }
 
@@ -456,38 +437,30 @@ IterationPricer::prefillCommUs(std::size_t tokens) const
 }
 
 double
-IterationPricer::decodeLinearUs(compiler::Engine &eng, std::size_t shard,
-                                std::size_t batch)
+IterationPricer::decodeLinearUs(std::size_t shard, std::size_t batch)
 {
-    // VQ weights price through the engine, whose plan cache memoizes
-    // the compiles (and counts every lookup); the FP16/EWQ closed
-    // forms are memoized here.
-    auto price = [&] {
+    return linear_memo_.get(shard, batch, [&] {
         double us = 0;
         std::size_t degree = static_cast<std::size_t>(tp_.degree);
         for (auto [n, k] : llm::shardLinearShapes(model_, degree, shard)) {
             engine::GemmShape shape{batch, n, k};
-            us += llm::schemeLinearUs(eng, scheme_, shape);
+            us += llm::schemeLinearUs(eng_, scheme_, shape);
         }
         return us;
-    };
-    return closed_form_linears_ ? linear_memo_.get(shard, batch, price)
-                                : price();
+    });
 }
 
 double
-IterationPricer::decodeAttnUs(compiler::Engine &eng, std::size_t shard,
-                              std::size_t batch, std::size_t bucket)
+IterationPricer::decodeAttnUs(std::size_t shard, std::size_t batch,
+                              std::size_t bucket)
 {
-    auto price = [&] {
+    return attn_memo_[shard].get(bucket, batch, [&] {
         return llm::kvSchemeAttentionUs(
-            eng, kv_scheme_,
+            eng_, kv_scheme_,
             llm::shardAttnShape(model_, batch, bucket * kSeqBucket,
                                 static_cast<std::size_t>(tp_.degree),
                                 shard));
-    };
-    return closed_form_attn_ ? attn_memo_[shard].get(bucket, batch, price)
-                             : price();
+    });
 }
 
 double
@@ -511,34 +484,24 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
 
     std::size_t n = batch.size();
     double elem_us = elem_memo_.get(0, n, [&] {
-        return llm::elementwiseLayerLatencyUs(spec_, n, model_.hidden);
+        return llm::elementwiseLayerLatencyUs(eng_.spec(), n,
+                                              model_.hidden);
     });
 
     // All shards launch in lockstep; the slowest (widest) shard sets
     // the step latency.  Element-wise ops run replicated on the full
-    // hidden width on every shard.  A shard priced wholly in closed
-    // form never touches its engine, so it skips the stats snapshots.
-    const bool engine_calls = !closed_form_linears_ || !closed_form_attn_;
+    // hidden width on every shard.
+    const std::size_t degree = static_cast<std::size_t>(tp_.degree);
     double layers = static_cast<double>(model_.layers);
     double step_us = 0;
     double attn0_us = 0;
-    for (std::size_t s = 0; s < engines_.size(); ++s) {
-        compiler::Engine &eng = *engines_[s];
-        compiler::CacheStats before;
-        if (engine_calls)
-            before = eng.stats();
+    for (std::size_t s = 0; s < degree; ++s) {
         double attn_us = 0;
         for (std::size_t bucket : buckets_)
-            attn_us += decodeAttnUs(eng, s, bucket_counts_[bucket], bucket);
+            attn_us += decodeAttnUs(s, bucket_counts_[bucket], bucket);
         if (s == 0)
             attn0_us = attn_us;
-        double shard_us = decodeLinearUs(eng, s, n) + elem_us + attn_us;
-        if (engine_calls) {
-            const compiler::CacheStats after = eng.stats();
-            shard_deltas_[s].plan_cache_hits += after.hits - before.hits;
-            shard_deltas_[s].plan_cache_misses +=
-                after.misses - before.misses;
-        }
+        double shard_us = decodeLinearUs(s, n) + elem_us + attn_us;
         if (collect_detail_)
             last_detail_.shard_compute_us.push_back(shard_us * layers);
         step_us = std::max(step_us, shard_us);
@@ -546,16 +509,15 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
 
     // KV-dequant attribution: what the same bucketed attention
     // sub-launches would cost with uncompressed FP16 KV (closed form,
-    // memoized, no engine cache traffic), on the critical shard 0
-    // geometry.  Pure accounting — the time itself is already inside
-    // decode_us.
+    // never an engine lookup), on the critical shard 0 geometry.  Pure
+    // accounting — the time itself is already inside decode_us.
     if (kv_scheme_ != llm::KvScheme::FP16) {
         double fp16_us = 0;
         for (std::size_t bucket : buckets_) {
             std::size_t count = bucket_counts_[bucket];
             fp16_us += fp16_attn_memo_.get(bucket, count, [&] {
                 return llm::kvSchemeAttentionUs(
-                    *engines_[0], llm::KvScheme::FP16,
+                    eng_, llm::KvScheme::FP16,
                     llm::shardAttnShape(
                         model_, count, bucket * kSeqBucket,
                         static_cast<std::size_t>(tp_.degree), 0));
@@ -571,10 +533,10 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
     // reduce the MLP partials (0 at degree 1).
     double comm_us =
         llm::layerAllReduceUs(tp_, n, model_.hidden) * layers;
-    comm_us_ += comm_us;
     last_breakdown_.decode_us += step_us * layers;
     last_breakdown_.comm_us += comm_us;
     totals_.decode_us += step_us * layers;
+    totals_.comm_us += comm_us;
     if (collect_detail_) {
         last_detail_.decode_comm_us += comm_us;
         last_detail_.decode_batch = n;
@@ -601,8 +563,8 @@ IterationPricer::iterationUs(const Scheduler::Iteration &it)
                                            chunk.context, chunk.last,
                                            chunk_us});
         double comm_us = prefillCommUs(chunk.tokens);
-        comm_us_ += comm_us;
         last_breakdown_.comm_us += comm_us;
+        totals_.comm_us += comm_us;
         us += comm_us;
     }
     if (!it.decode.empty())

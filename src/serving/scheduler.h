@@ -37,11 +37,10 @@
  * bucket — mirroring flash-decoding's homogeneous sub-launches over a
  * ragged batch — and prefill slices via llm::estimateChunkedPrefillUs
  * on the (slice, context) bucket.  Steady-state decode iterations
- * repeat a handful of bucketed shapes: VQ kernel prices are plan-cache
- * hits in the engine, and closed-form prices (FP16/EWQ linears, FP16/
- * INT4 attention, prefill slices, element-wise ops) are hits in the
- * pricer's own memo tables, so a multi-minute simulation runs a few
- * hundred planner invocations and few cost-model evaluations.
+ * repeat a handful of bucketed shapes, and every price — VQ kernels
+ * and closed forms alike — is a hit in the pricer's own memo tables,
+ * so a multi-minute simulation runs a few hundred planner invocations
+ * and few cost-model evaluations.
  */
 #pragma once
 
@@ -52,7 +51,6 @@
 #include <memory>
 #include <vector>
 
-#include "gpusim/gpu_spec.h"
 #include "llm/model_config.h"
 #include "llm/tensor_parallel.h"
 #include "serving/kv_block_pool.h"
@@ -201,44 +199,30 @@ class Scheduler
  * Prices scheduler iterations in simulated microseconds, across the
  * shards of a tensor-parallel deployment.
  *
- * Kernel compilation and costing route through the per-shard
- * compiler::Engine instances, whose memoizing plan caches make
- * repeated (bucketed) shapes cache hits — after the first decode
- * iteration a steady-state simulation prices almost entirely from the
- * cache.  Under TP (degree > 1) every decode step and prefill chunk
- * prices the critical shard's head-sharded attention and column/row
- * -parallel linears per shard (shard geometry from
- * llm::shardLinearShapes / shardAttnShape, the same helpers
- * llm::estimateTensorParallel uses, so the two models stay consistent)
- * plus the two per-layer ring all-reduces via llm::layerAllReduceUs.
- * Degree 1 is a TP group of one: unsharded shapes, no collectives.
+ * Under TP (degree > 1) every decode step and prefill chunk prices the
+ * critical shard's head-sharded attention and column/row-parallel
+ * linears per shard (shard geometry from llm::shardLinearShapes /
+ * shardAttnShape, the same helpers llm::estimateTensorParallel uses,
+ * so the two models stay consistent) plus the two per-layer ring
+ * all-reduces via llm::layerAllReduceUs.  Degree 1 is a TP group of
+ * one: unsharded shapes, no collectives.  TP shards are identical
+ * GPUs, so every shard compiles through the one engine.
  *
- * VQ kernels are memoized only by the engines' plan caches, so every
- * VQ price is a compileBest lookup and the per-shard plan-cache deltas
- * count each one.  Closed-form prices never reach an engine; the
- * pricer memoizes them itself: FP16/EWQ4 linears per (shard, batch),
- * FP16/INT4 attention per (shard, count, context bucket), the shard-0
- * FP16 reference attention behind kvDequantUs() per (count, bucket),
- * prefill slices per bucket pair and element-wise ops per batch.  A
- * shard whose weights and KV both price in closed form makes no engine
- * call at all.
+ * Every price is memoized here, whatever the scheme: linears per
+ * (shard, batch), decode attention per (shard, context bucket,
+ * count), the shard-0 FP16 reference attention behind kvDequantUs()
+ * per (bucket, count), prefill slices per bucket pair and element-wise
+ * ops per batch.  A VQ price asks the engine (an O2-O4 compileBest
+ * ladder) only when its memo slot first fills, so the engine's
+ * plan-cache counters see one lookup per slot, not one per step;
+ * closed-form prices never reach the engine.
  *
- * Engines may be shared across pricers and shards (they are
- * thread-safe); the pricer's memo tables and per-shard cache-delta
- * accounting are not, so create one pricer per simulator.
+ * The engine may be shared across pricers (it is thread-safe); the
+ * memo tables are not, so create one pricer per simulator.
  */
 class IterationPricer
 {
   public:
-    /** Plan-cache lookups one shard's pricing performed (the
-     *  attribution works whether shards share one engine or own
-     *  private ones — pricing is sequential within the pricer). */
-    struct ShardCacheDelta
-    {
-        std::uint64_t plan_cache_hits = 0;
-        std::uint64_t plan_cache_misses = 0;
-    };
-
     /**
      * Busy-time decomposition of priced work, microseconds.  The four
      * categories partition every priced microsecond: summed over a run
@@ -296,16 +280,14 @@ class IterationPricer
     static constexpr std::size_t kSeqBucket = 256;
 
     /**
-     * One engine per TP shard (entries may repeat one shared engine):
-     * engines.size() must equal tp.degree, and model.heads must divide
-     * evenly across the degree.  Weight scheme `scheme` prices the
+     * `eng` compiles every shard's VQ kernels; model.heads must divide
+     * evenly across tp.degree.  Weight scheme `scheme` prices the
      * decode linears; KV storage scheme `kv` prices decode attention
      * (FP16 KV prices flash decoding, INT4 the element-wise dequant
      * path, VQ4 / VQ2 compile fused dequant-attention kernels carrying
      * the KV VQConfig) and sizes the codebook-residency model.
      */
-    IterationPricer(std::vector<compiler::Engine *> engines,
-                    const llm::LlamaConfig &model,
+    IterationPricer(compiler::Engine &eng, const llm::LlamaConfig &model,
                     llm::QuantScheme scheme, llm::KvScheme kv,
                     const llm::TpConfig &tp);
 
@@ -339,11 +321,6 @@ class IterationPricer
      *  over shards). */
     std::uint64_t codebookGroupBytes() const;
 
-    llm::QuantScheme scheme() const { return scheme_; }
-
-    /** KV storage scheme decode attention is priced under. */
-    llm::KvScheme kvScheme() const { return kv_scheme_; }
-
     /**
      * Cumulative signed decode-attention delta attributable to the KV
      * scheme so far: the priced attention cost minus what the same
@@ -356,20 +333,11 @@ class IterationPricer
      */
     double kvDequantUs() const { return kv_dequant_us_; }
 
-    const llm::TpConfig &tp() const { return tp_; }
-
     /** Cumulative collective time priced so far, microseconds. */
-    double commUs() const { return comm_us_; }
+    double commUs() const { return totals_.comm_us; }
 
-    /** Cumulative busy-time breakdown priced so far (comm_us matches
-     *  commUs()). */
-    Breakdown
-    totals() const
-    {
-        Breakdown b = totals_;
-        b.comm_us = comm_us_;
-        return b;
-    }
+    /** Cumulative busy-time breakdown priced so far. */
+    const Breakdown &totals() const { return totals_; }
 
     /** Breakdown of the most recent iterationUs() call (codebook
      *  penalties priced after it via codebookMissUs included). */
@@ -381,16 +349,6 @@ class IterationPricer
 
     /** Toggle per-iteration detail collection (off by default). */
     void setCollectDetail(bool on) { collect_detail_ = on; }
-
-    /** Per-shard plan-cache lookup deltas accumulated so far. */
-    const std::vector<ShardCacheDelta> &
-    shardCacheDeltas() const
-    {
-        return shard_deltas_;
-    }
-
-    /** @return the engine shard 0 compiles through. */
-    compiler::Engine &engine() const { return *engines_.front(); }
 
   private:
     /**
@@ -421,39 +379,30 @@ class IterationPricer
         std::vector<std::vector<double>> rows_;
     };
 
-    double decodeLinearUs(compiler::Engine &eng, std::size_t shard,
-                          std::size_t batch);
-    double decodeAttnUs(compiler::Engine &eng, std::size_t shard,
-                        std::size_t batch, std::size_t bucket);
+    double decodeLinearUs(std::size_t shard, std::size_t batch);
+    double decodeAttnUs(std::size_t shard, std::size_t batch,
+                        std::size_t bucket);
 
-    std::vector<compiler::Engine *> engines_;
-    const gpusim::GpuSpec &spec_;
+    compiler::Engine &eng_;
     const llm::LlamaConfig &model_;
     llm::QuantScheme scheme_;
     llm::KvScheme kv_scheme_;
-    /** Linears (weights) / decode attention (KV) price in closed form,
-     *  without an engine lookup. */
-    bool closed_form_linears_;
-    bool closed_form_attn_;
     llm::TpConfig tp_;
-    double comm_us_ = 0;
     double kv_dequant_us_ = 0;
-    /** Cumulative breakdown (comm tracked by comm_us_ above). */
     Breakdown totals_;
     Breakdown last_breakdown_;
     IterationDetail last_detail_;
     bool collect_detail_ = false;
-    std::vector<ShardCacheDelta> shard_deltas_;
 
-    // Closed-form price memos (see the class comment).  Bucket keys
-    // number context buckets of kSeqBucket tokens.
+    // Price memos (see the class comment).  Bucket keys number context
+    // buckets of kSeqBucket tokens.
     /** (context bucket, slice index) -> prefill slice. */
     PriceMemo prefill_memo_;
     /** (0, batch) -> element-wise ops of one layer. */
     PriceMemo elem_memo_;
-    /** (shard, batch) -> one layer's FP16/EWQ4 linears. */
+    /** (shard, batch) -> one layer's linears. */
     PriceMemo linear_memo_;
-    /** Per shard: (bucket, count) -> FP16/INT4 attention sub-launch. */
+    /** Per shard: (bucket, count) -> decode attention sub-launch. */
     std::vector<PriceMemo> attn_memo_;
     /** (bucket, count) -> shard-0 FP16 attention, kvDequantUs()'s
      *  reference. */

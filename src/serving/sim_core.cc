@@ -57,15 +57,11 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
     // Private per-run engine unless one is injected: reports then
     // describe exactly this run, and concurrent runMany sims never
     // contend on one cache.  TP shards are identical GPUs compiling
-    // identical shard shapes, so all shards price through one engine —
-    // per-shard plan-cache deltas still attribute correctly because
-    // the pricer snapshots around each shard's pricing.
+    // identical shard shapes, so all shards price through one engine.
     eng_ = cfg_.engine != nullptr ? cfg_.engine
                                   : &local_engine_.emplace(cfg_.gpuSpec());
     plan_stats_before_ = eng_->stats();
-    std::vector<compiler::Engine *> shard_engines(degree_, eng_);
-    pricer_.emplace(shard_engines, model_, cfg_.scheme, kv_scheme_,
-                    cfg_.tp);
+    pricer_.emplace(*eng_, model_, cfg_.scheme, kv_scheme_, cfg_.tp);
     has_codebooks_ = pricer_->codebookGroupBytes() > 0;
 
     // ---- Observability hookup.  Every instrumentation site guards on
@@ -349,6 +345,8 @@ SimulatorCore::finalize()
     report.kv_capacity_bytes = kv_capacity_bytes_;
     report.codebook_hit_rate =
         has_codebooks_ ? residency_.stats().hitRate() : 1.0;
+    // Engine lookups this run made: one per memo slot the pricer
+    // filled with a VQ price (repeats are answered by the memo).
     const compiler::CacheStats plan_stats = eng_->stats();
     report.plan_cache_hits = plan_stats.hits - plan_stats_before_.hits;
     report.plan_cache_misses =
@@ -388,7 +386,6 @@ SimulatorCore::finalize()
     report.decode_us = breakdown.decode_us;
     report.codebook_upload_us = breakdown.codebook_upload_us;
     report.shards.resize(degree_);
-    const auto &shard_deltas = pricer_->shardCacheDeltas();
     for (std::size_t i = 0; i < degree_; ++i) {
         // Every device holds the table's blocks at its own block size.
         report.shards[i].kv_peak_bytes = pool_.stats().peak_used_blocks *
@@ -396,10 +393,6 @@ SimulatorCore::finalize()
                                          device_bpt_[i];
         report.kv_peak_bytes += report.shards[i].kv_peak_bytes;
         report.shards[i].kv_capacity_bytes = kv_capacity_per_device_;
-        report.shards[i].plan_cache_hits =
-            shard_deltas[i].plan_cache_hits;
-        report.shards[i].plan_cache_misses =
-            shard_deltas[i].plan_cache_misses;
     }
 
     if (trace_rec_ != nullptr) {

@@ -72,14 +72,14 @@ struct SimulatorConfig
     const llm::LlamaConfig *model = nullptr; ///< unset: modelConfig()
 
     /**
-     * Compile engine pricing the iterations.  nullptr (default): the
-     * run constructs a private engine, so its report's plan-cache
-     * counters describe exactly this run and concurrent runMany sims
-     * stay independent.  Injecting a shared engine keeps its kernel
-     * cache warm across runs (steady-state pricing is then cache hits
-     * from iteration one); the report's cache counters are the delta
-     * observed by this run, which double-counts under concurrent runs
-     * sharing one engine.
+     * Compile engine pricing the iterations, one for every TP shard.
+     * nullptr (default): the run constructs a private engine, so its
+     * report's plan-cache counters describe exactly this run and
+     * concurrent runMany sims stay independent.  Injecting a shared
+     * engine keeps its kernel cache warm across runs (a later run's
+     * first price of each shape is then a cache hit, not a compile);
+     * the report's cache counters are the delta observed by this run,
+     * which double-counts under concurrent runs sharing one engine.
      */
     compiler::Engine *engine = nullptr;
 

@@ -478,7 +478,7 @@ TEST(KvSchemePricing, CodebookGroupHoldsOneBookPerChannelGroup)
         {&llm::llama70b(), llm::KvScheme::VQ2, 512},
     };
     for (const Case &c : cases) {
-        IterationPricer pricer({&eng}, *c.model, llm::QuantScheme::FP16,
+        IterationPricer pricer(eng, *c.model, llm::QuantScheme::FP16,
                                c.kv, llm::TpConfig{});
         EXPECT_EQ(pricer.codebookGroupBytes(),
                   c.books_per_layer * c.model->layers *

@@ -1,11 +1,17 @@
 /**
  * @file
  * Tests for the continuous-batching scheduler: batch formation, prefill
- * admission, preemption under KV pressure, and end-to-end determinism
- * of the simulator under a fixed seed.
+ * admission, preemption under KV pressure, KV accounting over seeded
+ * random op sequences, and end-to-end determinism of the simulator
+ * under a fixed seed.
  */
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+
+#include "common/rng.h"
+#include "serving/prefix_cache.h"
 #include "serving/scheduler.h"
 #include "serving/simulator.h"
 
@@ -335,6 +341,211 @@ TEST(ServingSimulator, IdleGapsDoNotDiluteThroughput)
     EXPECT_GT(report.tokens_per_sec,
               static_cast<double>(report.decode_tokens) /
                   (report.sim_time_us / 1e6));
+}
+
+// ---------------------------------------------------------------------
+// Property: seeded random op sequences
+
+/**
+ * One seeded random sequence of scheduler ops over a pool tight enough
+ * to force preemption: submits (plain, prefix-bearing and KV-imported
+ * requests) and steps (next(), then token emission and retire, as
+ * SimulatorCore::step does them).  After every op the KV accounting
+ * SimulatorCore::step asserts must hold; a drained run leaks no block.
+ */
+class SchedulerOps
+{
+  public:
+    SchedulerOps(std::uint64_t seed, PolicyKind policy,
+                 std::size_t chunk_tokens, bool prefix_cache)
+        : rng_(seed), pool_(poolCfg(40)),
+          sched_({.max_batch = 6,
+                  .max_prefill_tokens = 64,
+                  .chunk_tokens = chunk_tokens,
+                  .policy = policy},
+                 pool_)
+    {
+        if (prefix_cache) {
+            cache_.emplace(pool_, 6);
+            sched_.setPrefixCache(&*cache_);
+        }
+    }
+
+    void
+    run(int ops)
+    {
+        // Out of 4: submit 1, step 3 (an idle scheduler submits).
+        for (int i = 0; i < ops; ++i) {
+            if (sched_.idle() || rng_.uniformInt(4) == 0)
+                submit();
+            else
+                ASSERT_NO_FATAL_FAILURE(step());
+            ASSERT_NO_FATAL_FAILURE(check());
+        }
+    }
+
+    /** Step until idle, then drop the cache: every request finished
+     *  or was rejected, and every block is back in the pool. */
+    void
+    drain()
+    {
+        for (int guard = 0; !sched_.idle(); ++guard) {
+            ASSERT_LT(guard, 100000) << "scheduler never drains";
+            ASSERT_NO_FATAL_FAILURE(step());
+            ASSERT_NO_FATAL_FAILURE(check());
+        }
+        for (const Request &r : reqs_)
+            ASSERT_TRUE(r.state == RequestState::Finished ||
+                        r.state == RequestState::Rejected)
+                << "request " << r.id;
+        if (cache_)
+            cache_->clear();
+        EXPECT_EQ(pool_.usedBlocks(), 0u);
+    }
+
+    std::uint64_t preemptions() const { return preemptions_; }
+    std::uint64_t imports() const { return imports_; }
+
+    std::uint64_t
+    prefixHits() const
+    {
+        return cache_ ? cache_->stats().hits : 0;
+    }
+
+  private:
+    void
+    submit()
+    {
+        Request &r = reqs_.emplace_back();
+        r.id = reqs_.size() - 1;
+        r.arrival_us = now_;
+        r.prompt_len = 1 + rng_.uniformInt(40);
+        r.max_new_tokens = 1 + rng_.uniformInt(16);
+        r.priority = static_cast<int>(rng_.uniformInt(3));
+        switch (rng_.uniformInt(4)) {
+        case 0:
+            // A fleet handoff: the prefill replica already emitted the
+            // first token.
+            r.kv_imported = true;
+            r.generated = 1;
+            r.first_token_us = r.last_token_us = now_;
+            ++r.max_new_tokens;
+            break;
+        case 1: {
+            // Groups 0 and 2 end in a partial block, group 1 is
+            // block-aligned.
+            static constexpr std::size_t kPrefix[] = {18, 24, 30};
+            const std::uint64_t group = rng_.uniformInt(3);
+            r.prefix_group = static_cast<std::int64_t>(group);
+            r.prefix_tokens = kPrefix[group];
+            r.prompt_len += r.prefix_tokens;
+            break;
+        }
+        default:
+            break;
+        }
+        sched_.submit(&r);
+        if (r.kv_imported && r.state != RequestState::Rejected)
+            ++imports_;
+    }
+
+    void
+    step()
+    {
+        Scheduler::Iteration it = sched_.next();
+        // A busy scheduler always forms work (SimulatorCore::step
+        // panics otherwise).
+        ASSERT_FALSE(it.empty());
+        preemptions_ += it.preempted;
+        now_ += 1;
+        std::vector<Request *> finished;
+        auto emit = [&](Request *r) {
+            ++r->generated;
+            if (r->first_token_us < 0)
+                r->first_token_us = now_;
+            r->last_token_us = now_;
+            if (r->done())
+                finished.push_back(r);
+        };
+        for (const auto &chunk : it.prefill)
+            if (chunk.last)
+                emit(chunk.req);
+        for (Request *r : it.decode)
+            emit(r);
+        for (Request *r : finished)
+            sched_.retire(r);
+    }
+
+    void
+    check() const
+    {
+        std::size_t running_tokens = 0;
+        for (const Request *r : sched_.running()) {
+            ASSERT_EQ(r->state, RequestState::Running);
+            ASSERT_EQ(pool_.seqTokens(r->id), r->prefilled_tokens)
+                << "request " << r->id;
+            if (r->prefill_complete) {
+                ASSERT_EQ(r->prefilled_tokens, r->contextTokens())
+                    << "request " << r->id;
+            }
+            running_tokens += r->prefilled_tokens;
+        }
+        for (const Request *r : sched_.waiting()) {
+            ASSERT_TRUE(r->state == RequestState::Waiting ||
+                        r->state == RequestState::Preempted);
+            ASSERT_EQ(pool_.seqTokens(r->id), 0u)
+                << "waiting request " << r->id << " holds KV";
+        }
+        // Shared prefix blocks store their tokens once in the pool but
+        // once per owner in the running sum.
+        if (cache_)
+            ASSERT_LE(pool_.storedTokens(),
+                      running_tokens + cache_->cachedTokens());
+        else
+            ASSERT_EQ(pool_.storedTokens(), running_tokens);
+    }
+
+    Rng rng_;
+    KvBlockPool pool_;
+    /** After the pool: its destructor unregisters the reclaimer. */
+    std::optional<PrefixCache> cache_;
+    Scheduler sched_;
+    /** Submitted requests (a deque keeps their addresses stable). */
+    std::deque<Request> reqs_;
+    double now_ = 0;
+    std::uint64_t preemptions_ = 0;
+    std::uint64_t imports_ = 0;
+};
+
+TEST(SchedulerProperty, RandomOpSequencesKeepKvAccounting)
+{
+    std::uint64_t preemptions = 0;
+    std::uint64_t imports = 0;
+    std::uint64_t prefix_hits = 0;
+    for (PolicyKind policy :
+         {PolicyKind::FCFS, PolicyKind::Priority, PolicyKind::EDF}) {
+        for (std::size_t chunk_tokens : {0u, 16u}) {
+            for (bool prefix_cache : {false, true}) {
+                for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                    SCOPED_TRACE(testing::Message()
+                                 << policyKindName(policy) << " chunk "
+                                 << chunk_tokens << " prefix cache "
+                                 << prefix_cache << " seed " << seed);
+                    SchedulerOps ops(seed, policy, chunk_tokens,
+                                     prefix_cache);
+                    ASSERT_NO_FATAL_FAILURE(ops.run(300));
+                    ASSERT_NO_FATAL_FAILURE(ops.drain());
+                    preemptions += ops.preemptions();
+                    imports += ops.imports();
+                    prefix_hits += ops.prefixHits();
+                }
+            }
+        }
+    }
+    // The sequences reach the paths they claim to cover.
+    EXPECT_GT(preemptions, 0u);
+    EXPECT_GT(imports, 0u);
+    EXPECT_GT(prefix_hits, 0u);
 }
 
 // Workload generator sanity.
