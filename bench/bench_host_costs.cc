@@ -4,10 +4,11 @@
  * VQ-LLM — kernel planning, thread-mapping computation, CUDA emission,
  * k-means training, nearest-entry encoding, quantization/dequantization
  * throughput, and the bank-conflict estimator.  These are the real CPU
- * costs a deployment pays when generating kernels.  Three serving-side
- * costs ride along: the prefix cache's reclaimable-capacity query, the
- * KV pool's per-token decode append and the iteration pricer's decode
- * step.
+ * costs a deployment pays when generating kernels.  Serving-side costs
+ * ride along: the prefix cache's longest-match lookup and
+ * reclaimable-capacity query, the KV pool's per-token decode append,
+ * the iteration pricer's decode step and the end-of-run latency
+ * summary.
  */
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include "gpusim/bank_conflict.h"
 #include "kernels/vq_kernels.h"
 #include "llm/model_config.h"
+#include "serving/metrics.h"
 #include "serving/prefix_cache.h"
 #include "serving/scheduler.h"
 #include "tensor/datagen.h"
@@ -250,6 +252,52 @@ BM_EstimateVqAttention(benchmark::State &state)
 BENCHMARK(BM_EstimateVqAttention)->Name("estimate_vq_attention");
 
 void
+BM_PrefixCacheMatch(benchmark::State &state)
+{
+    // The admission-time lookup over 32 tenants' 1000-token system
+    // prompts (62 full blocks and an 8-token tail each), all cached:
+    // every lookup walks a whole chain.  Lookups rotate through the
+    // tenants.
+    constexpr std::size_t kBlockTokens = 16;
+    constexpr std::size_t kChains = 32;
+    constexpr std::size_t kPrefixTokens = 1000;
+    constexpr std::size_t kChainBlocks = kPrefixTokens / kBlockTokens + 1;
+    serving::KvBlockPoolConfig cfg;
+    cfg.block_tokens = kBlockTokens;
+    cfg.bytes_per_token = 1;
+    // Every chain's blocks, each tail's cache-owned copy, one writer.
+    cfg.capacity_bytes = (2 * kChains + 1) * kChainBlocks * kBlockTokens;
+    serving::KvBlockPool pool(cfg);
+    serving::PrefixCache cache(pool, 0);
+    std::vector<serving::Request> lookups(kChains);
+    for (std::size_t g = 0; g < kChains; ++g) {
+        serving::Request &r = lookups[g];
+        r.id = g + 1;
+        r.prefix_group = static_cast<std::int64_t>(g);
+        r.prefix_tokens = kPrefixTokens;
+        r.prompt_len = kPrefixTokens + 64;
+        if (!pool.allocSequence(r.id, r.prompt_len)) {
+            state.SkipWithError("KV pool too small for the chains");
+            return;
+        }
+        r.prefilled_tokens = r.prompt_len;
+        cache.onPrefillAdvance(r);
+        pool.freeSequence(r.id);
+        cache.onRelease(r.id);
+        r.prefilled_tokens = 0;
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        auto m = cache.match(lookups[next]);
+        benchmark::DoNotOptimize(m.tokens);
+        next = next + 1 == kChains ? 0 : next + 1;
+    }
+    state.counters["cached_blocks"] =
+        static_cast<double>(cache.cachedBlocks());
+}
+BENCHMARK(BM_PrefixCacheMatch)->Name("prefix_cache_match");
+
+void
 BM_PrefixCacheEvictableBlocks(benchmark::State &state)
 {
     // The reclaimable-capacity query the KV pool runs on every prefill
@@ -356,6 +404,30 @@ BM_IterationPricerDecode(benchmark::State &state)
 }
 BENCHMARK(BM_IterationPricerDecode)->Arg(0)->Arg(1)->Name(
     "iteration_pricer_decode(vq)");
+
+void
+BM_LatencySummarize(benchmark::State &state)
+{
+    // The end-of-run TBT summary of a serve_ewq4_prefix-sized run: a
+    // decode step records one equal sample per sequence, so ~734k
+    // samples form ~16k runs, here of 1-90 equal step prices drawn
+    // from 4,096 distinct ones (10-60 ms).
+    Rng rng(23);
+    std::vector<double> steps(4096);
+    for (double &v : steps)
+        v = rng.uniform(1e4, 6e4);
+    std::vector<double> samples;
+    for (int run = 0; run < 16144; ++run)
+        samples.insert(samples.end(), 1 + rng.uniformInt(90),
+                       steps[rng.uniformInt(steps.size())]);
+    for (auto _ : state) {
+        auto s = serving::summarize(samples);
+        benchmark::DoNotOptimize(s.mean_us);
+    }
+    state.counters["samples"] = static_cast<double>(samples.size());
+}
+BENCHMARK(BM_LatencySummarize)->Unit(benchmark::kMillisecond)->Name(
+    "latency_summarize");
 
 } // namespace
 

@@ -327,10 +327,10 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
                  "fleet drained with requests unaccounted for");
 
     // ---- Assemble the fleet report.  Latencies are origin-level:
-    // TTFT/TBT pool every replica's samples (summarize() sorts, so
-    // concatenation order is irrelevant); E2E comes from the fleet's
-    // own completion bookkeeping (a disaggregated request's E2E spans
-    // both phases plus the transfer).
+    // TTFT/TBT pool every replica's samples (summarize() sums in
+    // ascending order, so concatenation order is irrelevant); E2E comes
+    // from the fleet's own completion bookkeeping (a disaggregated
+    // request's E2E spans both phases plus the transfer).
     FleetReport report;
     std::vector<double> ttft, tbt;
     double sim_time_us = 0;
@@ -343,8 +343,8 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
                    c.tbtSamples().end());
         sim_time_us = std::max(sim_time_us, rep.core->now());
     }
-    report.ttft = serving::summarize(std::move(ttft));
-    report.tbt = serving::summarize(std::move(tbt));
+    report.ttft = serving::summarize(ttft);
+    report.tbt = serving::summarize(tbt);
     report.e2e = serving::summarize(e2e_samples_);
     report.sim_time_us = sim_time_us;
     report.completed_requests = completed_;

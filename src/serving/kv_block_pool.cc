@@ -357,28 +357,34 @@ CodebookResidency::BatchResult
 CodebookResidency::touchBatch(const std::vector<std::uint64_t> &groups)
 {
     BatchResult out;
+    // A slot is pinned while its stamp is the current batch, so the
+    // next batch unpins every slot at once.
+    ++batch_;
 
     // Deduplicate: one upload serves every sequence sharing the group.
-    std::vector<std::uint64_t> unique = groups;
-    std::sort(unique.begin(), unique.end());
-    unique.erase(std::unique(unique.begin(), unique.end()),
-                 unique.end());
+    batch_groups_.assign(groups.begin(), groups.end());
+    std::sort(batch_groups_.begin(), batch_groups_.end());
+    batch_groups_.erase(
+        std::unique(batch_groups_.begin(), batch_groups_.end()),
+        batch_groups_.end());
 
-    // Pin already-resident members of the batch so admissions below
-    // cannot evict them mid-iteration.
-    for (std::uint64_t g : unique) {
+    // Hits first: pinning every resident member of the batch before
+    // any admission keeps the admissions below from evicting them
+    // mid-iteration.  The misses keep their ascending order at the
+    // front of the buffer.
+    std::size_t missing = 0;
+    for (std::uint64_t g : batch_groups_) {
         auto it = resident_.find(g);
-        if (it != resident_.end())
-            it->second.pinned = true;
-    }
-
-    for (std::uint64_t g : unique) {
-        auto it = resident_.find(g);
-        if (it != resident_.end()) {
-            ++it->second.freq;
-            ++out.hits;
+        if (it == resident_.end()) {
+            batch_groups_[missing++] = g;
             continue;
         }
+        it->second.batch = batch_;
+        ++it->second.freq;
+        ++out.hits;
+    }
+
+    for (std::size_t m = 0; m < missing; ++m) {
         ++out.misses;
         if (resident_.size() >= slots_) {
             // Hit-aware LFU victim: min frequency among unpinned
@@ -386,7 +392,7 @@ CodebookResidency::touchBatch(const std::vector<std::uint64_t> &groups)
             auto victim = resident_.end();
             for (auto cand = resident_.begin(); cand != resident_.end();
                  ++cand) {
-                if (cand->second.pinned)
+                if (cand->second.batch == batch_)
                     continue;
                 if (victim == resident_.end() ||
                     cand->second.freq < victim->second.freq ||
@@ -403,11 +409,8 @@ CodebookResidency::touchBatch(const std::vector<std::uint64_t> &groups)
             resident_.erase(victim);
             ++out.evictions;
         }
-        resident_.emplace(g, Slot{1, true});
+        resident_.emplace(batch_groups_[m], Slot{1, batch_});
     }
-
-    for (auto &[g, slot] : resident_)
-        slot.pinned = false;
 
     stats_.hits += out.hits;
     stats_.misses += out.misses;

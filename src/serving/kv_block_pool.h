@@ -390,11 +390,17 @@ class CodebookResidency
     struct Slot
     {
         std::uint64_t freq = 0;
-        bool pinned = false;
+        /** Last touchBatch() call that referenced the group: the slot
+         *  is pinned while this is the current batch_. */
+        std::uint64_t batch = 0;
     };
 
     std::size_t slots_;
     std::unordered_map<std::uint64_t, Slot> resident_;
+    /** touchBatch() calls so far. */
+    std::uint64_t batch_ = 0;
+    /** Reused buffer of the current batch's distinct groups. */
+    std::vector<std::uint64_t> batch_groups_;
     CodebookResidencyStats stats_;
 };
 

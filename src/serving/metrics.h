@@ -44,8 +44,13 @@ struct LatencyStats
  */
 double percentile(const std::vector<double> &sorted, double q);
 
-/** Summarize a latency population (sorts a copy; empty input → zeros). */
-LatencyStats summarize(std::vector<double> samples);
+/**
+ * Summarize a latency population (empty input → zeros).  mean_us is the
+ * ascending-order sum over the count, bit for bit; the samples are
+ * sorted as runs of equal values, which is cheap for the simulator's
+ * TBT populations (one equal sample per sequence per decode step).
+ */
+LatencyStats summarize(const std::vector<double> &samples);
 
 // JSON writers of ServingReport::json() and fleet::FleetReport::json().
 /** %.17g: the shortest form that round-trips a double. */

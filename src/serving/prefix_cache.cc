@@ -43,6 +43,15 @@ PrefixCache::chainHash(std::uint64_t parent, std::int64_t group,
     return h == 0 ? 1 : h;
 }
 
+std::uint64_t
+PrefixCache::nextKey(Node &parent, std::int64_t group, std::size_t index)
+{
+    if (parent.next == 0)
+        parent.next = chainHash(parent.hash, group, index,
+                                pool_.config().block_tokens);
+    return parent.next;
+}
+
 PrefixCache::Match
 PrefixCache::match(const Request &r)
 {
@@ -55,22 +64,26 @@ PrefixCache::match(const Request &r)
     // query, and a zero-token admission could not take a slice.
     const std::size_t cap =
         std::min(r.prefix_tokens, r.prompt_len - 1);
-    std::uint64_t parent = 0;
+    Node *parent = nullptr;
     std::size_t i = 0;
     while ((i + 1) * bt <= cap) {
-        std::uint64_t h = chainHash(parent, r.prefix_group, i, bt);
+        std::uint64_t h = parent == nullptr
+                              ? chainHash(0, r.prefix_group, 0, bt)
+                              : nextKey(*parent, r.prefix_group, i);
         auto it = nodes_.find(h);
         if (it == nodes_.end())
             break;
         m.node_hashes.push_back(h);
         m.tokens = (i + 1) * bt;
-        parent = h;
+        parent = &it->second;
         ++i;
     }
     const std::size_t partial = r.prefix_tokens % bt;
     if (partial > 0 && m.tokens == r.prefix_tokens - partial &&
         r.prefix_tokens <= cap) {
-        std::uint64_t h = chainHash(parent, r.prefix_group, i, partial);
+        std::uint64_t h =
+            chainHash(parent == nullptr ? 0 : parent->hash,
+                      r.prefix_group, i, partial);
         auto it = nodes_.find(h);
         if (it != nodes_.end()) {
             m.node_hashes.push_back(h);
@@ -94,7 +107,7 @@ PrefixCache::attach(const Request &r, const Match &m)
     }
     pool_.attachSequence(r.id, blocks, m.tokens);
     // The matched prefix is already indexed for this sequence.
-    inserted_[r.id] = m.tokens;
+    inserted_[r.id] = {m.tokens, m.node_hashes.back()};
     ++stats_.hits;
     stats_.matched_tokens += m.tokens;
     if (trace_)
@@ -127,19 +140,25 @@ PrefixCache::onPrefillAdvance(const Request &r)
     const std::size_t written =
         std::min(r.prefilled_tokens, r.prefix_tokens);
     auto prog = inserted_.find(r.id);
-    std::size_t done = prog == inserted_.end() ? 0 : prog->second;
-    if (written <= done)
+    const Progress done =
+        prog == inserted_.end() ? Progress{} : prog->second;
+    if (written <= done.tokens)
         return;
-    // Recompute the chain up to the already-indexed boundary (`done`
-    // is always block-aligned: a partial insert completes the prefix
-    // and short-circuits above).
-    std::uint64_t parent = 0;
-    std::size_t i = 0;
-    for (; (i + 1) * bt <= done; ++i)
-        parent = chainHash(parent, r.prefix_group, i, bt);
+    // Resume after the last indexed block (`done.tokens` is always
+    // block-aligned: a partial insert completes the prefix and
+    // short-circuits above).  Its node memoizes the next key; with no
+    // node (the root, or a node evicted since) the key is hashed, and
+    // insertNode skips an orphan.
+    std::uint64_t parent = done.key;
+    auto found = nodes_.find(parent);
+    Node *parent_node = found == nodes_.end() ? nullptr : &found->second;
+    std::size_t i = done.tokens / bt;
     while ((i + 1) * bt <= written) {
-        std::uint64_t h = chainHash(parent, r.prefix_group, i, bt);
-        if (!insertNode(r, i, h, parent, bt, false))
+        std::uint64_t h = parent_node == nullptr
+                              ? chainHash(parent, r.prefix_group, i, bt)
+                              : nextKey(*parent_node, r.prefix_group, i);
+        parent_node = insertNode(r, i, h, parent, bt, false);
+        if (parent_node == nullptr)
             break;
         parent = h;
         ++i;
@@ -149,23 +168,26 @@ PrefixCache::onPrefillAdvance(const Request &r)
     if (partial > 0 && indexed == r.prefix_tokens - partial &&
         written >= r.prefix_tokens) {
         std::uint64_t h = chainHash(parent, r.prefix_group, i, partial);
-        if (insertNode(r, i, h, parent, partial, true))
+        if (insertNode(r, i, h, parent, partial, true) != nullptr) {
             indexed = r.prefix_tokens;
+            parent = h;
+        }
     }
-    inserted_[r.id] = indexed;
+    inserted_[r.id] = {indexed, parent};
 }
 
-bool
+PrefixCache::Node *
 PrefixCache::insertNode(const Request &r, std::size_t index,
                         std::uint64_t hash, std::uint64_t parent,
                         std::size_t tokens, bool partial)
 {
-    if (nodes_.count(hash) > 0)
-        return true; // another in-flight request indexed it first
+    auto found = nodes_.find(hash);
+    if (found != nodes_.end())
+        return &found->second; // another in-flight request indexed it
     if (parent != 0 && nodes_.count(parent) == 0) {
         // Parent evicted mid-prefill: keep the forest rooted.
         ++stats_.skipped_inserts;
-        return false;
+        return nullptr;
     }
     // The parent is never the capacity victim: it can be an unpinned
     // leaf (its writer retired; this writer holds its own copy of that
@@ -174,7 +196,7 @@ PrefixCache::insertNode(const Request &r, std::size_t index,
         nodes_.size() >= capacity_blocks_ &&
         !evictOne(false, parent)) {
         ++stats_.skipped_inserts;
-        return false;
+        return nullptr;
     }
     Node n;
     n.hash = hash;
@@ -188,7 +210,7 @@ PrefixCache::insertNode(const Request &r, std::size_t index,
         // cache-owned block instead.
         if (!pool_.allocCacheBlock(tokens, &n.block)) {
             ++stats_.skipped_inserts;
-            return false;
+            return nullptr;
         }
     } else {
         n.block = pool_.seqBlockIds(r.id)[index];
@@ -204,7 +226,7 @@ PrefixCache::insertNode(const Request &r, std::size_t index,
     Node &node = nodes_.emplace(hash, std::move(n)).first->second;
     leaves_.emplace(node.id, &node);
     ++stats_.inserted_nodes;
-    return true;
+    return &node;
 }
 
 bool

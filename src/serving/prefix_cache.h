@@ -13,6 +13,14 @@
  * attachSequence; one block table serves every TP device) and the
  * scheduler prefills only the unmatched suffix.
  *
+ * Keys are hashed once: each cached node memoizes the key of the full
+ * block that follows it in its group's chain, so a lookup hashes only
+ * the chain's root and a partial tail, and a request's indexing
+ * resumes from the last node it indexed instead of re-deriving the
+ * chain from block 0.  The memo lives and dies with its node, so the
+ * key state is bounded by the cached nodes, never by the number of
+ * groups a trace names.
+ *
  * Lifecycle: as a request's prefill advances past block boundaries
  * inside its declared prefix, the cache inserts nodes referencing the
  * just-written blocks (raising their refcounts, so the blocks outlive
@@ -182,6 +190,19 @@ class PrefixCache
         /** Hit-aware LFU frequency. */
         std::uint64_t freq = 0;
         BlockId block = 0;
+        /** Key of the full block that follows this one in its group's
+         *  chain; 0 = not hashed yet (a key is never 0). */
+        std::uint64_t next = 0;
+    };
+
+    /** Per-request insertion progress. */
+    struct Progress
+    {
+        /** Prefix tokens already indexed (or attached); block-aligned
+         *  until the prefix is complete. */
+        std::size_t tokens = 0;
+        /** Key of the node that ends at `tokens` (0 = none). */
+        std::uint64_t key = 0;
     };
 
     static std::uint64_t chainHash(std::uint64_t parent,
@@ -189,9 +210,17 @@ class PrefixCache
                                    std::size_t index,
                                    std::size_t tokens);
 
-    bool insertNode(const Request &r, std::size_t index,
-                    std::uint64_t hash, std::uint64_t parent,
-                    std::size_t tokens, bool partial);
+    /** Key of full block `index` of `group`'s chain, after cached
+     *  node `parent`; hashed once, then read from the parent's memo. */
+    std::uint64_t nextKey(Node &parent, std::int64_t group,
+                          std::size_t index);
+
+    /** @return the node holding `hash` (inserted now, or already
+     *  indexed by another request), or nullptr if the insert was
+     *  skipped. */
+    Node *insertNode(const Request &r, std::size_t index,
+                     std::uint64_t hash, std::uint64_t parent,
+                     std::size_t tokens, bool partial);
     /** Evict the LFU unpinned leaf other than `keep` (a node hash; 0 =
      *  none). */
     bool evictOne(bool reclaiming, std::uint64_t keep = 0);
@@ -205,9 +234,8 @@ class PrefixCache
     /** Insertion id -> node, over leaves (children == 0) only; the
      *  deterministic scan order for eviction and clear(). */
     std::map<std::uint64_t, Node *> leaves_;
-    /** Per-request insertion progress: prefix tokens already indexed
-     *  (or attached) for an in-flight sequence. */
-    std::unordered_map<std::uint64_t, std::size_t> inserted_;
+    /** Insertion progress of each in-flight sequence. */
+    std::unordered_map<std::uint64_t, Progress> inserted_;
     std::size_t cached_tokens_ = 0;
     std::uint64_t next_node_id_ = 1;
     PrefixCacheStats stats_;

@@ -139,15 +139,17 @@ Scheduler::decodeStep(Iteration &it)
     // preferred victims — a high-priority sequence must never
     // self-preempt because a protected low-priority one decoded ahead
     // of it.
-    std::vector<Request *> order;
+    order_.clear();
     for (Request *r : running_)
         if (r->prefill_complete)
-            order.push_back(r);
-    std::stable_sort(order.begin(), order.end(),
+            order_.push_back(r);
+    std::stable_sort(order_.begin(), order_.end(),
                      [this](const Request *a, const Request *b) {
                          return policy_->evictBefore(*b, *a);
                      });
-    for (Request *r : order) {
+    // One allocation for the step's decode list, not one per doubling.
+    it.decode.reserve(order_.size());
+    for (Request *r : order_) {
         if (r->state != RequestState::Running)
             continue; // fell victim to an earlier sequence's pressure
         bool ok = pool_.appendToken(r->id);
@@ -175,15 +177,15 @@ Scheduler::prefillChunks(Iteration &it)
 
     // ---- Continue in-flight (partially prefilled) sequences in
     // policy admission order.
-    std::vector<Request *> inflight;
+    order_.clear();
     for (Request *r : running_)
         if (!r->prefill_complete)
-            inflight.push_back(r);
-    std::stable_sort(inflight.begin(), inflight.end(),
+            order_.push_back(r);
+    std::stable_sort(order_.begin(), order_.end(),
                      [this](const Request *a, const Request *b) {
                          return policy_->admitBefore(*a, *b);
                      });
-    for (Request *r : inflight) {
+    for (Request *r : order_) {
         if (budget == 0)
             break;
         std::size_t remaining = r->contextTokens() - r->prefilled_tokens;

@@ -190,6 +190,9 @@ class Scheduler
      *  views with total policy comparators, so this order is not
      *  load-bearing). */
     std::vector<Request *> running_;
+    /** Reused per-step view of running_: the visiting order of
+     *  decodeStep() and prefillChunks() (never both at once). */
+    std::vector<Request *> order_;
     std::uint64_t rejected_ = 0;
     obs::TraceRecorder *trace_ = nullptr;
     PrefixCache *prefix_cache_ = nullptr;

@@ -5,6 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.h"
 #include "serving/kv_block_pool.h"
 
 namespace vqllm::serving {
@@ -334,6 +339,126 @@ TEST(CodebookResidency, StatsAccumulateAcrossBatches)
     EXPECT_EQ(cache.stats().misses, 3u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_NEAR(cache.stats().hitRate(), 0.25, 1e-12);
+}
+
+/**
+ * CodebookResidency::touchBatch as it was before pins became batch
+ * stamps: a pinned flag set on the batch's residents before any
+ * admission and cleared on every resident after the batch.
+ */
+class ClearingPassResidency
+{
+  public:
+    explicit ClearingPassResidency(std::size_t slots) : slots_(slots) {}
+
+    CodebookResidency::BatchResult
+    touchBatch(const std::vector<std::uint64_t> &groups)
+    {
+        CodebookResidency::BatchResult out;
+        std::vector<std::uint64_t> unique = groups;
+        std::sort(unique.begin(), unique.end());
+        unique.erase(std::unique(unique.begin(), unique.end()),
+                     unique.end());
+        for (std::uint64_t g : unique) {
+            auto it = resident_.find(g);
+            if (it != resident_.end())
+                it->second.pinned = true;
+        }
+        for (std::uint64_t g : unique) {
+            auto it = resident_.find(g);
+            if (it != resident_.end()) {
+                ++it->second.freq;
+                ++out.hits;
+                continue;
+            }
+            ++out.misses;
+            if (resident_.size() >= slots_) {
+                auto victim = resident_.end();
+                for (auto cand = resident_.begin();
+                     cand != resident_.end(); ++cand) {
+                    if (cand->second.pinned)
+                        continue;
+                    if (victim == resident_.end() ||
+                        cand->second.freq < victim->second.freq ||
+                        (cand->second.freq == victim->second.freq &&
+                         cand->first < victim->first))
+                        victim = cand;
+                }
+                if (victim == resident_.end()) {
+                    ++out.overflow;
+                    continue;
+                }
+                resident_.erase(victim);
+                ++out.evictions;
+            }
+            resident_.emplace(g, Slot{1, true});
+        }
+        for (auto &[g, slot] : resident_)
+            slot.pinned = false;
+        stats_.hits += out.hits;
+        stats_.misses += out.misses;
+        stats_.evictions += out.evictions;
+        stats_.overflow += out.overflow;
+        return out;
+    }
+
+    bool resident(std::uint64_t g) const { return resident_.count(g) > 0; }
+    std::size_t size() const { return resident_.size(); }
+    const CodebookResidencyStats &stats() const { return stats_; }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t freq = 0;
+        bool pinned = false;
+    };
+
+    std::size_t slots_;
+    std::unordered_map<std::uint64_t, Slot> resident_;
+    CodebookResidencyStats stats_;
+};
+
+TEST(CodebookResidency, RandomBatchesMatchClearingPassReference)
+{
+    constexpr std::size_t kSlots = 6;
+    constexpr std::uint64_t kGroups = 16;
+    std::uint64_t evictions = 0, overflow = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        CodebookResidency cache(kSlots);
+        ClearingPassResidency ref(kSlots);
+        for (int b = 0; b < 300; ++b) {
+            // Mostly batches that fit, with duplicates; one in five
+            // draws up to 2x the slots, so distinct groups can
+            // outnumber the slots (overflow).
+            const std::size_t len =
+                1 + rng.uniformInt(rng.uniformInt(5) == 0 ? 2 * kSlots
+                                                          : kSlots);
+            std::vector<std::uint64_t> batch;
+            for (std::size_t k = 0; k < len; ++k)
+                batch.push_back(rng.uniformInt(kGroups));
+            const auto got = cache.touchBatch(batch);
+            const auto want = ref.touchBatch(batch);
+            ASSERT_EQ(got.hits, want.hits) << "batch " << b;
+            ASSERT_EQ(got.misses, want.misses) << "batch " << b;
+            ASSERT_EQ(got.evictions, want.evictions) << "batch " << b;
+            ASSERT_EQ(got.overflow, want.overflow) << "batch " << b;
+            ASSERT_EQ(cache.stats().hits, ref.stats().hits);
+            ASSERT_EQ(cache.stats().misses, ref.stats().misses);
+            ASSERT_EQ(cache.stats().evictions, ref.stats().evictions);
+            ASSERT_EQ(cache.stats().overflow, ref.stats().overflow);
+            ASSERT_EQ(cache.size(), ref.size());
+            for (std::uint64_t g = 0; g < kGroups; ++g)
+                ASSERT_EQ(cache.resident(g), ref.resident(g))
+                    << "batch " << b << " group " << g;
+        }
+        evictions += cache.stats().evictions;
+        overflow += cache.stats().overflow;
+    }
+    // The batches reach both capacity paths.
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(overflow, 0u);
 }
 
 } // namespace

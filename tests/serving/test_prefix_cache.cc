@@ -328,6 +328,114 @@ TEST(PrefixCache, CapacityEvictionSparesTheInsertingParent)
     EXPECT_EQ(pool.usedBlocks(), 0u);
 }
 
+/** The index's key chain recomputed from scratch: FNV-1a over
+ *  (parent key, group + 1, block index, block tokens), 8 little-endian
+ *  bytes each, with 0 reserved for the root. */
+std::uint64_t
+fnvKey(std::uint64_t parent, std::int64_t group, std::size_t index,
+       std::size_t tokens)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint64_t v : {parent, static_cast<std::uint64_t>(group) + 1,
+                            static_cast<std::uint64_t>(index),
+                            static_cast<std::uint64_t>(tokens)})
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    return h == 0 ? 1 : h;
+}
+
+/** Keys of the first `tokens` tokens of a group's prefix: one per full
+ *  block, then a partial tail if `tokens` is not block-aligned. */
+std::vector<std::uint64_t>
+fnvChain(std::int64_t group, std::size_t tokens)
+{
+    std::vector<std::uint64_t> keys;
+    std::uint64_t parent = 0;
+    std::size_t i = 0;
+    for (; (i + 1) * kBt <= tokens; ++i)
+        keys.push_back(parent = fnvKey(parent, group, i, kBt));
+    if (tokens % kBt > 0)
+        keys.push_back(fnvKey(parent, group, i, tokens % kBt));
+    return keys;
+}
+
+/** Grow a writer's sequence to `tokens` and index what it wrote. */
+void
+advanceTo(KvBlockPool &pool, PrefixCache &cache, Request &r,
+          std::size_t tokens)
+{
+    if (r.prefilled_tokens == 0)
+        ASSERT_TRUE(pool.allocSequence(r.id, tokens));
+    else
+        ASSERT_TRUE(pool.extendSequence(r.id, tokens - r.prefilled_tokens));
+    r.prefilled_tokens = tokens;
+    cache.onPrefillAdvance(r);
+}
+
+TEST(PrefixCache, MatchKeysAreTheFnvChain)
+{
+    auto pool = smallPool(64);
+    PrefixCache cache(pool, 0);
+
+    // Two interleaved writers: group 0 indexes a 72-token prefix (4
+    // full blocks and an 8-token tail) over three slices, group 1 a
+    // 48-token prefix over two, alternating.
+    Request a = prefixRequest(1, 100, 0, 72);
+    Request b = prefixRequest(2, 60, 1, 48);
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, a, 20));
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, b, 24));
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, a, 40));
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, b, 60));
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, a, 100));
+    EXPECT_EQ(cache.cachedBlocks(), 8u);
+
+    Request c = prefixRequest(3, 100, 0, 72);
+    PrefixCache::Match m = cache.match(c);
+    EXPECT_EQ(m.tokens, 72u);
+    EXPECT_EQ(m.node_hashes, fnvChain(0, 72));
+    Request d = prefixRequest(4, 60, 1, 48);
+    m = cache.match(d);
+    EXPECT_EQ(m.tokens, 48u);
+    EXPECT_EQ(m.node_hashes, fnvChain(1, 48));
+    // Capped one token short of a 40-token prompt: two full blocks.
+    Request e = prefixRequest(5, 40, 0, 72);
+    EXPECT_EQ(cache.match(e).node_hashes, fnvChain(0, 32));
+
+    pool.freeSequence(a.id);
+    pool.freeSequence(b.id);
+    cache.clear();
+    EXPECT_EQ(pool.usedBlocks(), 0u);
+
+    // Orphaned parent: writers f and g both pass two blocks of group
+    // 2; the nodes hold f's blocks.  f retires and a reclaim between
+    // g's slices takes the chain's leaf (the only evictable node), so
+    // g's next slice finds its parent gone and skips the insert
+    // instead of keying past it.
+    Request f = prefixRequest(6, 80, 2, 64);
+    Request g = prefixRequest(7, 80, 2, 64);
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, f, 32));
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, g, 32));
+    pool.freeSequence(f.id);
+    cache.onRelease(f.id);
+    cache.reclaim(1);
+    EXPECT_EQ(cache.stats().evicted_nodes, 1u);
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, g, 64));
+    EXPECT_EQ(cache.stats().skipped_inserts, 1u);
+    Request h = prefixRequest(8, 80, 2, 64);
+    EXPECT_EQ(cache.match(h).node_hashes, fnvChain(2, 16));
+    // A fresh writer re-indexes the whole chain under the same keys.
+    ASSERT_NO_FATAL_FAILURE(advanceTo(pool, cache, h, 80));
+    Request i = prefixRequest(9, 80, 2, 64);
+    EXPECT_EQ(cache.match(i).node_hashes, fnvChain(2, 64));
+
+    pool.freeSequence(g.id);
+    pool.freeSequence(h.id);
+    cache.clear();
+    EXPECT_EQ(pool.usedBlocks(), 0u);
+}
+
 // ---- Randomized op sequences ----------------------------------------
 
 /**
