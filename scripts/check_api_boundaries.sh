@@ -11,7 +11,11 @@
 #     shapes (tensor-parallel linears/attention included) are compiled
 #     through compiler::Engine, so src/serving/ may not include the
 #     template engine or the kernel cost-estimator headers, nor call
-#     the estimateVq* estimators directly.
+#     the estimateVq* estimators directly.  Nor may src/serving/ or
+#     src/fleet/ price a step's kernels one by one
+#     (llm::schemeLinearUs / kvSchemeAttentionUs): they price steps
+#     through the one decode-step model, llm::decodeLinearUs /
+#     decodeAttnUs / estimateChunkedPrefillUs.
 #
 # Run from anywhere; exits non-zero with a diagnostic when a boundary
 # is violated.  Wired into ctest (label: compiler) and CI.
@@ -42,8 +46,9 @@ serving_include_hits=$(grep -rn \
     src/serving/ 2>/dev/null)
 if [ -n "${serving_include_hits}" ]; then
     echo "ERROR: serving must price kernels through compiler::Engine" \
-         "(llm::schemeLinearUs / kvSchemeAttentionUs), not include the" \
-         "planner or kernel estimators directly:"
+         "(llm::decodeLinearUs / decodeAttnUs /" \
+         "estimateChunkedPrefillUs), not include the planner or kernel" \
+         "estimators directly:"
     echo "${serving_include_hits}"
     status=1
 fi
@@ -55,6 +60,17 @@ if [ -n "${serving_call_hits}" ]; then
     echo "ERROR: serving calls kernel cost estimators directly instead" \
          "of compiling shard shapes through compiler::Engine:"
     echo "${serving_call_hits}"
+    status=1
+fi
+
+step_call_hits=$(grep -rn "schemeLinearUs\|kvSchemeAttentionUs" \
+    src/serving/ src/fleet/ 2>/dev/null)
+if [ -n "${step_call_hits}" ]; then
+    echo "ERROR: serving and fleet price steps through the one" \
+         "decode-step model (llm::decodeLinearUs / decodeAttnUs /" \
+         "estimateChunkedPrefillUs), not per-kernel" \
+         "llm::schemeLinearUs / kvSchemeAttentionUs calls:"
+    echo "${step_call_hits}"
     status=1
 fi
 

@@ -158,7 +158,7 @@ estimateE2E(const gpusim::GpuSpec &spec, const LlamaConfig &model,
         estimateDecodeStep(spec, model, scheme, TpConfig{}, cfg.batch,
                            cfg.prompt_len + cfg.gen_tokens / 2);
     const double layers = static_cast<double>(model.layers);
-    const double step_us = step.layerUs() * layers;
+    const double step_us = step.stepUs(layers);
     result.decode_us = step_us * static_cast<double>(cfg.gen_tokens);
     result.elementwise_fraction = step.elementwise_us * layers / step_us;
 

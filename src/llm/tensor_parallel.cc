@@ -6,6 +6,45 @@
 
 namespace vqllm::llm {
 
+namespace {
+
+/** Per-layer linear weight shapes of the critical shard, shard 0
+ *  (Megatron layout: column-parallel Wq/Wk/Wv/W_gate/W_up split the
+ *  output features, row-parallel Wo/W_down split the reduced input
+ *  features).  Degree 1 returns LlamaConfig::layerLinearShapes(). */
+std::vector<std::pair<std::size_t, std::size_t>>
+shardLinearShapes(const LlamaConfig &model, std::size_t degree)
+{
+    auto shapes = model.layerLinearShapes();
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        bool row_parallel = (i == 3 || i == 6); // Wo, W_down
+        if (row_parallel)
+            shapes[i].second = shardSplit(shapes[i].second, degree, 0);
+        else
+            shapes[i].first = shardSplit(shapes[i].first, degree, 0);
+    }
+    return shapes;
+}
+
+/** Head-sharded decode-attention shape of the critical shard. */
+engine::AttnShape
+shardAttnShape(const LlamaConfig &model, std::size_t batch,
+               std::size_t seq_len, std::size_t degree)
+{
+    // The shard must own at least one KV head: a zero split would read
+    // back as AttnShape's kv_heads == 0 MHA sentinel and silently price
+    // the shard with a full complement of KV heads.
+    vqllm_assert(model.kvHeads() >= degree,
+                 "TP degree exceeds the model's KV heads");
+    engine::AttnShape shape = model.attnShape(batch, seq_len);
+    shape.heads = shardSplit(shape.heads, degree, 0);
+    if (shape.kv_heads != 0)
+        shape.kv_heads = shardSplit(shape.kv_heads, degree, 0);
+    return shape;
+}
+
+} // namespace
+
 double
 ringAllReduceUs(const TpConfig &tp, std::uint64_t bytes)
 {
@@ -44,37 +83,6 @@ shardSplit(std::size_t total, std::size_t degree, std::size_t shard)
     return total / degree + (shard < total % degree ? 1 : 0);
 }
 
-std::vector<std::pair<std::size_t, std::size_t>>
-shardLinearShapes(const LlamaConfig &model, std::size_t degree,
-                  std::size_t shard)
-{
-    auto shapes = model.layerLinearShapes();
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-        bool row_parallel = (i == 3 || i == 6); // Wo, W_down
-        if (row_parallel)
-            shapes[i].second = shardSplit(shapes[i].second, degree, shard);
-        else
-            shapes[i].first = shardSplit(shapes[i].first, degree, shard);
-    }
-    return shapes;
-}
-
-engine::AttnShape
-shardAttnShape(const LlamaConfig &model, std::size_t batch,
-               std::size_t seq_len, std::size_t degree, std::size_t shard)
-{
-    // Every shard must own at least one KV head: a zero split would
-    // read back as AttnShape's kv_heads == 0 MHA sentinel and silently
-    // price the shard with a full complement of KV heads.
-    vqllm_assert(model.kvHeads() >= degree,
-                 "TP degree exceeds the model's KV heads");
-    engine::AttnShape shape = model.attnShape(batch, seq_len);
-    shape.heads = shardSplit(shape.heads, degree, shard);
-    if (shape.kv_heads != 0)
-        shape.kv_heads = shardSplit(shape.kv_heads, degree, shard);
-    return shape;
-}
-
 double
 estimateChunkedPrefillUs(const gpusim::GpuSpec &spec,
                          const LlamaConfig &model,
@@ -89,7 +97,28 @@ estimateChunkedPrefillUs(const gpusim::GpuSpec &spec,
         0.5 * static_cast<double>(slice_tokens) * slice_tokens;
     return prefillLayersUs(spec, model, slice_tokens, positions,
                            shardSplit(model.heads, g, 0),
-                           shardLinearShapes(model, g, 0));
+                           shardLinearShapes(model, g));
+}
+
+double
+decodeLinearUs(compiler::Engine &eng, const LlamaConfig &model,
+               QuantScheme scheme, const TpConfig &tp, std::size_t batch)
+{
+    double us = 0;
+    for (auto [n, k] :
+         shardLinearShapes(model, static_cast<std::size_t>(tp.degree)))
+        us += schemeLinearUs(eng, scheme, engine::GemmShape{batch, n, k});
+    return us;
+}
+
+double
+decodeAttnUs(compiler::Engine &eng, const LlamaConfig &model, KvScheme kv,
+             const TpConfig &tp, std::size_t batch, std::size_t seq_len)
+{
+    return kvSchemeAttentionUs(
+        eng, kv,
+        shardAttnShape(model, batch, seq_len,
+                       static_cast<std::size_t>(tp.degree)));
 }
 
 DecodeStep
@@ -98,16 +127,10 @@ estimateDecodeStep(const gpusim::GpuSpec &spec, const LlamaConfig &model,
                    std::size_t batch, std::size_t seq_len)
 {
     compiler::Engine &eng = compiler::Engine::shared(spec);
-    const std::size_t g = static_cast<std::size_t>(tp.degree);
     DecodeStep step;
-    // Megatron layout: column-parallel Wq/Wk/Wv/W_gate/W_up split the
-    // output features, row-parallel Wo/W_down the reduced ones.
-    for (auto [n, k] : shardLinearShapes(model, g, 0))
-        step.linear_us +=
-            schemeLinearUs(eng, scheme, engine::GemmShape{batch, n, k});
-    step.attn_us = kvSchemeAttentionUs(
-        eng, defaultKvScheme(scheme),
-        shardAttnShape(model, batch, seq_len, g, 0));
+    step.linear_us = decodeLinearUs(eng, model, scheme, tp, batch);
+    step.attn_us = decodeAttnUs(eng, model, defaultKvScheme(scheme), tp,
+                                batch, seq_len);
     step.elementwise_us =
         elementwiseLayerLatencyUs(spec, batch, model.hidden);
     // Two all-reduces per layer (after Wo and after W_down).
@@ -130,7 +153,7 @@ estimateTensorParallel(const gpusim::GpuSpec &spec,
     const DecodeStep step =
         estimateDecodeStep(spec, model, scheme, tp, cfg.batch,
                            cfg.prompt_len + cfg.gen_tokens / 2);
-    result.decode_us = step.layerUs() * layers * gen_tokens;
+    result.decode_us = step.stepUs(layers) * gen_tokens;
     result.comm_us_per_step = step.comm_us * layers;
     result.comm_fraction =
         result.comm_us_per_step * gen_tokens / result.decode_us;

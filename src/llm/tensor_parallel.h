@@ -89,30 +89,6 @@ std::size_t shardSplit(std::size_t total, std::size_t degree,
                        std::size_t shard);
 
 /**
- * Per-layer linear weight shapes of one TP shard (Megatron layout:
- * column-parallel Wq/Wk/Wv/W_gate/W_up split the output features,
- * row-parallel Wo/W_down split the reduced input features).  Degree 1
- * returns LlamaConfig::layerLinearShapes() unchanged.
- *
- * Shared by llm::estimateTensorParallel and the serving iteration
- * pricer so the analytical and scheduler-level TP models can never
- * disagree about shard geometry.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-shardLinearShapes(const LlamaConfig &model, std::size_t degree,
-                  std::size_t shard);
-
-/**
- * Head-sharded decode-attention shape of one TP shard.  Query heads
- * split by shardSplit; GQA KV heads split the same way, and the MHA
- * default (kv_heads == 0) is preserved so a degree-1 shard shape is
- * bit-identical to LlamaConfig::attnShape.
- */
-engine::AttnShape shardAttnShape(const LlamaConfig &model,
-                                 std::size_t batch, std::size_t seq_len,
-                                 std::size_t degree, std::size_t shard);
-
-/**
  * Chunked-prefill compute latency of the critical (widest) TP shard:
  * `slice_tokens` prompt tokens run against `context_tokens`
  * already-cached tokens.  The slice's sharded GeMMs see slice_tokens
@@ -127,28 +103,62 @@ double estimateChunkedPrefillUs(const gpusim::GpuSpec &spec,
                                 const TpConfig &tp);
 
 /**
- * Per-layer prices of one decode step on the critical (widest) shard
- * of a TP group, microseconds.  Degree 1 is the single-GPU step:
- * unsharded shapes and no collectives.
+ * Per-layer prices of one decode step on the critical TP shard, shard 0
+ * (the widest under shardSplit), microseconds.  Degree 1 is the
+ * single-GPU step: unsharded shapes and no collectives.  This is the
+ * one decode-step formula: estimateE2E and estimateTensorParallel
+ * (through estimateDecodeStep) and serving::IterationPricer::decodeUs
+ * all sum a step here, so the analytic and serving models agree bit
+ * for bit on a homogeneous batch.
  */
 struct DecodeStep
 {
-    /** Sharded linears (Megatron layout, shardLinearShapes). */
+    /** Sharded linears (decodeLinearUs). */
     double linear_us = 0;
-    /** Head-sharded decode attention (shardAttnShape). */
+    /** Head-sharded decode attention (decodeAttnUs). */
     double attn_us = 0;
     /** Element-wise ops, replicated on the full hidden width. */
     double elementwise_us = 0;
     /** The layer's two ring all-reduces (layerAllReduceUs). */
     double comm_us = 0;
 
-    /** One layer of the step. */
+    /** Compute of one layer of the step. */
     double
-    layerUs() const
+    computeUs() const
     {
-        return linear_us + attn_us + elementwise_us + comm_us;
+        return linear_us + elementwise_us + attn_us;
+    }
+
+    /** The whole step over `layers` layers: compute, then the
+     *  collectives. */
+    double
+    stepUs(double layers) const
+    {
+        return computeUs() * layers + comm_us * layers;
     }
 };
+
+/**
+ * One layer's decode linears on the critical TP shard (Megatron
+ * layout: column-parallel Wq/Wk/Wv/W_gate/W_up split the output
+ * features, row-parallel Wo/W_down the reduced ones) for `batch` rows
+ * under weight scheme `scheme`.  VQ schemes compile through `eng`;
+ * degree 1 prices LlamaConfig::layerLinearShapes() unchanged.
+ */
+double decodeLinearUs(compiler::Engine &eng, const LlamaConfig &model,
+                      QuantScheme scheme, const TpConfig &tp,
+                      std::size_t batch);
+
+/**
+ * One layer's decode attention on the critical TP shard: `batch`
+ * sequences of `seq_len` context tokens under KV storage scheme `kv`.
+ * Query heads split by shardSplit; GQA KV heads split the same way,
+ * and the MHA default (kv_heads == 0) is kept, so degree 1 prices
+ * LlamaConfig::attnShape unchanged.  VQ KV compiles through `eng`.
+ */
+double decodeAttnUs(compiler::Engine &eng, const LlamaConfig &model,
+                    KvScheme kv, const TpConfig &tp, std::size_t batch,
+                    std::size_t seq_len);
 
 /**
  * Price one decode step of `batch` sequences at `seq_len` context

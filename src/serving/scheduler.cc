@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "compiler/engine.h"
-#include "llm/e2e.h"
 #include "llm/ops.h"
 #include "obs/trace.h"
 #include "serving/prefix_cache.h"
@@ -396,7 +395,6 @@ IterationPricer::IterationPricer(compiler::Engine &eng,
     vqllm_assert(model_.kvHeads() >=
                      static_cast<std::size_t>(tp_.degree),
                  "TP degree exceeds the model's KV heads");
-    attn_memo_.resize(static_cast<std::size_t>(tp_.degree));
 }
 
 double
@@ -439,33 +437,6 @@ IterationPricer::prefillCommUs(std::size_t tokens) const
 }
 
 double
-IterationPricer::decodeLinearUs(std::size_t shard, std::size_t batch)
-{
-    return linear_memo_.get(shard, batch, [&] {
-        double us = 0;
-        std::size_t degree = static_cast<std::size_t>(tp_.degree);
-        for (auto [n, k] : llm::shardLinearShapes(model_, degree, shard)) {
-            engine::GemmShape shape{batch, n, k};
-            us += llm::schemeLinearUs(eng_, scheme_, shape);
-        }
-        return us;
-    });
-}
-
-double
-IterationPricer::decodeAttnUs(std::size_t shard, std::size_t batch,
-                              std::size_t bucket)
-{
-    return attn_memo_[shard].get(bucket, batch, [&] {
-        return llm::kvSchemeAttentionUs(
-            eng_, kv_scheme_,
-            llm::shardAttnShape(model_, batch, bucket * kSeqBucket,
-                                static_cast<std::size_t>(tp_.degree),
-                                shard));
-    });
-}
-
-double
 IterationPricer::decodeUs(const std::vector<Request *> &batch)
 {
     if (batch.empty())
@@ -484,66 +455,58 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
     }
     std::sort(buckets_.begin(), buckets_.end());
 
-    std::size_t n = batch.size();
-    double elem_us = elem_memo_.get(0, n, [&] {
+    // The critical shard (llm::DecodeStep) sets the step latency: the
+    // shards launch in lockstep, and every model splits evenly at
+    // every degree the simulator accepts, so no shard is slower.
+    const std::size_t n = batch.size();
+    llm::DecodeStep step;
+    for (std::size_t bucket : buckets_) {
+        std::size_t count = bucket_counts_[bucket];
+        step.attn_us += attn_memo_.get(bucket, count, [&] {
+            return llm::decodeAttnUs(eng_, model_, kv_scheme_, tp_, count,
+                                     bucket * kSeqBucket);
+        });
+    }
+    step.linear_us = linear_memo_.get(0, n, [&] {
+        return llm::decodeLinearUs(eng_, model_, scheme_, tp_, n);
+    });
+    step.elementwise_us = elem_memo_.get(0, n, [&] {
         return llm::elementwiseLayerLatencyUs(eng_.spec(), n,
                                               model_.hidden);
     });
-
-    // All shards launch in lockstep; the slowest (widest) shard sets
-    // the step latency.  Element-wise ops run replicated on the full
-    // hidden width on every shard.
-    const std::size_t degree = static_cast<std::size_t>(tp_.degree);
-    double layers = static_cast<double>(model_.layers);
-    double step_us = 0;
-    double attn0_us = 0;
-    for (std::size_t s = 0; s < degree; ++s) {
-        double attn_us = 0;
-        for (std::size_t bucket : buckets_)
-            attn_us += decodeAttnUs(s, bucket_counts_[bucket], bucket);
-        if (s == 0)
-            attn0_us = attn_us;
-        double shard_us = decodeLinearUs(s, n) + elem_us + attn_us;
-        if (collect_detail_)
-            last_detail_.shard_compute_us.push_back(shard_us * layers);
-        step_us = std::max(step_us, shard_us);
-    }
+    // Two ring all-reduces per layer gather the attention output and
+    // reduce the MLP partials (0 at degree 1).
+    step.comm_us = llm::layerAllReduceUs(tp_, n, model_.hidden);
 
     // KV-dequant attribution: what the same bucketed attention
     // sub-launches would cost with uncompressed FP16 KV (closed form,
-    // never an engine lookup), on the critical shard 0 geometry.  Pure
-    // accounting — the time itself is already inside decode_us.
+    // never an engine lookup).  Pure accounting — the time itself is
+    // already inside decode_us.
+    const double layers = static_cast<double>(model_.layers);
     if (kv_scheme_ != llm::KvScheme::FP16) {
         double fp16_us = 0;
         for (std::size_t bucket : buckets_) {
             std::size_t count = bucket_counts_[bucket];
             fp16_us += fp16_attn_memo_.get(bucket, count, [&] {
-                return llm::kvSchemeAttentionUs(
-                    eng_, llm::KvScheme::FP16,
-                    llm::shardAttnShape(
-                        model_, count, bucket * kSeqBucket,
-                        static_cast<std::size_t>(tp_.degree), 0));
+                return llm::decodeAttnUs(eng_, model_, llm::KvScheme::FP16,
+                                         tp_, count, bucket * kSeqBucket);
             });
         }
-        kv_dequant_us_ += (attn0_us - fp16_us) * layers;
+        kv_dequant_us_ += (step.attn_us - fp16_us) * layers;
     }
     for (std::size_t bucket : buckets_)
         bucket_counts_[bucket] = 0;
     buckets_.clear();
 
-    // Two ring all-reduces per layer gather the attention output and
-    // reduce the MLP partials (0 at degree 1).
-    double comm_us =
-        llm::layerAllReduceUs(tp_, n, model_.hidden) * layers;
-    last_breakdown_.decode_us += step_us * layers;
+    const double compute_us = step.computeUs() * layers;
+    const double comm_us = step.comm_us * layers;
+    last_breakdown_.decode_us += compute_us;
     last_breakdown_.comm_us += comm_us;
-    totals_.decode_us += step_us * layers;
+    totals_.decode_us += compute_us;
     totals_.comm_us += comm_us;
-    if (collect_detail_) {
+    if (collect_detail_)
         last_detail_.decode_comm_us += comm_us;
-        last_detail_.decode_batch = n;
-    }
-    return step_us * layers + comm_us;
+    return step.stepUs(layers);
 }
 
 double
@@ -561,9 +524,7 @@ IterationPricer::iterationUs(const Scheduler::Iteration &it)
         last_breakdown_.prefill_us += chunk_us;
         totals_.prefill_us += chunk_us;
         if (collect_detail_)
-            last_detail_.chunks.push_back({chunk.req->id, chunk.tokens,
-                                           chunk.context, chunk.last,
-                                           chunk_us});
+            last_detail_.chunk_us.push_back(chunk_us);
         double comm_us = prefillCommUs(chunk.tokens);
         last_breakdown_.comm_us += comm_us;
         totals_.comm_us += comm_us;

@@ -30,17 +30,17 @@
  * recompute) — and a decode step extends by exactly one.
  *
  * IterationPricer turns a formed iteration into simulated microseconds
- * by calling the same machinery the end-to-end model uses
- * (llm::schemeLinearUs / kvSchemeAttentionUs, which compile adaptive VQ
- * kernels through the compiler::Engine facade and price them with
- * gpusim::CostModel).  Decode attention is priced per context-length
- * bucket — mirroring flash-decoding's homogeneous sub-launches over a
- * ragged batch — and prefill slices via llm::estimateChunkedPrefillUs
- * on the (slice, context) bucket.  Steady-state decode iterations
- * repeat a handful of bucketed shapes, and every price — VQ kernels
- * and closed forms alike — is a hit in the pricer's own memo tables,
- * so a multi-minute simulation runs a few hundred planner invocations
- * and few cost-model evaluations.
+ * through the decode-step model the end-to-end estimates use
+ * (llm::DecodeStep, priced by llm::decodeLinearUs / decodeAttnUs, which
+ * compile adaptive VQ kernels through the compiler::Engine facade and
+ * price them with gpusim::CostModel).  Decode attention is priced per
+ * context-length bucket — mirroring flash-decoding's homogeneous
+ * sub-launches over a ragged batch — and prefill slices via
+ * llm::estimateChunkedPrefillUs on the (slice, context) bucket.
+ * Steady-state decode iterations repeat a handful of bucketed shapes,
+ * and every price — VQ kernels and closed forms alike — is a hit in
+ * the pricer's own memo tables, so a multi-minute simulation runs a
+ * few hundred planner invocations and few cost-model evaluations.
  */
 #pragma once
 
@@ -199,26 +199,26 @@ class Scheduler
 };
 
 /**
- * Prices scheduler iterations in simulated microseconds, across the
- * shards of a tensor-parallel deployment.
+ * Prices scheduler iterations in simulated microseconds on the
+ * critical shard of a tensor-parallel deployment.
  *
- * Under TP (degree > 1) every decode step and prefill chunk prices the
- * critical shard's head-sharded attention and column/row-parallel
- * linears per shard (shard geometry from llm::shardLinearShapes /
- * shardAttnShape, the same helpers llm::estimateTensorParallel uses,
- * so the two models stay consistent) plus the two per-layer ring
- * all-reduces via llm::layerAllReduceUs.  Degree 1 is a TP group of
- * one: unsharded shapes, no collectives.  TP shards are identical
- * GPUs, so every shard compiles through the one engine.
+ * A decode step is an llm::DecodeStep, the step formula
+ * llm::estimateTensorParallel uses: the critical shard's
+ * column/row-parallel linears (llm::decodeLinearUs) and head-sharded
+ * attention per context bucket (llm::decodeAttnUs), the replicated
+ * element-wise ops, and the two per-layer ring all-reduces
+ * (llm::layerAllReduceUs).  Prefill chunks price the critical shard
+ * through llm::estimateChunkedPrefillUs.  Degree 1 is a TP group of
+ * one: unsharded shapes, no collectives.
  *
  * Every price is memoized here, whatever the scheme: linears per
- * (shard, batch), decode attention per (shard, context bucket,
- * count), the shard-0 FP16 reference attention behind kvDequantUs()
- * per (bucket, count), prefill slices per bucket pair and element-wise
- * ops per batch.  A VQ price asks the engine (an O2-O4 compileBest
- * ladder) only when its memo slot first fills, so the engine's
- * plan-cache counters see one lookup per slot, not one per step;
- * closed-form prices never reach the engine.
+ * batch, decode attention per (context bucket, count), the FP16
+ * reference attention behind kvDequantUs() per (bucket, count),
+ * prefill slices per bucket pair and element-wise ops per batch.  A VQ
+ * price asks the engine (an O2-O4 compileBest ladder) only when its
+ * memo slot first fills, so the engine's plan-cache counters see one
+ * lookup per slot, not one per step; closed-form prices never reach
+ * the engine.
  *
  * The engine may be shared across pricers (it is thread-safe); the
  * memo tables are not, so create one pricer per simulator.
@@ -257,25 +257,11 @@ class IterationPricer
      *  hot path stays allocation-free). */
     struct IterationDetail
     {
-        /** One priced prefill slice. */
-        struct ChunkSpan
-        {
-            std::uint64_t req_id = 0;
-            std::size_t tokens = 0;
-            std::size_t context = 0;
-            bool last = false;
-            /** Compute microseconds of this slice (comm excluded). */
-            double us = 0;
-        };
-
-        std::vector<ChunkSpan> chunks;
-        /** Per-shard decode compute (all layers), one entry per TP
-         *  shard; empty when the iteration had no decode batch. */
-        std::vector<double> shard_compute_us;
+        /** Compute microseconds of each prefill slice (comm excluded),
+         *  in Scheduler::Iteration::prefill order. */
+        std::vector<double> chunk_us;
         /** Decode-step collective time (0 at degree 1). */
         double decode_comm_us = 0;
-        /** Decode batch size of the iteration. */
-        std::size_t decode_batch = 0;
     };
 
     /** Context-length bucket of attention and prefill memoization,
@@ -283,8 +269,8 @@ class IterationPricer
     static constexpr std::size_t kSeqBucket = 256;
 
     /**
-     * `eng` compiles every shard's VQ kernels; model.heads must divide
-     * evenly across tp.degree.  Weight scheme `scheme` prices the
+     * `eng` compiles the VQ kernels; model.heads must divide evenly
+     * across tp.degree.  Weight scheme `scheme` prices the
      * decode linears; KV storage scheme `kv` prices decode attention
      * (FP16 KV prices flash decoding, INT4 the element-wise dequant
      * path, VQ4 / VQ2 compile fused dequant-attention kernels carrying
@@ -336,9 +322,6 @@ class IterationPricer
      */
     double kvDequantUs() const { return kv_dequant_us_; }
 
-    /** Cumulative collective time priced so far, microseconds. */
-    double commUs() const { return totals_.comm_us; }
-
     /** Cumulative busy-time breakdown priced so far. */
     const Breakdown &totals() const { return totals_; }
 
@@ -382,10 +365,6 @@ class IterationPricer
         std::vector<std::vector<double>> rows_;
     };
 
-    double decodeLinearUs(std::size_t shard, std::size_t batch);
-    double decodeAttnUs(std::size_t shard, std::size_t batch,
-                        std::size_t bucket);
-
     compiler::Engine &eng_;
     const llm::LlamaConfig &model_;
     llm::QuantScheme scheme_;
@@ -403,12 +382,11 @@ class IterationPricer
     PriceMemo prefill_memo_;
     /** (0, batch) -> element-wise ops of one layer. */
     PriceMemo elem_memo_;
-    /** (shard, batch) -> one layer's linears. */
+    /** (0, batch) -> one layer's linears. */
     PriceMemo linear_memo_;
-    /** Per shard: (bucket, count) -> decode attention sub-launch. */
-    std::vector<PriceMemo> attn_memo_;
-    /** (bucket, count) -> shard-0 FP16 attention, kvDequantUs()'s
-     *  reference. */
+    /** (bucket, count) -> decode attention sub-launch. */
+    PriceMemo attn_memo_;
+    /** (bucket, count) -> FP16 attention, kvDequantUs()'s reference. */
     PriceMemo fp16_attn_memo_;
 
     /** Reused per-step bucketing buffers: sequence counts indexed by

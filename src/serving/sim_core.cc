@@ -163,25 +163,28 @@ SimulatorCore::step()
                 "prefill", "prefill", 0, t, bd.prefill_us,
                 {{"chunks", static_cast<double>(iter.prefill.size())}});
             double ct = t;
-            for (const auto &c : det.chunks) {
+            for (std::size_t i = 0; i < iter.prefill.size(); ++i) {
+                const Scheduler::PrefillChunk &c = iter.prefill[i];
                 trace_rec_->span(
-                    "prefill_chunk", "prefill_detail", 0, ct, c.us,
-                    {{"req", static_cast<double>(c.req_id)},
+                    "prefill_chunk", "prefill_detail", 0, ct,
+                    det.chunk_us[i],
+                    {{"req", static_cast<double>(c.req->id)},
                      {"tokens", static_cast<double>(c.tokens)},
                      {"context", static_cast<double>(c.context)},
                      {"last", c.last ? 1.0 : 0.0}});
-                ct += c.us;
+                ct += det.chunk_us[i];
             }
             t += bd.prefill_us;
         }
         if (bd.decode_us > 0) {
             trace_rec_->span(
                 "decode", "decode", 0, t, bd.decode_us,
-                {{"batch", static_cast<double>(det.decode_batch)}});
-            for (std::size_t s = 0; s < det.shard_compute_us.size(); ++s)
+                {{"batch", static_cast<double>(iter.decode.size())}});
+            // Every shard runs the critical shard's step in lockstep.
+            for (std::size_t s = 0; s < degree_; ++s)
                 trace_rec_->span("decode_compute", "shard_compute",
                                  1 + static_cast<int>(s), t,
-                                 det.shard_compute_us[s]);
+                                 bd.decode_us);
             t += bd.decode_us;
         }
         if (bd.comm_us > 0) {
@@ -378,10 +381,10 @@ SimulatorCore::finalize()
     report.kv_dequant_us = pricer_->kvDequantUs();
     report.peak_running_seqs = peak_running_;
     report.tp_degree = degree_;
-    report.comm_us = pricer_->commUs();
-    report.comm_fraction =
-        busy_us_ > 0 ? pricer_->commUs() / busy_us_ : 0;
     const IterationPricer::Breakdown breakdown = pricer_->totals();
+    report.comm_us = breakdown.comm_us;
+    report.comm_fraction =
+        busy_us_ > 0 ? breakdown.comm_us / busy_us_ : 0;
     report.prefill_us = breakdown.prefill_us;
     report.decode_us = breakdown.decode_us;
     report.codebook_upload_us = breakdown.codebook_upload_us;

@@ -1,13 +1,13 @@
 /**
  * @file
  * Tensor-parallel serving tests: the scheduler-level iteration pricer
- * must agree with the analytical llm::estimateTensorParallel model,
- * degree 1 must be bit-identical to the unsharded pricing formula, its
- * memo tables must reproduce unmemoized pricing exactly at every
- * degree, and TP simulations must stay deterministic across thread
- * counts and repeated runs (TP runs move raw Request pointers
- * through preemption paths — any lifetime or ordering bug shows up
- * here).
+ * must agree bit for bit with the analytical
+ * llm::estimateTensorParallel model, degree 1 must be bit-identical to
+ * the unsharded pricing formula, its memo tables must reproduce
+ * unmemoized pricing exactly at every degree, and TP simulations must
+ * stay deterministic across thread counts and repeated runs (TP runs
+ * move raw Request pointers through preemption paths — any lifetime
+ * or ordering bug shows up here).
  */
 #include <gtest/gtest.h>
 
@@ -90,37 +90,46 @@ expectReportsIdentical(const ServingReport &a, const ServingReport &b)
 // ---------------------------------------------------------------------
 // Pricing consistency with the analytical model
 
-TEST(TpPricing, SteadyStateDecodeMatchesEstimateTensorParallel)
+TEST(TpPricing, DecodeStepMatchesAnalyticBitForBit)
 {
     // A homogeneous decode batch at a bucket-aligned context is exactly
-    // the analytical model's representative step: the two TP models
-    // must agree to floating-point noise (they share shard-geometry
-    // helpers, so any drift is a real modeling divergence).
-    const std::size_t batch = 8;
-    const std::size_t ctx = 512; // multiple of IterationPricer::kSeqBucket
-    for (auto scheme : {llm::QuantScheme::FP16, llm::QuantScheme::VQ4}) {
-        for (int degree : {2, 4}) {
-            compiler::Engine eng(rtx4090());
-            IterationPricer pricer(eng, llm::llama7b(), scheme,
-                                   llm::defaultKvScheme(scheme),
-                                   nvlink(degree));
-            auto reqs = decodeBatch(batch, ctx);
-            auto batch_ptrs = ptrs(reqs);
-            double step_us = pricer.decodeUs(batch_ptrs);
+    // the analytical model's representative step, and both price it
+    // through one llm::DecodeStep, so they agree bit for bit on every
+    // model, scheme, degree, batch and context.
+    const auto &spec = rtx4090();
+    // One engine for both sides: each kernel compiles once.
+    compiler::Engine &eng = compiler::Engine::shared(spec);
+    for (const llm::LlamaConfig *model :
+         {&llm::llama7b(), &llm::llama65b(), &llm::llama70b()}) {
+        for (auto scheme : {llm::QuantScheme::FP16, llm::QuantScheme::EWQ4,
+                            llm::QuantScheme::VQ4, llm::QuantScheme::VQ2}) {
+            for (int degree : {1, 2, 4, 8}) {
+                for (std::size_t batch : {1, 8, 32}) {
+                    for (std::size_t ctx : {256, 1024, 4096}) {
+                        SCOPED_TRACE(
+                            model->name + " " +
+                            llm::quantSchemeName(scheme) + " degree " +
+                            std::to_string(degree) + " batch " +
+                            std::to_string(batch) + " ctx " +
+                            std::to_string(ctx));
+                        IterationPricer pricer(
+                            eng, *model, scheme,
+                            llm::defaultKvScheme(scheme), nvlink(degree));
+                        auto reqs = decodeBatch(batch, ctx);
+                        double step_us = pricer.decodeUs(ptrs(reqs));
 
-            llm::E2EConfig e2e;
-            e2e.batch = batch;
-            e2e.prompt_len = ctx - 1;
-            e2e.gen_tokens = 2; // mid_seq = ctx
-            auto est = llm::estimateTensorParallel(
-                rtx4090(), llm::llama7b(), scheme, nvlink(degree), e2e);
-            double est_step_us = est.decode_us / 2.0;
-            EXPECT_NEAR(step_us, est_step_us, est_step_us * 1e-9)
-                << "scheme " << llm::quantSchemeName(scheme)
-                << " degree " << degree;
-            // Communication shares agree too.
-            EXPECT_NEAR(pricer.commUs(), est.comm_us_per_step,
-                        est.comm_us_per_step * 1e-9);
+                        llm::E2EConfig e2e;
+                        e2e.batch = batch;
+                        e2e.prompt_len = ctx - 1;
+                        e2e.gen_tokens = 2; // mid_seq = ctx
+                        auto est = llm::estimateTensorParallel(
+                            spec, *model, scheme, nvlink(degree), e2e);
+                        EXPECT_EQ(step_us, est.decode_us / 2.0);
+                        EXPECT_EQ(pricer.totals().comm_us,
+                                  est.comm_us_per_step);
+                    }
+                }
+            }
         }
     }
 }
@@ -151,7 +160,7 @@ TEST(TpPricing, Degree1IsBitIdenticalToUnshardedFormula)
     double expected =
         (linear_us + elem_us + attn_us) * static_cast<double>(model.layers);
     EXPECT_DOUBLE_EQ(priced, expected);
-    EXPECT_DOUBLE_EQ(pricer.commUs(), 0.0);
+    EXPECT_DOUBLE_EQ(pricer.totals().comm_us, 0.0);
 
     // Prefill chunks at degree 1 price the unsharded geometry: every
     // head and the full linear shapes over 256 x 512 + 256^2 / 2 key
@@ -200,8 +209,7 @@ TEST(TpPricing, CodebookUploadShrinksWithDegree)
 /**
  * IterationPricer's arithmetic with no memo tables: every price
  * re-derived on each call through the public llm:: functions on the
- * reference's own engine (one engine for all shards, as the pricer
- * takes one), summed in the pricer's order.
+ * reference's own engine, summed in the pricer's order.
  */
 struct ReferencePricer
 {
@@ -222,8 +230,6 @@ struct ReferencePricer
     double comm_us = 0;
     double kv_dequant_us = 0;
     IterationPricer::Breakdown totals;
-    /** Per-shard decode compute of the latest decodeUs call. */
-    std::vector<double> shard_compute_us;
 
     double
     prefillChunkUs(std::size_t tokens, std::size_t context) const
@@ -252,36 +258,21 @@ struct ReferencePricer
                             seq_bucket];
         }
         const std::size_t n = batch.size();
-        const std::size_t degree = static_cast<std::size_t>(tp.degree);
         const double elem_us =
             llm::elementwiseLayerLatencyUs(eng.spec(), n, model.hidden);
         const double layers = static_cast<double>(model.layers);
-        double step_us = 0;
-        double attn0_us = 0;
-        shard_compute_us.clear();
-        for (std::size_t s = 0; s < degree; ++s) {
-            double attn_us = 0;
-            for (auto [bucket, count] : bucket_counts)
-                attn_us += llm::kvSchemeAttentionUs(
-                    eng, kv,
-                    llm::shardAttnShape(model, count, bucket, degree, s));
-            if (s == 0)
-                attn0_us = attn_us;
-            double linear_us = 0;
-            for (auto [rows, cols] : llm::shardLinearShapes(model, degree, s))
-                linear_us += llm::schemeLinearUs(
-                    eng, scheme, engine::GemmShape{n, rows, cols});
-            double shard_us = linear_us + elem_us + attn_us;
-            shard_compute_us.push_back(shard_us * layers);
-            step_us = std::max(step_us, shard_us);
-        }
+        double attn_us = 0;
+        for (auto [bucket, count] : bucket_counts)
+            attn_us += llm::decodeAttnUs(eng, model, kv, tp, count, bucket);
+        const double step_us =
+            llm::decodeLinearUs(eng, model, scheme, tp, n) + elem_us +
+            attn_us;
         if (kv != llm::KvScheme::FP16) {
             double fp16_us = 0;
             for (auto [bucket, count] : bucket_counts)
-                fp16_us += llm::kvSchemeAttentionUs(
-                    eng, llm::KvScheme::FP16,
-                    llm::shardAttnShape(model, count, bucket, degree, 0));
-            kv_dequant_us += (attn0_us - fp16_us) * layers;
+                fp16_us += llm::decodeAttnUs(eng, model, llm::KvScheme::FP16,
+                                             tp, count, bucket);
+            kv_dequant_us += (attn_us - fp16_us) * layers;
         }
         double step_comm_us =
             llm::layerAllReduceUs(tp, n, model.hidden) * layers;
@@ -329,15 +320,26 @@ raggedBatch(Rng &rng)
 TEST(PricerMemo, MatchesUnmemoizedReferenceOnRaggedBatches)
 {
     constexpr int kSteps = 60;
-    const auto &model = llm::llama7b();
+    struct Group
+    {
+        const llm::LlamaConfig *model;
+        int degree;
+    };
+    // Llama-2-70B at degree 8 shards GQA KV heads, one per device.
+    const Group groups[] = {{&llm::llama7b(), 1},
+                            {&llm::llama7b(), 2},
+                            {&llm::llama7b(), 4},
+                            {&llm::llama70b(), 8}};
     for (auto scheme : {llm::QuantScheme::FP16, llm::QuantScheme::EWQ4,
                         llm::QuantScheme::VQ4}) {
         for (auto kv : {llm::KvScheme::FP16, llm::KvScheme::INT4,
                         llm::KvScheme::VQ4}) {
-            for (int degree : {1, 2, 4}) {
-                SCOPED_TRACE(std::string(llm::quantSchemeName(scheme)) +
-                             " weights, " + llm::kvSchemeName(kv) +
-                             " KV, degree " + std::to_string(degree));
+            for (auto [model_ptr, degree] : groups) {
+                const llm::LlamaConfig &model = *model_ptr;
+                SCOPED_TRACE(model.name + ", " +
+                             llm::quantSchemeName(scheme) + " weights, " +
+                             llm::kvSchemeName(kv) + " KV, degree " +
+                             std::to_string(degree));
                 compiler::Engine eng(rtx4090());
                 compiler::Engine ref_eng(rtx4090());
                 IterationPricer pricer(eng, model, scheme, kv,
@@ -370,7 +372,6 @@ TEST(PricerMemo, MatchesUnmemoizedReferenceOnRaggedBatches)
                     // whose slices cross the fine/whole-bucket split.
                     double priced = 0;
                     double expected = 0;
-                    std::vector<double> shard_us;
                     const int mode = step % 3;
                     if (mode == 0) {
                         const compiler::CacheStats before = eng.stats();
@@ -386,9 +387,6 @@ TEST(PricerMemo, MatchesUnmemoizedReferenceOnRaggedBatches)
                                 << "step " << step;
                             ++replayed_decodes;
                         }
-                        const auto &all =
-                            pricer.lastDetail().shard_compute_us;
-                        shard_us.assign(all.end() - degree, all.end());
                     } else {
                         Scheduler::Iteration it;
                         it.decode = batch;
@@ -405,13 +403,9 @@ TEST(PricerMemo, MatchesUnmemoizedReferenceOnRaggedBatches)
                         }
                         priced = pricer.iterationUs(it);
                         expected = ref.iterationUs(it);
-                        shard_us = pricer.lastDetail().shard_compute_us;
                     }
                     ASSERT_EQ(priced, expected) << "step " << step;
-                    ASSERT_EQ(shard_us, ref.shard_compute_us)
-                        << "step " << step;
                     ASSERT_EQ(pricer.kvDequantUs(), ref.kv_dequant_us);
-                    ASSERT_EQ(pricer.commUs(), ref.comm_us);
                     const IterationPricer::Breakdown totals =
                         pricer.totals();
                     ASSERT_EQ(totals.prefill_us, ref.totals.prefill_us);
