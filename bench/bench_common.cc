@@ -2,15 +2,9 @@
 
 namespace vqllm::bench {
 
-const vq::AccessHistogram &
-sampleHistogram(const vq::VQConfig &cfg, bool kv)
+vq::AccessHistogram
+fitSampleHistogram(const vq::VQConfig &cfg, bool kv)
 {
-    static std::map<std::string, vq::AccessHistogram> cache;
-    std::string key = cfg.name + (kv ? "/kv" : "/w");
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-
     // Sample size balances fidelity and bench startup time; larger
     // codebooks need more sampled sub-vectors for stable skew
     // statistics (Fig. 8, Tbl. V).
@@ -44,10 +38,18 @@ sampleHistogram(const vq::VQConfig &cfg, bool kv)
     opts.max_iters = 4;
     opts.sample_limit = 1024;
     auto qt = vq::VectorQuantizer(book_cfg, opts).quantize(data);
-    auto profile = vq::profileAccesses(qt);
-    auto [pos, inserted] =
-        cache.emplace(key, std::move(profile.histograms[0]));
-    return pos->second;
+    return std::move(vq::profileAccesses(qt).histograms[0]);
+}
+
+const vq::AccessHistogram &
+sampleHistogram(const vq::VQConfig &cfg, bool kv)
+{
+    static std::map<std::string, vq::AccessHistogram> cache;
+    std::string key = cfg.name + (kv ? "/kv" : "/w");
+    auto it = cache.find(key);
+    if (it != cache.end())
+        return it->second;
+    return cache.emplace(key, fitSampleHistogram(cfg, kv)).first->second;
 }
 
 std::string

@@ -41,6 +41,10 @@ engineFor(const gpusim::GpuSpec &spec)
 const vq::AccessHistogram &sampleHistogram(const vq::VQConfig &cfg,
                                            bool kv = false);
 
+/** The fit behind sampleHistogram(), without the memo (every call fits). */
+vq::AccessHistogram fitSampleHistogram(const vq::VQConfig &cfg,
+                                       bool kv = false);
+
 /** Llama-7B / Llama-65B kernel shapes used across the benches. */
 struct ModelShapes
 {

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -172,6 +173,16 @@ main()
             "kmeans_n" + std::to_string(n) + "_d8_k256", 1.0, "fits/s",
             3, [&] { vq::kMeans(data, k, opts); }));
     }
+
+    // ------------------------------------------ access-histogram fits
+    // The offline fits behind the codebook-cache plans, as
+    // bench::sampleHistogram makes them (without its memo): AQLM-3 has
+    // more centroids than sampled rows, QuiP#-4 is the lattice encode.
+    for (const auto &[cfg, slug] :
+         {std::pair{vq::aqlm3(), "aqlm3"}, std::pair{vq::quip4(), "quip4"}})
+        results.push_back(measure(
+            std::string("histogram_fit_") + slug, 1.0, "fits/s", 3,
+            [&] { bench::fitSampleHistogram(cfg); }));
 
     // ---------------------------------------------- full quantizer fit
     {

@@ -85,7 +85,10 @@ REQUIRED = {
                            "rejected", "util_min", "util_max",
                            "util_imbalance"],
     },
-    "BENCH_host.json": {},
+    "BENCH_host.json": {
+        "workloads[]": ["name", "serial_ms", "parallel_ms", "speedup",
+                        "rate", "rate_unit"],
+    },
 }
 
 

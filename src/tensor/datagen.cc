@@ -1,8 +1,46 @@
 #include "tensor/datagen.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace vqllm {
+
+namespace {
+
+/**
+ * Rng::weightedIndex over fixed weights, with the running sums built
+ * once: the same sequential sums, one uniform() per draw, and the first
+ * index whose sum exceeds the draw (the last index if none does).
+ */
+class PrefixSampler
+{
+  public:
+    PrefixSampler() = default;
+
+    explicit PrefixSampler(const std::vector<double> &weights)
+        : sums_(weights.size())
+    {
+        vqllm_assert(!weights.empty(), "need at least one weight");
+        double acc = 0;
+        for (std::size_t i = 0; i < weights.size(); ++i)
+            sums_[i] = acc += weights[i];
+    }
+
+    std::size_t
+    draw(Rng &rng) const
+    {
+        const double r = rng.uniform() * sums_.back();
+        // Non-negative weights make the sums non-decreasing, so the
+        // first sum above r is the upper bound of r.
+        const auto it = std::upper_bound(sums_.begin(), sums_.end(), r);
+        return it == sums_.end() ? sums_.size() - 1 : it - sums_.begin();
+    }
+
+  private:
+    std::vector<double> sums_;
+};
+
+} // namespace
 
 Tensor<float>
 generateClustered(std::size_t rows, std::size_t dim,
@@ -12,35 +50,35 @@ generateClustered(std::size_t rows, std::size_t dim,
     Tensor<float> centers({spec.num_clusters, dim});
     fillNormal(centers, rng);
 
-    std::vector<double> weights =
-        powerLawWeights(spec.num_clusters, spec.popularity_alpha);
+    const PrefixSampler clusters(
+        powerLawWeights(spec.num_clusters, spec.popularity_alpha));
 
     // Template rows that repeat verbatim across the tensor.
     Tensor<float> pool;
-    std::vector<double> pool_weights;
+    PrefixSampler templates;
     if (spec.duplicate_pool > 0) {
         pool = Tensor<float>({spec.duplicate_pool, dim});
         for (std::size_t p = 0; p < spec.duplicate_pool; ++p) {
-            std::size_t c = rng.weightedIndex(weights);
+            std::size_t c = clusters.draw(rng);
             for (std::size_t d = 0; d < dim; ++d)
                 pool.at(p, d) = static_cast<float>(
                     centers.at(c, d) +
                     rng.normal(0.0, spec.cluster_spread));
         }
-        pool_weights = powerLawWeights(spec.duplicate_pool, 1.0);
+        templates = PrefixSampler(powerLawWeights(spec.duplicate_pool, 1.0));
     }
 
     Tensor<float> out({rows, dim});
     for (std::size_t r = 0; r < rows; ++r) {
         if (spec.duplicate_pool > 0 &&
             rng.uniform() < spec.duplicate_fraction) {
-            std::size_t p = rng.weightedIndex(pool_weights);
+            std::size_t p = templates.draw(rng);
             for (std::size_t d = 0; d < dim; ++d)
                 out.at(r, d) = pool.at(p, d);
             continue;
         }
         bool outlier = rng.uniform() < spec.outlier_fraction;
-        std::size_t c = rng.weightedIndex(weights);
+        std::size_t c = clusters.draw(rng);
         float prev = 0.0f;
         for (std::size_t d = 0; d < dim; ++d) {
             double sample;

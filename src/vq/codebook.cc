@@ -1,5 +1,6 @@
 #include "vq/codebook.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -7,6 +8,13 @@
 #include "common/logging.h"
 
 namespace vqllm::vq {
+
+namespace {
+
+/** Base entries scored per block of the lattice encode. */
+constexpr std::size_t kLatticeBlock = 256;
+
+} // namespace
 
 Codebook
 Codebook::plain(const Tensor<float> &entries)
@@ -20,7 +28,7 @@ Codebook::plain(const Tensor<float> &entries)
     cb.vectorSize_ = static_cast<unsigned>(entries.dim(1));
     cb.logicalEntries_ = entries.dim(0);
     cb.lattice_ = false;
-    cb.search_ = NearestEntryIndex(cb.entries_);
+    cb.buildSearch();
     return cb;
 }
 
@@ -38,7 +46,22 @@ Codebook::lattice(const Tensor<float> &base_entries)
     vqllm_assert(cb.vectorSize_ <= 16, "sign mask limited to 16 elements");
     cb.logicalEntries_ = base_entries.dim(0) << cb.vectorSize_;
     cb.lattice_ = true;
+    cb.buildSearch();
     return cb;
+}
+
+void
+Codebook::buildSearch()
+{
+    if (!lattice_) {
+        search_ = NearestEntryIndex(entries_);
+        return;
+    }
+    const std::size_t n = entries_.dim(0);
+    baseColumns_.resize(n * vectorSize_);
+    for (std::size_t e = 0; e < n; ++e)
+        for (unsigned k = 0; k < vectorSize_; ++k)
+            baseColumns_[k * n + e] = entries_.at(e, std::size_t(k));
 }
 
 void
@@ -85,31 +108,45 @@ Codebook::encode(const float *sub, double *err) const
             }
         }
     } else {
-        // For each base entry the optimal sign of element k is the sign
-        // of sub[k] (base entries are non-negative), so the search is
-        // O(base * vec) rather than O(logical * vec).
+        // Base entries are non-negative, so for each element the better
+        // sign gives min((x - c)^2, (x + c)^2), which is (|x| - c)^2 in
+        // double, bit for bit (DESIGN.md §6): score every base entry
+        // against |sub| without a branch, in blocks of entries, and keep
+        // the first strict minimum.  Only the winner needs its signs.
         const std::size_t n = entries_.dim(0);
-        unsigned base_bits = ceilLog2(n);
-        for (std::size_t e = 0; e < n; ++e) {
-            const float *cand = entries_.data() + e * vectorSize_;
-            double d = 0;
+        std::size_t best_e = n;
+        double dist[kLatticeBlock];
+        for (std::size_t e0 = 0; e0 < n; e0 += kLatticeBlock) {
+            const std::size_t m = std::min(kLatticeBlock, n - e0);
+            std::fill_n(dist, m, 0.0);
+            for (unsigned k = 0; k < vectorSize_; ++k) {
+                const double ax = std::abs(static_cast<double>(sub[k]));
+                const double *col = baseColumns_.data() + k * n + e0;
+                for (std::size_t j = 0; j < m; ++j) {
+                    const double diff = ax - col[j];
+                    dist[j] += diff * diff;
+                }
+            }
+            for (std::size_t j = 0; j < m; ++j) {
+                if (dist[j] < best) {
+                    best = dist[j];
+                    best_e = e0 + j;
+                }
+            }
+        }
+        if (best_e < n) {
+            // The sign test of the full scan, for the winner only.
+            const float *cand = entries_.data() + best_e * vectorSize_;
             std::uint32_t mask = 0;
             for (unsigned k = 0; k < vectorSize_; ++k) {
                 double x = sub[k];
                 double pos = x - cand[k];
                 double neg = x + cand[k];
-                if (neg * neg < pos * pos) {
+                if (neg * neg < pos * pos)
                     mask |= 1u << k;
-                    d += neg * neg;
-                } else {
-                    d += pos * pos;
-                }
             }
-            if (d < best) {
-                best = d;
-                best_idx = static_cast<std::uint32_t>(e) |
-                           (mask << base_bits);
-            }
+            best_idx = static_cast<std::uint32_t>(best_e) |
+                       (mask << ceilLog2(n));
         }
     }
     if (err)
@@ -136,8 +173,7 @@ Codebook::reorder(const std::vector<std::uint32_t> &perm)
                 entries_.at(std::size_t(old_idx), std::size_t(d));
     }
     entries_ = std::move(reordered);
-    if (!lattice_)
-        search_ = NearestEntryIndex(entries_);
+    buildSearch();
     return inverse;
 }
 

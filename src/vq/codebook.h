@@ -105,8 +105,13 @@ class Codebook
                                            &perm);
 
   private:
+    /** Build the encode search over entries_ (after every change). */
+    void buildSearch();
+
     Tensor<float> entries_;  // stored table [stored, vector_size]
     NearestEntryIndex search_; // over entries_ (plain books only)
+    /** entries_ transposed to [vector_size][stored] in double (lattice). */
+    std::vector<double> baseColumns_;
     unsigned vectorSize_ = 0;
     std::size_t logicalEntries_ = 0;
     bool lattice_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -72,13 +73,17 @@ kMeansPlusPlusInit(const Tensor<float> &data, std::size_t k, Rng &rng)
         centroids.at(std::size_t(0), d) = data.at(first, d);
 
     std::vector<double> dist_sq(n, std::numeric_limits<double>::max());
-    // Once the D^2 total reaches 0, every row sits on a chosen centroid
-    // and min() keeps each weight at 0: later draws are uniform, so the
-    // distance updates are skipped (the RNG stream is unchanged).
-    bool all_covered = false;
+    // The rows whose D^2 weight is still above 0, ascending.  A row at 0
+    // stays at 0 (min() keeps it), adds +0.0 to every partial and to the
+    // pick's running sum, and is never the first row with r < acc, so
+    // both passes visit live rows only and get the bits a pass over
+    // every row gets.  Once none is live, every row sits on a chosen
+    // centroid and the draws are uniform (the RNG stream is unchanged).
+    std::vector<std::size_t> live(n);
+    std::iota(live.begin(), live.end(), std::size_t{0});
     for (std::size_t c = 1; c < k; ++c) {
         double total = 0;
-        if (!all_covered) {
+        if (!live.empty()) {
             // Update distances against the last added centroid.  A
             // pass over the fit rows is a few microseconds, less than a
             // pool dispatch costs, and k-means++ makes up to k of them
@@ -86,28 +91,32 @@ kMeansPlusPlusInit(const Tensor<float> &data, std::size_t k, Rng &rng)
             // chunk order exactly as par::parallelSum does, so the total
             // is the same bits.
             const float *last = centroids.data() + (c - 1) * dim;
-            for (std::size_t ch = 0; ch < par::chunkCount(n, kAssignGrain);
-                 ++ch) {
-                const par::ChunkRange r = par::chunkAt(n, kAssignGrain, ch);
-                double part = 0;
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                    double d = simd::squaredDistance(data.data() + i * dim,
-                                                     last, dim);
-                    dist_sq[i] = std::min(dist_sq[i], d);
-                    part += dist_sq[i];
+            std::size_t kept = 0, chunk_end = 0;
+            double part = 0;
+            for (std::size_t i : live) {
+                if (i >= chunk_end) {
+                    total += part;
+                    part = 0;
+                    chunk_end = (i / kAssignGrain + 1) * kAssignGrain;
                 }
-                total += part;
+                double d = simd::squaredDistance(data.data() + i * dim,
+                                                 last, dim);
+                dist_sq[i] = std::min(dist_sq[i], d);
+                part += dist_sq[i];
+                if (dist_sq[i] > 0)
+                    live[kept++] = i;
             }
-            all_covered = total <= 0;
+            total += part;
+            live.resize(kept);
         }
         std::size_t chosen;
-        if (all_covered) {
+        if (live.empty()) {
             chosen = rng.uniformInt(n); // every weight is 0
         } else {
             double r = rng.uniform() * total;
             double acc = 0;
             chosen = n - 1;
-            for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t i : live) {
                 acc += dist_sq[i];
                 if (r < acc) {
                     chosen = i;

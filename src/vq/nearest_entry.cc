@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -41,6 +42,15 @@ namespace vqllm::vq {
  * nor tie the final winner.  Ties are therefore always scored, and the
  * minimum of (distance, slot) over the scored entries is the linear
  * scan's first strict minimum.
+ *
+ * The index holds each distinct entry once, at its lowest slot.  An entry
+ * whose bits equal those of a lower slot has the same distance to every
+ * query, so the scan, which keeps the lowest slot on a tie, never picks
+ * it; dropping it changes no answer.  Only equal bits count as copies:
+ * +0.0 and -0.0 stay two entries, which is still exact.  Copies have
+ * equal projections, so sorting by (projection, bits, slot) makes them
+ * adjacent with the lowest slot first.  The order among equal
+ * projections does not matter for the sweep, whose ties go by slot.
  *
  * Non-finite entries or queries break the argument (inf - inf, NaN
  * projections), so they take the linear scan, which is the reference.
@@ -179,15 +189,25 @@ NearestEntryIndex::NearestEntryIndex(const Tensor<float> &table)
         proj[i] = p;
         maxAbsTerms_ = std::max(maxAbsTerms_, abs_terms);
     }
-    slot_.resize(k_);
-    std::iota(slot_.begin(), slot_.end(), 0u);
-    std::sort(slot_.begin(), slot_.end(),
+    const std::size_t row_bytes = dim_ * sizeof(float);
+    auto row = [&](std::uint32_t s) { return t + s * dim_; };
+    std::vector<std::uint32_t> order(k_);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
-                  return proj[a] < proj[b] || (proj[a] == proj[b] && a < b);
+                  if (proj[a] != proj[b])
+                      return proj[a] < proj[b];
+                  const int bits = std::memcmp(row(a), row(b), row_bytes);
+                  return bits != 0 ? bits < 0 : a < b;
               });
-    proj_.resize(k_);
-    for (std::size_t i = 0; i < k_; ++i)
-        proj_[i] = proj[slot_[i]];
+    for (std::size_t i = 0; i < k_; ++i) {
+        const std::uint32_t s = order[i];
+        if (i > 0 && std::memcmp(row(order[i - 1]), row(s), row_bytes) == 0)
+            continue; // a copy of a lower slot
+        slot_.push_back(s);
+        proj_.push_back(proj[s]);
+        entries_.insert(entries_.end(), row(s), row(s) + dim_);
+    }
     linear_ = false;
 }
 
@@ -216,12 +236,13 @@ NearestEntryIndex::nearest(const Tensor<float> &table, const float *query,
 
     const double slack = projErr(dim_) * (abs_terms + maxAbsTerms_);
     const double keep = 1.0 - distErr(dim_);
-    const float *t = table.data();
+    const std::size_t n = proj_.size();
     Match best{0, kInf};
     double limit = std::numeric_limits<double>::infinity(); // best + kTau
     auto score = [&](std::size_t pos) {
         const std::uint32_t s = slot_[pos];
-        const float d = simd::squaredDistance(query, t + s * dim_, dim_);
+        const float d = simd::squaredDistance(
+            query, entries_.data() + pos * dim_, dim_);
         if (d < best.distance || (d == best.distance && s < best.index)) {
             best = {s, d};
             limit = static_cast<double>(d) + kTau;
@@ -233,15 +254,15 @@ NearestEntryIndex::nearest(const Tensor<float> &table, const float *query,
     };
     // Score the nearest position below the query, sweep up from the
     // query's position, then down, each side until its gap prunes the
-    // rest of it.  Each side walks consecutive positions, so the next
-    // load never waits on a distance.
+    // rest of it.  Each side walks consecutive positions of proj_ and
+    // entries_, so the next load never waits on a distance.
     const std::size_t start =
         std::lower_bound(proj_.begin(), proj_.end(), px) - proj_.begin();
     std::size_t lo = start;
     if (lo > 0)
         score(--lo);
     std::size_t hi = start;
-    for (; hi < k_ && !pruned(proj_[hi] - px); ++hi)
+    for (; hi < n && !pruned(proj_[hi] - px); ++hi)
         score(hi);
     for (; lo > 0 && !pruned(px - proj_[lo - 1]); --lo)
         score(lo - 1);

@@ -3,13 +3,14 @@
  * Exact nearest-entry search over a centroid table — the one search
  * behind k-means assignment and plain-codebook encoding.
  *
- * The index sorts the table's entries by their projection on the
- * table's principal axis.  A query starts at its own projection and
- * sweeps outward in both directions, scoring entries with
- * simd::squaredDistance until the projection gap proves that no
- * unscored entry can win.  The answer is bit-identical to a linear scan
- * that keeps the first strict minimum (see nearest() and the exactness
- * argument in nearest_entry.cc).
+ * The index keeps one copy of each distinct entry (a later slot with
+ * the same bits can never win) and stores the copies contiguously,
+ * sorted by their projection on the table's principal axis.  A query
+ * starts at its own projection and sweeps outward in both directions,
+ * scoring entries with simd::squaredDistance until the projection gap
+ * proves that no unscored entry can win.  The answer is bit-identical
+ * to a linear scan that keeps the first strict minimum (see nearest()
+ * and the exactness argument in nearest_entry.cc).
  */
 #pragma once
 
@@ -34,9 +35,10 @@ class NearestEntryIndex
     NearestEntryIndex() = default;
 
     /**
-     * Index `table` ([k, dim], k >= 1).  The index keeps projections and
-     * slot numbers only — never a pointer into the table — so queries
-     * pass the same table again and the owner may be copied or moved.
+     * Index `table` ([k, dim], k >= 1).  The index copies the distinct
+     * entries it sweeps and never points into the table, so the owner
+     * may be copied or moved; queries pass the same table again (a
+     * table with a non-finite entry is scanned in place).
      */
     explicit NearestEntryIndex(const Tensor<float> &table);
 
@@ -50,6 +52,7 @@ class NearestEntryIndex
      *
      * @param table  the table this index was built from, unchanged
      * @param scored if non-null, receives the number of entries scored
+     *               (distinct entries only, unless the scan is linear)
      */
     Match nearest(const Tensor<float> &table, const float *query,
                   std::size_t *scored = nullptr) const;
@@ -61,10 +64,12 @@ class NearestEntryIndex
     bool linear_ = true;
     /** Unit principal axis of the table. */
     std::vector<double> axis_;
-    /** Entry projections on axis_, ascending, ties by slot. */
+    /** Projections on axis_ of the distinct entries, ascending. */
     std::vector<double> proj_;
-    /** slot_[i] = table slot of the entry with projection proj_[i]. */
+    /** slot_[i] = lowest table slot holding the entry of proj_[i]. */
     std::vector<std::uint32_t> slot_;
+    /** [proj_.size(), dim] copy of those entries, in proj_ order. */
+    std::vector<float> entries_;
     /** Largest sum_d |axis_d * c_d| over entries (rounding bound). */
     double maxAbsTerms_ = 0;
 };

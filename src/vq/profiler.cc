@@ -83,17 +83,16 @@ profileAccesses(const QuantizedTensor &qt, std::size_t rows_per_block)
         res.histograms[c].counts.assign(qt.codebooks[c].storedEntries(),
                                         0);
 
-    const std::size_t num_blocks =
-        rows_per_block == 0 ? 1 : ceilDiv(qt.rows, rows_per_block);
-    res.block_histograms.resize(num_blocks);
-    for (auto &h : res.block_histograms)
-        h.counts.assign(qt.codebooks.empty()
-                            ? 0
-                            : qt.codebooks[0].storedEntries(),
-                        0);
+    if (rows_per_block > 0) {
+        res.block_histograms.resize(ceilDiv(qt.rows, rows_per_block));
+        for (auto &h : res.block_histograms)
+            h.counts.assign(qt.codebooks.empty()
+                                ? 0
+                                : qt.codebooks[0].storedEntries(),
+                            0);
+    }
 
     for (std::size_t r = 0; r < qt.rows; ++r) {
-        std::size_t block = rows_per_block == 0 ? 0 : r / rows_per_block;
         for (std::size_t s = 0; s < qt.subspaces(); ++s) {
             std::size_t unit = qt.codebookUnit(r, s);
             for (unsigned stage = 0; stage < qt.config.residuals;
@@ -104,8 +103,9 @@ profileAccesses(const QuantizedTensor &qt, std::size_t rows_per_block)
                     qt.indexPosition(r, s, stage));
                 std::uint32_t stored = cb.storedIndexOf(logical);
                 ++res.histograms[cb_id].counts[stored];
-                if (cb_id == 0)
-                    ++res.block_histograms[block].counts[stored];
+                if (cb_id == 0 && rows_per_block > 0)
+                    ++res.block_histograms[r / rows_per_block]
+                          .counts[stored];
             }
         }
     }

@@ -55,7 +55,8 @@ struct ProfileResult
 
     /**
      * Per-block histograms of codebook 0 for block-consistency analysis
-     * (Fig. 9): blocks are contiguous row ranges.
+     * (Fig. 9): blocks are contiguous row ranges.  Empty unless
+     * profileAccesses() was given a block size.
      */
     std::vector<AccessHistogram> block_histograms;
 };
@@ -64,10 +65,14 @@ struct ProfileResult
  * Profile entry access frequencies of a quantized tensor.
  *
  * @param qt             the quantized tensor
- * @param rows_per_block row-range granularity for per-block histograms
+ * @param rows_per_block row-range granularity for the per-block
+ *                       histograms of codebook 0; 0 (the default)
+ *                       builds none, which saves zeroing
+ *                       ceil(rows / rows_per_block) x entries counters
+ *                       on every call that only needs the global ones
  */
 ProfileResult profileAccesses(const QuantizedTensor &qt,
-                              std::size_t rows_per_block = 64);
+                              std::size_t rows_per_block = 0);
 
 /**
  * Reorder all codebooks of `qt` by descending access frequency and

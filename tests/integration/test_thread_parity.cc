@@ -166,20 +166,17 @@ TEST(ThreadParity, KMeansBitIdentical)
     expectBitIdentical(serial.centroids, parallel.centroids);
 }
 
-TEST(ThreadParity, QuantizerBitIdentical)
+/** Quantize `data` at 1 and at 8 threads and compare everything. */
+void
+expectQuantizeBitIdentical(const vq::VQConfig &cfg,
+                           const vq::KMeansOptions &opts,
+                           const Tensor<float> &data)
 {
     ThreadGuard guard;
-    Rng rng(17);
-    auto w = generateLlmWeight(64, 64, rng);
-    vq::VQConfig cfg = vq::cq2(); // per-channel-group: parallel units
-    cfg.num_entries = 32;
-    vq::KMeansOptions opts;
-    opts.max_iters = 6;
-
     par::setThreads(1);
-    auto serial = vq::VectorQuantizer(cfg, opts).quantize(w);
+    auto serial = vq::VectorQuantizer(cfg, opts).quantize(data);
     par::setThreads(8);
-    auto parallel = vq::VectorQuantizer(cfg, opts).quantize(w);
+    auto parallel = vq::VectorQuantizer(cfg, opts).quantize(data);
 
     ASSERT_EQ(serial.codebooks.size(), parallel.codebooks.size());
     for (std::size_t i = 0; i < serial.codebooks.size(); ++i)
@@ -195,6 +192,51 @@ TEST(ThreadParity, QuantizerBitIdentical)
                               parallel.indexPosition(r, s, st)));
     expectBitIdentical(vq::VectorQuantizer::dequantize(serial),
                        vq::VectorQuantizer::dequantize(parallel));
+}
+
+TEST(ThreadParity, QuantizerBitIdentical)
+{
+    Rng rng(17);
+    auto w = generateLlmWeight(64, 64, rng);
+    vq::VQConfig cfg = vq::cq2(); // per-channel-group: parallel units
+    cfg.num_entries = 32;
+    vq::KMeansOptions opts;
+    opts.max_iters = 6;
+    expectQuantizeBitIdentical(cfg, opts, w);
+}
+
+/** K-means options of the access-histogram fits. */
+vq::KMeansOptions
+histogramFitOptions()
+{
+    vq::KMeansOptions opts;
+    opts.max_iters = 4;
+    opts.sample_limit = 1024;
+    return opts;
+}
+
+TEST(ThreadParity, AqlmShapedQuantizerBitIdentical)
+{
+    // More centroids (4,096) than sampled rows (1,024): both residual
+    // books are full of copies, which the nearest-entry index folds.
+    ClusteredDataSpec spec;
+    spec.num_clusters = 512;
+    spec.popularity_alpha = 0.3;
+    spec.duplicate_pool = 22;
+    spec.duplicate_fraction = 0.16;
+    Rng rng(19);
+    auto data = generateClustered(2048, 8, spec, rng);
+    expectQuantizeBitIdentical(vq::aqlm3(), histogramFitOptions(), data);
+}
+
+TEST(ThreadParity, LatticeQuantizerBitIdentical)
+{
+    ClusteredDataSpec spec;
+    spec.num_clusters = 512;
+    spec.popularity_alpha = 0.3;
+    Rng rng(23);
+    auto data = generateClustered(2048, 8, spec, rng);
+    expectQuantizeBitIdentical(vq::quip4(), histogramFitOptions(), data);
 }
 
 } // namespace

@@ -7,11 +7,97 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "tensor/datagen.h"
 
 namespace vqllm {
 namespace {
+
+/** Reference: generateClustered with one Rng::weightedIndex per draw. */
+Tensor<float>
+refGenerateClustered(std::size_t rows, std::size_t dim,
+                     const ClusteredDataSpec &spec, Rng &rng)
+{
+    Tensor<float> centers({spec.num_clusters, dim});
+    fillNormal(centers, rng);
+    std::vector<double> weights =
+        powerLawWeights(spec.num_clusters, spec.popularity_alpha);
+    Tensor<float> pool;
+    std::vector<double> pool_weights;
+    if (spec.duplicate_pool > 0) {
+        pool = Tensor<float>({spec.duplicate_pool, dim});
+        for (std::size_t p = 0; p < spec.duplicate_pool; ++p) {
+            std::size_t c = rng.weightedIndex(weights);
+            for (std::size_t d = 0; d < dim; ++d)
+                pool.at(p, d) = static_cast<float>(
+                    centers.at(c, d) +
+                    rng.normal(0.0, spec.cluster_spread));
+        }
+        pool_weights = powerLawWeights(spec.duplicate_pool, 1.0);
+    }
+    Tensor<float> out({rows, dim});
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (spec.duplicate_pool > 0 &&
+            rng.uniform() < spec.duplicate_fraction) {
+            std::size_t p = rng.weightedIndex(pool_weights);
+            for (std::size_t d = 0; d < dim; ++d)
+                out.at(r, d) = pool.at(p, d);
+            continue;
+        }
+        bool outlier = rng.uniform() < spec.outlier_fraction;
+        std::size_t c = rng.weightedIndex(weights);
+        float prev = 0.0f;
+        for (std::size_t d = 0; d < dim; ++d) {
+            double sample;
+            if (outlier) {
+                sample = rng.normal(0.0, spec.outlier_scale);
+            } else {
+                sample = centers.at(c, d) +
+                         rng.normal(0.0, spec.cluster_spread);
+            }
+            double mixed = (1.0 - spec.dim_correlation) * sample +
+                           spec.dim_correlation * prev;
+            out.at(r, d) = static_cast<float>(mixed);
+            prev = out.at(r, d);
+        }
+    }
+    return out;
+}
+
+TEST(Datagen, ClusteredMatchesWeightedIndexReference)
+{
+    // The generator draws clusters and pool templates from prefix sums
+    // built once; tensors and the RNG stream must be unchanged.
+    for (double alpha : {0.0, 0.3, 1.0}) {
+        for (std::size_t pool : {0, 1, 22}) {
+            for (std::size_t clusters : {1, 7, 512}) {
+                ClusteredDataSpec spec;
+                spec.num_clusters = clusters;
+                spec.popularity_alpha = alpha;
+                spec.duplicate_pool = pool;
+                spec.duplicate_fraction = pool > 0 ? 0.16 : 0.0;
+                spec.outlier_fraction = 0.05;
+                const std::uint64_t seed = 100 + clusters + pool;
+                Rng got_rng(seed), want_rng(seed);
+                auto got = generateClustered(2048, 8, spec, got_rng);
+                auto want = refGenerateClustered(2048, 8, spec, want_rng);
+                ASSERT_EQ(got.shape(), want.shape());
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      got.size() * sizeof(float)),
+                          0)
+                    << "alpha " << alpha << " pool " << pool
+                    << " clusters " << clusters;
+                // The raw stream, then the cached Box-Muller half.
+                EXPECT_EQ(got_rng.next(), want_rng.next())
+                    << "alpha " << alpha << " pool " << pool
+                    << " clusters " << clusters;
+                EXPECT_EQ(got_rng.normal(), want_rng.normal());
+            }
+        }
+    }
+}
 
 TEST(Datagen, ClusteredShapeAndDeterminism)
 {

@@ -5,6 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "common/bitutils.h"
 #include "tensor/tensor.h"
 #include "vq/codebook.h"
 
@@ -156,6 +162,92 @@ TEST(LatticeCodebook, EncodeBeatsOrMatchesSignlessSearch)
         lattice.encode(v, &lat_err);
         plain.encode(v, &plain_err);
         EXPECT_LE(lat_err, plain_err + 1e-9);
+    }
+}
+
+/** Reference: the lattice encode's per-element sign scan over every base
+ *  entry, in double, keeping the first strict minimum. */
+std::pair<std::uint32_t, double>
+refSignScan(const Codebook &cb, const float *sub)
+{
+    const Tensor<float> &entries = cb.entries();
+    const std::size_t n = entries.dim(0);
+    const unsigned vec = cb.vectorSize();
+    const unsigned base_bits = ceilLog2(n);
+    double best = std::numeric_limits<double>::max();
+    std::uint32_t best_idx = 0;
+    for (std::size_t e = 0; e < n; ++e) {
+        const float *cand = entries.data() + e * vec;
+        double d = 0;
+        std::uint32_t mask = 0;
+        for (unsigned k = 0; k < vec; ++k) {
+            double x = sub[k];
+            double pos = x - cand[k];
+            double neg = x + cand[k];
+            if (neg * neg < pos * pos) {
+                mask |= 1u << k;
+                d += neg * neg;
+            } else {
+                d += pos * pos;
+            }
+        }
+        if (d < best) {
+            best = d;
+            best_idx = static_cast<std::uint32_t>(e) | (mask << base_bits);
+        }
+    }
+    return {best_idx, best};
+}
+
+TEST(LatticeCodebook, EncodeMatchesSignScanReference)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float specials[] = {0.0f, -0.0f, nan, inf, -inf};
+    Rng rng(11);
+    for (unsigned vec : {1u, 2u, 4u, 8u, 16u}) {
+        for (std::size_t n : {1, 2, 16, 256, 1024}) {
+            // Even sizes use small integers: exact distances, hence
+            // exact ties between base entries.  Every base has zero
+            // components and a repeated row.
+            const bool grid = n % 2 == 0 && vec % 2 == 0;
+            Tensor<float> base({n, std::size_t(vec)});
+            for (std::size_t i = 0; i < base.size(); ++i)
+                base[i] = grid ? static_cast<float>(rng.uniformInt(4))
+                        : rng.uniform() < 0.2
+                            ? 0.0f
+                            : static_cast<float>(rng.uniform(0.0, 2.0));
+            if (n > 1)
+                for (unsigned k = 0; k < vec; ++k)
+                    base.at(n - 1, std::size_t(k)) =
+                        base.at(std::size_t(0), std::size_t(k));
+            Codebook cb = Codebook::lattice(base);
+            Codebook reordered = cb;
+            std::vector<std::uint32_t> perm(n);
+            for (std::size_t i = 0; i < n; ++i)
+                perm[i] = static_cast<std::uint32_t>(n - 1 - i);
+            reordered.reorder(perm);
+            for (const Codebook *book : {&cb, &reordered}) {
+                for (int q = 0; q < 200; ++q) {
+                    std::vector<float> sub(vec);
+                    for (auto &x : sub)
+                        x = grid ? static_cast<float>(rng.uniformInt(9)) -
+                                       4.0f
+                                 : static_cast<float>(rng.normal(0, 1.5));
+                    if (q % 4 == 1)
+                        sub[rng.uniformInt(vec)] = specials[q / 4 % 5];
+                    double err = -1;
+                    const std::uint32_t got = book->encode(sub.data(), &err);
+                    const auto want = refSignScan(*book, sub.data());
+                    ASSERT_EQ(got, want.first)
+                        << "vec " << vec << " n " << n << " query " << q;
+                    ASSERT_EQ(std::memcmp(&err, &want.second, sizeof err),
+                              0)
+                        << "vec " << vec << " n " << n << " query " << q
+                        << ": " << err << " vs " << want.second;
+                }
+            }
+        }
     }
 }
 

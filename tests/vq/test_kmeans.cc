@@ -394,6 +394,22 @@ TEST(KMeans, MatchesReferenceOnDegenerateData)
     nearly.fill(1.5f);
     nearly.at(std::size_t(17), std::size_t(3)) = 1.501f;
     expectMatchesReference(nearly, 8, opts, "nearly identical rows");
+    // Copies across the 256-row chunks of the D^2 pass: rows 0-299
+    // repeat one row and the rest repeat 40 others at random, so whole
+    // chunks fall to weight 0, and k exceeds the 41 distinct rows, so
+    // the uniform draws start mid-run.
+    Tensor<float> distinct({41, 4});
+    fillNormal(distinct, rng);
+    Tensor<float> copies({700, 4});
+    for (std::size_t i = 0; i < copies.dim(0); ++i) {
+        const std::size_t src = i < 300 ? 0 : 1 + rng.uniformInt(40);
+        for (std::size_t d = 0; d < 4; ++d)
+            copies.at(i, d) = distinct.at(src, d);
+    }
+    expectMatchesReference(copies, 64, opts, "copies across chunks");
+    opts.sample_limit = 500;
+    expectMatchesReference(copies, 64, opts, "sampled copies");
+    opts.sample_limit = 0;
     // Non-finite rows reach the linear path; everything they poison
     // (centroid sums, inertia) must poison identically.
     Tensor<float> bad({64, 4});

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -358,6 +359,101 @@ TEST(NearestEntrySearch, PlainCodebookEncodeMatchesReference)
                     }
                     ASSERT_EQ(err, want);
                 }
+            }
+        }
+    }
+}
+
+/** Number of rows of `t` with distinct bits. */
+std::size_t
+distinctRows(const Tensor<float> &t)
+{
+    const std::size_t bytes = t.dim(1) * sizeof(float);
+    std::set<std::string> rows;
+    for (std::size_t i = 0; i < t.dim(0); ++i)
+        rows.emplace(reinterpret_cast<const char *>(t.data()) + i * bytes,
+                     bytes);
+    return rows.size();
+}
+
+/** Every query matches the references and scores distinct rows only. */
+void
+expectMatchesWithCopies(const Tensor<float> &table,
+                        const Tensor<float> &queries,
+                        const std::string &what)
+{
+    expectMatchesReferences(table, queries, what);
+    const NearestEntryIndex index(table);
+    const std::size_t distinct = distinctRows(table);
+    for (std::size_t q = 0; q < queries.dim(0); ++q) {
+        std::size_t scored = 0;
+        index.nearest(table, queries.data() + q * table.dim(1), &scored);
+        ASSERT_LE(scored, distinct) << what << " query " << q;
+    }
+}
+
+TEST(NearestEntrySearch, KMeansShapedTablesWithCopies)
+{
+    // k-means with more centroids than sampled rows leaves exact copies
+    // of rows at scattered slots; the index keeps the lowest slot of
+    // each and must still answer exactly what the scans answer.
+    Rng rng(25);
+    for (std::size_t dim : {1, 2, 4, 8, 16}) {
+        for (std::size_t k : {8, 255, 4096}) {
+            const std::string at =
+                " dim " + std::to_string(dim) + " k " + std::to_string(k);
+            // Few distinct rows at random slots.  Rows 0 and 1 are
+            // +0.0/-0.0 twins (equal distances, different bits), and the
+            // -0.0 twin takes slot 0: it sorts after its twin, so the
+            // lowest slot is not the first of the two in the sweep.
+            auto base = gaussianTable(std::max<std::size_t>(k / 5, 4), dim,
+                                      1.0, rng);
+            base.at(std::size_t(0), std::size_t(0)) = 0.0f;
+            for (std::size_t d = 0; d < dim; ++d)
+                base.at(std::size_t(1), d) = base.at(std::size_t(0), d);
+            base.at(std::size_t(1), std::size_t(0)) = -0.0f;
+            Tensor<float> table({k, dim});
+            for (std::size_t i = 0; i < k; ++i) {
+                const std::size_t src =
+                    i < 2 ? 1 - i : rng.uniformInt(base.dim(0));
+                for (std::size_t d = 0; d < dim; ++d)
+                    table.at(i, d) = base.at(src, d);
+            }
+            ASSERT_LT(distinctRows(table), k) << at;
+            // stressQueries copies table rows; add the twins and the
+            // origin, which is equidistant from both twins.
+            auto queries = stressQueries(table, 1.0, rng);
+            for (std::size_t q = 0; q < 3; ++q)
+                for (std::size_t d = 0; d < dim; ++d)
+                    queries.at(q, d) = q == 2 ? 0.0f : base.at(q, d);
+            expectMatchesWithCopies(table, queries, "copies" + at);
+
+            // A real fit with more centroids than sampled rows.
+            KMeansOptions opts;
+            opts.max_iters = 4;
+            opts.sample_limit = std::max<std::size_t>(k / 4, 1);
+            auto data = gaussianTable(2 * k, dim, 1.0, rng);
+            auto fitted = kMeansCentroids(data, k, opts);
+            auto fit_queries = stressQueries(fitted, 1.0, rng);
+            expectMatchesWithCopies(fitted, fit_queries, "fit" + at);
+
+            // Distinct float rows that collide after FP16 rounding.
+            Tensor<float> close({k, dim});
+            for (std::size_t i = 0; i < k; ++i)
+                for (std::size_t d = 0; d < dim; ++d)
+                    close.at(i, d) = base.at(i % base.dim(0), d) *
+                                     (1.0f + 1e-5f * (i / base.dim(0)));
+            const Codebook cb = Codebook::plain(close);
+            ASSERT_LT(distinctRows(cb.entries()), distinctRows(close))
+                << at;
+            auto book_queries = stressQueries(cb.entries(), 1.0, rng);
+            expectMatchesWithCopies(cb.entries(), book_queries,
+                                    "fp16" + at);
+            for (std::size_t q = 0; q < book_queries.dim(0); ++q) {
+                const float *row = book_queries.data() + q * dim;
+                ASSERT_EQ(cb.encode(row),
+                          refPlainEncode(row, cb.entries()).first)
+                    << "fp16 encode" << at << " query " << q;
             }
         }
     }
