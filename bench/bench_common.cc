@@ -112,4 +112,20 @@ bestWeight(const gpusim::GpuSpec &spec, engine::OpKind kind,
     return engineFor(spec).compileBest(request, kBestLevels)->estimate();
 }
 
+double
+maxQpsUnderSlo(const std::function<bool(double)> &meets)
+{
+    double lo = 0.25, hi = 64.0;
+    if (!meets(lo))
+        return 0.0;
+    while (hi - lo > 0.25) {
+        double mid = 0.5 * (lo + hi);
+        if (meets(mid))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 } // namespace vqllm::bench

@@ -5,6 +5,7 @@
  */
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 
@@ -104,5 +105,15 @@ kernels::KernelResult bestWeight(const gpusim::GpuSpec &spec,
                                  engine::OpKind kind,
                                  const engine::GemmShape &shape,
                                  const vq::VQConfig &cfg);
+
+/**
+ * Largest sustainable arrival rate: a bisection on [0.25, 64) QPS to a
+ * 0.25-QPS step.
+ *
+ * @param meets runs a load at the given QPS and says whether it holds
+ *              the caller's SLO
+ * @return the highest rate found to meet it; 0 if 0.25 QPS does not
+ */
+double maxQpsUnderSlo(const std::function<bool(double)> &meets);
 
 } // namespace vqllm::bench

@@ -109,32 +109,13 @@ makeRouterConfig(fleet::RouterPolicy router, double qps)
     return cfg;
 }
 
+/** Run one fleet load and check it against the SLO. */
 bool
-meetsSlo(const fleet::FleetReport &r)
+meetsSlo(const fleet::FleetConfig &cfg)
 {
+    fleet::FleetReport r = fleet::FleetSimulator(cfg).run();
     return r.ttft.p95_us <= kTtftP95SloUs &&
            r.tbt.p95_us <= kTbtP95SloUs && r.rejected_requests == 0;
-}
-
-/** Largest sustainable fleet QPS via bisection on [lo, hi). */
-template <typename MakeConfig>
-double
-maxQpsUnderSlo(MakeConfig &&make)
-{
-    double lo = 0.25, hi = 64.0;
-    auto runAt = [&](double qps) {
-        return fleet::FleetSimulator(make(qps)).run();
-    };
-    if (!meetsSlo(runAt(lo)))
-        return 0.0;
-    while (hi - lo > 0.25) {
-        double mid = 0.5 * (lo + hi);
-        if (meetsSlo(runAt(mid)))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo;
 }
 
 /** One cell of the fleet capacity sweep (for the JSON report). */
@@ -217,10 +198,10 @@ main(int argc, char **argv)
         par::parallelFor(
             cells.size(), 1, [&](const par::ChunkRange &r) {
                 for (std::size_t i = r.begin; i < r.end; ++i)
-                    cells[i].max_qps = maxQpsUnderSlo([&](double q) {
-                        return makeFleetConfig(cells[i].replicas,
-                                               cells[i].router,
-                                               cells[i].disagg, q);
+                    cells[i].max_qps = bench::maxQpsUnderSlo([&](double q) {
+                        return meetsSlo(makeFleetConfig(cells[i].replicas,
+                                                        cells[i].router,
+                                                        cells[i].disagg, q));
                     });
             });
     }

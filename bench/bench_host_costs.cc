@@ -256,8 +256,9 @@ BM_PrefixCacheMatch(benchmark::State &state)
 {
     // The admission-time lookup over 32 tenants' 1000-token system
     // prompts (62 full blocks and an 8-token tail each), all cached:
-    // every lookup walks a whole chain.  Lookups rotate through the
-    // tenants.
+    // every lookup walks a whole chain down the trie's child pointers
+    // (one root-list find, then one child-list scan per block, tail
+    // included).  Lookups rotate through the tenants.
     constexpr std::size_t kBlockTokens = 16;
     constexpr std::size_t kChains = 32;
     constexpr std::size_t kPrefixTokens = 1000;
@@ -302,7 +303,8 @@ BM_PrefixCacheEvictableBlocks(benchmark::State &state)
 {
     // The reclaimable-capacity query the KV pool runs on every prefill
     // slice, over 32 retired tenants' 60-block system prompts: 1,920
-    // cached nodes, one leaf per chain.
+    // cached nodes, one leaf per chain; the query scans the leaf index,
+    // not the trie.
     constexpr std::size_t kBlockTokens = 16;
     constexpr std::size_t kChains = 32;
     constexpr std::size_t kChainBlocks = 60;

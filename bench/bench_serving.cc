@@ -119,32 +119,13 @@ makeKvBoundConfig(llm::KvScheme kv, double qps)
     return cfg;
 }
 
+/** Run one load and check it against the SLO. */
 bool
-meetsSlo(const serving::ServingReport &r)
+meetsSlo(const serving::SimulatorConfig &cfg)
 {
+    serving::ServingReport r = serving::ServingSimulator(cfg).run();
     return r.ttft.p95_us <= kTtftP95SloUs &&
            r.tbt.p95_us <= kTbtP95SloUs && r.rejected_requests == 0;
-}
-
-/** Largest sustainable QPS via bisection on [lo, hi). */
-template <typename MakeConfig>
-double
-maxQpsUnderSlo(MakeConfig &&make)
-{
-    double lo = 0.25, hi = 64.0;
-    auto runAt = [&](double qps) {
-        return serving::ServingSimulator(make(qps)).run();
-    };
-    if (!meetsSlo(runAt(lo)))
-        return 0.0;
-    while (hi - lo > 0.25) {
-        double mid = 0.5 * (lo + hi);
-        if (meetsSlo(runAt(mid)))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo;
 }
 
 } // namespace
@@ -229,8 +210,8 @@ main(int argc, char **argv)
     TextTable capacity({"scheme", "max QPS", "vs FP16"});
     double fp16_qps = 0;
     for (auto scheme : llm::kAllQuantSchemes) {
-        double qps = maxQpsUnderSlo(
-            [&](double q) { return makeConfig(scheme, q); });
+        double qps = bench::maxQpsUnderSlo(
+            [&](double q) { return meetsSlo(makeConfig(scheme, q)); });
         if (scheme == llm::QuantScheme::FP16)
             fp16_qps = qps;
         capacity.addRow({llm::quantSchemeName(scheme),
@@ -273,9 +254,9 @@ main(int argc, char **argv)
     std::vector<double> max_qps(cells.size());
     par::parallelFor(cells.size(), 1, [&](const par::ChunkRange &r) {
         for (std::size_t i = r.begin; i < r.end; ++i)
-            max_qps[i] = maxQpsUnderSlo([&](double q) {
-                return makePrefillHeavyConfig(cells[i].scheme, q,
-                                              cells[i].chunk);
+            max_qps[i] = bench::maxQpsUnderSlo([&](double q) {
+                return meetsSlo(makePrefillHeavyConfig(cells[i].scheme, q,
+                                                       cells[i].chunk));
             });
     });
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -476,9 +457,11 @@ main(int argc, char **argv)
             par::parallelFor(
                 cells.size(), 1, [&](const par::ChunkRange &r) {
                     for (std::size_t i = r.begin; i < r.end; ++i)
-                        cells[i].max_qps = maxQpsUnderSlo([&](double q) {
-                            return makeKvBoundConfig(cells[i].kv, q);
-                        });
+                        cells[i].max_qps =
+                            bench::maxQpsUnderSlo([&](double q) {
+                                return meetsSlo(
+                                    makeKvBoundConfig(cells[i].kv, q));
+                            });
                 });
         }
         TextTable kv_tbl({"KV scheme", "B/token", "capacity", "peak run",

@@ -7,11 +7,14 @@
 #     facade, and the tests that verify them.
 #  2. No example includes engine/template_engine.h directly — the
 #     public surface for examples is compiler/engine.h.
-#  3. The serving layer must not plan or cost kernels itself — shard
-#     shapes (tensor-parallel linears/attention included) are compiled
-#     through compiler::Engine, so src/serving/ may not include the
-#     template engine or the kernel cost-estimator headers, nor call
-#     the estimateVq* estimators directly.  Nor may src/serving/ or
+#  3. The serving and fleet layers must not plan or cost kernels
+#     themselves — shard shapes (tensor-parallel linears/attention
+#     included) are compiled through compiler::Engine, so src/serving/
+#     and src/fleet/ may not include the template engine or the kernel
+#     cost-estimator headers, nor call the VQ estimators
+#     (kernels::estimateVqWeightKernel / estimateVqAttentionKernel)
+#     directly: compiler/engine.h includes kernels/vq_kernels.h, so
+#     such a call would compile.  Nor may src/serving/ or
 #     src/fleet/ price a step's kernels one by one
 #     (llm::schemeLinearUs / kvSchemeAttentionUs): they price steps
 #     through the one decode-step model, llm::decodeLinearUs /
@@ -43,9 +46,10 @@ fi
 
 serving_include_hits=$(grep -rn \
     '#include "engine/template_engine.h"\|#include "kernels/vq_kernels.h"\|#include "kernels/fp16_kernels.h"\|#include "kernels/ewq_kernels.h"' \
-    src/serving/ 2>/dev/null)
+    src/serving/ src/fleet/ 2>/dev/null)
 if [ -n "${serving_include_hits}" ]; then
-    echo "ERROR: serving must price kernels through compiler::Engine" \
+    echo "ERROR: serving and fleet must price kernels through" \
+         "compiler::Engine" \
          "(llm::decodeLinearUs / decodeAttnUs /" \
          "estimateChunkedPrefillUs), not include the planner or kernel" \
          "estimators directly:"
@@ -54,11 +58,12 @@ if [ -n "${serving_include_hits}" ]; then
 fi
 
 serving_call_hits=$(grep -rn \
-    "estimateVqGemvKernel\|estimateVqGemmKernel\|estimateVqAttentionKernel" \
-    src/serving/ 2>/dev/null)
+    "estimateVqWeightKernel\|estimateVqAttentionKernel" \
+    src/serving/ src/fleet/ 2>/dev/null)
 if [ -n "${serving_call_hits}" ]; then
-    echo "ERROR: serving calls kernel cost estimators directly instead" \
-         "of compiling shard shapes through compiler::Engine:"
+    echo "ERROR: serving or fleet calls kernel cost estimators" \
+         "directly instead of compiling shard shapes through" \
+         "compiler::Engine:"
     echo "${serving_call_hits}"
     status=1
 fi

@@ -151,7 +151,6 @@ Engine::compileUncached(const KernelRequest &request,
     in.spec = &spec_;
     in.histogram = request.histogram;
     in.shuffle_threshold = options_.shuffle_threshold;
-    in.tiling = options_.tiling;
 
     auto artifact = std::shared_ptr<CompiledKernel>(new CompiledKernel);
     if (request.kind == engine::OpKind::AttentionDecode) {

@@ -78,8 +78,6 @@ struct EngineOptions
 {
     /** Fusion threshold: max shuffles for register fusion. */
     int shuffle_threshold = 5;
-    /** Baseline tiling constants of the planner. */
-    engine::BaselineTiling tiling;
     /**
      * Maximum retained artifacts.  0 disables retention (every compile
      * is a miss and an immediate eviction) — results are bit-identical

@@ -43,7 +43,7 @@ applySplitHeuristic(DataflowPlan &plan)
 
 DataflowPlan
 planWeightDataflow(const GemmShape &shape, const vq::VQConfig &config,
-                   OpKind kind, const BaselineTiling &tiling)
+                   OpKind kind)
 {
     vqllm_assert(kind == OpKind::GeMM || kind == OpKind::GeMV,
                  "weight dataflow requires a GeMM/GeMV kind");
@@ -54,12 +54,14 @@ planWeightDataflow(const GemmShape &shape, const vq::VQConfig &config,
 
     // Baseline tiling: column strips (row tiles for GeMM, split-K
     // segments for GeMV).
-    std::uint64_t blocks_n = ceilDiv(shape.n, tiling.weight_block_cols);
+    std::uint64_t blocks_n =
+        ceilDiv(shape.n, BaselineTiling::weight_block_cols);
     std::uint64_t blocks_m =
-        kind == OpKind::GeMM ? ceilDiv(shape.m, tiling.gemm_block_rows)
-                             : 1;
+        kind == OpKind::GeMM
+            ? ceilDiv(shape.m, BaselineTiling::gemm_block_rows)
+            : 1;
     std::uint64_t split_k =
-        kind == OpKind::GeMV ? tiling.gemv_split_k : 1;
+        kind == OpKind::GeMV ? BaselineTiling::gemv_split_k : 1;
 
     std::uint64_t cb_bytes = config.codebookBytes();
     switch (config.scope) {
@@ -80,7 +82,7 @@ planWeightDataflow(const GemmShape &shape, const vq::VQConfig &config,
         std::uint64_t tiles_k = ceilDiv(shape.k, vq::kGptvqTileRows);
         std::uint64_t tiles_n = ceilDiv(shape.n, vq::kGptvqTileCols);
         std::uint64_t strips_per_tile =
-            vq::kGptvqTileCols / tiling.weight_block_cols;
+            vq::kGptvqTileCols / BaselineTiling::weight_block_cols;
         plan.baseline_codebook_bytes = tiles_k * tiles_n * cb_bytes *
                                        strips_per_tile * blocks_m;
         // Conflict axis M: the K dimension can split across tiles_k
@@ -109,8 +111,7 @@ planWeightDataflow(const GemmShape &shape, const vq::VQConfig &config,
 }
 
 DataflowPlan
-planAttentionDataflow(const AttnShape &shape, const vq::VQConfig &config,
-                      const BaselineTiling &tiling)
+planAttentionDataflow(const AttnShape &shape, const vq::VQConfig &config)
 {
     DataflowPlan plan;
     AxisInfo info = attentionAxisInfo(AttnOperand::KCache);
@@ -120,7 +121,7 @@ planAttentionDataflow(const AttnShape &shape, const vq::VQConfig &config,
     std::uint64_t groups =
         std::max<std::uint64_t>(shape.head_dim / config.vector_size, 1);
     std::uint64_t blocks_t = ceilDiv(shape.seq_len,
-                                     tiling.attn_block_tokens);
+                                     BaselineTiling::attn_block_tokens);
     std::uint64_t cb_bytes = config.codebookBytes();
 
     // Baseline FlashDecoding: every token-parallel block of a

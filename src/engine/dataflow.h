@@ -28,13 +28,13 @@ namespace vqllm::engine {
 struct BaselineTiling
 {
     /** Weight-column strip width of GeMM/GeMV blocks. */
-    std::size_t weight_block_cols = 128;
+    static constexpr std::size_t weight_block_cols = 128;
     /** Row-tile height of GeMM blocks along the batch dimension. */
-    std::size_t gemm_block_rows = 64;
+    static constexpr std::size_t gemm_block_rows = 64;
     /** K-dimension split of GeMV blocks (two-stage reduction). */
-    std::size_t gemv_split_k = 4;
+    static constexpr std::size_t gemv_split_k = 4;
     /** Tokens per FlashDecoding block. */
-    std::size_t attn_block_tokens = 256;
+    static constexpr std::size_t attn_block_tokens = 256;
 };
 
 /** Result of dataflow planning for one kernel. */
@@ -81,23 +81,17 @@ struct DataflowPlan
  * @param shape  GeMM problem (m=1 for GeMV)
  * @param config VQ algorithm quantizing the weight [k, n]
  * @param kind   OpKind::GeMM or OpKind::GeMV
- * @param tiling baseline tiling constants
  */
 DataflowPlan planWeightDataflow(const GemmShape &shape,
-                                const vq::VQConfig &config, OpKind kind,
-                                const BaselineTiling &tiling =
-                                    BaselineTiling{});
+                                const vq::VQConfig &config, OpKind kind);
 
 /**
  * Plan the dataflow of a KV-cache-quantized decode attention.
  *
  * @param shape  attention problem
  * @param config VQ algorithm quantizing K and V caches
- * @param tiling baseline tiling constants
  */
 DataflowPlan planAttentionDataflow(const AttnShape &shape,
-                                   const vq::VQConfig &config,
-                                   const BaselineTiling &tiling =
-                                       BaselineTiling{});
+                                   const vq::VQConfig &config);
 
 } // namespace vqllm::engine

@@ -94,7 +94,7 @@ planWeightKernel(OpKind kind, const GemmShape &shape,
     plan.uses_tensor_cores = (kind == OpKind::GeMM);
 
     // --- Dataflow (O3 enables the split heuristic) ---------------------
-    plan.dataflow = planWeightDataflow(shape, config, kind, in.tiling);
+    plan.dataflow = planWeightDataflow(shape, config, kind);
     if (level < OptLevel::O3) {
         plan.dataflow.split = 1;
         plan.dataflow.split_factor_raw = 1.0;
@@ -163,12 +163,14 @@ planWeightKernel(OpKind kind, const GemmShape &shape,
     finalizeBlock(plan, base, staging);
 
     // --- Grid ------------------------------------------------------------
-    std::uint64_t blocks_n = ceilDiv(shape.n, in.tiling.weight_block_cols);
+    std::uint64_t blocks_n =
+        ceilDiv(shape.n, BaselineTiling::weight_block_cols);
     std::uint64_t blocks_m =
-        kind == OpKind::GeMM ? ceilDiv(shape.m, in.tiling.gemm_block_rows)
-                             : 1;
+        kind == OpKind::GeMM
+            ? ceilDiv(shape.m, BaselineTiling::gemm_block_rows)
+            : 1;
     std::uint64_t split_k =
-        kind == OpKind::GeMV ? in.tiling.gemv_split_k : 1;
+        kind == OpKind::GeMV ? BaselineTiling::gemv_split_k : 1;
     plan.grid_blocks = blocks_n * blocks_m * split_k *
                        plan.dataflow.split;
     return plan;
@@ -186,7 +188,7 @@ planAttentionKernel(const AttnShape &shape, const vq::VQConfig &config,
     plan.attn = shape;
     plan.uses_tensor_cores = false;
 
-    plan.dataflow = planAttentionDataflow(shape, config, in.tiling);
+    plan.dataflow = planAttentionDataflow(shape, config);
     if (level < OptLevel::O3) {
         plan.dataflow.split = 1;
         plan.dataflow.split_factor_raw = 1.0;
@@ -257,7 +259,7 @@ planAttentionKernel(const AttnShape &shape, const vq::VQConfig &config,
         plan.grid_blocks = bh * plan.dataflow.split;
     } else {
         plan.grid_blocks =
-            bh * ceilDiv(shape.seq_len, in.tiling.attn_block_tokens);
+            bh * ceilDiv(shape.seq_len, BaselineTiling::attn_block_tokens);
     }
     return plan;
 }

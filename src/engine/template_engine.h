@@ -27,8 +27,6 @@ struct PlanInputs
     const vq::AccessHistogram *histogram = nullptr;
     /** Fusion threshold: max shuffles for register fusion. */
     int shuffle_threshold = 5;
-    /** Baseline tiling constants. */
-    BaselineTiling tiling;
 };
 
 /**

@@ -68,8 +68,8 @@ ewqGemvEstimate(const gpusim::GpuSpec &spec,
 
     gpusim::LaunchConfig launch;
     launch.block = engine::baseBlockResources(engine::OpKind::GeMV, true);
-    engine::BaselineTiling tiling;
-    launch.grid_blocks = ceilDiv(shape.n, 128) * tiling.gemv_split_k;
+    launch.grid_blocks =
+        ceilDiv(shape.n, 128) * engine::BaselineTiling::gemv_split_k;
     launch.uses_tensor_cores = false;
     return finishEstimate(spec, launch, c);
 }
@@ -95,11 +95,10 @@ ewqAttentionEstimate(const gpusim::GpuSpec &spec,
     c.smem_transactions = kv_bytes * 2 / 128;
     c.smem_ideal_transactions = c.smem_transactions;
 
-    engine::BaselineTiling tiling;
     std::uint64_t bh = static_cast<std::uint64_t>(shape.batch) *
                        shape.heads;
-    std::uint64_t blocks_t = ceilDiv(shape.seq_len,
-                                     tiling.attn_block_tokens);
+    std::uint64_t blocks_t =
+        ceilDiv(shape.seq_len, engine::BaselineTiling::attn_block_tokens);
     c.reduce_bytes = bh * blocks_t * (shape.head_dim + 2) * 4;
 
     gpusim::LaunchConfig launch;

@@ -58,8 +58,8 @@ fp16GemvEstimate(const gpusim::GpuSpec &spec,
 
     gpusim::LaunchConfig launch;
     launch.block = engine::baseBlockResources(engine::OpKind::GeMV, false);
-    engine::BaselineTiling tiling;
-    launch.grid_blocks = ceilDiv(shape.n, 128) * tiling.gemv_split_k;
+    launch.grid_blocks =
+        ceilDiv(shape.n, 128) * engine::BaselineTiling::gemv_split_k;
     launch.uses_tensor_cores = false;
     return finishEstimate(spec, launch, c);
 }
@@ -91,12 +91,11 @@ fp16AttentionEstimate(const gpusim::GpuSpec &spec,
         engine::baseBlockResources(engine::OpKind::AttentionDecode, false);
     launch.uses_tensor_cores = false;
 
-    engine::BaselineTiling tiling;
     if (decoding) {
         // Token-parallel split + a global reduce of per-split partial
         // outputs and softmax statistics.
-        std::uint64_t blocks_t = ceilDiv(shape.seq_len,
-                                         tiling.attn_block_tokens);
+        std::uint64_t blocks_t =
+            ceilDiv(shape.seq_len, engine::BaselineTiling::attn_block_tokens);
         launch.grid_blocks = bh * blocks_t;
         c.reduce_bytes = bh * blocks_t * (shape.head_dim + 2) * 4;
     } else {

@@ -177,11 +177,10 @@ estimateVqWeightKernel(const gpusim::GpuSpec &spec, const KernelPlan &plan,
     // across output-row blocks.  This is the "extra operation" cost that
     // makes VQ integration quality matter most for compute-bound
     // kernels (Sec. VII-B).
-    engine::BaselineTiling tiling;
     std::uint64_t redequant =
         plan.kind == engine::OpKind::GeMM
             ? std::max<std::uint64_t>(
-                  1, ceilDiv(shape.m, tiling.gemm_block_rows))
+                  1, ceilDiv(shape.m, engine::BaselineTiling::gemm_block_rows))
             : 1;
 
     std::uint64_t weight_elems =
@@ -265,11 +264,10 @@ estimateVqAttentionKernel(const gpusim::GpuSpec &spec,
     // Baseline FlashDecoding dataflow keeps its own token-split
     // reduction pass (the codebook-centric one replaces it).
     if (plan.level < OptLevel::O3) {
-        engine::BaselineTiling tiling;
         std::uint64_t bh = static_cast<std::uint64_t>(shape.batch) *
                            shape.heads;
-        std::uint64_t blocks_t = ceilDiv(shape.seq_len,
-                                         tiling.attn_block_tokens);
+        std::uint64_t blocks_t = ceilDiv(
+            shape.seq_len, engine::BaselineTiling::attn_block_tokens);
         c.reduce_bytes += bh * blocks_t * (shape.head_dim + 2) * 4;
     }
 
@@ -500,8 +498,7 @@ runVqGemm(const KernelPlan &plan, const vq::QuantizedTensor &qt,
     // a chunk the batch is processed in row blocks, and every block
     // re-dequantizes its weight strip (the GeMM re-dequantization cost
     // of Sec. VII-B).
-    engine::BaselineTiling tiling;
-    const std::size_t block_rows = tiling.gemm_block_rows;
+    const std::size_t block_rows = engine::BaselineTiling::gemm_block_rows;
     const std::size_t k = qt.cols;
     const std::size_t chunks = par::chunkCount(qt.rows, kRowChunk);
     std::vector<gpusim::KernelCounters> part_counters(chunks);

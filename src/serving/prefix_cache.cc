@@ -22,34 +22,21 @@ PrefixCache::~PrefixCache()
     pool_.setReclaimer({}, {});
 }
 
-std::uint64_t
-PrefixCache::chainHash(std::uint64_t parent, std::int64_t group,
-                       std::size_t index, std::size_t tokens)
+PrefixCache::Node *
+PrefixCache::findChild(Node *parent, std::int64_t group,
+                       std::size_t tokens)
 {
-    // FNV-1a over the chain-defining tuple.  group+1 keeps group 0
-    // distinct from the zero byte-pattern of the root parent.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(parent);
-    mix(static_cast<std::uint64_t>(group) + 1);
-    mix(index);
-    mix(tokens);
-    // Hash 0 is the reserved root parent.
-    return h == 0 ? 1 : h;
-}
-
-std::uint64_t
-PrefixCache::nextKey(Node &parent, std::int64_t group, std::size_t index)
-{
-    if (parent.next == 0)
-        parent.next = chainHash(parent.hash, group, index,
-                                pool_.config().block_tokens);
-    return parent.next;
+    Node *n = nullptr;
+    if (parent != nullptr) {
+        n = parent->child.get();
+    } else {
+        auto it = roots_.find(group);
+        if (it != roots_.end())
+            n = it->second.get();
+    }
+    while (n != nullptr && n->tokens != tokens)
+        n = n->sibling.get();
+    return n;
 }
 
 PrefixCache::Match
@@ -65,28 +52,19 @@ PrefixCache::match(const Request &r)
     const std::size_t cap =
         std::min(r.prefix_tokens, r.prompt_len - 1);
     Node *parent = nullptr;
-    std::size_t i = 0;
-    while ((i + 1) * bt <= cap) {
-        std::uint64_t h = parent == nullptr
-                              ? chainHash(0, r.prefix_group, 0, bt)
-                              : nextKey(*parent, r.prefix_group, i);
-        auto it = nodes_.find(h);
-        if (it == nodes_.end())
+    while (m.tokens + bt <= cap) {
+        Node *n = findChild(parent, r.prefix_group, bt);
+        if (n == nullptr)
             break;
-        m.node_hashes.push_back(h);
-        m.tokens = (i + 1) * bt;
-        parent = &it->second;
-        ++i;
+        m.nodes.push_back(n);
+        m.tokens += bt;
+        parent = n;
     }
     const std::size_t partial = r.prefix_tokens % bt;
     if (partial > 0 && m.tokens == r.prefix_tokens - partial &&
         r.prefix_tokens <= cap) {
-        std::uint64_t h =
-            chainHash(parent == nullptr ? 0 : parent->hash,
-                      r.prefix_group, i, partial);
-        auto it = nodes_.find(h);
-        if (it != nodes_.end()) {
-            m.node_hashes.push_back(h);
+        if (Node *n = findChild(parent, r.prefix_group, partial)) {
+            m.nodes.push_back(n);
             m.tokens = r.prefix_tokens;
         }
     }
@@ -96,18 +74,17 @@ PrefixCache::match(const Request &r)
 void
 PrefixCache::attach(const Request &r, const Match &m)
 {
-    vqllm_assert(m.tokens > 0 && !m.node_hashes.empty(),
+    vqllm_assert(m.tokens > 0 && !m.nodes.empty(),
                 "attach needs a non-empty match");
     std::vector<BlockId> blocks;
-    blocks.reserve(m.node_hashes.size());
-    for (std::uint64_t h : m.node_hashes) {
-        Node &n = nodes_.at(h);
-        ++n.freq;
-        blocks.push_back(n.block);
+    blocks.reserve(m.nodes.size());
+    for (Node *n : m.nodes) {
+        ++n->freq;
+        blocks.push_back(n->block);
     }
     pool_.attachSequence(r.id, blocks, m.tokens);
     // The matched prefix is already indexed for this sequence.
-    inserted_[r.id] = {m.tokens, m.node_hashes.back()};
+    inserted_[r.id] = m.tokens;
     ++stats_.hits;
     stats_.matched_tokens += m.tokens;
     if (trace_)
@@ -120,8 +97,8 @@ void
 PrefixCache::rollbackAttach(const Request &r, const Match &m)
 {
     pool_.freeSequence(r.id);
-    for (std::uint64_t h : m.node_hashes)
-        --nodes_.at(h).freq;
+    for (Node *n : m.nodes)
+        --n->freq;
     inserted_.erase(r.id);
     --stats_.hits;
     stats_.matched_tokens -= m.tokens;
@@ -140,105 +117,103 @@ PrefixCache::onPrefillAdvance(const Request &r)
     const std::size_t written =
         std::min(r.prefilled_tokens, r.prefix_tokens);
     auto prog = inserted_.find(r.id);
-    const Progress done =
-        prog == inserted_.end() ? Progress{} : prog->second;
-    if (written <= done.tokens)
+    const std::size_t done = prog == inserted_.end() ? 0 : prog->second;
+    if (written <= done)
         return;
-    // Resume after the last indexed block (`done.tokens` is always
+    // Resume under the last indexed block (`done` is always
     // block-aligned: a partial insert completes the prefix and
-    // short-circuits above).  Its node memoizes the next key; with no
-    // node (the root, or a node evicted since) the key is hashed, and
-    // insertNode skips an orphan.
-    std::uint64_t parent = done.key;
-    auto found = nodes_.find(parent);
-    Node *parent_node = found == nodes_.end() ? nullptr : &found->second;
-    std::size_t i = done.tokens / bt;
-    while ((i + 1) * bt <= written) {
-        std::uint64_t h = parent_node == nullptr
-                              ? chainHash(parent, r.prefix_group, i, bt)
-                              : nextKey(*parent_node, r.prefix_group, i);
-        parent_node = insertNode(r, i, h, parent, bt, false);
-        if (parent_node == nullptr)
-            break;
-        parent = h;
-        ++i;
+    // short-circuits above), walking the chain down to it.  If a node
+    // on the way was evicted since, the next insert is an orphan and is
+    // skipped, which keeps the forest rooted; a node another writer
+    // re-inserted is found again.
+    Node *parent = nullptr;
+    bool rooted = true;
+    for (std::size_t d = 0; rooted && d < done / bt; ++d) {
+        parent = findChild(parent, r.prefix_group, bt);
+        rooted = parent != nullptr;
     }
-    std::size_t indexed = i * bt;
+    // Full blocks, then the partial tail once the whole prefix is
+    // written.
     const std::size_t partial = r.prefix_tokens % bt;
-    if (partial > 0 && indexed == r.prefix_tokens - partial &&
-        written >= r.prefix_tokens) {
-        std::uint64_t h = chainHash(parent, r.prefix_group, i, partial);
-        if (insertNode(r, i, h, parent, partial, true) != nullptr) {
-            indexed = r.prefix_tokens;
-            parent = h;
+    std::size_t indexed = done;
+    for (;;) {
+        std::size_t tokens;
+        if (indexed + bt <= written)
+            tokens = bt;
+        else if (partial > 0 && written == r.prefix_tokens &&
+                 indexed == r.prefix_tokens - partial)
+            tokens = partial;
+        else
+            break;
+        if (!rooted) {
+            ++stats_.skipped_inserts;
+            break;
         }
+        parent = insertNode(r, indexed / bt, parent, tokens);
+        if (parent == nullptr)
+            break;
+        indexed += tokens;
     }
-    inserted_[r.id] = {indexed, parent};
+    inserted_[r.id] = indexed;
 }
 
 PrefixCache::Node *
-PrefixCache::insertNode(const Request &r, std::size_t index,
-                        std::uint64_t hash, std::uint64_t parent,
-                        std::size_t tokens, bool partial)
+PrefixCache::insertNode(const Request &r, std::size_t index, Node *parent,
+                        std::size_t tokens)
 {
-    auto found = nodes_.find(hash);
-    if (found != nodes_.end())
-        return &found->second; // another in-flight request indexed it
-    if (parent != 0 && nodes_.count(parent) == 0) {
-        // Parent evicted mid-prefill: keep the forest rooted.
-        ++stats_.skipped_inserts;
-        return nullptr;
-    }
+    if (Node *found = findChild(parent, r.prefix_group, tokens))
+        return found; // another in-flight request indexed it
     // The parent is never the capacity victim: it can be an unpinned
     // leaf (its writer retired; this writer holds its own copy of that
     // block), and the new node must hang off it.
-    if (capacity_blocks_ > 0 &&
-        nodes_.size() >= capacity_blocks_ &&
+    if (capacity_blocks_ > 0 && cached_nodes_ >= capacity_blocks_ &&
         !evictOne(false, parent)) {
         ++stats_.skipped_inserts;
         return nullptr;
     }
-    Node n;
-    n.hash = hash;
-    n.parent = parent;
-    n.tokens = static_cast<std::uint32_t>(tokens);
-    n.partial = partial;
-    n.freq = 1;
-    if (partial) {
+    auto n = std::make_unique<Node>();
+    n->parent = parent;
+    n->group = r.prefix_group;
+    n->tokens = static_cast<std::uint32_t>(tokens);
+    n->freq = 1;
+    if (tokens < pool_.config().block_tokens) {
         // The tail is not block-aligned, so the writer's own tail
         // block keeps growing past it: store the partial prefix in a
         // cache-owned block instead.
-        if (!pool_.allocCacheBlock(tokens, &n.block)) {
+        if (!pool_.allocCacheBlock(tokens, &n->block)) {
             ++stats_.skipped_inserts;
             return nullptr;
         }
     } else {
-        n.block = pool_.seqBlockIds(r.id)[index];
-        pool_.addBlockRef(n.block);
+        n->block = pool_.seqBlockIds(r.id)[index];
+        pool_.addBlockRef(n->block);
     }
-    n.id = next_node_id_++;
-    if (parent != 0) {
-        Node &p = nodes_.at(parent);
-        if (p.children++ == 0)
-            leaves_.erase(p.id);
-    }
+    n->id = next_node_id_++;
+    // Link last: the capacity eviction above may have emptied (and
+    // dropped) this group's root list.
+    std::unique_ptr<Node> &head =
+        parent != nullptr ? parent->child : roots_[r.prefix_group];
+    if (parent != nullptr && head == nullptr)
+        leaves_.erase(parent->id);
+    n->sibling = std::move(head);
+    head = std::move(n);
+    ++cached_nodes_;
     cached_tokens_ += tokens;
-    Node &node = nodes_.emplace(hash, std::move(n)).first->second;
-    leaves_.emplace(node.id, &node);
+    leaves_.emplace(head->id, head.get());
     ++stats_.inserted_nodes;
-    return &node;
+    return head.get();
 }
 
 bool
-PrefixCache::evictOne(bool reclaiming, std::uint64_t keep)
+PrefixCache::evictOne(bool reclaiming, const Node *keep)
 {
     // Hit-aware LFU with masked pins: candidates are leaves whose
     // block the cache alone references (refcount 1 — running sequences
     // pin their prefixes); victim is min (freq, id), and the
     // ascending-id scan makes the oldest insertion win ties.
-    const Node *victim = nullptr;
+    Node *victim = nullptr;
     for (const auto &[id, n] : leaves_) {
-        if (n->hash == keep || pool_.blockRefs(n->block) > 1)
+        if (n == keep || pool_.blockRefs(n->block) > 1)
             continue;
         if (victim == nullptr || n->freq < victim->freq)
             victim = n;
@@ -250,7 +225,7 @@ PrefixCache::evictOne(bool reclaiming, std::uint64_t keep)
                         {{"node", static_cast<double>(victim->id)},
                          {"tokens",
                           static_cast<double>(victim->tokens)}});
-    eraseNode(victim->hash);
+    eraseNode(victim);
     ++stats_.evicted_nodes;
     if (reclaiming)
         ++stats_.reclaimed_blocks;
@@ -258,21 +233,27 @@ PrefixCache::evictOne(bool reclaiming, std::uint64_t keep)
 }
 
 void
-PrefixCache::eraseNode(std::uint64_t hash)
+PrefixCache::eraseNode(Node *n)
 {
-    auto it = nodes_.find(hash);
-    vqllm_assert(it != nodes_.end(), "erasing an unknown prefix node");
-    Node &n = it->second;
-    vqllm_assert(n.children == 0, "erasing a prefix node with children");
-    pool_.releaseBlockRef(n.block);
-    if (n.parent != 0) {
-        Node &p = nodes_.at(n.parent);
-        if (--p.children == 0)
-            leaves_.emplace(p.id, &p);
+    vqllm_assert(n->child == nullptr,
+                 "erasing a prefix node with children");
+    pool_.releaseBlockRef(n->block);
+    cached_tokens_ -= n->tokens;
+    --cached_nodes_;
+    leaves_.erase(n->id);
+    Node *parent = n->parent;
+    auto roots = parent != nullptr ? roots_.end() : roots_.find(n->group);
+    std::unique_ptr<Node> *link =
+        parent != nullptr ? &parent->child : &roots->second;
+    while (link->get() != n)
+        link = &(*link)->sibling;
+    *link = std::move(n->sibling); // destroys n
+    if (parent == nullptr) {
+        if (roots->second == nullptr)
+            roots_.erase(roots);
+    } else if (parent->child == nullptr) {
+        leaves_.emplace(parent->id, parent);
     }
-    cached_tokens_ -= n.tokens;
-    leaves_.erase(n.id);
-    nodes_.erase(it);
 }
 
 void
@@ -308,7 +289,7 @@ PrefixCache::clear()
     // highest-id node is a leaf: this is the descending-id sweep over
     // every node.
     while (!leaves_.empty())
-        eraseNode(leaves_.rbegin()->second->hash);
+        eraseNode(leaves_.rbegin()->second);
     inserted_.clear();
     cached_tokens_ = 0;
 }

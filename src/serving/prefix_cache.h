@@ -4,22 +4,24 @@
  *
  * Requests that share a prefix (a tenant's system prompt, a few-shot
  * preamble) should not prefill it more than once.  The cache indexes
- * resident KV blocks at token-block granularity with a hash *chain*:
- * node i's key hashes (parent key, prefix group, block index, block
- * tokens), so equal chains of blocks collapse to equal keys and a
- * lookup is a radix-style longest-match walk from the root — O(matched
- * blocks), no token comparison.  A hit maps the matched blocks into the
- * new sequence as shared ref-counted blocks (KvBlockPool::
- * attachSequence; one block table serves every TP device) and the
- * scheduler prefills only the unmatched suffix.
+ * resident KV blocks at token-block granularity in a pointer *trie*:
+ * requests name their prefix by (group, length), so a node is
+ * identified by its position alone — its group's root list, then one
+ * full block per level — and a lookup is a longest-match walk down
+ * child pointers from the root: O(matched blocks), no token comparison
+ * and no hashing.  A hit maps the matched blocks into the new sequence
+ * as shared ref-counted blocks (KvBlockPool::attachSequence; one block
+ * table serves every TP device) and the scheduler prefills only the
+ * unmatched suffix.
  *
- * Keys are hashed once: each cached node memoizes the key of the full
- * block that follows it in its group's chain, so a lookup hashes only
- * the chain's root and a partial tail, and a request's indexing
- * resumes from the last node it indexed instead of re-deriving the
- * chain from block 0.  The memo lives and dies with its node, so the
- * key state is bounded by the cached nodes, never by the number of
- * groups a trace names.
+ * Each node links to its parent and to its children (first child, next
+ * sibling): the next full block of its group's chain, plus the partial
+ * tails that end a shorter prefix there.  Each group keeps one root
+ * list, which leaves its map with its last node, so the index holds
+ * state for cached nodes only, never for every group a trace names.  A
+ * request's indexing progress is its indexed token count; a writer
+ * resumes by walking its chain down to that depth, and a node missing
+ * on the way orphans its next insert.
  *
  * Lifecycle: as a request's prefill advances past block boundaries
  * inside its declared prefix, the cache inserts nodes referencing the
@@ -31,7 +33,7 @@
  * copy is untouched).
  *
  * Eviction is hit-aware LFU with masked pins, the CodebookResidency
- * discipline: only leaf nodes (children == 0) whose block no running
+ * discipline: only leaf nodes (no children) whose block no running
  * sequence references (refcount == 1, i.e. the cache holds the only
  * reference) are candidates; the victim is the minimum (freq,
  * insertion id).  Eviction triggers on the node-count capacity at
@@ -44,16 +46,17 @@
  * prefixes has one leaf per chain.  A capacity eviction never takes the
  * parent of the node being inserted.
  *
- * Everything is deterministic: keys chain FNV-1a, scans walk a std::map
- * keyed by insertion id, and the pool's LIFO id reuse keeps block
- * identities reproducible — cache-on runs are bit-identical across
- * host thread counts.
+ * Everything is deterministic: child lists are walked in link order,
+ * scans walk a std::map keyed by insertion id, and the pool's LIFO id
+ * reuse keeps block identities reproducible — cache-on runs are
+ * bit-identical across host thread counts.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -104,6 +107,8 @@ struct PrefixCacheStats
  */
 class PrefixCache
 {
+    struct Node;
+
   public:
     /** @param capacity_blocks max cached nodes (= cached blocks); 0 =
      *  bounded only by pool pressure via the reclaimer. */
@@ -113,12 +118,20 @@ class PrefixCache
     PrefixCache(const PrefixCache &) = delete;
     PrefixCache &operator=(const PrefixCache &) = delete;
 
-    /** Longest-match result: the matched token count and the node
-     *  chain backing it (root-to-leaf order). */
+    /**
+     * Longest-match result: the matched token count and the nodes
+     * backing it (root-to-leaf order).
+     *
+     * The node pointers stay valid until the attach() or
+     * rollbackAttach() that consumes the match: nothing evicts between
+     * a match() and its attach(), and an attached node's block has
+     * refcount > 1 (pinned against eviction) until rollbackAttach()
+     * frees the sequence, which it does before it touches the nodes.
+     */
     struct Match
     {
         std::size_t tokens = 0;
-        std::vector<std::uint64_t> node_hashes;
+        std::vector<Node *> nodes;
     };
 
     /** Longest cached prefix of the request's prompt.  Matches at most
@@ -155,7 +168,7 @@ class PrefixCache
     void clear();
 
     /** @return cached nodes == cached blocks. */
-    std::uint64_t cachedBlocks() const { return nodes_.size(); }
+    std::uint64_t cachedBlocks() const { return cached_nodes_; }
 
     /** @return tokens the cached nodes store. */
     std::size_t cachedTokens() const { return cached_tokens_; }
@@ -177,65 +190,48 @@ class PrefixCache
         /** Insertion order (1-based); eviction tie-break and scan
          *  order.  Parents always precede children. */
         std::uint64_t id = 0;
-        std::uint64_t hash = 0;
-        /** Parent node's hash; 0 = root. */
-        std::uint64_t parent = 0;
-        std::uint32_t children = 0;
-        /** Tokens this node stores (block_tokens, or less for a
-         *  partial tail). */
-        std::uint32_t tokens = 0;
-        /** Backed by a cache-owned block (partial tail) rather than a
-         *  writer sequence's block. */
-        bool partial = false;
         /** Hit-aware LFU frequency. */
         std::uint64_t freq = 0;
+        /** nullptr = a root of its group. */
+        Node *parent = nullptr;
+        /** Head of the child list (nullptr = a leaf) and the next node
+         *  in the parent's (or the group's root) list. */
+        std::unique_ptr<Node> child;
+        std::unique_ptr<Node> sibling;
+        std::int64_t group = 0;
+        /** Tokens this node stores: block_tokens, or fewer for a
+         *  partial tail backed by a cache-owned block. */
+        std::uint32_t tokens = 0;
         BlockId block = 0;
-        /** Key of the full block that follows this one in its group's
-         *  chain; 0 = not hashed yet (a key is never 0). */
-        std::uint64_t next = 0;
     };
 
-    /** Per-request insertion progress. */
-    struct Progress
-    {
-        /** Prefix tokens already indexed (or attached); block-aligned
-         *  until the prefix is complete. */
-        std::size_t tokens = 0;
-        /** Key of the node that ends at `tokens` (0 = none). */
-        std::uint64_t key = 0;
-    };
+    /** @return the child of `parent` (nullptr = `group`'s root list)
+     *  that stores `tokens` tokens, or nullptr. */
+    Node *findChild(Node *parent, std::int64_t group,
+                    std::size_t tokens);
 
-    static std::uint64_t chainHash(std::uint64_t parent,
-                                   std::int64_t group,
-                                   std::size_t index,
-                                   std::size_t tokens);
-
-    /** Key of full block `index` of `group`'s chain, after cached
-     *  node `parent`; hashed once, then read from the parent's memo. */
-    std::uint64_t nextKey(Node &parent, std::int64_t group,
-                          std::size_t index);
-
-    /** @return the node holding `hash` (inserted now, or already
-     *  indexed by another request), or nullptr if the insert was
-     *  skipped. */
-    Node *insertNode(const Request &r, std::size_t index,
-                     std::uint64_t hash, std::uint64_t parent,
-                     std::size_t tokens, bool partial);
-    /** Evict the LFU unpinned leaf other than `keep` (a node hash; 0 =
-     *  none). */
-    bool evictOne(bool reclaiming, std::uint64_t keep = 0);
-    void eraseNode(std::uint64_t hash);
+    /** @return the node storing block `index` of the request's prefix
+     *  (inserted now, or already indexed by another request), or
+     *  nullptr if the insert was skipped. */
+    Node *insertNode(const Request &r, std::size_t index, Node *parent,
+                     std::size_t tokens);
+    /** Evict the LFU unpinned leaf other than `keep`. */
+    bool evictOne(bool reclaiming, const Node *keep = nullptr);
+    void eraseNode(Node *n);
 
     KvBlockPool &pool_;
     std::uint64_t capacity_blocks_;
-    /** Owns the nodes; element addresses are stable across rehashes,
-     *  which is what lets leaves_ point into it. */
-    std::unordered_map<std::uint64_t, Node> nodes_;
-    /** Insertion id -> node, over leaves (children == 0) only; the
+    /** Prefix group -> head of its root list; owns the trie (each node
+     *  owns its child and sibling links), and holds only groups with
+     *  cached nodes. */
+    std::unordered_map<std::int64_t, std::unique_ptr<Node>> roots_;
+    /** Insertion id -> node, over leaves (no children) only; the
      *  deterministic scan order for eviction and clear(). */
     std::map<std::uint64_t, Node *> leaves_;
-    /** Insertion progress of each in-flight sequence. */
-    std::unordered_map<std::uint64_t, Progress> inserted_;
+    /** Prefix tokens each in-flight sequence has indexed (or
+     *  attached); block-aligned until its prefix is complete. */
+    std::unordered_map<std::uint64_t, std::size_t> inserted_;
+    std::uint64_t cached_nodes_ = 0;
     std::size_t cached_tokens_ = 0;
     std::uint64_t next_node_id_ = 1;
     PrefixCacheStats stats_;

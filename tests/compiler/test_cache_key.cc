@@ -322,18 +322,6 @@ TEST(CacheKey, ShuffleThresholdChangesThePlan)
     EXPECT_NE(fused->plan().summary(), unfused->plan().summary());
 }
 
-TEST(CacheKey, TilingChangesThePlan)
-{
-    EngineOptions wide;
-    wide.tiling.weight_block_cols = 256;
-    Engine defaults(gpusim::rtx4090());
-    Engine widened(gpusim::rtx4090(), wide);
-    auto narrow_plan = defaults.compile(baseRequest())->plan();
-    auto wide_plan = widened.compile(baseRequest())->plan();
-    EXPECT_NE(narrow_plan.grid_blocks, wide_plan.grid_blocks);
-    EXPECT_NE(narrow_plan.summary(), wide_plan.summary());
-}
-
 TEST(CacheKey, PrecomputedHistogramDigestMatchesInlineHash)
 {
     auto hist = vq::syntheticZipfHistogram(256);
