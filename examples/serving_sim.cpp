@@ -24,6 +24,7 @@
  * --metrics-json writes the full report plus the metrics registry as
  * JSON.  Neither flag changes the simulation or the report.
  */
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -146,17 +147,20 @@ main(int argc, char **argv)
                 chunk_note.c_str(), tp_note.c_str(),
                 prefix_note.c_str(), kv_note.c_str(),
                 replay_note.c_str(), arrival_note.c_str());
+    const std::uint64_t kv_per_device =
+        serving::kvCapacityPerDeviceBytes(cfg);
+    const std::uint64_t kv_total =
+        kv_per_device * static_cast<std::size_t>(cfg.tp.degree);
     if (cfg.tp.degree > 1)
         std::printf("KV pools: %zu devices x %.2f GB under each weight "
                     "shard (%.2f GB aggregate)\n",
                     static_cast<std::size_t>(cfg.tp.degree),
-                    static_cast<double>(sim.kvCapacityBytesPerDevice()) /
-                        1e9,
-                    static_cast<double>(sim.kvCapacityBytes()) / 1e9);
+                    static_cast<double>(kv_per_device) / 1e9,
+                    static_cast<double>(kv_total) / 1e9);
     else
         std::printf("KV pool: %.2f GB under the scheme's weight "
                     "footprint\n",
-                    static_cast<double>(sim.kvCapacityBytes()) / 1e9);
+                    static_cast<double>(kv_total) / 1e9);
     auto report = sim.run();
     std::printf("%s", report.summary().c_str());
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # API-boundary guard: every consumer must go through the
-# compiler::Engine facade.
+# compiler::Engine facade, and every replica through one event loop.
 #
 #  1. No direct planner calls (engine::planWeightKernel /
 #     planAttentionKernel) outside the engine itself, the compiler
@@ -19,6 +19,11 @@
 #     (llm::schemeLinearUs / kvSchemeAttentionUs): they price steps
 #     through the one decode-step model, llm::decodeLinearUs /
 #     decodeAttnUs / estimateChunkedPrefillUs.
+#  4. serving::SimulatorCore owns the replica loop: it delivers
+#     arrivals, fast-forwards an idle clock and steps
+#     (enqueue / nextEventUs / advance).  src/fleet/ and
+#     src/serving/simulator.cc drive cores through that loop only, so
+#     they may not call a core's submit(), setNow() or step().
 #
 # Run from anywhere; exits non-zero with a diagnostic when a boundary
 # is violated.  Wired into ctest (label: compiler) and CI.
@@ -79,8 +84,19 @@ if [ -n "${step_call_hits}" ]; then
     status=1
 fi
 
+loop_hits=$(grep -rnE '(\.|->)(submit|setNow)\(|(\.|->)step\(\)' \
+    src/fleet/ src/serving/simulator.cc 2>/dev/null)
+if [ -n "${loop_hits}" ]; then
+    echo "ERROR: a second replica loop: the fleet and ServingSimulator" \
+         "drive SimulatorCore through enqueue / nextEventUs / advance," \
+         "not submit / setNow / step:"
+    echo "${loop_hits}"
+    status=1
+fi
+
 if [ "${status}" -eq 0 ]; then
     echo "API boundaries clean: all consumers go through" \
-         "compiler::Engine."
+         "compiler::Engine, and every replica through" \
+         "SimulatorCore::advance."
 fi
 exit "${status}"

@@ -184,19 +184,9 @@ class CodebookCache
     void switchTo(const vq::Codebook &codebook,
                   gpusim::KernelCounters *counters = nullptr);
 
-    /** @return tier of a logical index without decoding. */
-    Tier
-    tierOfLogical(std::uint32_t logical) const
-    {
-        return plan_.tierOf(codebook_->storedIndexOf(logical));
-    }
-
     const CachePlan &plan() const { return plan_; }
     const AccessStats &stats() const { return stats_; }
     const vq::Codebook &codebook() const { return *codebook_; }
-
-    /** Reset access statistics. */
-    void resetStats() { stats_ = AccessStats{}; }
 
     /**
      * Shared-memory byte offset of a stored index resident in the shared

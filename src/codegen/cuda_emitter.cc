@@ -402,11 +402,9 @@ kernelSymbolName(const KernelPlan &plan)
 }
 
 std::string
-emitCudaKernel(const KernelPlan &plan, const EmitOptions &options)
+emitCudaKernel(const KernelPlan &plan)
 {
-    std::string name = options.kernel_name.empty()
-                           ? kernelSymbolName(plan)
-                           : options.kernel_name;
+    const std::string name = kernelSymbolName(plan);
     std::ostringstream out;
     out << "// Auto-generated by VQ-LLM; do not edit.\n"
         << "// " << plan.config.name << " " << plan.config.notation()
@@ -428,10 +426,9 @@ emitCudaKernel(const KernelPlan &plan, const EmitOptions &options)
         emitSharedFusion(out);
     }
     emitKernelBody(out, plan, name);
-    if (options.emit_reduce_kernel && plan.dataflow.needsGlobalReduce())
+    if (plan.dataflow.needsGlobalReduce())
         emitReduceKernel(out, plan, name);
-    if (options.emit_launcher)
-        emitLauncher(out, plan, name);
+    emitLauncher(out, plan, name);
     return out.str();
 }
 

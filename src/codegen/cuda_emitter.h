@@ -25,20 +25,10 @@
 
 namespace vqllm::codegen {
 
-/** Options controlling source emission. */
-struct EmitOptions
-{
-    /** Name of the emitted kernel symbol (derived if empty). */
-    std::string kernel_name;
-    /** Emit the reduction epilogue kernel when the plan needs one. */
-    bool emit_reduce_kernel = true;
-    /** Emit a host-side launcher function. */
-    bool emit_launcher = true;
-};
-
-/** Emit the complete CUDA translation unit for a kernel plan. */
-std::string emitCudaKernel(const engine::KernelPlan &plan,
-                           const EmitOptions &options = EmitOptions{});
+/** Emit the complete CUDA translation unit for a kernel plan: the
+ *  kernel under kernelSymbolName(plan), the reduction epilogue kernel
+ *  when the plan needs one, and a host-side launcher. */
+std::string emitCudaKernel(const engine::KernelPlan &plan);
 
 /** @return the kernel symbol name the emitter derives for a plan. */
 std::string kernelSymbolName(const engine::KernelPlan &plan);

@@ -88,28 +88,6 @@ class BitStream
         return first / 32 != last / 32;
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return bytes_; }
-
-    /**
-     * Reconstruct a stream from its raw storage (deserialization).
-     *
-     * @param bits_per_value width of each value
-     * @param count          number of stored values
-     * @param bytes          densely packed payload
-     */
-    static BitStream
-    fromBytes(unsigned bits_per_value, std::size_t count,
-              std::vector<std::uint8_t> bytes)
-    {
-        BitStream bs(bits_per_value);
-        vqllm_assert(bytes.size() >=
-                         (count * bits_per_value + 7) / 8,
-                     "payload too short for ", count, " values");
-        bs.count_ = count;
-        bs.bytes_ = std::move(bytes);
-        return bs;
-    }
-
   private:
     unsigned bitsPerValue_;
     std::size_t count_ = 0;

@@ -33,8 +33,6 @@ struct FleetSimulator::Replica
 {
     std::unique_ptr<serving::SimulatorCore> core;
     ReplicaRole role = ReplicaRole::Aggregated;
-    /** Routed-but-undelivered requests, (arrival_us, id)-sorted. */
-    std::deque<serving::Request *> pending;
     std::uint64_t routed = 0;
     std::uint64_t handoffs_in = 0;
     std::uint64_t handoffs_out = 0;
@@ -115,14 +113,6 @@ FleetSimulator::loadViews(const std::vector<std::size_t> &indices) const
         v.index = i;
         v.queued_prefill_tokens = rep.core->queuedPrefillTokens();
         v.queued_decode_tokens = rep.core->queuedDecodeTokens();
-        // The routed-but-undelivered backlog is load the scheduler
-        // cannot see yet; without it the router would dogpile one
-        // replica between its steps.
-        for (const serving::Request *r : rep.pending) {
-            if (!r->kv_imported)
-                v.queued_prefill_tokens += r->prompt_len;
-            v.queued_decode_tokens += r->max_new_tokens;
-        }
         v.processed_tokens = rep.core->processedTokens();
         v.busy_us = rep.core->busyUs();
         views.push_back(v);
@@ -131,26 +121,12 @@ FleetSimulator::loadViews(const std::vector<std::size_t> &indices) const
 }
 
 void
-FleetSimulator::enqueue(std::size_t i, serving::Request *r)
-{
-    auto &q = replicas_[i].pending;
-    auto pos = std::upper_bound(
-        q.begin(), q.end(), r,
-        [](const serving::Request *a, const serving::Request *b) {
-            if (a->arrival_us != b->arrival_us)
-                return a->arrival_us < b->arrival_us;
-            return a->id < b->id;
-        });
-    q.insert(pos, r);
-}
-
-void
 FleetSimulator::routeRequest(serving::Request *r)
 {
     std::size_t target = router_.pick(*r, loadViews(entry_replicas_));
     ++replicas_[target].routed;
     if (!disaggregated_) {
-        enqueue(target, r);
+        replicas_[target].core->enqueue(r);
         return;
     }
     // Prefill part: the prompt plus exactly the first output token —
@@ -158,57 +134,7 @@ FleetSimulator::routeRequest(serving::Request *r)
     parts_.push_back(*r);
     serving::Request *p = &parts_.back();
     p->max_new_tokens = 1;
-    enqueue(target, p);
-}
-
-double
-FleetSimulator::steppableTime(const Replica &rep) const
-{
-    if (!rep.core->idle())
-        return rep.core->now();
-    if (!rep.pending.empty())
-        return std::max(rep.core->now(),
-                        rep.pending.front()->arrival_us);
-    return kInf;
-}
-
-void
-FleetSimulator::deliverDue(std::size_t i)
-{
-    Replica &rep = replicas_[i];
-    while (!rep.pending.empty() &&
-           rep.pending.front()->arrival_us <= rep.core->now()) {
-        serving::Request *r = rep.pending.front();
-        rep.pending.pop_front();
-        rep.core->submit(r);
-        if (r->state == serving::RequestState::Rejected) {
-            // Origin-level bookkeeping: a rejected entry part rejects
-            // the request; a rejected decode part strands a handoff
-            // (the prefill work is sunk cost) and rejects it too.
-            if (r->kv_imported)
-                ++handoff_rejects_;
-            ++rejected_;
-        }
-    }
-}
-
-void
-FleetSimulator::stepReplica(std::size_t i)
-{
-    Replica &rep = replicas_[i];
-    deliverDue(i);
-    if (rep.core->idle()) {
-        if (rep.pending.empty())
-            return;
-        rep.core->setNow(std::max(rep.core->now(),
-                                  rep.pending.front()->arrival_us));
-        deliverDue(i);
-        if (rep.core->idle())
-            return; // everything due was rejected
-    }
-    rep.core->step();
-    for (serving::Request *f : rep.core->takeFinished())
-        onPartFinished(i, f);
+    replicas_[target].core->enqueue(p);
 }
 
 void
@@ -279,7 +205,7 @@ FleetSimulator::onPartFinished(std::size_t i, serving::Request *f)
     d->finish_us = -1;
     d->preemptions = 0;
     ++replicas_[target].handoffs_in;
-    enqueue(target, d);
+    replicas_[target].core->enqueue(d);
 }
 
 FleetReport
@@ -295,12 +221,12 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
     for (const serving::Request &r : trace)
         origins_[r.id] = {r.arrival_us, r.max_new_tokens};
 
-    // ---- Global event loop: at every turn the earliest actionable
-    // event wins — the next unrouted arrival, or the earliest replica
-    // that can step (a busy replica steps at its own clock; an idle
-    // one at its backlog head's arrival).  Arrivals win ties so the
-    // router always sees the full backlog, and replica ties resolve by
-    // index.  Entirely sequential: bit-identical across thread counts.
+    // ---- Global event loop: at every turn the earliest event wins —
+    // the next unrouted arrival, or the replica with the lowest
+    // SimulatorCore::nextEventUs(), which then advances once.
+    // Arrivals win ties so the router always sees the full backlog,
+    // and replica ties resolve by index.  Entirely sequential:
+    // bit-identical across thread counts.
     std::size_t next_route = 0;
     for (;;) {
         const double t_arr = next_route < trace.size()
@@ -309,7 +235,7 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
         double t_step = kInf;
         std::size_t step_i = 0;
         for (std::size_t i = 0; i < replicas_.size(); ++i) {
-            const double t = steppableTime(replicas_[i]);
+            const double t = replicas_[i].core->nextEventUs();
             if (t < t_step) {
                 t_step = t;
                 step_i = i;
@@ -321,9 +247,26 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
             routeRequest(&trace[next_route++]);
             continue;
         }
-        stepReplica(step_i);
+        serving::SimulatorCore &core = *replicas_[step_i].core;
+        core.advance();
+        for (serving::Request *f : core.takeFinished())
+            onPartFinished(step_i, f);
     }
-    vqllm_assert(completed_ + rejected_ == trace.size(),
+
+    // Origin-level rejections: an origin is rejected once, at its
+    // entry replica or at a decode replica as a stranded handoff (its
+    // prefill work is sunk cost).  A decode part keeps kv_imported
+    // until it admits, so a Rejected part still flagged is a handoff
+    // reject.
+    std::uint64_t rejected = 0;
+    for (const Replica &rep : replicas_)
+        rejected += rep.core->rejectedCount();
+    std::uint64_t handoff_rejects = 0;
+    for (const serving::Request &part : parts_)
+        if (part.state == serving::RequestState::Rejected &&
+            part.kv_imported)
+            ++handoff_rejects;
+    vqllm_assert(completed_ + rejected == trace.size(),
                  "fleet drained with requests unaccounted for");
 
     // ---- Assemble the fleet report.  Latencies are origin-level:
@@ -348,11 +291,11 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
     report.e2e = serving::summarize(e2e_samples_);
     report.sim_time_us = sim_time_us;
     report.completed_requests = completed_;
-    report.rejected_requests = rejected_;
+    report.rejected_requests = rejected;
     report.handoffs = handoffs_;
     report.kv_transfer_bytes = kv_transfer_bytes_;
     report.kv_transfer_us = kv_transfer_us_;
-    report.handoff_rejects = handoff_rejects_;
+    report.handoff_rejects = handoff_rejects;
     report.router = routerPolicyName(cfg_.router);
     report.disaggregated = disaggregated_;
     report.replicas.resize(replicas_.size());
@@ -386,10 +329,9 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
         for (const Replica &rep : replicas_)
             routed_total += rep.routed;
         reg.counter("fleet.router.routed").add(routed_total);
-        reg.counter("fleet.router.rejected").add(rejected_);
+        reg.counter("fleet.router.rejected").add(rejected);
         reg.counter("fleet.router.handoffs").add(handoffs_);
-        reg.counter("fleet.router.handoff_rejects")
-            .add(handoff_rejects_);
+        reg.counter("fleet.router.handoff_rejects").add(handoff_rejects);
         reg.counter("fleet.kv_transfer.bytes").add(kv_transfer_bytes_);
         reg.gauge("fleet.kv_transfer.us").set(kv_transfer_us_);
         reg.gauge("fleet.util.min").set(report.util_min);

@@ -5,12 +5,13 @@
  * schemes) behind a pluggable router, with optional prefill/decode
  * disaggregation.
  *
- * The fleet drives one SimulatorCore per replica on a single global
- * timeline: arrivals route to an entry replica, each replica steps
- * whenever it is the earliest actionable event, and the loop is fully
- * sequential — reports are bit-identical across host thread counts,
- * and a 1-replica aggregated fleet runs the exact driver loop of the
- * bare ServingSimulator (bit-identical report).
+ * The fleet keeps one SimulatorCore per replica on a single global
+ * timeline: arrivals route into an entry replica's core, and the core
+ * with the lowest nextEventUs() advances — each core owns its replica
+ * loop (delivery, idle fast-forward, step), so a 1-replica aggregated
+ * fleet runs the bare ServingSimulator's loop (bit-identical report).
+ * The loop is fully sequential: reports are bit-identical across host
+ * thread counts.
  *
  * Disaggregated mode splits every request into a prefill part and a
  * decode part.  A prefill-role replica runs (chunked) prefill and
@@ -183,10 +184,6 @@ class FleetSimulator
     std::vector<ReplicaLoadView>
     loadViews(const std::vector<std::size_t> &indices) const;
     void routeRequest(serving::Request *r);
-    double steppableTime(const Replica &rep) const;
-    void deliverDue(std::size_t i);
-    void stepReplica(std::size_t i);
-    void enqueue(std::size_t i, serving::Request *r);
     void onPartFinished(std::size_t i, serving::Request *f);
     void completeOrigin(const serving::Request *f);
 
@@ -199,9 +196,9 @@ class FleetSimulator
     /** Owned trace recorders, one per replica (cfg.trace only). */
     std::vector<std::unique_ptr<obs::TraceRecorder>> trace_recs_;
 
-    /** Decode parts of disaggregated requests (deque: handoffs keep
-     *  growing while earlier parts are in flight — addresses must
-     *  stay stable). */
+    /** Prefill and decode parts of disaggregated requests (deque:
+     *  handoffs keep growing while earlier parts are in flight —
+     *  addresses must stay stable). */
     std::deque<serving::Request> parts_;
     /** Origin-level request facts the parts lose: arrival (for E2E)
      *  and the full decode budget (handoff sizing). */
@@ -213,11 +210,9 @@ class FleetSimulator
     std::map<std::uint64_t, Origin> origins_;
     std::vector<double> e2e_samples_;
     std::uint64_t completed_ = 0;
-    std::uint64_t rejected_ = 0;
     std::uint64_t handoffs_ = 0;
     std::uint64_t kv_transfer_bytes_ = 0;
     double kv_transfer_us_ = 0;
-    std::uint64_t handoff_rejects_ = 0;
 };
 
 } // namespace vqllm::fleet

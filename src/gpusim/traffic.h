@@ -93,13 +93,6 @@ struct KernelCounters
         return static_cast<double>(smem_transactions) /
                static_cast<double>(smem_ideal_transactions);
     }
-
-    /** @return total DRAM bytes moved. */
-    std::uint64_t
-    dramBytes() const
-    {
-        return dram_read_bytes + dram_write_bytes + reduce_bytes;
-    }
 };
 
 } // namespace vqllm::gpusim

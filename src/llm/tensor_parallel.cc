@@ -83,6 +83,15 @@ shardSplit(std::size_t total, std::size_t degree, std::size_t shard)
     return total / degree + (shard < total % degree ? 1 : 0);
 }
 
+std::uint64_t
+kvHeadShareBytes(std::uint64_t bytes, std::size_t kv_heads,
+                 std::size_t degree, std::size_t shard)
+{
+    const std::uint64_t heads = kv_heads;
+    const std::uint64_t share = shardSplit(kv_heads, degree, shard);
+    return (bytes * share + heads - 1) / heads;
+}
+
 double
 estimateChunkedPrefillUs(const gpusim::GpuSpec &spec,
                          const LlamaConfig &model,

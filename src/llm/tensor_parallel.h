@@ -89,6 +89,15 @@ std::size_t shardSplit(std::size_t total, std::size_t degree,
                        std::size_t shard);
 
 /**
+ * Shard `shard`'s slice of `bytes` laid out evenly over `kv_heads` KV
+ * heads: ceil(bytes * shardSplit(kv_heads, degree, shard) / kv_heads).
+ * What one TP device stores of a token's KV, or uploads of a codebook
+ * group.
+ */
+std::uint64_t kvHeadShareBytes(std::uint64_t bytes, std::size_t kv_heads,
+                               std::size_t degree, std::size_t shard);
+
+/**
  * Chunked-prefill compute latency of the critical (widest) TP shard:
  * `slice_tokens` prompt tokens run against `context_tokens`
  * already-cached tokens.  The slice's sharded GeMMs see slice_tokens

@@ -100,9 +100,6 @@ class Histogram
     /** Non-empty buckets in ascending value order. */
     std::vector<Bucket> buckets() const;
 
-    double minBucket() const { return min_bucket_; }
-    double growth() const { return growth_; }
-
   private:
     int bucketIndex(double v) const;
     double bucketHi(int i) const;

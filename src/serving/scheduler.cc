@@ -430,9 +430,9 @@ IterationPricer::prefillChunkUs(std::size_t tokens, std::size_t context)
 }
 
 double
-IterationPricer::prefillCommUs(std::size_t tokens) const
+IterationPricer::commUs(std::size_t rows) const
 {
-    return llm::layerAllReduceUs(tp_, tokens, model_.hidden) *
+    return llm::layerAllReduceUs(tp_, rows, model_.hidden) *
            static_cast<double>(model_.layers);
 }
 
@@ -504,8 +504,6 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
     last_breakdown_.comm_us += comm_us;
     totals_.decode_us += compute_us;
     totals_.comm_us += comm_us;
-    if (collect_detail_)
-        last_detail_.decode_comm_us += comm_us;
     return step.stepUs(layers);
 }
 
@@ -516,16 +514,13 @@ IterationPricer::iterationUs(const Scheduler::Iteration &it)
     // decode batch's bucketed attention sub-launches, plus (degree > 1)
     // each slice's per-layer collectives.
     last_breakdown_ = Breakdown{};
-    last_detail_ = IterationDetail{};
     double us = 0;
     for (const auto &chunk : it.prefill) {
         double chunk_us = prefillChunkUs(chunk.tokens, chunk.context);
         us += chunk_us;
         last_breakdown_.prefill_us += chunk_us;
         totals_.prefill_us += chunk_us;
-        if (collect_detail_)
-            last_detail_.chunk_us.push_back(chunk_us);
-        double comm_us = prefillCommUs(chunk.tokens);
+        double comm_us = commUs(chunk.tokens);
         last_breakdown_.comm_us += comm_us;
         totals_.comm_us += comm_us;
         us += comm_us;
@@ -561,10 +556,8 @@ IterationPricer::codebookMissUs(std::size_t misses)
     // Each device uploads only its KV-head shard and the uploads overlap
     // across devices, so the serialized penalty is the critical
     // (widest) shard's share of the group (all of it at degree 1).
-    std::uint64_t kv_heads = model_.kvHeads();
-    std::uint64_t shard_heads = llm::shardSplit(
-        kv_heads, static_cast<std::size_t>(tp_.degree), 0);
-    bytes = (bytes * shard_heads + kv_heads - 1) / kv_heads;
+    bytes = llm::kvHeadShareBytes(bytes, model_.kvHeads(),
+                                  static_cast<std::size_t>(tp_.degree), 0);
     double per_upload_us =
         static_cast<double>(bytes) / (kUploadGbps * 1e9) * 1e6 +
         kUploadFixedUs;

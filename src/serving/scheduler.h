@@ -252,18 +252,6 @@ class IterationPricer
         }
     };
 
-    /** Per-iteration trace detail, collected only when enabled (the
-     *  simulator turns it on for traced runs; off by default so the
-     *  hot path stays allocation-free). */
-    struct IterationDetail
-    {
-        /** Compute microseconds of each prefill slice (comm excluded),
-         *  in Scheduler::Iteration::prefill order. */
-        std::vector<double> chunk_us;
-        /** Decode-step collective time (0 at degree 1). */
-        double decode_comm_us = 0;
-    };
-
     /** Context-length bucket of attention and prefill memoization,
      *  tokens. */
     static constexpr std::size_t kSeqBucket = 256;
@@ -295,9 +283,10 @@ class IterationPricer
      *  including the decode step's collectives. */
     double decodeUs(const std::vector<Request *> &batch);
 
-    /** Collective time of one prefill slice of `tokens` rows (two ring
-     *  all-reduces per layer; 0 at degree 1). */
-    double prefillCommUs(std::size_t tokens) const;
+    /** Collective time of `rows` activation rows over every layer (two
+     *  ring all-reduces per layer; 0 at degree 1): a prefill slice's
+     *  collectives at its token count, a decode step's at its batch. */
+    double commUs(std::size_t rows) const;
 
     /** Upload penalty for codebook-residency misses (0 for schemes
      *  without codebooks).  Under TP each device uploads only its head
@@ -328,13 +317,6 @@ class IterationPricer
     /** Breakdown of the most recent iterationUs() call (codebook
      *  penalties priced after it via codebookMissUs included). */
     const Breakdown &lastBreakdown() const { return last_breakdown_; }
-
-    /** Trace detail of the most recent iterationUs() call; populated
-     *  only while detail collection is on. */
-    const IterationDetail &lastDetail() const { return last_detail_; }
-
-    /** Toggle per-iteration detail collection (off by default). */
-    void setCollectDetail(bool on) { collect_detail_ = on; }
 
   private:
     /**
@@ -373,8 +355,6 @@ class IterationPricer
     double kv_dequant_us_ = 0;
     Breakdown totals_;
     Breakdown last_breakdown_;
-    IterationDetail last_detail_;
-    bool collect_detail_ = false;
 
     // Price memos (see the class comment).  Bucket keys number context
     // buckets of kSeqBucket tokens.

@@ -1,6 +1,7 @@
 #include "serving/sim_core.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,14 +17,12 @@ namespace {
  *  share's slice of the scheme's full-token footprint. */
 std::vector<std::uint64_t>
 deviceBytesPerToken(std::size_t degree, std::uint64_t total_bpt,
-                    std::uint64_t kv_heads)
+                    std::size_t kv_heads)
 {
     std::vector<std::uint64_t> bpt(degree);
-    for (std::size_t i = 0; i < degree; ++i) {
-        std::uint64_t heads = llm::shardSplit(kv_heads, degree, i);
+    for (std::size_t i = 0; i < degree; ++i)
         bpt[i] = std::max<std::uint64_t>(
-            (total_bpt * heads + kv_heads - 1) / kv_heads, 1);
-    }
+            llm::kvHeadShareBytes(total_bpt, kv_heads, degree, i), 1);
     return bpt;
 }
 
@@ -78,7 +77,6 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
         eng_->setTrace(trace_rec_);
         if (prefix_cache_)
             prefix_cache_->setTrace(trace_rec_);
-        pricer_->setCollectDetail(true);
     }
     if (cfg_.metrics != nullptr) {
         h_iter_us_ =
@@ -86,6 +84,53 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
         h_decode_batch_ =
             &cfg_.metrics->histogram("serving.iteration.decode_batch");
     }
+}
+
+void
+SimulatorCore::enqueue(Request *r)
+{
+    auto pos = std::upper_bound(
+        pending_.begin(), pending_.end(), r,
+        [](const Request *a, const Request *b) {
+            if (a->arrival_us != b->arrival_us)
+                return a->arrival_us < b->arrival_us;
+            return a->id < b->id;
+        });
+    pending_.insert(pos, r);
+}
+
+double
+SimulatorCore::nextEventUs() const
+{
+    if (!idle())
+        return now_us_;
+    if (!pending_.empty())
+        return std::max(now_us_, pending_.front()->arrival_us);
+    return std::numeric_limits<double>::infinity();
+}
+
+void
+SimulatorCore::deliverDue()
+{
+    while (!pending_.empty() && pending_.front()->arrival_us <= now_us_) {
+        submit(pending_.front());
+        pending_.pop_front();
+    }
+}
+
+void
+SimulatorCore::advance()
+{
+    deliverDue();
+    if (idle()) {
+        if (pending_.empty())
+            return;
+        setNow(std::max(now_us_, pending_.front()->arrival_us));
+        deliverDue();
+        if (idle())
+            return; // everything due was rejected
+    }
+    step();
 }
 
 void
@@ -147,11 +192,10 @@ SimulatorCore::step()
         // The iteration's four price components tile [now, now +
         // iter_us] as consecutive spans: prefill, decode, comm,
         // codebook upload.  Detail spans (per chunk, per shard) nest
-        // inside their tiles; category sums therefore reproduce the
-        // report's busy-time breakdown.
+        // inside their tiles at the pricer's own memoized prices;
+        // category sums therefore reproduce the report's busy-time
+        // breakdown.
         const IterationPricer::Breakdown &bd = pricer_->lastBreakdown();
-        const IterationPricer::IterationDetail &det =
-            pricer_->lastDetail();
         trace_rec_->span(
             "iteration", "iteration", 0, now_us_, iter_us,
             {{"prefill_chunks",
@@ -163,16 +207,16 @@ SimulatorCore::step()
                 "prefill", "prefill", 0, t, bd.prefill_us,
                 {{"chunks", static_cast<double>(iter.prefill.size())}});
             double ct = t;
-            for (std::size_t i = 0; i < iter.prefill.size(); ++i) {
-                const Scheduler::PrefillChunk &c = iter.prefill[i];
+            for (const Scheduler::PrefillChunk &c : iter.prefill) {
+                const double chunk_us =
+                    pricer_->prefillChunkUs(c.tokens, c.context);
                 trace_rec_->span(
-                    "prefill_chunk", "prefill_detail", 0, ct,
-                    det.chunk_us[i],
+                    "prefill_chunk", "prefill_detail", 0, ct, chunk_us,
                     {{"req", static_cast<double>(c.req->id)},
                      {"tokens", static_cast<double>(c.tokens)},
                      {"context", static_cast<double>(c.context)},
                      {"last", c.last ? 1.0 : 0.0}});
-                ct += det.chunk_us[i];
+                ct += chunk_us;
             }
             t += bd.prefill_us;
         }
@@ -189,11 +233,14 @@ SimulatorCore::step()
         }
         if (bd.comm_us > 0) {
             trace_rec_->span("all_reduce", "comm", 0, t, bd.comm_us);
-            if (det.decode_comm_us > 0)
+            const double decode_comm_us =
+                iter.decode.empty() ? 0
+                                    : pricer_->commUs(iter.decode.size());
+            if (decode_comm_us > 0)
                 for (std::size_t s = 0; s < degree_; ++s)
                     trace_rec_->span("all_reduce", "shard_comm",
                                      1 + static_cast<int>(s), t,
-                                     det.decode_comm_us);
+                                     decode_comm_us);
             t += bd.comm_us;
         }
         if (bd.codebook_upload_us > 0)
@@ -285,7 +332,12 @@ SimulatorCore::step()
 std::uint64_t
 SimulatorCore::queuedPrefillTokens() const
 {
+    // The undelivered backlog is load the scheduler cannot see yet;
+    // without it a router would dogpile one replica between its steps.
     std::uint64_t tokens = 0;
+    for (const Request *r : pending_)
+        if (!r->kv_imported)
+            tokens += r->contextTokens();
     for (const Request *r : scheduler_.waiting())
         if (!r->kv_imported)
             tokens += r->contextTokens();
@@ -303,6 +355,8 @@ SimulatorCore::queuedDecodeTokens() const
         return r->max_new_tokens -
                std::min(r->generated, r->max_new_tokens);
     };
+    for (const Request *r : pending_)
+        tokens += remaining(r);
     for (const Request *r : scheduler_.waiting())
         tokens += remaining(r);
     for (const Request *r : scheduler_.running())

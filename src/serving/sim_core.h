@@ -1,18 +1,21 @@
 /**
  * @file
- * Stepping core of the serving simulator: one replica's event loop,
- * decomposed into submit / step / finalize so an external driver (the
- * fleet layer, src/fleet/) can interleave many replicas on one global
- * timeline and route arrivals between them.
+ * Stepping core of the serving simulator: one replica's event loop.
  *
- * ServingSimulator::run() is a thin driver over this class — deliver
- * arrivals, fast-forward idle gaps, step until the trace drains.
+ * The core owns the replica clock policy.  enqueue() hands it requests
+ * that arrive later; advance() delivers the arrivals that are due,
+ * fast-forwards an idle clock to the next arrival, then steps once;
+ * nextEventUs() says when that next advance() happens.
+ * ServingSimulator::run() enqueues its whole trace and advances until
+ * nextEventUs() is +inf.  The fleet layer (src/fleet/) keeps one core
+ * per replica on one global timeline, routes arrivals into them and
+ * advances the core with the lowest nextEventUs().
  *
  * Beyond the bare loop the core adds the two hooks disaggregated
  * serving needs:
- *  - submit() routes requests flagged kv_imported through the
- *    scheduler's imported-KV admission (the sequence's cache arrives
- *    over the fleet link instead of being prefilled locally), and
+ *  - a request flagged kv_imported admits through the scheduler's
+ *    imported-KV path (the sequence's cache arrives over the fleet
+ *    link instead of being prefilled locally), and
  *  - load introspection (queued prefill/decode tokens, processed
  *    totals) plus takeFinished() for the router and the handoff
  *    protocol.
@@ -20,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -39,9 +43,10 @@ namespace vqllm::serving {
 
 /**
  * One replica's simulation state, advanced one scheduler iteration at
- * a time.  The caller owns the clock policy: it delivers arrivals
- * (submit), fast-forwards idle gaps (setNow), steps while work is
- * pending, and finalizes exactly once when its trace has drained.
+ * a time.  A driver enqueues requests, calls advance() while
+ * nextEventUs() is finite, and finalizes exactly once when its trace
+ * has drained.  submit / setNow / step are the advance() primitives,
+ * public for drivers that time or trace each of them.
  *
  * Determinism: the core is single-threaded and every step is a pure
  * function of prior submissions — two identical call sequences produce
@@ -54,6 +59,30 @@ class SimulatorCore
 
     /** @return the replica-local simulated clock, microseconds. */
     double now() const { return now_us_; }
+
+    /**
+     * Queue a request for delivery at its arrival_us.  Undelivered
+     * requests are held in (arrival_us, id) order, and advance()
+     * submits each once the clock reaches its arrival, so requests
+     * with equal timestamps deliver in id order.
+     */
+    void enqueue(Request *r);
+
+    /**
+     * @return the simulated time of the next advance(): now() while a
+     * request is waiting or running, the earliest undelivered arrival
+     * (never before now()) when idle, +inf when idle with nothing
+     * queued.
+     */
+    double nextEventUs() const;
+
+    /**
+     * Deliver the queued arrivals that are due.  When that leaves the
+     * replica idle, fast-forward the clock to the next queued arrival
+     * and deliver again; then step once unless every delivered request
+     * was rejected.  A no-op while nextEventUs() is +inf.
+     */
+    void advance();
 
     /** Fast-forward the idle clock (never backwards). */
     void setNow(double us);
@@ -83,11 +112,13 @@ class SimulatorCore
     std::uint64_t completedCount() const { return completed_; }
     std::uint64_t rejectedCount() const { return scheduler_.rejectedCount(); }
 
-    /** Un-prefilled prompt tokens across the waiting and running sets
-     *  (imported requests carry none — their KV arrives by link). */
+    /** Un-prefilled prompt tokens across the undelivered, waiting and
+     *  running requests (imported requests carry none — their KV
+     *  arrives by link). */
     std::uint64_t queuedPrefillTokens() const;
 
-    /** Un-generated decode tokens across the waiting and running sets. */
+    /** Un-generated decode tokens across the undelivered, waiting and
+     *  running requests. */
     std::uint64_t queuedDecodeTokens() const;
 
     /** Prefill + decode tokens processed so far. */
@@ -110,6 +141,9 @@ class SimulatorCore
     const llm::LlamaConfig &model() const { return model_; }
 
   private:
+    /** Submit every queued request whose arrival is due. */
+    void deliverDue();
+
     SimulatorConfig cfg_;
     const llm::LlamaConfig &model_;
     std::size_t degree_;
@@ -146,6 +180,8 @@ class SimulatorCore
     std::uint64_t peak_running_ = 0;
     std::vector<std::uint64_t> groups_;
     std::vector<Request *> finished_;
+    /** Enqueued, undelivered requests in (arrival_us, id) order. */
+    std::deque<Request *> pending_;
     bool finalized_ = false;
 };
 

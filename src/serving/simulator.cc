@@ -1,10 +1,9 @@
 #include "serving/simulator.h"
 
-#include <memory>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "obs/metrics.h"
 #include "serving/sim_core.h"
 
 namespace vqllm::serving {
@@ -67,11 +66,10 @@ kvCapacityPerDeviceBytes(const SimulatorConfig &cfg)
     return static_cast<std::uint64_t>(free_bytes);
 }
 
-ServingSimulator::ServingSimulator(const SimulatorConfig &cfg)
-    : cfg_(cfg), kv_capacity_per_device_(kvCapacityPerDeviceBytes(cfg_)),
-      kv_capacity_bytes_(kv_capacity_per_device_ *
-                         static_cast<std::size_t>(cfg_.tp.degree))
+ServingSimulator::ServingSimulator(const SimulatorConfig &cfg) : cfg_(cfg)
 {
+    // A bad TP degree or KV budget is fatal here, before any run.
+    kvCapacityPerDeviceBytes(cfg_);
 }
 
 ServingReport
@@ -84,32 +82,10 @@ ServingSimulator::run()
 std::vector<ServingReport>
 ServingSimulator::runMany(const std::vector<SimulatorConfig> &configs)
 {
-    return runMany(configs, nullptr);
-}
-
-std::vector<ServingReport>
-ServingSimulator::runMany(
-    const std::vector<SimulatorConfig> &configs,
-    std::vector<std::unique_ptr<obs::MetricsRegistry>> *registries)
-{
-    std::vector<SimulatorConfig> cfgs = configs;
-    if (registries != nullptr) {
-        // One private registry per simulation (overriding any registry
-        // the caller left in the config): concurrent sims never share
-        // a registry, and the caller gets per-sim metrics in config
-        // order alongside the reports.
-        registries->clear();
-        registries->reserve(cfgs.size());
-        for (auto &cfg : cfgs) {
-            registries->push_back(
-                std::make_unique<obs::MetricsRegistry>());
-            cfg.metrics = registries->back().get();
-        }
-    }
-    std::vector<ServingReport> reports(cfgs.size());
-    par::parallelFor(cfgs.size(), 1, [&](const par::ChunkRange &c) {
+    std::vector<ServingReport> reports(configs.size());
+    par::parallelFor(configs.size(), 1, [&](const par::ChunkRange &c) {
         for (std::size_t i = c.begin; i < c.end; ++i)
-            reports[i] = ServingSimulator(cfgs[i]).run();
+            reports[i] = ServingSimulator(configs[i]).run();
     });
     return reports;
 }
@@ -117,25 +93,14 @@ ServingSimulator::runMany(
 ServingReport
 ServingSimulator::run(std::vector<Request> &trace)
 {
-    // Thin driver over the stepping core (serving/sim_core.h): deliver
-    // arrivals, fast-forward idle gaps to the next arrival, and step
-    // until every request has finished or been rejected.  The fleet
-    // layer drives the same core with its own clock policy, which is
-    // what keeps a 1-replica fleet bit-identical to this loop.
+    // One replica on its own: the core delivers arrivals, fast-forwards
+    // idle gaps and steps until every request has finished or been
+    // rejected.
     SimulatorCore core(cfg_);
-    std::size_t next_arrival = 0;
-    while (core.completedCount() + core.rejectedCount() < trace.size()) {
-        while (next_arrival < trace.size() &&
-               trace[next_arrival].arrival_us <= core.now())
-            core.submit(&trace[next_arrival++]);
-        if (core.idle()) {
-            if (next_arrival >= trace.size())
-                break; // every remaining request was rejected
-            core.setNow(trace[next_arrival].arrival_us);
-            continue;
-        }
-        core.step();
-    }
+    for (Request &r : trace)
+        core.enqueue(&r);
+    while (core.nextEventUs() < std::numeric_limits<double>::infinity())
+        core.advance();
     return core.finalize();
 }
 

@@ -3,24 +3,25 @@
  * Serving simulator: the event loop tying workload, scheduler, KV block
  * pool, codebook residency and the iteration pricer together.
  *
- * The clock is iteration-driven: the simulator delivers arrivals, asks
- * the scheduler for the next iteration (mixed prefill slices + decode
- * steps under chunked prefill), prices it (kernel latencies plus
- * codebook-upload penalties for residency misses), advances simulated
- * time by that latency, and records metrics.  The slice completing a
- * (re)prefill emits one token — the first token of a fresh prefill
- * (TTFT) or, after a preemption recompute, the next token (the stall
- * lands in that TBT sample); every decode step emits one token per
- * running sequence (TBT).  The run ends when every request of the
- * finite trace has finished or been rejected — reports therefore cover
- * complete traces, never a truncated tail.
+ * The clock is iteration-driven: the replica (serving/sim_core.h)
+ * delivers arrivals, asks the scheduler for the next iteration (mixed
+ * prefill slices + decode steps under chunked prefill), prices it
+ * (kernel latencies plus codebook-upload penalties for residency
+ * misses), advances simulated time by that latency, and records
+ * metrics.  The slice completing a (re)prefill emits one token — the
+ * first token of a fresh prefill (TTFT) or, after a preemption
+ * recompute, the next token (the stall lands in that TBT sample); every
+ * decode step emits one token per running sequence (TBT).  The run ends
+ * when every request of the finite trace has finished or been rejected
+ * — reports therefore cover complete traces, never a truncated tail.
+ * ServingSimulator is the one-replica driver of that loop; the fleet
+ * layer (src/fleet/) drives many replicas on one timeline.
  *
  * Determinism: given one SimulatorConfig (including the workload seed)
  * two runs produce bit-identical reports.
  */
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "gpusim/gpu_spec.h"
@@ -48,8 +49,8 @@ struct SimulatorConfig;
  * device's weight shard minus a 1 GB reserve for activations and
  * scratch.  Fatal (exit 1) when the TP degree does not divide the
  * model's heads or exceeds its KV heads, or when the budget is not in
- * (0, 2^64) bytes.  Shared by ServingSimulator and SimulatorCore so
- * capacity accounting cannot drift between them.
+ * (0, 2^64) bytes.  ServingSimulator's constructor calls it so a bad
+ * config fails before any run; SimulatorCore sizes its pool with it.
  */
 std::uint64_t kvCapacityPerDeviceBytes(const SimulatorConfig &cfg);
 
@@ -157,12 +158,16 @@ struct SimulatorConfig
 class ServingSimulator
 {
   public:
+    /** Validates the config (kvCapacityPerDeviceBytes): a TP degree the
+     *  model cannot shard by, or a KV budget outside (0, 2^64) bytes,
+     *  is fatal here. */
     explicit ServingSimulator(const SimulatorConfig &cfg);
 
     /** Generate the workload from cfg and run it. */
     ServingReport run();
 
-    /** Run an explicit trace (must be arrival-sorted). */
+    /** Run an explicit trace.  Requests deliver in (arrival_us, id)
+     *  order, whatever their order in @p trace. */
     ServingReport run(std::vector<Request> &trace);
 
     /**
@@ -175,34 +180,8 @@ class ServingSimulator
     static std::vector<ServingReport>
     runMany(const std::vector<SimulatorConfig> &configs);
 
-    /**
-     * runMany with per-simulation metrics: creates one private
-     * MetricsRegistry per config (overriding any registry already set
-     * in the config — concurrent sims must not share one), runs the
-     * sims, and returns the registries through @p registries in config
-     * order.  Fleet benches use this to aggregate `serving.*` metrics
-     * per replica without serializing the fan-out.
-     */
-    static std::vector<ServingReport>
-    runMany(const std::vector<SimulatorConfig> &configs,
-            std::vector<std::unique_ptr<obs::MetricsRegistry>>
-                *registries);
-
-    /** @return KV bytes available under this config, summed over the
-     *  TP devices. */
-    std::uint64_t kvCapacityBytes() const { return kv_capacity_bytes_; }
-
-    /** @return KV bytes available on one device. */
-    std::uint64_t
-    kvCapacityBytesPerDevice() const
-    {
-        return kv_capacity_per_device_;
-    }
-
   private:
     SimulatorConfig cfg_;
-    std::uint64_t kv_capacity_per_device_ = 0;
-    std::uint64_t kv_capacity_bytes_ = 0;
 };
 
 } // namespace vqllm::serving

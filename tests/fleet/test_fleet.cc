@@ -5,15 +5,18 @@
  * must be byte-identical across host thread counts and repeats, and
  * disaggregated runs must satisfy the handoff bookkeeping invariants
  * (every multi-token request hands off exactly once, transfer bytes
- * follow the sender's KV scheme, origin-level accounting closes).
+ * follow the sender's KV scheme, origin-level accounting closes, also
+ * when entry or decode replicas reject).
  */
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "common/parallel.h"
 #include "fleet/fleet.h"
+#include "obs/metrics.h"
 #include "serving/simulator.h"
 
 namespace vqllm::fleet {
@@ -146,6 +149,105 @@ TEST(FleetRouting, RoundRobinSpreadsEntriesEvenly)
     EXPECT_EQ(report.kv_transfer_bytes, 0u);
     EXPECT_DOUBLE_EQ(report.util_imbalance,
                      report.util_max - report.util_min);
+}
+
+TEST(FleetRouting, UndeliveredBacklogCountsAsLoad)
+{
+    // Simultaneous arrivals all route before any replica advances, so
+    // each replica's load is only its routed-but-undelivered backlog.
+    // Least-loaded alternates equal requests only if that backlog
+    // counts; without it every request would pick replica 0.
+    auto cfg = fleetConfig(2, RouterPolicy::LeastLoaded, false);
+    std::vector<serving::Request> trace(6);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        trace[i].id = i;
+        trace[i].arrival_us = 1e5;
+        trace[i].prompt_len = 256;
+        trace[i].max_new_tokens = 16;
+    }
+    auto report = FleetSimulator(cfg).run(trace);
+    EXPECT_EQ(report.replicas[0].routed, 3u);
+    EXPECT_EQ(report.replicas[1].routed, 3u);
+    EXPECT_EQ(report.completed_requests, trace.size());
+}
+
+// ---------------------------------------------------------------------
+// Rejections: every other fleet test and golden rejects nothing.
+
+/** A prompt no replica's KV pool can ever hold. */
+constexpr std::size_t kNeverFit = 50'000'000;
+
+std::uint64_t
+counterValue(const obs::MetricsRegistry &reg, const std::string &name)
+{
+    const obs::Counter *c = reg.findCounter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c != nullptr ? c->value() : 0;
+}
+
+TEST(FleetRejections, EntryReplicasRejectNeverFitPrompts)
+{
+    auto cfg = fleetConfig(2, RouterPolicy::RoundRobin, false);
+    obs::MetricsRegistry reg;
+    cfg.metrics = &reg;
+    auto trace = serving::generateWorkload(cfg.workload);
+    ASSERT_GE(trace.size(), 6u);
+    std::uint64_t never_fit = 0;
+    for (std::size_t i = 0; i < trace.size(); i += 3, ++never_fit)
+        trace[i].prompt_len = kNeverFit;
+    auto report = FleetSimulator(cfg).run(trace);
+
+    EXPECT_EQ(report.rejected_requests, never_fit);
+    EXPECT_EQ(report.handoff_rejects, 0u);
+    EXPECT_EQ(report.completed_requests + report.rejected_requests,
+              trace.size());
+    EXPECT_EQ(report.replicas[0].report.rejected_requests +
+                  report.replicas[1].report.rejected_requests,
+              never_fit);
+    EXPECT_EQ(counterValue(reg, "fleet.router.rejected"), never_fit);
+    EXPECT_EQ(counterValue(reg, "fleet.router.handoff_rejects"), 0u);
+}
+
+TEST(FleetRejections, DecodeReplicaRejectsImportsItCannotHold)
+{
+    // Replica 0 prefills on 24 GB; replica 1 decodes on an HBM budget
+    // that leaves a KV pool of ~6k tokens.  Every generated request
+    // (prompt <= 4096, output <= 1024 tokens) fits both; a 12k-token
+    // prompt prefills on replica 0 but its imported context can never
+    // fit replica 1, so its handoff is rejected there.
+    auto cfg = fleetConfig(2, RouterPolicy::RoundRobin, true);
+    serving::SimulatorConfig &decode = cfg.replicas[1].sim;
+    ASSERT_EQ(cfg.replicas[1].role, ReplicaRole::Decode);
+    const double bytes_per_token = static_cast<double>(
+        llm::kvSchemeBytesPerToken(llm::llama7b(), decode.kvScheme()));
+    const double full_kv =
+        static_cast<double>(serving::kvCapacityPerDeviceBytes(decode));
+    decode.hbm_gb -= (full_kv - 6000 * bytes_per_token) / 1e9;
+    obs::MetricsRegistry reg;
+    cfg.metrics = &reg;
+
+    auto trace = serving::generateWorkload(cfg.workload);
+    ASSERT_GE(trace.size(), 8u);
+    std::uint64_t too_long = 0;
+    for (std::size_t i = 1; i < trace.size(); i += 4, ++too_long) {
+        ASSERT_GT(trace[i].max_new_tokens, 1u); // hands off
+        trace[i].prompt_len = 12000;
+    }
+    trace[2].prompt_len = kNeverFit; // rejected at the entry replica
+    auto report = FleetSimulator(cfg).run(trace);
+
+    EXPECT_GT(report.handoff_rejects, 0u);
+    EXPECT_EQ(report.handoff_rejects, too_long);
+    EXPECT_EQ(report.rejected_requests, too_long + 1);
+    EXPECT_EQ(report.completed_requests + report.rejected_requests,
+              trace.size());
+    // Every request but the entry reject handed off, rejected or not.
+    EXPECT_EQ(report.handoffs, trace.size() - 1);
+    EXPECT_EQ(report.replicas[0].report.rejected_requests, 1u);
+    EXPECT_EQ(report.replicas[1].report.rejected_requests, too_long);
+    EXPECT_EQ(counterValue(reg, "fleet.router.rejected"), too_long + 1);
+    EXPECT_EQ(counterValue(reg, "fleet.router.handoff_rejects"),
+              too_long);
 }
 
 // ---------------------------------------------------------------------

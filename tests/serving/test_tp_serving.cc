@@ -170,7 +170,7 @@ TEST(TpPricing, Degree1IsBitIdenticalToUnshardedFormula)
         llm::prefillLayersUs(eng.spec(), model, 256,
                              256.0 * 512 + 0.5 * 256 * 256, model.heads,
                              model.layerLinearShapes()));
-    EXPECT_DOUBLE_EQ(pricer.prefillCommUs(256), 0.0);
+    EXPECT_DOUBLE_EQ(pricer.commUs(256), 0.0);
 }
 
 TEST(TpPricing, ShardedChunkedPrefillConverges)
@@ -344,7 +344,6 @@ TEST(PricerMemo, MatchesUnmemoizedReferenceOnRaggedBatches)
                 compiler::Engine ref_eng(rtx4090());
                 IterationPricer pricer(eng, model, scheme, kv,
                                        nvlink(degree));
-                pricer.setCollectDetail(true);
                 ReferencePricer ref(ref_eng, model, scheme, kv,
                                     nvlink(degree));
                 Rng rng(0x5eed + static_cast<std::uint64_t>(degree));
