@@ -22,7 +22,7 @@ main()
     double mu = hist.mean();
     double sigma = hist.stddev();
     std::printf("entries: %zu, total accesses: %llu\n",
-                hist.counts.size(),
+                hist.size(),
                 static_cast<unsigned long long>(hist.total()));
     std::printf("mean access count mu = %.3f, sigma = %.3f\n", mu,
                 sigma);
@@ -35,18 +35,18 @@ main()
                 hist.entriesAbove(0.0));
 
     // Text rendering of the sorted histogram (log-binned).
-    auto order = hist.frequencyOrder();
+    const auto &ranked = hist.descendingCounts();
     std::printf("access count by frequency rank (each bar is the mean "
                 "of its rank bin):\n");
     const int bins = 16;
-    std::size_t per_bin = hist.counts.size() / bins;
+    std::size_t per_bin = ranked.size() / bins;
     double max_mean = 0;
     std::vector<double> bin_means(bins, 0.0);
     for (int b = 0; b < bins; ++b) {
         double acc = 0;
         for (std::size_t i = b * per_bin;
-             i < (b + 1) * per_bin && i < order.size(); ++i)
-            acc += static_cast<double>(hist.counts[order[i]]);
+             i < (b + 1) * per_bin && i < ranked.size(); ++i)
+            acc += static_cast<double>(ranked[i]);
         bin_means[b] = acc / static_cast<double>(per_bin);
         max_mean = std::max(max_mean, bin_means[b]);
     }

@@ -34,19 +34,18 @@ main()
 
     // Render: rows = blocks, cols = entries ordered by global rank;
     // '#' hot (top quartile within the block), '.' cold.
-    auto global_order = profile.histograms[0].frequencyOrder();
+    const auto &global_order = profile.histograms[0].frequencyOrder();
     std::printf("rows = thread blocks, columns = entries in global "
                 "frequency-rank order\n('#' = block-local top quartile; "
                 "vertical '#' stripes on the left = global hot set)\n\n");
     for (std::size_t b = 0; b < profile.block_histograms.size(); ++b) {
         const auto &bh = profile.block_histograms[b];
-        std::vector<std::uint64_t> sorted(bh.counts);
-        std::sort(sorted.rbegin(), sorted.rend());
+        const auto &sorted = bh.descendingCounts();
         std::uint64_t q3 = sorted[sorted.size() / 4];
         std::printf("block %2zu | ", b);
         for (std::uint32_t entry : global_order)
-            std::printf("%c", bh.counts[entry] >= q3 && q3 > 0 ? '#'
-                                                               : '.');
+            std::printf("%c", bh.counts()[entry] >= q3 && q3 > 0 ? '#'
+                                                                 : '.');
         std::printf(" |\n");
     }
 
@@ -54,7 +53,7 @@ main()
     // block's top quartile.
     int hits = 0, trials = 0;
     for (const auto &bh : profile.block_histograms) {
-        auto border = bh.frequencyOrder();
+        const auto &border = bh.frequencyOrder();
         for (int rank = 0; rank < 8; ++rank) {
             auto pos = std::find(border.begin(), border.end(),
                                  global_order[rank]) -

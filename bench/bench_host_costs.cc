@@ -3,7 +3,8 @@
  * Host-side cost benchmarks (google-benchmark): the offline phase of
  * VQ-LLM — kernel planning, thread-mapping computation, CUDA emission,
  * k-means training, nearest-entry encoding, quantization/dequantization
- * throughput, and the bank-conflict estimator.  These are the real CPU
+ * throughput, access-histogram construction and the bank-conflict
+ * estimator.  These are the real CPU
  * costs a deployment pays when generating kernels.  Serving-side costs
  * ride along: the prefix cache's longest-match lookup and
  * reclaimable-capacity query, the KV pool's per-token decode append,
@@ -14,6 +15,7 @@
 
 #include <vector>
 
+#include "bench_common.h"
 #include "codegen/cuda_emitter.h"
 #include "common/rng.h"
 #include "compiler/engine.h"
@@ -37,8 +39,9 @@ BM_CompileAttentionKernel(benchmark::State &state)
     // Capacity 0 retains nothing: each iteration pays the full
     // plan + cost pipeline (the cold-compile cost a deployment pays
     // per distinct kernel).  The bank-conflict estimate inside it is
-    // served by the estimator's process-wide memo after the first
-    // iteration, as it is for every later compile in a deployment.
+    // served by the kernel estimators' process-wide memo after the
+    // first iteration, as it is for every later compile in a
+    // deployment.
     compiler::EngineOptions opts;
     opts.cache_capacity = 0;
     compiler::Engine eng(gpusim::rtx4090(), opts);
@@ -72,15 +75,14 @@ BENCHMARK(BM_CompileCacheHit)->Name("compile_cache_hit");
 void
 BM_CompileBestCacheHit(benchmark::State &state)
 {
-    // The serving pricer's call: a QuiP#-4 GeMV with its profile's
-    // precomputed digest, best of O2-O4 on a warm engine.  Unlike
-    // compile_cache_hit above, no lookup hashes the histogram.
+    // The serving pricer's call: a QuiP#-4 GeMV against its profile
+    // histogram, best of O2-O4 on a warm engine: three key lookups
+    // that read the histogram's digest, derived when it was built.
     compiler::Engine eng(gpusim::rtx4090());
     const vq::VQConfig cfg = vq::quip4();
     auto hist = vq::syntheticZipfHistogram(cfg.storedEntries());
     auto request = compiler::KernelRequest::gemvOp(
         {1, 4096, 4096}, cfg, engine::OptLevel::O4, &hist);
-    request.histogram_digest = compiler::histogramDigest(hist);
     const std::vector<engine::OptLevel> levels = {
         engine::OptLevel::O2, engine::OptLevel::O3, engine::OptLevel::O4};
     eng.compileBest(request, levels); // warm
@@ -90,6 +92,48 @@ BM_CompileBestCacheHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CompileBestCacheHit)->Name("compile_best_cache_hit");
+
+void
+BM_CompileColdAqlm3Gemv(benchmark::State &state)
+{
+    // A cold compile at paper scale: AQLM-3's 4,096-entry book (the
+    // compile_sweep histogram fit), Llama-7B decode GeMV, capacity 0.
+    // The attention row above uses a 256-entry book, where the
+    // per-compile histogram facts cost a few microseconds; here each
+    // compile reads them off the histogram instead of re-deriving
+    // them.  The conflict estimate is memo-warm after the first
+    // iteration.
+    compiler::EngineOptions opts;
+    opts.cache_capacity = 0;
+    compiler::Engine eng(gpusim::rtx4090(), opts);
+    const auto &hist = bench::sampleHistogram(vq::aqlm3());
+    auto request = compiler::KernelRequest::gemvOp(
+        bench::llama7b().gemm(1), vq::aqlm3(),
+        static_cast<engine::OptLevel>(state.range(0)), &hist);
+    for (auto _ : state) {
+        auto kernel = eng.compile(request);
+        benchmark::DoNotOptimize(kernel);
+    }
+}
+BENCHMARK(BM_CompileColdAqlm3Gemv)->Arg(2)->Arg(5)->Name(
+    "compile_cold_aqlm3_gemv(level)");
+
+void
+BM_BuildAccessHistogram(benchmark::State &state)
+{
+    // Building a 4,096-entry histogram from random counts: one sort for
+    // the frequency order, the moments and the content digest, paid
+    // once per profiled book.
+    Rng rng(4096);
+    std::vector<std::uint64_t> counts(4096);
+    for (auto &c : counts)
+        c = rng.uniformInt(1000);
+    for (auto _ : state) {
+        vq::AccessHistogram hist(counts);
+        benchmark::DoNotOptimize(hist.digest());
+    }
+}
+BENCHMARK(BM_BuildAccessHistogram)->Name("build_access_histogram_4096");
 
 void
 BM_ThreadMapping(benchmark::State &state)
@@ -221,15 +265,12 @@ BENCHMARK(BM_QuantizeDequantize)->Arg(256)->Arg(1024)->Name(
 void
 BM_ConflictEstimator(benchmark::State &state)
 {
-    // A fresh seed per iteration misses the estimator's memo, so this
-    // times the Monte-Carlo run itself rather than a memo lookup.  The
-    // counter is static: the harness re-enters this function for each
-    // trial run, and a reset would replay seeds the memo already holds.
+    // The Monte-Carlo run itself: the estimator is uncached (the
+    // kernel estimators memoize it), so every iteration simulates.
     const auto &spec = gpusim::rtx4090();
-    static std::uint64_t seed = 0;
     for (auto _ : state) {
         double m = gpusim::expectedConflictMultiplier(
-            spec, 256, 8, static_cast<int>(state.range(0)), ++seed);
+            spec, 256, 8, static_cast<int>(state.range(0)));
         benchmark::DoNotOptimize(m);
     }
 }

@@ -78,7 +78,7 @@ main()
     std::printf("hot entries (>mu+3sigma): %zu of %zu; %.0f%% below "
                 "mean\n",
                 profile.histograms[0].entriesAbove(3.0),
-                profile.histograms[0].counts.size(),
+                profile.histograms[0].size(),
                 profile.histograms[0].fractionBelowMean() * 100);
 
     // 3. Compile the fused GeMV kernel at the full optimization level:

@@ -2,10 +2,10 @@
  * @file
  * FNV-1a content digests.
  *
- * One 64-bit FNV-1a implementation for every content-keyed memo in the
- * library (histogram digests in the compiler's cache key, the
- * bank-conflict estimator's memo key).  Calls chain: pass the previous
- * digest as `h` to fold further fields into the same digest.
+ * One 64-bit FNV-1a implementation for content digests in the library
+ * (vq::AccessHistogram::digest(), which keys compiled kernels and the
+ * bank-conflict memo).  Calls chain: pass the previous digest as `h` to
+ * fold further fields into the same digest.
  */
 #pragma once
 

@@ -1,21 +1,11 @@
 #include "compiler/engine.h"
 
 #include "codegen/cuda_emitter.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace vqllm::compiler {
-
-std::uint64_t
-histogramDigest(const vq::AccessHistogram &hist)
-{
-    std::uint64_t h = fnv1a(hist.counts.data(),
-                            hist.counts.size() * sizeof(std::uint64_t));
-    // 0 is the "not precomputed" sentinel of KernelRequest.
-    return h == 0 ? 1 : h;
-}
 
 // ---------------------------------------------------------------------
 // KernelRequest factories
@@ -135,10 +125,8 @@ Engine::cacheKey(const KernelRequest &request)
     key.lattice = cfg.lattice;
     key.lattice_base_entries = cfg.lattice_base_entries;
     if (request.histogram != nullptr) {
-        key.histogram_entries = request.histogram->counts.size();
-        key.histogram_digest = request.histogram_digest != 0
-                                   ? request.histogram_digest
-                                   : histogramDigest(*request.histogram);
+        key.histogram_entries = request.histogram->size();
+        key.histogram_digest = request.histogram->digest();
     }
     return key;
 }

@@ -34,13 +34,13 @@
  * Behind compile() sits a thread-safe memoizing cache keyed by a
  * KernelKey (see cacheKey()): a plain struct of the request fields the
  * plan depends on, ordered member-wise, so a hit builds no string and
- * hashes nothing beyond the histogram (and not that when the caller
- * supplies its digest).  The GPU spec and planning policy are not in
- * the key: each Engine owns one immutable copy of both, and its cache
- * dies with it.  Planning and costing run at most once per distinct
- * request; concurrent compiles of the same request return the *same*
- * artifact pointer.  compileBest() builds one key and takes the lock
- * once for its whole ladder.  Hit/miss/eviction counters are exposed
+ * hashes nothing (the histogram carries its digest).  The GPU spec
+ * and planning policy are not in the key: each Engine owns one
+ * immutable copy of both, and its cache dies with it.  Planning and
+ * costing run at most once per distinct request; concurrent compiles
+ * of the same request return the *same* artifact pointer.
+ * compileBest() builds one key and takes the lock once for its whole
+ * ladder.  Hit/miss/eviction counters are exposed
  * via stats() for the benches, and the cache iterates in deterministic
  * (sorted-key) order so cached and uncached runs stay bit-identical at
  * any VQLLM_THREADS setting.  Capacity 0 disables retention: every
@@ -104,14 +104,6 @@ struct KernelRequest
     vq::VQConfig config;
     engine::OptLevel level = engine::OptLevel::O4;
     const vq::AccessHistogram *histogram = nullptr;
-    /**
-     * Optional precomputed histogramDigest() of `histogram`.  0 (the
-     * default) makes the engine hash the counts on every cache
-     * lookup; hot-loop callers that reuse one histogram across many
-     * compiles (the serving pricer) pass the digest to skip the
-     * per-lookup rehash.  Must match the histogram's contents.
-     */
-    std::uint64_t histogram_digest = 0;
 
     /** @return a weight-quantized GeMM request. */
     static KernelRequest gemmOp(const engine::GemmShape &shape,
@@ -197,10 +189,6 @@ class CompiledKernel
     mutable std::string source_;
 };
 
-/** Content digest of a histogram for KernelRequest::histogram_digest
- *  (FNV-1a over the counts; never returns the 0 sentinel). */
-std::uint64_t histogramDigest(const vq::AccessHistogram &hist);
-
 /**
  * Canonical cache key of a KernelRequest (Engine::cacheKey()): every
  * request field a compiled plan depends on, and nothing else.  Keys
@@ -225,8 +213,8 @@ struct KernelKey
     std::size_t lattice_base_entries = 0;
     /** Histogram entry count; 0 without a histogram. */
     std::size_t histogram_entries = 0;
-    /** histogramDigest() of the histogram; 0 exactly when it is absent
-     *  (the digest never returns 0). */
+    /** vq::AccessHistogram::digest() of the histogram; 0 exactly when
+     *  it is absent (a digest is never 0). */
     std::uint64_t histogram_digest = 0;
 
     auto operator<=>(const KernelKey &) const = default;
@@ -299,10 +287,9 @@ class Engine
      * The key normalizes the shape (only the members of the request's
      * kind contribute; attention kv_heads resolves the MHA default) and
      * copies every VQConfig field, the level, and the histogram's entry
-     * count and content digest (the request's precomputed digest when
-     * supplied, else hashed here) — so requests differing in any
-     * plan-affecting input never collide, while equal histograms at
-     * different addresses do.  Spec and policy are engine constants
+     * count and content digest (derived when the histogram was built)
+     * — so requests differing in any plan-affecting input never
+     * collide, while equal histograms at different addresses do.  Spec and policy are engine constants
      * and stay out of the key.
      */
     static KernelKey cacheKey(const KernelRequest &request);

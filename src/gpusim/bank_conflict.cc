@@ -1,10 +1,7 @@
 #include "gpusim/bank_conflict.h"
 
 #include <algorithm>
-#include <mutex>
-#include <unordered_map>
 
-#include "common/hash.h"
 #include "common/logging.h"
 
 namespace vqllm::gpusim {
@@ -40,30 +37,33 @@ transactions(std::vector<std::uint32_t> &words,
     return static_cast<std::uint64_t>(phases) * degree;
 }
 
-/** Memo key: content digest of every input the estimate depends on. */
+} // namespace
+
 std::uint64_t
-estimatorDigest(const GpuSpec &spec,
-                const std::vector<double> &entry_weights,
-                unsigned entry_bytes, int samples, std::uint64_t seed)
+warpTransactions(const GpuSpec &spec,
+                 const std::vector<std::uint32_t> &lane_byte_addrs,
+                 unsigned bytes_per_lane)
 {
-    std::uint64_t h = fnv1a(entry_weights.data(),
-                            entry_weights.size() * sizeof(double));
-    const std::uint64_t count = entry_weights.size();
-    h = fnv1a(&count, sizeof count, h);
-    h = fnv1a(&entry_bytes, sizeof entry_bytes, h);
-    h = fnv1a(&samples, sizeof samples, h);
-    h = fnv1a(&seed, sizeof seed, h);
-    h = fnv1a(&spec.warp_size, sizeof spec.warp_size, h);
-    return fnv1a(&spec.smem_banks, sizeof spec.smem_banks, h);
+    vqllm_assert(bytes_per_lane > 0, "bytes_per_lane must be positive");
+    vqllm_assert(static_cast<int>(lane_byte_addrs.size()) <= spec.warp_size,
+                 "more lanes than warp size");
+    unsigned phases = (bytes_per_lane + kWordBytes - 1) / kWordBytes;
+
+    std::vector<std::uint32_t> words(lane_byte_addrs.size());
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = lane_byte_addrs[i] / kWordBytes;
+    std::vector<std::uint32_t> bank_count(spec.smem_banks);
+    return transactions(words, bank_count, phases);
 }
 
-/** Monte-Carlo run behind expectedConflictMultiplier (uncached). */
 double
-simulateConflictMultiplier(const GpuSpec &spec,
+expectedConflictMultiplier(const GpuSpec &spec,
                            const std::vector<double> &entry_weights,
                            unsigned entry_bytes, int samples,
                            std::uint64_t seed)
 {
+    vqllm_assert(!entry_weights.empty(), "no entries");
+    vqllm_assert(entry_bytes > 0, "entry_bytes must be positive");
     Rng rng(seed);
 
     // Precompute the popularity CDF once.
@@ -93,54 +93,6 @@ simulateConflictMultiplier(const GpuSpec &spec,
     }
     double avg = static_cast<double>(total_trans) / samples;
     return avg / phases;
-}
-
-} // namespace
-
-std::uint64_t
-warpTransactions(const GpuSpec &spec,
-                 const std::vector<std::uint32_t> &lane_byte_addrs,
-                 unsigned bytes_per_lane)
-{
-    vqllm_assert(bytes_per_lane > 0, "bytes_per_lane must be positive");
-    vqllm_assert(static_cast<int>(lane_byte_addrs.size()) <= spec.warp_size,
-                 "more lanes than warp size");
-    unsigned phases = (bytes_per_lane + kWordBytes - 1) / kWordBytes;
-
-    std::vector<std::uint32_t> words(lane_byte_addrs.size());
-    for (std::size_t i = 0; i < words.size(); ++i)
-        words[i] = lane_byte_addrs[i] / kWordBytes;
-    std::vector<std::uint32_t> bank_count(spec.smem_banks);
-    return transactions(words, bank_count, phases);
-}
-
-double
-expectedConflictMultiplier(const GpuSpec &spec,
-                           const std::vector<double> &entry_weights,
-                           unsigned entry_bytes, int samples,
-                           std::uint64_t seed)
-{
-    vqllm_assert(!entry_weights.empty(), "no entries");
-    vqllm_assert(entry_bytes > 0, "entry_bytes must be positive");
-
-    // The estimate is a pure function of its inputs (seeded RNG), so a
-    // memo hit returns exactly what a rerun would.  Misses simulate
-    // outside the lock; racing misses compute the same value.
-    static std::mutex memo_mutex;
-    static std::unordered_map<std::uint64_t, double> memo;
-    const std::uint64_t key =
-        estimatorDigest(spec, entry_weights, entry_bytes, samples, seed);
-    {
-        std::lock_guard<std::mutex> lock(memo_mutex);
-        auto it = memo.find(key);
-        if (it != memo.end())
-            return it->second;
-    }
-    double m = simulateConflictMultiplier(spec, entry_weights, entry_bytes,
-                                          samples, seed);
-    std::lock_guard<std::mutex> lock(memo_mutex);
-    memo.emplace(key, m);
-    return m;
 }
 
 double

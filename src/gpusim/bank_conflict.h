@@ -53,10 +53,9 @@ std::uint64_t warpTransactions(const GpuSpec &spec,
  * at index*entry_bytes.  The returned multiplier is
  * E[transactions] / word_phases, i.e. 1.0 means conflict-free.
  *
- * Results are memoized process-wide (thread-safe) on an FNV-1a digest
- * of the weights and every other input, including the spec's warp size
- * and bank count; the estimate is deterministic, so a hit returns
- * exactly what a rerun would.
+ * A pure function of its arguments (the RNG is seeded), so callers may
+ * memoize it; kernels::estimateVq*Kernel does, keyed by the histogram
+ * and cache boundaries the weights derive from.
  *
  * @param spec          GPU description
  * @param entry_weights popularity of each entry resident in shared memory

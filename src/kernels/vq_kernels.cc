@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <numeric>
 
 #include "common/bitutils.h"
@@ -17,6 +19,23 @@ using engine::FusionLevel;
 using engine::KernelPlan;
 using engine::OptLevel;
 
+namespace {
+
+/** Sum of the counts at frequency ranks [first, last), both clamped to
+ *  the histogram's size. */
+std::uint64_t
+rankSum(const vq::AccessHistogram &hist, std::size_t first,
+        std::size_t last)
+{
+    const auto &desc = hist.descendingCounts();
+    first = std::min(first, desc.size());
+    last = std::min(std::max(first, last), desc.size());
+    return std::accumulate(desc.begin() + first, desc.begin() + last,
+                           std::uint64_t{0});
+}
+
+} // namespace
+
 TierFractions
 tierHitFractions(const cache::CachePlan &plan,
                  const vq::AccessHistogram *hist)
@@ -26,20 +45,13 @@ tierHitFractions(const cache::CachePlan &plan,
         f.global = 1.0;
         return f;
     }
-    if (hist && hist->counts.size() == plan.total_entries &&
-        hist->total() > 0) {
+    if (hist && hist->size() == plan.total_entries && hist->total() > 0) {
         // Frequency-ranked: entry index == rank after reordering.
-        auto order = hist->frequencyOrder();
-        std::uint64_t reg = 0, shared = 0, total = hist->total();
-        for (std::size_t rank = 0; rank < order.size(); ++rank) {
-            std::uint64_t cnt = hist->counts[order[rank]];
-            if (rank < plan.n_reg)
-                reg += cnt;
-            else if (rank < plan.n_shared)
-                shared += cnt;
-        }
-        f.reg = static_cast<double>(reg) / total;
-        f.shared = static_cast<double>(shared) / total;
+        const auto total = static_cast<double>(hist->total());
+        f.reg = static_cast<double>(rankSum(*hist, 0, plan.n_reg)) / total;
+        f.shared = static_cast<double>(
+                       rankSum(*hist, plan.n_reg, plan.n_shared)) /
+                   total;
     } else {
         f.reg = static_cast<double>(plan.n_reg) / plan.total_entries;
         f.shared = static_cast<double>(plan.n_shared - plan.n_reg) /
@@ -51,7 +63,36 @@ tierHitFractions(const cache::CachePlan &plan,
 
 namespace {
 
-/** Conflict multiplier over the shared-resident entry slice. */
+/**
+ * Key of the conflict-multiplier memo: every input that decides the
+ * estimate.  Under a histogram the shared tier holds frequency ranks
+ * [first_rank, end_rank) of the book with that digest and size; under
+ * uniform popularity (digest 0, which no histogram has) it holds
+ * end_rank equally popular entries.
+ */
+struct ConflictKey
+{
+    std::uint64_t digest = 0;
+    std::size_t entries = 0;
+    std::size_t first_rank = 0;
+    std::size_t end_rank = 0;
+    unsigned entry_bytes = 0;
+    int samples = 0;
+    std::uint64_t seed = 0;
+    int warp_size = 0;
+    int smem_banks = 0;
+
+    auto operator<=>(const ConflictKey &) const = default;
+};
+
+/**
+ * Conflict multiplier over the shared-resident entry slice.
+ *
+ * The Monte-Carlo estimate is a pure function of its key (seeded RNG),
+ * so one process-wide map memoizes it: a hit builds no weight vector
+ * and hashes nothing, and returns exactly what a rerun would.  Misses
+ * simulate outside the lock; racing misses store the same value.
+ */
 double
 sharedConflictMultiplier(const gpusim::GpuSpec &spec,
                          const cache::CachePlan &plan,
@@ -61,22 +102,46 @@ sharedConflictMultiplier(const gpusim::GpuSpec &spec,
     std::size_t resident = plan.sharedEntries();
     if (resident == 0)
         return 1.0;
+    const bool ranked = hist && hist->size() == plan.total_entries;
+    ConflictKey key;
+    if (ranked) {
+        key.digest = hist->digest();
+        key.entries = hist->size();
+        key.first_rank = plan.n_reg;
+        key.end_rank = plan.n_shared;
+    } else {
+        key.end_rank = resident;
+    }
+    key.entry_bytes = static_cast<unsigned>(plan.entry_bytes);
+    key.samples = params.conflict_samples;
+    key.seed = params.conflict_seed;
+    key.warp_size = spec.warp_size;
+    key.smem_banks = spec.smem_banks;
+
+    static std::mutex memo_mutex;
+    static std::map<ConflictKey, double> memo;
+    {
+        std::lock_guard<std::mutex> lock(memo_mutex);
+        auto it = memo.find(key);
+        if (it != memo.end())
+            return it->second;
+    }
     std::vector<double> weights;
-    if (hist && hist->counts.size() == plan.total_entries) {
+    if (ranked) {
         // The shared tier holds frequency ranks [n_reg, n_shared).
-        std::vector<std::uint64_t> sorted(hist->counts);
-        std::sort(sorted.rbegin(), sorted.rend());
+        const auto &desc = hist->descendingCounts();
         for (std::size_t rank = plan.n_reg; rank < plan.n_shared; ++rank)
             weights.push_back(
-                static_cast<double>(sorted[std::min(rank,
-                                                    sorted.size() - 1)]) +
+                static_cast<double>(desc[std::min(rank, desc.size() - 1)]) +
                 1.0);
     } else {
         weights.assign(resident, 1.0);
     }
-    return gpusim::expectedConflictMultiplier(
-        spec, weights, static_cast<unsigned>(plan.entry_bytes),
-        params.conflict_samples, params.conflict_seed);
+    const double m = gpusim::expectedConflictMultiplier(
+        spec, weights, key.entry_bytes, key.samples, key.seed);
+    std::lock_guard<std::mutex> lock(memo_mutex);
+    memo.emplace(key, m);
+    return m;
 }
 
 /** Extra integer work per lookup for index decode. */

@@ -47,8 +47,11 @@ struct TierFractions
  * Compute tier hit fractions for a plan.
  *
  * With a histogram whose size matches the plan's entry count, fractions
- * are exact sums over the frequency-ranked entries; otherwise coverage
- * is assumed uniform.
+ * are exact sums of its descending counts over the tiers' rank ranges;
+ * otherwise coverage is assumed uniform.  A plan with several resident
+ * books counts storedEntries x resident_books entries, so it always
+ * prices uniform popularity.  The estimators below apply the same rule
+ * to the shared tier's bank-conflict weights.
  */
 TierFractions tierHitFractions(const cache::CachePlan &plan,
                                const vq::AccessHistogram *hist);

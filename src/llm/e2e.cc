@@ -23,37 +23,25 @@ const std::vector<OptLevel> kAdaptiveLevels = {OptLevel::O2,
                                                OptLevel::O3,
                                                OptLevel::O4};
 
-/** A profile histogram plus its precomputed engine digest. */
-struct ConfigProfile
-{
-    vq::AccessHistogram histogram;
-    std::uint64_t digest = 0;
-};
-
 /**
  * Stand-in offline profile per VQ config (no quantized tensor at
- * paper scale): a memoized synthetic Zipf histogram with its content
- * digest computed once.  The table is built eagerly for every VQ
- * scheme's weight and KV configs on first use (magic-static init) and
- * is immutable afterwards, so the serving hot path — every decode
- * iteration of every parallel simulation prices through here — reads
- * it without taking any lock.
+ * paper scale): a memoized synthetic Zipf histogram, which derives its
+ * frequency order and content digest once when built.  The table is
+ * built eagerly for every VQ scheme's weight and KV configs on first
+ * use (magic-static init) and is immutable afterwards, so the serving
+ * hot path — every decode iteration of every parallel simulation
+ * prices through here — reads it without taking any lock.
  */
-const ConfigProfile &
-configProfile(const vq::VQConfig &cfg)
+const vq::AccessHistogram &
+configHistogram(const vq::VQConfig &cfg)
 {
-    static const std::map<std::string, ConfigProfile> memo = [] {
-        std::map<std::string, ConfigProfile> table;
+    static const std::map<std::string, vq::AccessHistogram> memo = [] {
+        std::map<std::string, vq::AccessHistogram> table;
         for (auto scheme : {QuantScheme::VQ4, QuantScheme::VQ2}) {
             auto [weight_cfg, kv_cfg] = schemeVqConfigs(scheme);
-            for (const auto &c : {weight_cfg, kv_cfg}) {
-                ConfigProfile profile;
-                profile.histogram =
-                    vq::syntheticZipfHistogram(c.storedEntries());
-                profile.digest =
-                    compiler::histogramDigest(profile.histogram);
-                table.emplace(c.name, std::move(profile));
-            }
+            for (const auto &c : {weight_cfg, kv_cfg})
+                table.emplace(c.name,
+                              vq::syntheticZipfHistogram(c.storedEntries()));
         }
         return table;
     }();
@@ -97,10 +85,8 @@ schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
       case QuantScheme::VQ4:
       case QuantScheme::VQ2: {
         auto weight_cfg = schemeVqConfigs(scheme).first;
-        const auto &profile = configProfile(weight_cfg);
         auto request = compiler::KernelRequest::gemvOp(
-            shape, weight_cfg, OptLevel::O4, &profile.histogram);
-        request.histogram_digest = profile.digest;
+            shape, weight_cfg, OptLevel::O4, &configHistogram(weight_cfg));
         return eng.compileBest(request, kAdaptiveLevels)->latencyUs();
       }
     }
@@ -119,10 +105,8 @@ kvSchemeAttentionUs(compiler::Engine &eng, KvScheme kv,
       case KvScheme::VQ4:
       case KvScheme::VQ2: {
         auto kv_cfg = kvSchemeVqConfig(kv);
-        const auto &profile = configProfile(kv_cfg);
         auto request = compiler::KernelRequest::attentionOp(
-            shape, kv_cfg, OptLevel::O4, &profile.histogram);
-        request.histogram_digest = profile.digest;
+            shape, kv_cfg, OptLevel::O4, &configHistogram(kv_cfg));
         return eng.compileBest(request, kAdaptiveLevels)->latencyUs();
       }
     }

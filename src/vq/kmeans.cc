@@ -60,6 +60,40 @@ assignRows(const Tensor<float> &data, const Tensor<float> &centroids,
         });
 }
 
+} // namespace
+
+double
+detail::kMeansPlusPlusPass(const Tensor<float> &data, const float *centroid,
+                           std::vector<double> &dist_sq,
+                           std::vector<std::size_t> &live)
+{
+    // A pass over the fit rows is a few microseconds, less than a pool
+    // dispatch costs, and k-means++ makes up to k of them in sequence:
+    // run it inline, folding per-chunk partials in chunk order exactly
+    // as par::parallelSum does, so the total is the same bits.
+    const std::size_t dim = data.dim(1);
+    double total = 0, part = 0;
+    std::size_t kept = 0, chunk_end = 0;
+    for (std::size_t i : live) {
+        if (i >= chunk_end) {
+            total += part;
+            part = 0;
+            chunk_end = (i / kAssignGrain + 1) * kAssignGrain;
+        }
+        double d = simd::squaredDistance(data.data() + i * dim, centroid,
+                                         dim);
+        dist_sq[i] = std::min(dist_sq[i], d);
+        part += dist_sq[i];
+        if (dist_sq[i] > 0)
+            live[kept++] = i;
+    }
+    total += part;
+    live.resize(kept);
+    return total;
+}
+
+namespace {
+
 /** Pick initial centroids with k-means++ (D^2 weighting). */
 Tensor<float>
 kMeansPlusPlusInit(const Tensor<float> &data, std::size_t k, Rng &rng)
@@ -82,33 +116,9 @@ kMeansPlusPlusInit(const Tensor<float> &data, std::size_t k, Rng &rng)
     std::vector<std::size_t> live(n);
     std::iota(live.begin(), live.end(), std::size_t{0});
     for (std::size_t c = 1; c < k; ++c) {
-        double total = 0;
-        if (!live.empty()) {
-            // Update distances against the last added centroid.  A
-            // pass over the fit rows is a few microseconds, less than a
-            // pool dispatch costs, and k-means++ makes up to k of them
-            // in sequence: run it inline, folding per-chunk partials in
-            // chunk order exactly as par::parallelSum does, so the total
-            // is the same bits.
-            const float *last = centroids.data() + (c - 1) * dim;
-            std::size_t kept = 0, chunk_end = 0;
-            double part = 0;
-            for (std::size_t i : live) {
-                if (i >= chunk_end) {
-                    total += part;
-                    part = 0;
-                    chunk_end = (i / kAssignGrain + 1) * kAssignGrain;
-                }
-                double d = simd::squaredDistance(data.data() + i * dim,
-                                                 last, dim);
-                dist_sq[i] = std::min(dist_sq[i], d);
-                part += dist_sq[i];
-                if (dist_sq[i] > 0)
-                    live[kept++] = i;
-            }
-            total += part;
-            live.resize(kept);
-        }
+        // Update distances against the last added centroid.
+        const double total = detail::kMeansPlusPlusPass(
+            data, centroids.data() + (c - 1) * dim, dist_sq, live);
         std::size_t chosen;
         if (live.empty()) {
             chosen = rng.uniformInt(n); // every weight is 0

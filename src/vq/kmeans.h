@@ -80,4 +80,22 @@ std::vector<std::uint32_t> assignToNearest(const Tensor<float> &data,
 double rowDistanceSq(const Tensor<float> &A, std::size_t a,
                      const Tensor<float> &B, std::size_t b);
 
+namespace detail {
+
+/**
+ * One D^2 pass of k-means++ initialization: lower `dist_sq[i]` to the
+ * squared distance from row i of `data` to `centroid` for every row in
+ * `live` (ascending row indices), drop the rows that reach 0 from
+ * `live`, and return the D^2 total.  The total folds per-chunk partials
+ * (256-row chunks of the row index, each summed in row order) in chunk
+ * order, the order par::parallelSum folds them, so it has the bits of a
+ * pooled reduction at any thread count.  Rows not in `live` are at 0
+ * and add nothing.
+ */
+double kMeansPlusPlusPass(const Tensor<float> &data, const float *centroid,
+                          std::vector<double> &dist_sq,
+                          std::vector<std::size_t> &live);
+
+} // namespace detail
+
 } // namespace vqllm::vq

@@ -3,94 +3,93 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace vqllm::vq {
 
-std::uint64_t
-AccessHistogram::total() const
+AccessHistogram::AccessHistogram(std::vector<std::uint64_t> counts)
+    : counts_(std::move(counts))
 {
-    return std::accumulate(counts.begin(), counts.end(),
-                           std::uint64_t{0});
-}
-
-double
-AccessHistogram::mean() const
-{
-    if (counts.empty())
-        return 0;
-    return static_cast<double>(total()) /
-           static_cast<double>(counts.size());
-}
-
-double
-AccessHistogram::stddev() const
-{
-    if (counts.empty())
-        return 0;
-    double mu = mean();
-    double acc = 0;
-    for (auto c : counts) {
-        double d = static_cast<double>(c) - mu;
-        acc += d * d;
+    const std::size_t n = counts_.size();
+    // Frequency order: descending count, ties by entry index — the
+    // order a stable sort by count gives, from one plain sort.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> ranked(n);
+    for (std::size_t i = 0; i < n; ++i)
+        ranked[i] = {counts_[i], static_cast<std::uint32_t>(i)};
+    std::sort(ranked.begin(), ranked.end(), [](const auto &a, const auto &b) {
+        return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    order_.resize(n);
+    descending_.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        descending_[r] = ranked[r].first;
+        order_[r] = ranked[r].second;
     }
-    return std::sqrt(acc / static_cast<double>(counts.size()));
+
+    total_ = std::accumulate(counts_.begin(), counts_.end(),
+                             std::uint64_t{0});
+    if (n > 0) {
+        mean_ = static_cast<double>(total_) / static_cast<double>(n);
+        // Entry-index order, so the rounding never depends on the sort.
+        double acc = 0;
+        for (auto c : counts_) {
+            double d = static_cast<double>(c) - mean_;
+            acc += d * d;
+        }
+        stddev_ = std::sqrt(acc / static_cast<double>(n));
+    }
+    const std::uint64_t h =
+        fnv1a(counts_.data(), n * sizeof(std::uint64_t));
+    digest_ = h == 0 ? 1 : h;
 }
 
 std::size_t
 AccessHistogram::entriesAbove(double k_sigma) const
 {
-    double threshold = mean() + k_sigma * stddev();
-    std::size_t n = 0;
-    for (auto c : counts)
-        if (static_cast<double>(c) > threshold)
-            ++n;
-    return n;
+    // Counts above the threshold form a prefix of the descending ones.
+    const double threshold = mean_ + k_sigma * stddev_;
+    return static_cast<std::size_t>(
+        std::partition_point(descending_.begin(), descending_.end(),
+                             [&](std::uint64_t c) {
+                                 return static_cast<double>(c) > threshold;
+                             }) -
+        descending_.begin());
 }
 
 double
 AccessHistogram::fractionBelowMean() const
 {
-    if (counts.empty())
+    if (counts_.empty())
         return 0;
-    double mu = mean();
-    std::size_t n = 0;
-    for (auto c : counts)
-        if (static_cast<double>(c) < mu)
-            ++n;
-    return static_cast<double>(n) / static_cast<double>(counts.size());
-}
-
-std::vector<std::uint32_t>
-AccessHistogram::frequencyOrder() const
-{
-    std::vector<std::uint32_t> order(counts.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                         return counts[a] > counts[b];
-                     });
-    return order;
+    // Counts below the mean form a suffix of the descending ones.
+    auto below = descending_.end() -
+                 std::partition_point(descending_.begin(),
+                                      descending_.end(),
+                                      [&](std::uint64_t c) {
+                                          return !(static_cast<double>(c) <
+                                                   mean_);
+                                      });
+    return static_cast<double>(below) /
+           static_cast<double>(counts_.size());
 }
 
 ProfileResult
 profileAccesses(const QuantizedTensor &qt, std::size_t rows_per_block)
 {
-    ProfileResult res;
-    res.histograms.resize(qt.codebooks.size());
+    std::vector<std::vector<std::uint64_t>> counts(qt.codebooks.size());
     for (std::size_t c = 0; c < qt.codebooks.size(); ++c)
-        res.histograms[c].counts.assign(qt.codebooks[c].storedEntries(),
-                                        0);
+        counts[c].assign(qt.codebooks[c].storedEntries(), 0);
 
-    if (rows_per_block > 0) {
-        res.block_histograms.resize(ceilDiv(qt.rows, rows_per_block));
-        for (auto &h : res.block_histograms)
-            h.counts.assign(qt.codebooks.empty()
-                                ? 0
-                                : qt.codebooks[0].storedEntries(),
-                            0);
-    }
+    std::vector<std::vector<std::uint64_t>> block_counts;
+    if (rows_per_block > 0)
+        block_counts.assign(ceilDiv(qt.rows, rows_per_block),
+                            std::vector<std::uint64_t>(
+                                qt.codebooks.empty()
+                                    ? 0
+                                    : qt.codebooks[0].storedEntries(),
+                                0));
 
     for (std::size_t r = 0; r < qt.rows; ++r) {
         for (std::size_t s = 0; s < qt.subspaces(); ++s) {
@@ -102,13 +101,20 @@ profileAccesses(const QuantizedTensor &qt, std::size_t rows_per_block)
                 std::uint32_t logical = qt.indices.get(
                     qt.indexPosition(r, s, stage));
                 std::uint32_t stored = cb.storedIndexOf(logical);
-                ++res.histograms[cb_id].counts[stored];
+                ++counts[cb_id][stored];
                 if (cb_id == 0 && rows_per_block > 0)
-                    ++res.block_histograms[r / rows_per_block]
-                          .counts[stored];
+                    ++block_counts[r / rows_per_block][stored];
             }
         }
     }
+
+    ProfileResult res;
+    res.histograms.reserve(counts.size());
+    for (auto &c : counts)
+        res.histograms.emplace_back(std::move(c));
+    res.block_histograms.reserve(block_counts.size());
+    for (auto &c : block_counts)
+        res.block_histograms.emplace_back(std::move(c));
     return res;
 }
 
@@ -120,8 +126,8 @@ reorderByFrequency(QuantizedTensor &qt)
     // Reorder every codebook and remember the old->new index maps.
     std::vector<std::vector<std::uint32_t>> inverse(qt.codebooks.size());
     for (std::size_t c = 0; c < qt.codebooks.size(); ++c) {
-        auto perm = profile.histograms[c].frequencyOrder();
-        inverse[c] = qt.codebooks[c].reorder(perm);
+        inverse[c] =
+            qt.codebooks[c].reorder(profile.histograms[c].frequencyOrder());
     }
 
     // Rewrite the packed index stream with the new entry numbering.
@@ -157,13 +163,11 @@ reorderByFrequency(QuantizedTensor &qt)
 AccessHistogram
 syntheticZipfHistogram(std::size_t entries, double alpha)
 {
-    AccessHistogram hist;
     auto weights = powerLawWeights(entries, alpha);
-    hist.counts.resize(entries);
+    std::vector<std::uint64_t> counts(entries);
     for (std::size_t i = 0; i < entries; ++i)
-        hist.counts[i] =
-            static_cast<std::uint64_t>(weights[i] * 100000.0) + 1;
-    return hist;
+        counts[i] = static_cast<std::uint64_t>(weights[i] * 100000.0) + 1;
+    return AccessHistogram(std::move(counts));
 }
 
 } // namespace vqllm::vq

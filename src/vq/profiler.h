@@ -8,31 +8,53 @@
  * base entry).  The profiler computes global and per-block histograms —
  * the data behind paper Fig. 8 (skew), Fig. 9 (consistency across
  * blocks), and Tbl. V (#entries above mu+3sigma) — and derives the
- * frequency ordering used by the codebook cache.
+ * frequency ordering used by the codebook cache.  Histograms are
+ * immutable values built from their counts (see AccessHistogram).
  */
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/hash.h"
 #include "vq/quantizer.h"
 
 namespace vqllm::vq {
 
-/** Access histogram of one codebook. */
-struct AccessHistogram
+/**
+ * Access histogram of one codebook: an immutable value.
+ *
+ * The constructor derives, once, every fact the offline phase reads
+ * (paper Sec. V-B, Alg. 2): the frequency order (one stable sort,
+ * reused by reorderByFrequency), the counts in that order, the total,
+ * mean and population standard deviation, and the FNV-1a content
+ * digest the compiler keys kernels on.  Accessors read them; nothing
+ * sorts, rescans or hashes the counts again, so a cold compile against
+ * a 4,096-entry book pays none of that per kernel.
+ */
+class AccessHistogram
 {
-    /** Access count per stored entry index. */
-    std::vector<std::uint64_t> counts;
+  public:
+    /** An empty histogram (no entries). */
+    AccessHistogram() = default;
+
+    /** Derive the histogram of per-entry access `counts`. */
+    explicit AccessHistogram(std::vector<std::uint64_t> counts);
+
+    /** @return access count per stored entry index. */
+    const std::vector<std::uint64_t> &counts() const { return counts_; }
+
+    /** @return number of entries. */
+    std::size_t size() const { return counts_.size(); }
 
     /** @return total accesses. */
-    std::uint64_t total() const;
+    std::uint64_t total() const { return total_; }
 
-    /** @return mean accesses per entry. */
-    double mean() const;
+    /** @return mean accesses per entry (0 when empty). */
+    double mean() const { return mean_; }
 
     /** @return population standard deviation of accesses. */
-    double stddev() const;
+    double stddev() const { return stddev_; }
 
     /** @return number of entries with count > mean + k*stddev. */
     std::size_t entriesAbove(double k_sigma) const;
@@ -44,7 +66,32 @@ struct AccessHistogram
      * @return permutation sorting entries by descending frequency
      *         (perm[new_index] = old_index; ties by old index)
      */
-    std::vector<std::uint32_t> frequencyOrder() const;
+    const std::vector<std::uint32_t> &
+    frequencyOrder() const
+    {
+        return order_;
+    }
+
+    /** @return counts in frequency order: counts()[frequencyOrder()[r]]
+     *          at rank r, non-increasing. */
+    const std::vector<std::uint64_t> &
+    descendingCounts() const
+    {
+        return descending_;
+    }
+
+    /** @return FNV-1a digest of the counts' bytes, never 0 (0 stands
+     *          for "no histogram" in keys). */
+    std::uint64_t digest() const { return digest_; }
+
+  private:
+    std::vector<std::uint64_t> counts_;
+    std::vector<std::uint32_t> order_;
+    std::vector<std::uint64_t> descending_;
+    std::uint64_t total_ = 0;
+    double mean_ = 0;
+    double stddev_ = 0;
+    std::uint64_t digest_ = kFnv1aBasis;
 };
 
 /** Profiling results over a quantized tensor. */

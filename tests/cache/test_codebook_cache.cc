@@ -95,10 +95,10 @@ TEST(PlanCache, AdaptivePlanNeverHurtsOccupancy)
 TEST(PlanCache, HistogramCapsRegisterTier)
 {
     // Only entries hotter than mu+3sigma deserve registers.
-    vq::AccessHistogram hist;
-    hist.counts.assign(256, 10);
-    hist.counts[0] = 10000;
-    hist.counts[1] = 9000; // 2 hot entries
+    std::vector<std::uint64_t> counts(256, 10);
+    counts[0] = 10000;
+    counts[1] = 9000; // 2 hot entries
+    const vq::AccessHistogram hist(std::move(counts));
     auto plan = planCache(rtx4090(), {128, 2048, 32}, 256, 8, &hist);
     EXPECT_EQ(plan.n_reg, 2u);
     // Without a histogram the policy cap applies.

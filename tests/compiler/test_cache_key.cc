@@ -4,7 +4,8 @@
  * must separate keys (histogram presence, size and contents, level,
  * shape, kind, config), while equivalent spellings of one request
  * (attention kv_heads MHA default, the unused shape member, an equal
- * histogram at another address, a precomputed digest) must collide.
+ * histogram at another address or built from equal counts) must
+ * collide.
  * The struct key is checked against a reference string key on seeded
  * random request pairs.  The engine's planning policy is not part of
  * the key; the policy tests check that the engine owning it plans with
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "compiler/engine.h"
 #include "vq/profiler.h"
@@ -61,11 +63,9 @@ referenceKey(const KernelRequest &request)
     if (request.histogram == nullptr) {
         key << "none";
     } else {
-        std::uint64_t digest = request.histogram_digest != 0
-                                   ? request.histogram_digest
-                                   : histogramDigest(*request.histogram);
-        key << request.histogram->counts.size() << ":" << std::hex
-            << digest;
+        const auto &counts = request.histogram->counts();
+        key << counts.size() << ":" << std::hex
+            << fnv1a(counts.data(), counts.size() * sizeof counts[0]);
     }
     return key.str();
 }
@@ -120,17 +120,8 @@ randomRequest(Rng &rng, const std::vector<vq::AccessHistogram> &hists)
     r.attn.kv_heads = pick<std::size_t>(rng, {0, r.attn.heads, 8});
     r.config = pick(rng, vq::paperConfigs());
     r.level = randomLevel(rng);
-    switch (rng.uniformInt(3)) {
-      case 0:
-        break; // no histogram
-      case 1:
+    if (rng.uniformInt(3) != 0)
         r.histogram = &hists[rng.uniformInt(hists.size())];
-        break;
-      default:
-        r.histogram = &hists[rng.uniformInt(hists.size())];
-        r.histogram_digest = histogramDigest(*r.histogram);
-        break;
-    }
     return r;
 }
 
@@ -169,15 +160,15 @@ mutateConfig(Rng &rng, vq::VQConfig &cfg)
  * single config field, one dimension of the active shape, the kind,
  * the histogram's size or contents), others must not (the unused shape
  * member, kv_heads between 0 and its explicit value, an equal
- * histogram at another address, a precomputed digest); level and
- * kv_heads edits may land on the old value.
+ * histogram at another address); level and kv_heads edits may land on
+ * the old value.
  */
 void
 mutateRequest(Rng &rng, const std::vector<vq::AccessHistogram> &hists,
               KernelRequest &r)
 {
     const bool attention = r.kind == engine::OpKind::AttentionDecode;
-    const auto edit = rng.uniformInt(11);
+    const auto edit = rng.uniformInt(9);
     switch (edit) {
       case 0:
         r.level = randomLevel(rng);
@@ -211,40 +202,17 @@ mutateRequest(Rng &rng, const std::vector<vq::AccessHistogram> &hists,
       case 6:
         // Drop the histogram, or add one where there was none.
         r.histogram = r.histogram == nullptr ? &hists[0] : nullptr;
-        r.histogram_digest = 0;
         break;
       case 7:
         // The equal-content twin at another address.
         if (r.histogram != nullptr)
             r.histogram = &hists[(r.histogram - hists.data()) ^ 1];
         break;
-      case 8:
+      default:
         // Any histogram of the pool: another size, another content or
         // the same one.
-        if (r.histogram != nullptr) {
-            r.histogram = &hists[rng.uniformInt(hists.size())];
-            r.histogram_digest = 0;
-        }
-        break;
-      case 9:
-        // Precompute the digest, or drop the precomputed one.
         if (r.histogram != nullptr)
-            r.histogram_digest = r.histogram_digest == 0
-                                     ? histogramDigest(*r.histogram)
-                                     : 0;
-        break;
-      default:
-        // A histogram of the other size under the old digest.  The
-        // key takes a supplied digest on trust, so only the entry
-        // count tells the two apart.
-        if (r.histogram != nullptr) {
-            std::uint64_t digest = r.histogram_digest != 0
-                                       ? r.histogram_digest
-                                       : histogramDigest(*r.histogram);
-            std::size_t slot = r.histogram - hists.data();
-            r.histogram = &hists[(slot + hists.size() / 2) % hists.size()];
-            r.histogram_digest = digest;
-        }
+            r.histogram = &hists[rng.uniformInt(hists.size())];
         break;
     }
 }
@@ -322,15 +290,21 @@ TEST(CacheKey, ShuffleThresholdChangesThePlan)
     EXPECT_NE(fused->plan().summary(), unfused->plan().summary());
 }
 
-TEST(CacheKey, PrecomputedHistogramDigestMatchesInlineHash)
+TEST(CacheKey, HistogramsBuiltFromEqualCountsCollide)
 {
-    auto hist = vq::syntheticZipfHistogram(256);
-    auto inline_hashed = baseRequest();
-    inline_hashed.histogram = &hist;
-    auto precomputed = inline_hashed;
-    precomputed.histogram_digest = histogramDigest(hist);
-    EXPECT_EQ(Engine::cacheKey(inline_hashed),
-              Engine::cacheKey(precomputed));
+    // Two histograms built separately from equal counts (not copies of
+    // one value) derive the same digest, so they share a key.
+    std::vector<std::uint64_t> counts(512);
+    Rng rng(512);
+    for (auto &c : counts)
+        c = rng.uniformInt(100);
+    const vq::AccessHistogram a(counts), b(counts);
+    auto ra = baseRequest();
+    ra.histogram = &a;
+    auto rb = baseRequest();
+    rb.histogram = &b;
+    EXPECT_EQ(Engine::cacheKey(ra), Engine::cacheKey(rb));
+    EXPECT_EQ(Engine::cacheKey(ra).histogram_digest, a.digest());
 }
 
 TEST(CacheKey, LevelShapeKindAndConfigSeparateKeys)

@@ -232,21 +232,24 @@ TEST(BankConflict, MultiplierMatchesReferenceExactly)
                                   96, 10));
 }
 
-TEST(ConflictMemo, KeyCoversWeightContentNotOnlySize)
+// The estimator is a pure function: the memo in front of it lives in
+// the kernel estimators, keyed by the histogram and cache boundaries
+// (tests/kernels/test_histogram_estimates.cc).  These tests pin that
+// every input decides the estimate and that callers share no state.
+
+TEST(ConflictEstimator, WeightContentNotOnlySizeDecides)
 {
     const GpuSpec &spec = rtx4090();
     const std::vector<double> uniform(256, 1.0);
     const auto skew = powerLawWeights(256, 2.0);
     // Same size, entry width, samples and seed: only content differs.
-    // Populate the memo with the uniform entry first, so a size-only
-    // key would hand the skewed call the uniform result.
     double mu = expectedConflictMultiplier(spec, uniform, 8, 200, 31);
     double ms = expectedConflictMultiplier(spec, skew, 8, 200, 31);
     EXPECT_NE(mu, ms);
     EXPECT_EQ(ms, referenceMultiplier(spec, skew, 8, 200, 31));
 }
 
-TEST(ConflictMemo, KeyCoversBankCount)
+TEST(ConflictEstimator, BankCountDecides)
 {
     GpuSpec narrow = rtx4090();
     narrow.smem_banks = 16;
@@ -257,11 +260,11 @@ TEST(ConflictMemo, KeyCoversBankCount)
                                        8, 200, 32));
 }
 
-TEST(ConflictMemo, ConcurrentCallsMatchSerialFirstCall)
+TEST(ConflictEstimator, ConcurrentCallsMatchSerial)
 {
-    // Memo hits (inputs first computed serially) and racing misses
-    // (fresh inputs several chunks compute at once) through par:: must
-    // both return exactly the serial values.
+    // Inputs first computed serially and fresh inputs several chunks
+    // compute at once through par:: must both return exactly the
+    // serial values.
     const GpuSpec &spec = rtx4090();
     constexpr std::size_t kInputs = 8, kRepeats = 8;
     auto weightsFor = [](std::size_t i) {

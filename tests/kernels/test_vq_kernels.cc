@@ -242,13 +242,12 @@ zipfHistogram(const vq::VQConfig &cfg)
     auto it = memo.find(cfg.name);
     if (it != memo.end())
         return it->second;
-    vq::AccessHistogram hist;
     auto weights = powerLawWeights(cfg.storedEntries(), 1.0);
-    hist.counts.resize(weights.size());
+    std::vector<std::uint64_t> counts(weights.size());
     for (std::size_t i = 0; i < weights.size(); ++i)
-        hist.counts[i] =
-            static_cast<std::uint64_t>(weights[i] * 100000.0) + 1;
-    return memo.emplace(cfg.name, std::move(hist)).first->second;
+        counts[i] = static_cast<std::uint64_t>(weights[i] * 100000.0) + 1;
+    return memo.emplace(cfg.name, vq::AccessHistogram(std::move(counts)))
+        .first->second;
 }
 
 KernelResult
@@ -418,8 +417,8 @@ TEST(VqModel, TierFractionsFollowHistogramSkew)
     plan.n_shared = 8;
     plan.total_entries = 16;
     plan.entry_bytes = 8;
-    vq::AccessHistogram hist;
-    hist.counts = {100, 80, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1};
+    const vq::AccessHistogram hist(
+        {100, 80, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1});
     auto f = tierHitFractions(plan, &hist);
     EXPECT_NEAR(f.reg, 180.0 / 218.0, 1e-9);
     EXPECT_NEAR(f.shared, 30.0 / 218.0, 1e-9);

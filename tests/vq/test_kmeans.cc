@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -446,6 +449,67 @@ TEST(KMeans, InertiaMatchesReturnedAssignments)
             }
         }
     }
+}
+
+TEST(KMeans, PlusPlusPassFoldsChunksInParallelSumOrder)
+{
+    // Squared distances near 2^40, 2^0, 2^20 and 2^-40 in the four
+    // 256-row chunks.  Each chunk's partial is exact on its own, while
+    // a running sum already near 2^48 rounds the next chunk's rows to
+    // 2^-4: regrouping the sum (folding a partial one chunk late, or
+    // adding row by row) changes the low bits of the D^2 total, so the
+    // total must be exactly par::parallelSum's fold of the row values.
+    constexpr std::size_t kRows = 1000, kDim = 4;
+    constexpr int kChunkExponent[] = {20, 0, 10, -20};
+    Rng rng(4040);
+    Tensor<float> data({kRows, kDim});
+    for (std::size_t i = 0; i < kRows; ++i) {
+        const int exponent = kChunkExponent[i / ref::kAssignGrain] +
+                             static_cast<int>(rng.uniformInt(5)) - 2;
+        const double scale = std::ldexp(1.0, exponent);
+        for (std::size_t d = 0; d < kDim; ++d)
+            data.at(i, d) =
+                static_cast<float>(scale * rng.uniform(-2.0, 2.0));
+    }
+    auto folded = [&](const std::vector<double> &dist_sq) {
+        return par::parallelSum<double>(
+            kRows, ref::kAssignGrain, [&](const par::ChunkRange &c) {
+                double part = 0;
+                for (std::size_t i = c.begin; i < c.end; ++i)
+                    part += dist_sq[i];
+                return part;
+            });
+    };
+
+    std::vector<double> dist_sq(kRows, std::numeric_limits<double>::max());
+    std::vector<std::size_t> live(kRows);
+    std::iota(live.begin(), live.end(), std::size_t{0});
+    const std::vector<float> origin(kDim, 0.0f);
+    const double first =
+        detail::kMeansPlusPlusPass(data, origin.data(), dist_sq, live);
+    EXPECT_EQ(live.size(), kRows);
+    for (std::size_t i = 0; i < kRows; ++i)
+        ASSERT_EQ(dist_sq[i], simd::squaredDistance(
+                                  data.data() + i * kDim, origin.data(),
+                                  kDim))
+            << "row " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(first),
+              std::bit_cast<std::uint64_t>(folded(dist_sq)));
+
+    // A second centroid on row 300: that row drops to 0 and out of the
+    // live set, the others keep their minimum, and the total folds the
+    // same way (the dropped row adds +0.0 to its chunk).
+    const std::vector<float> on_row(data.data() + 300 * kDim,
+                                    data.data() + 301 * kDim);
+    const double second =
+        detail::kMeansPlusPlusPass(data, on_row.data(), dist_sq, live);
+    EXPECT_EQ(dist_sq[300], 0.0);
+    EXPECT_EQ(std::count(live.begin(), live.end(), std::size_t{300}), 0);
+    EXPECT_EQ(live.size(), static_cast<std::size_t>(std::count_if(
+                               dist_sq.begin(), dist_sq.end(),
+                               [](double d) { return d > 0; })));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(second),
+              std::bit_cast<std::uint64_t>(folded(dist_sq)));
 }
 
 TEST(KMeansDeath, RejectsBadInput)

@@ -51,12 +51,12 @@ TEST(Profiler, BlockHistogramsSumToGlobal)
     auto qt = quantizedSample();
     auto prof = profileAccesses(qt, 32);
     ASSERT_EQ(prof.block_histograms.size(), 4u);
-    std::vector<std::uint64_t> summed(prof.histograms[0].counts.size(),
+    std::vector<std::uint64_t> summed(prof.histograms[0].size(),
                                       0);
     for (const auto &bh : prof.block_histograms)
-        for (std::size_t e = 0; e < bh.counts.size(); ++e)
-            summed[e] += bh.counts[e];
-    EXPECT_EQ(summed, prof.histograms[0].counts);
+        for (std::size_t e = 0; e < bh.size(); ++e)
+            summed[e] += bh.counts()[e];
+    EXPECT_EQ(summed, prof.histograms[0].counts());
 }
 
 TEST(Profiler, HotEntriesConsistentAcrossBlocks)
@@ -89,14 +89,13 @@ TEST(Profiler, FrequencyOrderIsDescending)
     for (const auto &h : prof.histograms) {
         auto order = h.frequencyOrder();
         for (std::size_t i = 1; i < order.size(); ++i)
-            EXPECT_GE(h.counts[order[i - 1]], h.counts[order[i]]);
+            EXPECT_GE(h.counts()[order[i - 1]], h.counts()[order[i]]);
     }
 }
 
 TEST(Profiler, StatsOnKnownHistogram)
 {
-    AccessHistogram h;
-    h.counts = {10, 0, 0, 2};
+    const AccessHistogram h({10, 0, 0, 2});
     EXPECT_EQ(h.total(), 12u);
     EXPECT_DOUBLE_EQ(h.mean(), 3.0);
     EXPECT_DOUBLE_EQ(h.fractionBelowMean(), 0.75);
@@ -126,8 +125,8 @@ TEST(Reorder, MakesIndexZeroTheHottest)
     auto prof = profileAccesses(qt);
     for (const auto &h : prof.histograms) {
         // After reordering, counts are non-increasing in entry index.
-        for (std::size_t e = 1; e < h.counts.size(); ++e)
-            EXPECT_GE(h.counts[e - 1], h.counts[e]);
+        for (std::size_t e = 1; e < h.size(); ++e)
+            EXPECT_GE(h.counts()[e - 1], h.counts()[e]);
     }
 }
 
