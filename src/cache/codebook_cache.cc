@@ -6,17 +6,6 @@
 
 namespace vqllm::cache {
 
-const char *
-tierName(Tier tier)
-{
-    switch (tier) {
-      case Tier::Register: return "register";
-      case Tier::Shared:   return "shared";
-      case Tier::Global:   return "global";
-    }
-    return "?";
-}
-
 CachePlan
 planCache(const gpusim::GpuSpec &spec,
           const gpusim::BlockResources &compute_block,

@@ -41,9 +41,6 @@ enum class Tier {
     Global,
 };
 
-/** @return printable tier name. */
-const char *tierName(Tier tier);
-
 /** Static placement decision for one codebook configuration. */
 struct CachePlan
 {
@@ -138,6 +135,16 @@ struct AccessStats
     total() const
     {
         return reg_hits + shared_hits + global_hits;
+    }
+
+    /** Accumulate another tier tally into this one. */
+    AccessStats &
+    operator+=(const AccessStats &o)
+    {
+        reg_hits += o.reg_hits;
+        shared_hits += o.shared_hits;
+        global_hits += o.global_hits;
+        return *this;
     }
 };
 

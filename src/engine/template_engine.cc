@@ -9,15 +9,6 @@ namespace vqllm::engine {
 
 namespace {
 
-/** Dequantized-data staging buffer for shared-memory fusion. */
-std::size_t
-stagingBytes(const gpusim::BlockResources &base, const vq::VQConfig &config)
-{
-    // Each thread stages one dequantized FP16 sub-vector.
-    return static_cast<std::size_t>(base.threads) * config.vector_size *
-           2;
-}
-
 /** Cache policy for a Tbl. IV optimization rung. */
 cache::CachePolicy
 policyForLevel(OptLevel level)
@@ -43,13 +34,74 @@ policyForLevel(OptLevel level)
     return policy;
 }
 
-/** Finalize block resources and grid occupancy-related fields. */
+/**
+ * The Tbl. IV ladder, applied once for every kernel kind.  The caller
+ * has set the plan's kind, config, level, shape, codebook-centric
+ * dataflow and total book count; each rung switches its technique on:
+ *
+ *   below O3  the baseline dataflow (no split, no reduction stage)
+ *   below O4  shared-memory fusion (dequantized data staged per thread)
+ *   GC        no resident book (planCache's empty plan)
+ *   SC        one phase's books resident, greedily cached in shared
+ *   O1, O2    one resident book, adaptive shared (+ register) tiers
+ *
+ * Cache boundaries are carved from the slack the staged consumer leaves,
+ * and the block's final resources add the staging and the cache.
+ *
+ * @param traversal_books books a baseline block traverses
+ * @param phases          phases that reuse SC's resident space in turn
+ *                        (1 for weights; K then V for attention)
+ */
 void
-finalizeBlock(KernelPlan &plan, const gpusim::BlockResources &base,
-              std::size_t staging)
+applyLadder(KernelPlan &plan, const PlanInputs &in,
+            std::uint64_t traversal_books, std::uint64_t phases)
 {
-    plan.block = base;
-    plan.block.smem_bytes += staging + plan.cache_plan.smemBytes();
+    vqllm_assert(in.spec != nullptr, "PlanInputs.spec is required");
+    const OptLevel level = plan.level;
+    const vq::VQConfig &config = plan.config;
+
+    if (level < OptLevel::O3) {
+        plan.dataflow.split = 1;
+        plan.dataflow.split_factor_raw = 1.0;
+        plan.dataflow.codebook_bytes =
+            plan.dataflow.baseline_codebook_bytes;
+        plan.dataflow.reduce_bytes = 0;
+        plan.dataflow.compute_duplication = 1.0;
+    } else {
+        traversal_books = std::max<std::uint64_t>(
+            1, traversal_books / plan.dataflow.split);
+    }
+    plan.switches_per_block = traversal_books;
+    plan.resident_books = level == OptLevel::GC ? 0
+                          : level == OptLevel::SC ? traversal_books / phases
+                                                  : 1;
+
+    if (level >= OptLevel::O4) {
+        plan.fusion = planFusion(config, plan.kind, in.spec->warp_size,
+                                 in.shuffle_threshold);
+    } else {
+        plan.fusion.level = FusionLevel::Shared;
+        plan.fusion.compute_layout = computeLayout(plan.kind);
+        plan.fusion.num_shuffles = 0;
+    }
+
+    // Shared-memory fusion stages one dequantized FP16 sub-vector per
+    // thread.
+    const gpusim::BlockResources base = baseBlockResources(plan.kind, true);
+    const std::size_t staging =
+        plan.fusion.level == FusionLevel::Shared
+            ? static_cast<std::size_t>(base.threads) * config.vector_size * 2
+            : 0;
+    gpusim::BlockResources consumer = base;
+    consumer.smem_bytes += staging;
+    plan.cache_plan = cache::planCache(
+        *in.spec, consumer,
+        config.storedEntries() *
+            std::max<std::uint64_t>(plan.resident_books, 1),
+        config.entryBytes(), in.histogram, policyForLevel(level));
+
+    plan.block = consumer;
+    plan.block.smem_bytes += plan.cache_plan.smemBytes();
     plan.block.regs_per_thread += plan.cache_plan.regsPerThread();
 }
 
@@ -83,7 +135,6 @@ planWeightKernel(OpKind kind, const GemmShape &shape,
                  const vq::VQConfig &config, OptLevel level,
                  const PlanInputs &in)
 {
-    vqllm_assert(in.spec != nullptr, "PlanInputs.spec is required");
     vqllm_assert(kind == OpKind::GeMM || kind == OpKind::GeMV,
                  "weight kernel requires GeMM/GeMV");
     KernelPlan plan;
@@ -92,27 +143,7 @@ planWeightKernel(OpKind kind, const GemmShape &shape,
     plan.level = level;
     plan.gemm = shape;
     plan.uses_tensor_cores = (kind == OpKind::GeMM);
-
-    // --- Dataflow (O3 enables the split heuristic) ---------------------
     plan.dataflow = planWeightDataflow(shape, config, kind);
-    if (level < OptLevel::O3) {
-        plan.dataflow.split = 1;
-        plan.dataflow.split_factor_raw = 1.0;
-        plan.dataflow.codebook_bytes =
-            plan.dataflow.baseline_codebook_bytes;
-        plan.dataflow.reduce_bytes = 0;
-        plan.dataflow.compute_duplication = 1.0;
-    }
-
-    // --- Fusion (O4 enables register-level fusion) ----------------------
-    if (level >= OptLevel::O4) {
-        plan.fusion = planFusion(config, kind, in.spec->warp_size,
-                                 in.shuffle_threshold);
-    } else {
-        plan.fusion.level = FusionLevel::Shared;
-        plan.fusion.compute_layout = computeLayout(kind);
-        plan.fusion.num_shuffles = 0;
-    }
 
     // --- Codebook accounting ---------------------------------------------
     std::uint64_t tiles_k = ceilDiv(shape.k, vq::kGptvqTileRows);
@@ -132,35 +163,7 @@ planWeightKernel(OpKind kind, const GemmShape &shape,
         traversal_books = plan.total_books;
         break;
     }
-    if (level >= OptLevel::O3)
-        traversal_books = std::max<std::uint64_t>(
-            1, traversal_books / plan.dataflow.split);
-    plan.switches_per_block = traversal_books;
-    plan.resident_books = level == OptLevel::GC ? 0
-                          : level == OptLevel::SC ? traversal_books
-                                                  : 1;
-
-    // --- Codebook cache ----------------------------------------------------
-    gpusim::BlockResources base = baseBlockResources(kind, true);
-    std::size_t staging = plan.fusion.level == FusionLevel::Shared
-                              ? stagingBytes(base, config)
-                              : 0;
-    gpusim::BlockResources consumer = base;
-    consumer.smem_bytes += staging;
-
-    std::size_t working_entries =
-        config.storedEntries() * std::max<std::uint64_t>(
-                                     plan.resident_books, 1);
-    plan.cache_plan = cache::planCache(
-        *in.spec, consumer, working_entries, config.entryBytes(),
-        in.histogram, policyForLevel(level));
-    if (level == OptLevel::GC) {
-        plan.cache_plan.total_entries = config.storedEntries();
-        plan.cache_plan.n_reg = 0;
-        plan.cache_plan.n_shared = 0;
-    }
-
-    finalizeBlock(plan, base, staging);
+    applyLadder(plan, in, traversal_books, /*phases=*/1);
 
     // --- Grid ------------------------------------------------------------
     std::uint64_t blocks_n =
@@ -180,77 +183,27 @@ KernelPlan
 planAttentionKernel(const AttnShape &shape, const vq::VQConfig &config,
                     OptLevel level, const PlanInputs &in)
 {
-    vqllm_assert(in.spec != nullptr, "PlanInputs.spec is required");
     KernelPlan plan;
     plan.kind = OpKind::AttentionDecode;
     plan.config = config;
     plan.level = level;
     plan.attn = shape;
-    plan.uses_tensor_cores = false;
-
     plan.dataflow = planAttentionDataflow(shape, config);
-    if (level < OptLevel::O3) {
-        plan.dataflow.split = 1;
-        plan.dataflow.split_factor_raw = 1.0;
-        plan.dataflow.codebook_bytes =
-            plan.dataflow.baseline_codebook_bytes;
-        plan.dataflow.reduce_bytes = 0;
-    }
+
+    // --- Codebook accounting -----------------------------------------------
+    // A block traverses its KV head's K and V books; SC keeps one phase's
+    // books resident (K then V reuse the space).
+    std::uint64_t groups = std::max<std::uint64_t>(
+        shape.head_dim / config.vector_size, 1);
+    plan.total_books = shape.kvHeads() * groups * 2;
+    applyLadder(plan, in, groups * 2, /*phases=*/2);
 
     // V-cache accumulation mismatches the dequantization layout (Fig. 6)
-    // and needs the exchange; the K cache dequantizes in consumption
-    // order (row-wise inner product) and never does.
-    if (level >= OptLevel::O4) {
-        plan.fusion = planFusion(config, OpKind::AttentionDecode,
-                                 in.spec->warp_size, in.shuffle_threshold);
-    } else {
-        plan.fusion.level = FusionLevel::Shared;
-        plan.fusion.compute_layout = computeLayout(
-            OpKind::AttentionDecode);
-        plan.fusion.num_shuffles = 0;
-    }
+    // and needs the exchange the ladder planned; the K cache dequantizes
+    // in consumption order (row-wise inner product) and never does.
     plan.fusion_k = planFusion(config, OpKind::AttentionDecode,
                                in.spec->warp_size, in.shuffle_threshold,
                                /*layout_matches=*/true);
-
-    // --- Codebook accounting -----------------------------------------------
-    std::uint64_t groups = std::max<std::uint64_t>(
-        shape.head_dim / config.vector_size, 1);
-    plan.total_books = shape.kvHeads() * groups * 2; // K and V books
-    std::uint64_t traversal_books = groups * 2;  // per block: K + V phase
-    if (level >= OptLevel::O3)
-        traversal_books = std::max<std::uint64_t>(
-            2, 2 * groups / plan.dataflow.split);
-    plan.switches_per_block = traversal_books;
-    // SC keeps one phase's codebooks resident (K then V reuse the space).
-    plan.resident_books = level == OptLevel::GC ? 0
-                          : level == OptLevel::SC
-                              ? (level >= OptLevel::O3
-                                     ? traversal_books / 2
-                                     : groups)
-                              : 1;
-
-    gpusim::BlockResources base =
-        baseBlockResources(OpKind::AttentionDecode, true);
-    std::size_t staging = plan.fusion.level == FusionLevel::Shared
-                              ? stagingBytes(base, config)
-                              : 0;
-    gpusim::BlockResources consumer = base;
-    consumer.smem_bytes += staging;
-
-    std::size_t working_entries =
-        config.storedEntries() * std::max<std::uint64_t>(
-                                     plan.resident_books, 1);
-    plan.cache_plan = cache::planCache(
-        *in.spec, consumer, working_entries, config.entryBytes(),
-        in.histogram, policyForLevel(level));
-    if (level == OptLevel::GC) {
-        plan.cache_plan.total_entries = config.storedEntries();
-        plan.cache_plan.n_reg = 0;
-        plan.cache_plan.n_shared = 0;
-    }
-
-    finalizeBlock(plan, base, staging);
 
     // --- Grid ---------------------------------------------------------------
     std::uint64_t bh = static_cast<std::uint64_t>(shape.batch) *

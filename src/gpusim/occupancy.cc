@@ -128,16 +128,4 @@ computeSlack(const GpuSpec &spec, const BlockResources &block)
     return slack;
 }
 
-const char *
-limiterName(OccupancyLimiter limiter)
-{
-    switch (limiter) {
-      case OccupancyLimiter::Threads:      return "threads";
-      case OccupancyLimiter::SharedMemory: return "shared-memory";
-      case OccupancyLimiter::Registers:    return "registers";
-      case OccupancyLimiter::BlockSlots:   return "block-slots";
-    }
-    return "?";
-}
-
 } // namespace vqllm::gpusim

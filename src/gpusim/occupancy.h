@@ -79,7 +79,4 @@ OccupancyResult computeOccupancy(const GpuSpec &spec,
  */
 ResourceSlack computeSlack(const GpuSpec &spec, const BlockResources &block);
 
-/** @return name of an occupancy limiter, for logs and tables. */
-const char *limiterName(OccupancyLimiter limiter);
-
 } // namespace vqllm::gpusim

@@ -65,25 +65,6 @@ struct KernelCounters
         return *this;
     }
 
-    /** Scale all counters by an integer factor (e.g. per-block -> grid). */
-    KernelCounters &
-    operator*=(std::uint64_t k)
-    {
-        dram_read_bytes *= k;
-        dram_write_bytes *= k;
-        global_to_shared_bytes *= k;
-        shared_to_reg_bytes *= k;
-        reg_to_shared_bytes *= k;
-        smem_transactions *= k;
-        smem_ideal_transactions *= k;
-        flops *= k;
-        dequant_lookups *= k;
-        unpack_ops *= k;
-        shuffle_ops *= k;
-        reduce_bytes *= k;
-        return *this;
-    }
-
     /** @return average bank-conflict multiplier over shared accesses. */
     double
     conflictMultiplier() const

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -176,15 +177,12 @@ addCodebookCounters(gpusim::KernelCounters &c, const KernelPlan &plan,
                   plan.cache_plan.total_entries;
     std::uint64_t preload = static_cast<std::uint64_t>(
         static_cast<double>(plan.dataflow.codebook_bytes) * coverage);
-    if (plan.level == OptLevel::GC)
-        preload = 0;
     c.dram_read_bytes += preload;
     c.global_to_shared_bytes += preload;
 
     // Global-tier lookups fetch entries through L1 with poor locality.
-    double global_frac = plan.level == OptLevel::GC ? 1.0 : f.global;
     std::uint64_t global_lookups = static_cast<std::uint64_t>(
-        static_cast<double>(lookups) * global_frac);
+        static_cast<double>(lookups) * f.global);
     c.dram_read_bytes += static_cast<std::uint64_t>(
         static_cast<double>(global_lookups) * (1.0 - params.gc_l1_hit) *
         params.sector_bytes);
@@ -389,95 +387,119 @@ class WarpAccessRecorder
     std::vector<std::uint32_t> pending_;
 };
 
-/**
- * Per-chunk runtime state for a functional execution.
- *
- * Each statically assigned chunk of output rows/heads owns a private
- * context: private CodebookCache instances, private KernelCounters and
- * a private WarpAccessRecorder.  Chunk contexts are merged into the
- * FunctionalResult in chunk-index order, so outputs and event counters
- * are bit-identical for any thread count (the chunk layout depends only
- * on the problem size — see common/parallel.h).
- *
- * Codebook Load traffic is counted once per kernel traversal
- * (single-block-equivalent accounting): only the chunk-0 context passes
- * a counter sink to CodebookCache::load.
- */
-struct FunctionalContext
+/** Counters and tier statistics of one chunk, merged in chunk order. */
+struct ChunkTally
 {
-    const KernelPlan &plan;
     gpusim::KernelCounters counters;
     cache::AccessStats stats;
-    std::vector<cache::CodebookCache> caches;
-    WarpAccessRecorder recorder;
 
-    FunctionalContext(const gpusim::GpuSpec &s, const KernelPlan &p,
-                      const vq::QuantizedTensor &qt, bool count_load)
-        : plan(p),
-          recorder(s, counters,
-                   static_cast<unsigned>(qt.config.entryBytes())),
-          dec_(qt.config.vector_size)
+    ChunkTally &
+    operator+=(const ChunkTally &o)
     {
-        cache::CachePlan book_plan = p.cache_plan;
+        counters += o.counters;
+        stats += o.stats;
+        return *this;
+    }
+};
+
+/**
+ * One quantized operand's runtime state inside one chunk: private
+ * CodebookCache instances and a private WarpAccessRecorder, counting
+ * into the chunk's counters.
+ *
+ * Codebook Load traffic is counted once per kernel traversal
+ * (single-block-equivalent accounting): only chunk 0 passes a counter
+ * sink to CodebookCache::load.
+ */
+class OperandContext
+{
+  public:
+    /**
+     * @param staged     charge the shared-memory fusion round-trip of
+     *                   every dequantized sub-vector
+     * @param count_load count the caches' Load traffic
+     */
+    OperandContext(const gpusim::GpuSpec &spec, const KernelPlan &plan,
+                   const vq::QuantizedTensor &qt, bool staged,
+                   bool count_load, gpusim::KernelCounters &counters)
+        : qt_(qt), counters_(counters),
+          recorder_(spec, counters,
+                    static_cast<unsigned>(qt.config.entryBytes())),
+          staged_(staged), dec_(qt.config.vector_size),
+          sub_(qt.config.vector_size)
+    {
+        cache::CachePlan book_plan = plan.cache_plan;
         book_plan.total_entries = qt.config.storedEntries();
         book_plan.n_shared =
             std::min(book_plan.n_shared, book_plan.total_entries);
         book_plan.n_reg = std::min(book_plan.n_reg, book_plan.n_shared);
-        caches.reserve(qt.codebooks.size());
+        caches_.reserve(qt.codebooks.size());
         for (const auto &cb : qt.codebooks)
-            caches.push_back(cache::CodebookCache::load(
-                cb, book_plan, p.warpsPerBlock(),
+            caches_.push_back(cache::CodebookCache::load(
+                cb, book_plan, plan.warpsPerBlock(),
                 count_load ? &counters : nullptr));
     }
 
-    FunctionalContext(const FunctionalContext &) = delete;
-    FunctionalContext &operator=(const FunctionalContext &) = delete;
+    /** The chunk's counters (shared by its operands). */
+    gpusim::KernelCounters &counters() { return counters_; }
 
-    /** Dequantize one sub-vector through the caches, recording events. */
-    void
-    dequant(const vq::QuantizedTensor &qt, std::size_t row,
-            std::size_t subspace, float *out)
+    /**
+     * Dequantize one sub-vector through the caches, recording events.
+     * @return the sub-vector, valid until the next call
+     */
+    const float *
+    dequant(std::size_t row, std::size_t subspace)
     {
-        const unsigned vec = qt.config.vector_size;
+        const unsigned vec = qt_.config.vector_size;
+        float *out = sub_.data();
         for (unsigned d = 0; d < vec; ++d)
             out[d] = 0.0f;
         float *dec = dec_.data();
-        std::size_t unit = qt.codebookUnit(row, subspace);
-        for (unsigned stage = 0; stage < qt.config.residuals; ++stage) {
-            std::size_t cb_id = unit * qt.config.residuals + stage;
-            auto &cache = caches[cb_id];
+        std::size_t unit = qt_.codebookUnit(row, subspace);
+        for (unsigned stage = 0; stage < qt_.config.residuals; ++stage) {
+            std::size_t cb_id = unit * qt_.config.residuals + stage;
+            auto &cache = caches_[cb_id];
             std::uint32_t logical =
-                qt.indices.get(qt.indexPosition(row, subspace, stage));
+                qt_.indices.get(qt_.indexPosition(row, subspace, stage));
             cache::Tier tier = cache.access(logical, dec);
-            ++counters.dequant_lookups;
+            ++counters_.dequant_lookups;
             std::uint32_t stored =
                 cache.codebook().storedIndexOf(logical);
-            recorder.record(tier,
-                            tier == cache::Tier::Shared
-                                ? cache.sharedOffsetOf(stored)
-                                : 0);
+            recorder_.record(tier,
+                             tier == cache::Tier::Shared
+                                 ? cache.sharedOffsetOf(stored)
+                                 : 0);
             if (tier == cache::Tier::Global) {
-                counters.dram_read_bytes += qt.config.entryBytes();
+                counters_.dram_read_bytes += qt_.config.entryBytes();
             }
             for (unsigned d = 0; d < vec; ++d)
                 out[d] += dec[d];
         }
+        if (staged_) {
+            counters_.reg_to_shared_bytes += vec * 2;
+            counters_.shared_to_reg_bytes += vec * 2;
+        }
+        return out;
     }
 
+    /** Flush the last partial warp and add the caches' tier hits. */
     void
-    finish()
+    finish(cache::AccessStats &stats)
     {
-        recorder.flush();
-        for (auto &cache : caches) {
-            stats.reg_hits += cache.stats().reg_hits;
-            stats.shared_hits += cache.stats().shared_hits;
-            stats.global_hits += cache.stats().global_hits;
-        }
+        recorder_.flush();
+        for (const auto &cache : caches_)
+            stats += cache.stats();
     }
 
   private:
+    const vq::QuantizedTensor &qt_;
+    gpusim::KernelCounters &counters_;
+    std::vector<cache::CodebookCache> caches_;
+    WarpAccessRecorder recorder_;
+    bool staged_;
     /** Reusable decode scratch: dequant sits in every inner loop. */
     std::vector<float> dec_;
+    std::vector<float> sub_;
 };
 
 /** Output rows per functional chunk (one warp of rows). */
@@ -486,15 +508,47 @@ constexpr std::size_t kRowChunk = 32;
 /** Heads per functional attention chunk. */
 constexpr std::size_t kHeadChunk = 1;
 
-/** Merge one chunk context's counters and stats into the result. */
+/**
+ * The scaffold of the functional executors.  [0, n) output rows (or
+ * heads) split into statically sized chunks (common/parallel.h); each
+ * chunk builds one OperandContext per quantized operand and runs
+ * `body(chunk, contexts)`, which writes the chunk's own slice of
+ * `result.output`.  Chunk tallies merge in chunk-index order, so outputs
+ * and counters are bit-identical for any thread count.
+ *
+ * The last operand is the exchanged one (the weights, or the V cache):
+ * shared-memory fusion stages its sub-vectors, and register fusion
+ * charges `exchanged_subvectors` shuffles per warp instead.
+ */
+template <typename Body>
 void
-mergeContext(FunctionalResult &result, const gpusim::KernelCounters &c,
-             const cache::AccessStats &s)
+executeChunked(FunctionalResult &result, const KernelPlan &plan,
+               std::initializer_list<const vq::QuantizedTensor *> operands,
+               std::size_t n, std::size_t grain,
+               std::uint64_t exchanged_subvectors, const Body &body)
 {
-    result.counters += c;
-    result.stats.reg_hits += s.reg_hits;
-    result.stats.shared_hits += s.shared_hits;
-    result.stats.global_hits += s.global_hits;
+    const gpusim::GpuSpec &spec = gpusim::rtx4090();
+    const bool shared = plan.fusion.level == FusionLevel::Shared;
+    ChunkTally total = par::parallelSum<ChunkTally>(
+        n, grain, [&](const par::ChunkRange &c) {
+            ChunkTally tally;
+            std::vector<OperandContext> ctx;
+            ctx.reserve(operands.size());
+            for (const vq::QuantizedTensor *qt : operands)
+                ctx.emplace_back(spec, plan, *qt,
+                                 shared && ctx.size() + 1 == operands.size(),
+                                 c.index == 0, tally.counters);
+            body(c, ctx);
+            for (OperandContext &operand : ctx)
+                operand.finish(tally.stats);
+            return tally;
+        });
+    result.counters = total.counters;
+    result.stats = total.stats;
+    if (plan.fusion.level == FusionLevel::Register)
+        result.counters.shuffle_ops += exchanged_subvectors /
+                                       spec.warp_size *
+                                       plan.fusion.num_shuffles;
 }
 
 } // namespace
@@ -507,41 +561,21 @@ runVqGemv(const KernelPlan &plan, const vq::QuantizedTensor &qt,
                  "runVqGemv requires a GeMV plan");
     vqllm_assert(x.rank() == 1 && x.dim(0) == qt.cols,
                  "x must be [k] with k == qt.cols");
-    const gpusim::GpuSpec &spec = gpusim::rtx4090();
+    const unsigned vec = qt.config.vector_size;
 
     FunctionalResult result;
     result.output = Tensor<float>({qt.rows});
-
-    const std::size_t chunks = par::chunkCount(qt.rows, kRowChunk);
-    std::vector<gpusim::KernelCounters> part_counters(chunks);
-    std::vector<cache::AccessStats> part_stats(chunks);
-    par::parallelFor(qt.rows, kRowChunk, [&](const par::ChunkRange &c) {
-        FunctionalContext ctx(spec, plan, qt, c.index == 0);
-        const unsigned vec = qt.config.vector_size;
-        std::vector<float> sub(vec);
-        for (std::size_t r = c.begin; r < c.end; ++r) {
-            double acc = 0;
-            for (std::size_t s = 0; s < qt.subspaces(); ++s) {
-                ctx.dequant(qt, r, s, sub.data());
-                if (plan.fusion.level == FusionLevel::Shared) {
-                    ctx.counters.reg_to_shared_bytes += vec * 2;
-                    ctx.counters.shared_to_reg_bytes += vec * 2;
-                }
-                acc += static_cast<double>(
-                    simd::dot(sub.data(), x.data() + s * vec, vec));
+    executeChunked(
+        result, plan, {&qt}, qt.rows, kRowChunk, qt.rows * qt.subspaces(),
+        [&](const par::ChunkRange &c, auto &ctx) {
+            for (std::size_t r = c.begin; r < c.end; ++r) {
+                double acc = 0;
+                for (std::size_t s = 0; s < qt.subspaces(); ++s)
+                    acc += static_cast<double>(simd::dot(
+                        ctx[0].dequant(r, s), x.data() + s * vec, vec));
+                result.output[r] = static_cast<float>(acc);
             }
-            result.output[r] = static_cast<float>(acc);
-        }
-        ctx.finish();
-        part_counters[c.index] = ctx.counters;
-        part_stats[c.index] = ctx.stats;
-    });
-    for (std::size_t i = 0; i < chunks; ++i)
-        mergeContext(result, part_counters[i], part_stats[i]);
-    if (plan.fusion.level == FusionLevel::Register)
-        result.counters.shuffle_ops +=
-            qt.rows * qt.subspaces() / spec.warp_size *
-            plan.fusion.num_shuffles;
+        });
     return result;
 }
 
@@ -553,8 +587,9 @@ runVqGemm(const KernelPlan &plan, const vq::QuantizedTensor &qt,
                  "runVqGemm requires a GeMM plan");
     vqllm_assert(x.rank() == 2 && x.dim(1) == qt.cols,
                  "x must be [m, k] with k == qt.cols");
-    const gpusim::GpuSpec &spec = gpusim::rtx4090();
     const std::size_t m = x.dim(0);
+    const std::size_t k = qt.cols;
+    const unsigned vec = qt.config.vector_size;
 
     FunctionalResult result;
     result.output = Tensor<float>({m, qt.rows});
@@ -564,42 +599,24 @@ runVqGemm(const KernelPlan &plan, const vq::QuantizedTensor &qt,
     // re-dequantizes its weight strip (the GeMM re-dequantization cost
     // of Sec. VII-B).
     const std::size_t block_rows = engine::BaselineTiling::gemm_block_rows;
-    const std::size_t k = qt.cols;
-    const std::size_t chunks = par::chunkCount(qt.rows, kRowChunk);
-    std::vector<gpusim::KernelCounters> part_counters(chunks);
-    std::vector<cache::AccessStats> part_stats(chunks);
-    par::parallelFor(qt.rows, kRowChunk, [&](const par::ChunkRange &c) {
-        FunctionalContext ctx(spec, plan, qt, c.index == 0);
-        const unsigned vec = qt.config.vector_size;
-        std::vector<float> sub(vec);
-        for (std::size_t m0 = 0; m0 < m; m0 += block_rows) {
-            std::size_t m1 = std::min(m, m0 + block_rows);
-            for (std::size_t r = c.begin; r < c.end; ++r) {
-                for (std::size_t s = 0; s < qt.subspaces(); ++s) {
-                    ctx.dequant(qt, r, s, sub.data());
-                    if (plan.fusion.level == FusionLevel::Shared) {
-                        ctx.counters.reg_to_shared_bytes += vec * 2;
-                        ctx.counters.shared_to_reg_bytes += vec * 2;
-                    }
-                    for (std::size_t i = m0; i < m1; ++i) {
-                        float acc = simd::dot(
-                            sub.data(), x.data() + i * k + s * vec, vec);
-                        result.output.at(i, r) += acc;
-                        ctx.counters.flops += 2 * vec;
+    executeChunked(
+        result, plan, {&qt}, qt.rows, kRowChunk,
+        ceilDiv(m, block_rows) * qt.rows * qt.subspaces(),
+        [&](const par::ChunkRange &c, auto &ctx) {
+            for (std::size_t m0 = 0; m0 < m; m0 += block_rows) {
+                std::size_t m1 = std::min(m, m0 + block_rows);
+                for (std::size_t r = c.begin; r < c.end; ++r) {
+                    for (std::size_t s = 0; s < qt.subspaces(); ++s) {
+                        const float *sub = ctx[0].dequant(r, s);
+                        for (std::size_t i = m0; i < m1; ++i) {
+                            result.output.at(i, r) += simd::dot(
+                                sub, x.data() + i * k + s * vec, vec);
+                            ctx[0].counters().flops += 2 * vec;
+                        }
                     }
                 }
             }
-        }
-        ctx.finish();
-        part_counters[c.index] = ctx.counters;
-        part_stats[c.index] = ctx.stats;
-    });
-    for (std::size_t i = 0; i < chunks; ++i)
-        mergeContext(result, part_counters[i], part_stats[i]);
-    if (plan.fusion.level == FusionLevel::Register)
-        result.counters.shuffle_ops +=
-            ceilDiv(m, block_rows) * qt.rows * qt.subspaces() /
-            spec.warp_size * plan.fusion.num_shuffles;
+        });
     return result;
 }
 
@@ -617,7 +634,6 @@ runVqAttention(const KernelPlan &plan, const vq::QuantizedTensor &qt_k,
                  "KV column count must be heads * head_dim");
     vqllm_assert(qt_k.rows == qt_v.rows, "K/V token count mismatch");
     const std::size_t tokens = qt_k.rows;
-    const gpusim::GpuSpec &spec = gpusim::rtx4090();
     const unsigned vec = qt_k.config.vector_size;
     const double inv_sqrt_d =
         1.0 / std::sqrt(static_cast<double>(channels));
@@ -626,63 +642,36 @@ runVqAttention(const KernelPlan &plan, const vq::QuantizedTensor &qt_k,
     result.output = Tensor<float>({heads, channels});
 
     // Chunks partition the head dimension; each chunk owns private K
-    // and V contexts (Load traffic counted once via chunk 0).
+    // and V contexts.
     const std::size_t groups_per_head = channels / vec;
-    const std::size_t chunks = par::chunkCount(heads, kHeadChunk);
-    std::vector<gpusim::KernelCounters> part_counters(chunks);
-    std::vector<cache::AccessStats> part_stats(chunks);
-    par::parallelFor(heads, kHeadChunk, [&](const par::ChunkRange &c) {
-        FunctionalContext ctx_k(spec, plan, qt_k, c.index == 0);
-        FunctionalContext ctx_v(spec, plan, qt_v, c.index == 0);
-        std::vector<float> sub(vec);
-        std::vector<float> logits(tokens, 0.0f);
-        for (std::size_t h = c.begin; h < c.end; ++h) {
-            // Phase 1: logits via dequantized K (row-wise, layout
-            // matches).
-            for (std::size_t t = 0; t < tokens; ++t) {
-                double acc = 0;
-                for (std::size_t g = 0; g < groups_per_head; ++g) {
-                    std::size_t s = h * groups_per_head + g;
-                    ctx_k.dequant(qt_k, t, s, sub.data());
-                    acc += static_cast<double>(simd::dot(
-                        sub.data(), q.data() + h * channels + g * vec,
-                        vec));
+    executeChunked(
+        result, plan, {&qt_k, &qt_v}, heads, kHeadChunk,
+        tokens * qt_v.subspaces(),
+        [&](const par::ChunkRange &c, auto &ctx) {
+            std::vector<float> logits(tokens, 0.0f);
+            for (std::size_t h = c.begin; h < c.end; ++h) {
+                // Phase 1: logits via dequantized K (row-wise, layout
+                // matches).
+                for (std::size_t t = 0; t < tokens; ++t) {
+                    double acc = 0;
+                    for (std::size_t g = 0; g < groups_per_head; ++g)
+                        acc += static_cast<double>(simd::dot(
+                            ctx[0].dequant(t, h * groups_per_head + g),
+                            q.data() + h * channels + g * vec, vec));
+                    logits[t] = static_cast<float>(acc * inv_sqrt_d);
                 }
-                logits[t] = static_cast<float>(acc * inv_sqrt_d);
-            }
-            softmaxInPlace(logits);
+                softmaxInPlace(logits);
 
-            // Phase 2: V accumulation (column-wise: the mismatched
-            // layout).
-            for (std::size_t t = 0; t < tokens; ++t) {
-                for (std::size_t g = 0; g < groups_per_head; ++g) {
-                    std::size_t s = h * groups_per_head + g;
-                    ctx_v.dequant(qt_v, t, s, sub.data());
-                    if (plan.fusion.level == FusionLevel::Shared) {
-                        ctx_v.counters.reg_to_shared_bytes += vec * 2;
-                        ctx_v.counters.shared_to_reg_bytes += vec * 2;
-                    }
-                    simd::fmaInto(
-                        result.output.data() + h * channels + g * vec,
-                        sub.data(), logits[t], vec);
-                }
+                // Phase 2: V accumulation (column-wise: the mismatched
+                // layout).
+                for (std::size_t t = 0; t < tokens; ++t)
+                    for (std::size_t g = 0; g < groups_per_head; ++g)
+                        simd::fmaInto(
+                            result.output.data() + h * channels + g * vec,
+                            ctx[1].dequant(t, h * groups_per_head + g),
+                            logits[t], vec);
             }
-        }
-        ctx_k.finish();
-        ctx_v.finish();
-        part_counters[c.index] = ctx_k.counters;
-        part_counters[c.index] += ctx_v.counters;
-        part_stats[c.index] = ctx_k.stats;
-        part_stats[c.index].reg_hits += ctx_v.stats.reg_hits;
-        part_stats[c.index].shared_hits += ctx_v.stats.shared_hits;
-        part_stats[c.index].global_hits += ctx_v.stats.global_hits;
-    });
-    for (std::size_t i = 0; i < chunks; ++i)
-        mergeContext(result, part_counters[i], part_stats[i]);
-    if (plan.fusion.level == FusionLevel::Register)
-        result.counters.shuffle_ops +=
-            tokens * qt_v.subspaces() / spec.warp_size *
-            plan.fusion.num_shuffles;
+        });
     return result;
 }
 

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/logging.h"
-
 namespace vqllm::obs {
 
 namespace {
@@ -26,26 +24,18 @@ jsonNumber(double v)
 // ---------------------------------------------------------------------
 // Histogram
 
-Histogram::Histogram(double min_bucket, double growth)
-    : min_bucket_(min_bucket), growth_(growth)
-{
-    vqllm_assert(min_bucket_ > 0, "histogram min_bucket must be > 0");
-    vqllm_assert(growth_ > 1, "histogram growth must be > 1");
-}
-
 double
-Histogram::bucketHi(int i) const
+Histogram::bucketHi(int i)
 {
-    return min_bucket_ * std::pow(growth_, i);
+    return std::pow(2.0, i);
 }
 
 int
-Histogram::bucketIndex(double v) const
+Histogram::bucketIndex(double v)
 {
-    if (v <= min_bucket_)
+    if (v <= 1.0)
         return 0;
-    int i = static_cast<int>(
-        std::ceil(std::log(v / min_bucket_) / std::log(growth_)));
+    int i = static_cast<int>(std::ceil(std::log(v) / std::log(2.0)));
     if (i < 0)
         i = 0;
     // log() rounding can land one bucket off; nudge to the invariant
@@ -102,7 +92,7 @@ Histogram::quantile(double q) const
         double after = before + static_cast<double>(n);
         if (after >= target) {
             // Interpolate inside the bucket's value range.  Bucket 0
-            // spans (-inf, min_bucket]; anchor it at the observed
+            // spans (-inf, 1]; anchor it at the observed
             // minimum so the interpolation stays within real data.
             double lo = idx == 0 ? min_ : bucketHi(idx - 1);
             double hi = bucketHi(idx);
@@ -149,14 +139,9 @@ MetricsRegistry::gauge(const std::string &name)
 }
 
 Histogram &
-MetricsRegistry::histogram(const std::string &name, double min_bucket,
-                           double growth)
+MetricsRegistry::histogram(const std::string &name)
 {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(name, Histogram(min_bucket, growth))
-                 .first;
-    return it->second;
+    return histograms_[name];
 }
 
 const Counter *

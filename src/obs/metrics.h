@@ -15,13 +15,12 @@
  * `compiler.plan_cache.hits`.  The registry stores entries in sorted
  * (std::map) order, so JSON output is deterministic.
  *
- * Histograms are log-bucketed: bucket i covers
- * (min_bucket * growth^(i-1), min_bucket * growth^i], bucket 0 covers
- * (-inf, min_bucket].  Exact count/sum/min/max are tracked alongside
- * the buckets, and quantile() interpolates within the containing
- * bucket, clamped to the observed [min, max] — so q=0 returns the
- * exact minimum, q=1 the exact maximum, and a single-sample population
- * returns that sample at every quantile.
+ * Histograms are log-bucketed in powers of two: bucket i covers
+ * (2^(i-1), 2^i], bucket 0 covers (-inf, 1].  Exact count/sum/min/max
+ * are tracked alongside the buckets, and quantile() interpolates within
+ * the containing bucket, clamped to the observed [min, max] — so q=0
+ * returns the exact minimum, q=1 the exact maximum, and a single-sample
+ * population returns that sample at every quantile.
  *
  * The registry is not thread-safe: a traced simulation is sequential,
  * and concurrent simulations each own a registry.  Aggregation across
@@ -60,16 +59,10 @@ class Gauge
     double value_ = 0;
 };
 
-/** Log-bucketed histogram with exact count/sum/min/max. */
+/** Power-of-two-bucketed histogram with exact count/sum/min/max. */
 class Histogram
 {
   public:
-    /**
-     * @param min_bucket upper bound of the first bucket (> 0)
-     * @param growth     geometric bucket growth factor (> 1)
-     */
-    explicit Histogram(double min_bucket = 1.0, double growth = 2.0);
-
     void record(double v);
 
     std::uint64_t count() const { return count_; }
@@ -101,11 +94,9 @@ class Histogram
     std::vector<Bucket> buckets() const;
 
   private:
-    int bucketIndex(double v) const;
-    double bucketHi(int i) const;
+    static int bucketIndex(double v);
+    static double bucketHi(int i);
 
-    double min_bucket_;
-    double growth_;
     std::map<int, std::uint64_t> counts_;
     std::uint64_t count_ = 0;
     double sum_ = 0;
@@ -127,12 +118,8 @@ class MetricsRegistry
     /** @return the gauge registered under `name` (created if new). */
     Gauge &gauge(const std::string &name);
 
-    /**
-     * @return the histogram registered under `name` (created with the
-     * given bucketing if new; later calls ignore the bucket params).
-     */
-    Histogram &histogram(const std::string &name,
-                         double min_bucket = 1.0, double growth = 2.0);
+    /** @return the histogram registered under `name` (created if new). */
+    Histogram &histogram(const std::string &name);
 
     /** @return registered counter, or nullptr. */
     const Counter *findCounter(const std::string &name) const;

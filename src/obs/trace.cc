@@ -64,6 +64,52 @@ writeArgs(std::ostream &os, const std::vector<TraceArg> &args)
     os << "}";
 }
 
+/**
+ * The Chrome trace-event records both exporters write: the document head
+ * (opening with the process-name "M" record), one "M" record per named
+ * track, one "X" (span) or "i" (instant) record per event, and the tail.
+ * Metadata comes first, then events.
+ */
+void
+writeHead(std::ostream &os, const char *process)
+{
+    os << "{\"traceEvents\":[\n";
+    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
+          "\"tid\":0,\"args\":{\"name\":\""
+       << process << "\"}}";
+}
+
+void
+writeTrack(std::ostream &os, int tid, const std::string &name)
+{
+    os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+          "\"tid\":"
+       << tid << ",\"args\":{\"name\":\"" << jsonEscape(name) << "\"}}";
+}
+
+void
+writeEvent(std::ostream &os, const TraceEvent &e, int tid)
+{
+    os << ",\n{\"name\":\"" << jsonEscape(e.name) << "\",\"cat\":\""
+       << jsonEscape(e.cat) << "\",\"ph\":\""
+       << (e.phase == TraceEvent::Phase::Span ? "X" : "i")
+       << "\",\"pid\":0,\"tid\":" << tid
+       << ",\"ts\":" << jsonNumber(e.ts_us);
+    if (e.phase == TraceEvent::Phase::Span)
+        os << ",\"dur\":" << jsonNumber(e.dur_us);
+    else
+        os << ",\"s\":\"t\""; // thread-scoped instant
+    os << ",";
+    writeArgs(os, e.args);
+    os << "}";
+}
+
+void
+writeTail(std::ostream &os)
+{
+    os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+}
+
 } // namespace
 
 void
@@ -135,32 +181,14 @@ void
 TraceRecorder::writeChromeJson(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    os << "{\"traceEvents\":[\n";
-    // Metadata first: one process, one named thread per track.
-    // std::map iteration gives a deterministic tid order.
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-          "\"tid\":0,\"args\":{\"name\":\"vqllm serving simulation\"}}";
-    for (const auto &[tid, name] : tracks_) {
-        os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-              "\"tid\":"
-           << tid << ",\"args\":{\"name\":\"" << jsonEscape(name)
-           << "\"}}";
-    }
-    for (const TraceEvent &e : events_) {
-        os << ",\n{\"name\":\"" << jsonEscape(e.name) << "\",\"cat\":\""
-           << jsonEscape(e.cat) << "\",\"ph\":\""
-           << (e.phase == TraceEvent::Phase::Span ? "X" : "i")
-           << "\",\"pid\":0,\"tid\":" << e.tid
-           << ",\"ts\":" << jsonNumber(e.ts_us);
-        if (e.phase == TraceEvent::Phase::Span)
-            os << ",\"dur\":" << jsonNumber(e.dur_us);
-        else
-            os << ",\"s\":\"t\""; // thread-scoped instant
-        os << ",";
-        writeArgs(os, e.args);
-        os << "}";
-    }
-    os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+    // One process, one named thread per track; std::map iteration gives
+    // a deterministic tid order.
+    writeHead(os, "vqllm serving simulation");
+    for (const auto &[tid, name] : tracks_)
+        writeTrack(os, tid, name);
+    for (const TraceEvent &e : events_)
+        writeEvent(os, e, e.tid);
+    writeTail(os);
 }
 
 std::string
@@ -182,38 +210,17 @@ void
 writeChromeJsonMerged(std::ostream &os,
                       const std::vector<TraceMergePart> &parts)
 {
-    // Same document shape as writeChromeJson — metadata first, then
-    // events — with each part's tids offset by its base and its track
-    // names prefixed.  Taking snapshots (tracks()/events()) keeps the
-    // recorders' own locking discipline.
-    os << "{\"traceEvents\":[\n";
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-          "\"tid\":0,\"args\":{\"name\":\"vqllm fleet simulation\"}}";
-    for (const TraceMergePart &part : parts) {
-        for (const auto &[tid, name] : part.recorder->tracks()) {
-            os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":"
-               << part.tid_base + tid << ",\"args\":{\"name\":\""
-               << jsonEscape(part.prefix + name) << "\"}}";
-        }
-    }
-    for (const TraceMergePart &part : parts) {
-        for (const TraceEvent &e : part.recorder->events()) {
-            os << ",\n{\"name\":\"" << jsonEscape(e.name)
-               << "\",\"cat\":\"" << jsonEscape(e.cat) << "\",\"ph\":\""
-               << (e.phase == TraceEvent::Phase::Span ? "X" : "i")
-               << "\",\"pid\":0,\"tid\":" << part.tid_base + e.tid
-               << ",\"ts\":" << jsonNumber(e.ts_us);
-            if (e.phase == TraceEvent::Phase::Span)
-                os << ",\"dur\":" << jsonNumber(e.dur_us);
-            else
-                os << ",\"s\":\"t\""; // thread-scoped instant
-            os << ",";
-            writeArgs(os, e.args);
-            os << "}";
-        }
-    }
-    os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+    // Same records as writeChromeJson, with each part's tids offset by
+    // its base and its track names prefixed.  Taking snapshots
+    // (tracks()/events()) keeps the recorders' own locking discipline.
+    writeHead(os, "vqllm fleet simulation");
+    for (const TraceMergePart &part : parts)
+        for (const auto &[tid, name] : part.recorder->tracks())
+            writeTrack(os, part.tid_base + tid, part.prefix + name);
+    for (const TraceMergePart &part : parts)
+        for (const TraceEvent &e : part.recorder->events())
+            writeEvent(os, e, part.tid_base + e.tid);
+    writeTail(os);
 }
 
 void

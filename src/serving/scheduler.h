@@ -156,7 +156,6 @@ class Scheduler
     std::uint64_t rejectedCount() const { return rejected_; }
     const std::vector<Request *> &running() const { return running_; }
     const std::vector<Request *> &waiting() const { return waiting_; }
-    const SchedulingPolicy &policy() const { return *policy_; }
 
     /** Attach a trace recorder (nullptr = off, the default):
      *  preemptions and rejections record as instants at the

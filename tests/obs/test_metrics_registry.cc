@@ -83,8 +83,8 @@ TEST(Histogram, ExtremeQuantilesAreExactMinMax)
 
 TEST(Histogram, BucketBoundariesAreHalfOpen)
 {
-    // min_bucket = 1, growth = 2: buckets (-inf,1], (1,2], (2,4], ...
-    Histogram h(1.0, 2.0);
+    // Power-of-two buckets: (-inf,1], (1,2], (2,4], ...
+    Histogram h;
     h.record(1.0); // boundary: lands in bucket 0
     h.record(2.0); // boundary: lands in (1,2]
     h.record(2.5);
@@ -103,7 +103,7 @@ TEST(Histogram, BucketBoundariesAreHalfOpen)
 
 TEST(Histogram, NegativeAndZeroSamplesLandInFirstBucket)
 {
-    Histogram h(1.0, 2.0);
+    Histogram h;
     h.record(-5.0);
     h.record(0.0);
     h.record(0.5);
