@@ -10,21 +10,21 @@ CachePlan
 planCache(const gpusim::GpuSpec &spec,
           const gpusim::BlockResources &compute_block,
           std::size_t total_entries, std::size_t entry_bytes,
-          const vq::AccessHistogram *hist, const CachePolicy &policy)
+          const vq::AccessHistogram *hist, CacheTiers tiers)
 {
     vqllm_assert(entry_bytes > 0, "entry_bytes must be positive");
     CachePlan plan;
     plan.total_entries = total_entries;
     plan.entry_bytes = entry_bytes;
 
-    if (!policy.use_shared) {
+    if (tiers == CacheTiers::None) {
         // GC baseline: everything stays in global memory.
         plan.n_reg = 0;
         plan.n_shared = 0;
         return plan;
     }
 
-    if (policy.greedy_shared) {
+    if (tiers == CacheTiers::GreedyShared) {
         // SC baseline: cache all entries in shared memory, no registers,
         // regardless of the occupancy cost (paper Sec. III).  Physically
         // capped by the per-block shared-memory limit.
@@ -42,14 +42,13 @@ planCache(const gpusim::GpuSpec &spec,
     // Register tier: bounded by (a) register slack, (b) the number of
     // genuinely hot entries, (c) a hard cap.
     std::size_t n_reg = 0;
-    if (policy.use_registers) {
+    if (tiers == CacheTiers::SharedAndRegisters) {
         std::size_t by_slack =
             static_cast<std::size_t>(slack.regs_per_thread) * 4 /
             entry_bytes;
         std::size_t by_hotness =
-            hist ? hist->entriesAbove(policy.hot_sigma)
-                 : policy.max_reg_entries;
-        n_reg = std::min({by_slack, by_hotness, policy.max_reg_entries,
+            hist ? hist->entriesAbove(kHotSigma) : kMaxRegEntries;
+        n_reg = std::min({by_slack, by_hotness, kMaxRegEntries,
                           total_entries});
     }
 

@@ -87,22 +87,24 @@ struct CachePlan
     }
 };
 
-/** Options steering the placement heuristic. */
-struct CachePolicy
-{
-    /** Cache levels enabled (paper Tbl. IV optimization ladder). */
-    bool use_shared = true;     // off = GC baseline
-    bool use_registers = true;  // off = O1 only
-    /**
-     * Greedy mode (SC baseline): put *all* entries in shared memory
-     * regardless of slack, reducing occupancy like the naive version.
-     */
-    bool greedy_shared = false;
-    /** Sigma multiplier defining "hot" entries for the register tier. */
-    double hot_sigma = 3.0;
-    /** Cap on register-tier entries regardless of slack. */
-    std::size_t max_reg_entries = 32;
+/** Memory tiers a placement may use (paper Tbl. IV optimization
+ *  ladder). */
+enum class CacheTiers {
+    /** GC baseline: every entry stays in global memory. */
+    None,
+    /** SC baseline: *all* entries in shared memory regardless of
+     *  slack, reducing occupancy like the naive version. */
+    GreedyShared,
+    /** O1: an adaptive shared tier, no registers. */
+    Shared,
+    /** O2 and up: adaptive shared and register tiers. */
+    SharedAndRegisters,
 };
+
+/** Sigma multiplier defining "hot" entries for the register tier. */
+inline constexpr double kHotSigma = 3.0;
+/** Cap on register-tier entries regardless of slack. */
+inline constexpr std::size_t kMaxRegEntries = 32;
 
 /**
  * Decide cache boundaries for a codebook given the consuming kernel's
@@ -115,14 +117,14 @@ struct CachePolicy
  * @param entry_bytes   bytes per stored entry
  * @param hist          access histogram (frequency-ranked not required);
  *                      may be null, in which case the hot-entry cap
- *                      falls back to max_reg_entries
- * @param policy        heuristic switches
+ *                      falls back to kMaxRegEntries
+ * @param tiers         tiers the placement may use
  */
 CachePlan planCache(const gpusim::GpuSpec &spec,
                     const gpusim::BlockResources &compute_block,
                     std::size_t total_entries, std::size_t entry_bytes,
                     const vq::AccessHistogram *hist = nullptr,
-                    const CachePolicy &policy = CachePolicy{});
+                    CacheTiers tiers = CacheTiers::SharedAndRegisters);
 
 /** Access-tier hit counts recorded by a CodebookCache. */
 struct AccessStats

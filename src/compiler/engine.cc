@@ -116,14 +116,7 @@ Engine::cacheKey(const KernelRequest &request)
         key.shape = {request.gemm.m, request.gemm.n, request.gemm.k, 0,
                      0};
     }
-    const auto &cfg = request.config;
-    key.config_name = cfg.name;
-    key.vector_size = cfg.vector_size;
-    key.num_entries = cfg.num_entries;
-    key.residuals = cfg.residuals;
-    key.scope = cfg.scope;
-    key.lattice = cfg.lattice;
-    key.lattice_base_entries = cfg.lattice_base_entries;
+    key.config = request.config;
     if (request.histogram != nullptr) {
         key.histogram_entries = request.histogram->size();
         key.histogram_digest = request.histogram->digest();

@@ -8,9 +8,10 @@
  * and target GPU to the corresponding compute kernel template" and get
  * a kernel back.  Every stage of that pipeline exists in this repo —
  * planning (engine::planWeightKernel / planAttentionKernel, Alg. 2),
- * costing (gpusim::CostModel via kernels::estimateVq*Kernel), emission
- * (codegen::emitCudaKernel) and host execution (kernels::runVq*) — and
- * this module is the facade that stitches them together:
+ * costing (gpusim::estimateLatency via kernels::estimateVq*Kernel),
+ * emission (codegen::emitCudaKernel) and host execution
+ * (kernels::runVq*) — and this module is the facade that stitches them
+ * together:
  *
  *   compiler::Engine engine(gpusim::rtx4090());
  *   auto kernel = engine.compile(
@@ -203,14 +204,8 @@ struct KernelKey
      * {batch, heads, seq_len, head_dim, kvHeads()} for attention.
      */
     std::array<std::size_t, 5> shape{};
-    /** The vq::VQConfig fields, all of them. */
-    std::string config_name;
-    unsigned vector_size = 0;
-    std::size_t num_entries = 0;
-    unsigned residuals = 0;
-    vq::CodebookScope scope = vq::CodebookScope::PerTensor;
-    bool lattice = false;
-    std::size_t lattice_base_entries = 0;
+    /** The request's vq::VQConfig, all of it. */
+    vq::VQConfig config;
     /** Histogram entry count; 0 without a histogram. */
     std::size_t histogram_entries = 0;
     /** vq::AccessHistogram::digest() of the histogram; 0 exactly when

@@ -9,31 +9,6 @@ namespace vqllm::engine {
 
 namespace {
 
-/** Cache policy for a Tbl. IV optimization rung. */
-cache::CachePolicy
-policyForLevel(OptLevel level)
-{
-    cache::CachePolicy policy;
-    switch (level) {
-      case OptLevel::GC:
-        policy.use_shared = false;
-        policy.use_registers = false;
-        break;
-      case OptLevel::SC:
-        policy.greedy_shared = true;
-        policy.use_registers = false;
-        break;
-      case OptLevel::O1:
-        policy.use_registers = false;
-        break;
-      case OptLevel::O2:
-      case OptLevel::O3:
-      case OptLevel::O4:
-        break; // full adaptive hierarchy
-    }
-    return policy;
-}
-
 /**
  * The Tbl. IV ladder, applied once for every kernel kind.  The caller
  * has set the plan's kind, config, level, shape, codebook-centric
@@ -41,9 +16,10 @@ policyForLevel(OptLevel level)
  *
  *   below O3  the baseline dataflow (no split, no reduction stage)
  *   below O4  shared-memory fusion (dequantized data staged per thread)
- *   GC        no resident book (planCache's empty plan)
+ *   GC        no resident book, no cache tier (planCache's empty plan)
  *   SC        one phase's books resident, greedily cached in shared
- *   O1, O2    one resident book, adaptive shared (+ register) tiers
+ *   O1        one resident book, an adaptive shared tier
+ *   O2 and up one resident book, adaptive shared and register tiers
  *
  * Cache boundaries are carved from the slack the staged consumer leaves,
  * and the block's final resources add the staging and the cache.
@@ -94,11 +70,16 @@ applyLadder(KernelPlan &plan, const PlanInputs &in,
             : 0;
     gpusim::BlockResources consumer = base;
     consumer.smem_bytes += staging;
+    const cache::CacheTiers tiers =
+        level == OptLevel::GC   ? cache::CacheTiers::None
+        : level == OptLevel::SC ? cache::CacheTiers::GreedyShared
+        : level == OptLevel::O1 ? cache::CacheTiers::Shared
+                                : cache::CacheTiers::SharedAndRegisters;
     plan.cache_plan = cache::planCache(
         *in.spec, consumer,
         config.storedEntries() *
             std::max<std::uint64_t>(plan.resident_books, 1),
-        config.entryBytes(), in.histogram, policyForLevel(level));
+        config.entryBytes(), in.histogram, tiers);
 
     plan.block = consumer;
     plan.block.smem_bytes += plan.cache_plan.smemBytes();

@@ -70,8 +70,6 @@ class Router
   public:
     explicit Router(RouterPolicy policy) : policy_(policy) {}
 
-    RouterPolicy policy() const { return policy_; }
-
     /**
      * Choose the entry replica for @p r among @p candidates (load
      * views of the fleet's entry replicas, in index order).

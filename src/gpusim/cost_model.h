@@ -65,56 +65,18 @@ struct LatencyBreakdown
     double throughput_factor = 1.0;
 };
 
-/** Tunable calibration constants of the cost model. */
-struct CostModelParams
-{
-    /** Occupancy at which DRAM bandwidth saturates. */
-    double bw_saturation_occupancy = 0.14;
-    /** Occupancy at which the compute pipes saturate (mainloop
-     *  software pipelining needs resident warps to cover latencies). */
-    double compute_saturation_occupancy = 0.33;
-    /** Outstanding memory requests per warp (latency overlap via ILP). */
-    double mlp_per_warp = 4.0;
-    /** Fraction of scalar issue slots usable by overhead instructions. */
-    double scalar_issue_fraction = 0.5;
-    /** Cycles per dequantization lookup (address calc + bounds test). */
-    double cycles_per_lookup = 2.0;
-    /** Cycles per unaligned-index unpack step. */
-    double cycles_per_unpack = 3.0;
-    /** Cycles per warp shuffle instruction. */
-    double cycles_per_shuffle = 2.0;
-    /** Efficiency of the tensor-core pipe on realistic tiles. */
-    double tensor_core_efficiency = 0.75;
-    /** Efficiency of the CUDA-core FMA pipe. */
-    double cuda_core_efficiency = 0.7;
-};
-
-/** Analytical GPU latency model. */
-class CostModel
-{
-  public:
-    explicit CostModel(const GpuSpec &spec,
-                       CostModelParams params = CostModelParams{})
-        : spec_(spec), params_(params)
-    {
-    }
-
-    /**
-     * Estimate the latency of one kernel.
-     *
-     * @param launch    grid + block shape
-     * @param counters  aggregated event counters for the whole grid
-     * @return per-pipe breakdown and total latency in microseconds
-     */
-    LatencyBreakdown estimate(const LaunchConfig &launch,
-                              const KernelCounters &counters) const;
-
-    const GpuSpec &spec() const { return spec_; }
-    const CostModelParams &params() const { return params_; }
-
-  private:
-    const GpuSpec &spec_;
-    CostModelParams params_;
-};
+/**
+ * Estimate the latency of one kernel.  The model's calibration
+ * (saturation occupancies, memory-level parallelism, scalar issue
+ * costs, pipe efficiencies) is a set of constants in cost_model.cc.
+ *
+ * @param spec      target GPU
+ * @param launch    grid + block shape
+ * @param counters  aggregated event counters for the whole grid
+ * @return per-pipe breakdown and total latency in microseconds
+ */
+LatencyBreakdown estimateLatency(const GpuSpec &spec,
+                                 const LaunchConfig &launch,
+                                 const KernelCounters &counters);
 
 } // namespace vqllm::gpusim

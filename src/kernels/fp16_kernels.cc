@@ -6,6 +6,18 @@
 
 namespace vqllm::kernels {
 
+namespace {
+
+// Paged-KV layout of the paged attention variants.
+/** Tokens per KV page. */
+constexpr std::size_t kPageTokens = 16;
+/** Bytes per page-table entry. */
+constexpr std::size_t kPageEntryBytes = 8;
+/** Bandwidth efficiency of page-granular gathers. */
+constexpr double kGatherEfficiency = 0.92;
+
+} // namespace
+
 const char *
 attnVariantName(AttnVariant variant)
 {
@@ -66,8 +78,7 @@ fp16GemvEstimate(const gpusim::GpuSpec &spec,
 
 KernelResult
 fp16AttentionEstimate(const gpusim::GpuSpec &spec,
-                      const engine::AttnShape &shape, AttnVariant variant,
-                      const PagingParams &paging)
+                      const engine::AttnShape &shape, AttnVariant variant)
 {
     const bool paged = variant == AttnVariant::PagedFlashDecoding ||
                        variant == AttnVariant::PagedFlashAttention;
@@ -107,11 +118,11 @@ fp16AttentionEstimate(const gpusim::GpuSpec &spec,
     if (paged) {
         // Page-table walks: one entry per page per consuming block, and
         // gather-granular bandwidth efficiency.
-        std::uint64_t pages = ceilDiv(shape.seq_len, paging.page_tokens);
-        c.dram_read_bytes += pages * paging.entry_bytes *
+        std::uint64_t pages = ceilDiv(shape.seq_len, kPageTokens);
+        c.dram_read_bytes += pages * kPageEntryBytes *
                              (decoding ? launch.grid_blocks / bh : 1) * bh;
         c.unpack_ops += pages * launch.grid_blocks / bh * bh;
-        double penalty = 1.0 / paging.gather_efficiency;
+        double penalty = 1.0 / kGatherEfficiency;
         c.dram_read_bytes = static_cast<std::uint64_t>(
             static_cast<double>(c.dram_read_bytes) * penalty);
     }

@@ -22,17 +22,6 @@ enum class AttnVariant {
 /** @return printable variant name. */
 const char *attnVariantName(AttnVariant variant);
 
-/** Paged-KV parameters. */
-struct PagingParams
-{
-    /** Tokens per KV page. */
-    std::size_t page_tokens = 16;
-    /** Bytes per page-table entry. */
-    std::size_t entry_bytes = 8;
-    /** Bandwidth efficiency of page-granular gathers. */
-    double gather_efficiency = 0.92;
-};
-
 /** Estimate a cutlass-style FP16 GeMM: y[m,n] = x[m,k] w[k,n]. */
 KernelResult fp16GemmEstimate(const gpusim::GpuSpec &spec,
                               const engine::GemmShape &shape);
@@ -47,13 +36,10 @@ KernelResult fp16GemvEstimate(const gpusim::GpuSpec &spec,
  * @param spec    target GPU
  * @param shape   attention problem
  * @param variant dataflow (Fig. 18)
- * @param paging  paged-KV parameters (ignored for contiguous variants)
  */
 KernelResult fp16AttentionEstimate(const gpusim::GpuSpec &spec,
                                    const engine::AttnShape &shape,
                                    AttnVariant variant =
-                                       AttnVariant::FlashDecoding,
-                                   const PagingParams &paging =
-                                       PagingParams{});
+                                       AttnVariant::FlashDecoding);
 
 } // namespace vqllm::kernels

@@ -37,8 +37,7 @@ finishEstimate(const gpusim::GpuSpec &spec,
     KernelResult result;
     result.counters = counters;
     result.launch = launch;
-    gpusim::CostModel model(spec);
-    result.latency = model.estimate(launch, counters);
+    result.latency = gpusim::estimateLatency(spec, launch, counters);
     return result;
 }
 

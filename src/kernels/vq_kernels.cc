@@ -78,8 +78,6 @@ struct ConflictKey
     std::size_t first_rank = 0;
     std::size_t end_rank = 0;
     unsigned entry_bytes = 0;
-    int samples = 0;
-    std::uint64_t seed = 0;
     int warp_size = 0;
     int smem_banks = 0;
 
@@ -97,8 +95,7 @@ struct ConflictKey
 double
 sharedConflictMultiplier(const gpusim::GpuSpec &spec,
                          const cache::CachePlan &plan,
-                         const vq::AccessHistogram *hist,
-                         const VqCostParams &params)
+                         const vq::AccessHistogram *hist)
 {
     std::size_t resident = plan.sharedEntries();
     if (resident == 0)
@@ -114,8 +111,6 @@ sharedConflictMultiplier(const gpusim::GpuSpec &spec,
         key.end_rank = resident;
     }
     key.entry_bytes = static_cast<unsigned>(plan.entry_bytes);
-    key.samples = params.conflict_samples;
-    key.seed = params.conflict_seed;
     key.warp_size = spec.warp_size;
     key.smem_banks = spec.smem_banks;
 
@@ -139,7 +134,7 @@ sharedConflictMultiplier(const gpusim::GpuSpec &spec,
         weights.assign(resident, 1.0);
     }
     const double m = gpusim::expectedConflictMultiplier(
-        spec, weights, key.entry_bytes, key.samples, key.seed);
+        spec, weights, key.entry_bytes, kConflictSamples, kConflictSeed);
     std::lock_guard<std::mutex> lock(memo_mutex);
     memo.emplace(key, m);
     return m;
@@ -160,8 +155,7 @@ unpackOpsPerLookup(const vq::VQConfig &config)
 void
 addCodebookCounters(gpusim::KernelCounters &c, const KernelPlan &plan,
                     const gpusim::GpuSpec &spec,
-                    const vq::AccessHistogram *hist,
-                    const VqCostParams &params, std::uint64_t lookups,
+                    const vq::AccessHistogram *hist, std::uint64_t lookups,
                     std::uint64_t dequant_bytes,
                     std::uint64_t exchanged_subvectors)
 {
@@ -184,8 +178,8 @@ addCodebookCounters(gpusim::KernelCounters &c, const KernelPlan &plan,
     std::uint64_t global_lookups = static_cast<std::uint64_t>(
         static_cast<double>(lookups) * f.global);
     c.dram_read_bytes += static_cast<std::uint64_t>(
-        static_cast<double>(global_lookups) * (1.0 - params.gc_l1_hit) *
-        params.sector_bytes);
+        static_cast<double>(global_lookups) * (1.0 - kGcL1Hit) *
+        kSectorBytes);
 
     // Shared-tier lookups: warp-wide banked accesses with conflicts.
     std::uint64_t shared_lookups = static_cast<std::uint64_t>(
@@ -193,8 +187,7 @@ addCodebookCounters(gpusim::KernelCounters &c, const KernelPlan &plan,
     unsigned phases =
         (static_cast<unsigned>(cfg.entryBytes()) + 3) / 4;
     std::uint64_t ideal = shared_lookups / spec.warp_size * phases;
-    double mult = sharedConflictMultiplier(spec, plan.cache_plan, hist,
-                                           params);
+    double mult = sharedConflictMultiplier(spec, plan.cache_plan, hist);
     c.smem_ideal_transactions += ideal;
     c.smem_transactions += static_cast<std::uint64_t>(
         static_cast<double>(ideal) * mult);
@@ -225,8 +218,7 @@ addCodebookCounters(gpusim::KernelCounters &c, const KernelPlan &plan,
 
 KernelResult
 estimateVqWeightKernel(const gpusim::GpuSpec &spec, const KernelPlan &plan,
-                       const vq::AccessHistogram *hist,
-                       const VqCostParams &params)
+                       const vq::AccessHistogram *hist)
 {
     vqllm_assert(plan.kind == engine::OpKind::GeMM ||
                      plan.kind == engine::OpKind::GeMV,
@@ -275,8 +267,8 @@ estimateVqWeightKernel(const gpusim::GpuSpec &spec, const KernelPlan &plan,
     // mainloop), but GeMM row blocks each re-dequantize their strips.
     std::uint64_t dequant_bytes =
         weight_elems * 2 * redequant;
-    addCodebookCounters(c, plan, spec, hist, params, lookups,
-                        dequant_bytes, subvectors);
+    addCodebookCounters(c, plan, spec, hist, lookups, dequant_bytes,
+                        subvectors);
 
     gpusim::LaunchConfig launch;
     launch.grid_blocks = plan.grid_blocks;
@@ -288,8 +280,7 @@ estimateVqWeightKernel(const gpusim::GpuSpec &spec, const KernelPlan &plan,
 KernelResult
 estimateVqAttentionKernel(const gpusim::GpuSpec &spec,
                           const KernelPlan &plan,
-                          const vq::AccessHistogram *hist,
-                          const VqCostParams &params)
+                          const vq::AccessHistogram *hist)
 {
     vqllm_assert(plan.kind == engine::OpKind::AttentionDecode,
                  "attention estimate requires an attention plan");
@@ -321,7 +312,7 @@ estimateVqAttentionKernel(const gpusim::GpuSpec &spec,
     // consumption order (Fig. 6).
     std::uint64_t v_bytes = kv_elems / 2 * 2; // half the elements, FP16
     std::uint64_t v_subvectors = subvectors / 2;
-    addCodebookCounters(c, plan, spec, hist, params, lookups, v_bytes,
+    addCodebookCounters(c, plan, spec, hist, lookups, v_bytes,
                         v_subvectors);
 
     // Baseline FlashDecoding dataflow keeps its own token-split
@@ -632,9 +623,12 @@ runVqAttention(const KernelPlan &plan, const vq::QuantizedTensor &qt_k,
     vqllm_assert(qt_k.cols == heads * channels &&
                      qt_v.cols == heads * channels,
                  "KV column count must be heads * head_dim");
+    const unsigned vec = qt_k.config.vector_size;
+    vqllm_assert(qt_v.config.vector_size == vec && channels % vec == 0,
+                 "head_dim ", channels,
+                 " must be a multiple of the K and V vector size ", vec);
     vqllm_assert(qt_k.rows == qt_v.rows, "K/V token count mismatch");
     const std::size_t tokens = qt_k.rows;
-    const unsigned vec = qt_k.config.vector_size;
     const double inv_sqrt_d =
         1.0 / std::sqrt(static_cast<double>(channels));
 

@@ -21,19 +21,17 @@
 
 namespace vqllm::kernels {
 
-/** Calibration constants of the VQ kernel cost formulas. */
-struct VqCostParams
-{
-    /** L1 hit rate of uncached (global-tier) entry fetches (paper:
-     *  12.45% profiled for VQ-attn-GC). */
-    double gc_l1_hit = 0.1245;
-    /** Effective DRAM bytes fetched per missed entry access. */
-    double sector_bytes = 24.0;
-    /** Monte-Carlo samples for the conflict multiplier. */
-    int conflict_samples = 256;
-    /** Seed for the conflict estimate. */
-    std::uint64_t conflict_seed = 0x5eedu;
-};
+// Calibration constants of the VQ kernel cost formulas.
+
+/** L1 hit rate of uncached (global-tier) entry fetches (paper: 12.45%
+ *  profiled for VQ-attn-GC). */
+inline constexpr double kGcL1Hit = 0.1245;
+/** Effective DRAM bytes fetched per missed entry access. */
+inline constexpr double kSectorBytes = 24.0;
+/** Monte-Carlo samples for the shared-tier conflict multiplier. */
+inline constexpr int kConflictSamples = 256;
+/** Seed of the conflict multiplier's Monte-Carlo estimate. */
+inline constexpr std::uint64_t kConflictSeed = 0x5eedu;
 
 /** Per-tier access shares implied by a cache plan. */
 struct TierFractions
@@ -66,9 +64,7 @@ TierFractions tierHitFractions(const cache::CachePlan &plan,
 KernelResult estimateVqWeightKernel(const gpusim::GpuSpec &spec,
                                     const engine::KernelPlan &plan,
                                     const vq::AccessHistogram *hist =
-                                        nullptr,
-                                    const VqCostParams &params =
-                                        VqCostParams{});
+                                        nullptr);
 
 /**
  * Analytic estimate of a KV-cache-quantized decode-attention kernel.
@@ -76,9 +72,7 @@ KernelResult estimateVqWeightKernel(const gpusim::GpuSpec &spec,
 KernelResult estimateVqAttentionKernel(const gpusim::GpuSpec &spec,
                                        const engine::KernelPlan &plan,
                                        const vq::AccessHistogram *hist =
-                                           nullptr,
-                                       const VqCostParams &params =
-                                           VqCostParams{});
+                                           nullptr);
 
 /** Outcome of a functional kernel execution. */
 struct FunctionalResult

@@ -178,59 +178,62 @@ evaluateWithWeights(const MlpModel &model,
     return static_cast<double>(correct) / static_cast<double>(n);
 }
 
-AccuracyReport
-compareQuantAccuracy(const vq::VQConfig &vq_cfg,
-                     const ewq::IntQuantConfig &ewq_cfg,
-                     std::uint64_t seed)
+std::pair<Dataset, Dataset>
+splitTask(const Dataset &all, std::size_t train_rows)
 {
-    Rng rng(seed);
-    TaskSpec spec;
-    Dataset all = makeTask(spec, rng);
-
-    // Split train/test.
+    const std::size_t rows = all.labels.size();
+    const std::size_t dim = all.features.dim(1);
+    vqllm_assert(train_rows <= rows, "train_rows ", train_rows,
+                 " exceeds the dataset's ", rows, " rows");
     Dataset train, test;
-    train.features = Tensor<float>({spec.train_samples, spec.input_dim});
-    test.features = Tensor<float>({spec.test_samples, spec.input_dim});
+    train.features = Tensor<float>({train_rows, dim});
+    test.features = Tensor<float>({rows - train_rows, dim});
+    std::copy(all.features.data(), all.features.data() + train_rows * dim,
+              train.features.data());
+    std::copy(all.features.data() + train_rows * dim,
+              all.features.data() + rows * dim, test.features.data());
     train.labels.assign(all.labels.begin(),
-                        all.labels.begin() + spec.train_samples);
-    test.labels.assign(all.labels.begin() + spec.train_samples,
-                       all.labels.end());
-    for (std::size_t i = 0; i < spec.train_samples; ++i)
-        for (std::size_t d = 0; d < spec.input_dim; ++d)
-            train.features.at(i, d) = all.features.at(i, d);
-    for (std::size_t i = 0; i < spec.test_samples; ++i)
-        for (std::size_t d = 0; d < spec.input_dim; ++d)
-            test.features.at(i, d) =
-                all.features.at(spec.train_samples + i, d);
-
-    MlpModel model = trainMlp(train, 192, 14, 0.02, rng);
-
-    AccuracyReport report;
-    // FP16 baseline: weights rounded through half precision.
-    Tensor<float> w1_fp16 = toFloat(toHalf(model.w1));
-    report.fp16 = evaluateWithWeights(model, w1_fp16, test);
-
-    // VQ: quantize through the library pipeline.  The codebook is
-    // pooled over the whole tensor so it trains on far more
-    // sub-vectors than it has entries (no memorization), keeping the
-    // bit-width comparison honest.
-    vq::VQConfig pooled = vq_cfg;
-    pooled.scope = vq::CodebookScope::PerTensor;
-    vq::KMeansOptions opts;
-    opts.max_iters = 12;
-    auto qt = vq::VectorQuantizer(pooled, opts).quantize(model.w1);
-    vq::reorderByFrequency(qt); // exercises the deployment path too
-    auto w1_vq = vq::VectorQuantizer::dequantize(qt);
-    report.vq = evaluateWithWeights(model, w1_vq, test);
-
-    // Element-wise RTN at the same equivalent bit-width.
-    auto w1_ewq =
-        ewq::intDequantize(ewq::intQuantize(model.w1, ewq_cfg));
-    report.ewq = evaluateWithWeights(model, w1_ewq, test);
-    return report;
+                        all.labels.begin() + train_rows);
+    test.labels.assign(all.labels.begin() + train_rows, all.labels.end());
+    return {std::move(train), std::move(test)};
 }
 
 namespace {
+
+/** The classifier both comparisons quantize, with its held-out set. */
+struct TrainedTask
+{
+    MlpModel model;
+    Dataset test;
+};
+
+/** Generate the default task from `seed`, split it, and train the
+ *  classifier on its train rows.  The hidden width 192 divides by both
+ *  CQ vector sizes (2 and 4). */
+TrainedTask
+trainOnTask(std::uint64_t seed)
+{
+    Rng rng(seed);
+    TaskSpec spec;
+    auto [train, test] = splitTask(makeTask(spec, rng), spec.train_samples);
+    MlpModel model = trainMlp(train, 192, 14, 0.02, rng);
+    return {std::move(model), std::move(test)};
+}
+
+/** A tensor quantized through a VQ config and reconstructed.  The
+ *  codebook is pooled over the whole tensor so it trains on far more
+ *  sub-vectors than it has entries (no memorization), keeping the
+ *  bit-width comparisons honest. */
+Tensor<float>
+vqRoundTrip(const Tensor<float> &x, vq::VQConfig cfg)
+{
+    cfg.scope = vq::CodebookScope::PerTensor;
+    vq::KMeansOptions opts;
+    opts.max_iters = 12;
+    auto qt = vq::VectorQuantizer(cfg, opts).quantize(x);
+    vq::reorderByFrequency(qt); // exercises the deployment path too
+    return vq::VectorQuantizer::dequantize(qt);
+}
 
 /** Accuracy of the output layer over a precomputed (possibly
  *  reconstructed) hidden-activation matrix [n, hidden]. */
@@ -265,53 +268,44 @@ evaluateFromHidden(const MlpModel &model, const Tensor<float> &hidden,
     return static_cast<double>(correct) / static_cast<double>(n);
 }
 
-/** Hidden activations quantized through a VQ config (pooled codebook,
- *  like compareQuantAccuracy's weight path). */
-Tensor<float>
-vqRoundTrip(const Tensor<float> &hidden, vq::VQConfig cfg)
-{
-    cfg.scope = vq::CodebookScope::PerTensor;
-    vq::KMeansOptions opts;
-    opts.max_iters = 12;
-    auto qt = vq::VectorQuantizer(cfg, opts).quantize(hidden);
-    vq::reorderByFrequency(qt);
-    return vq::VectorQuantizer::dequantize(qt);
-}
-
 } // namespace
+
+AccuracyReport
+compareQuantAccuracy(const vq::VQConfig &vq_cfg,
+                     const ewq::IntQuantConfig &ewq_cfg,
+                     std::uint64_t seed)
+{
+    const auto [model, test] = trainOnTask(seed);
+
+    AccuracyReport report;
+    // FP16 baseline: weights rounded through half precision.
+    Tensor<float> w1_fp16 = toFloat(toHalf(model.w1));
+    report.fp16 = evaluateWithWeights(model, w1_fp16, test);
+
+    // VQ through the library pipeline.
+    report.vq = evaluateWithWeights(model, vqRoundTrip(model.w1, vq_cfg),
+                                    test);
+
+    // Element-wise RTN at the same equivalent bit-width.
+    auto w1_ewq =
+        ewq::intDequantize(ewq::intQuantize(model.w1, ewq_cfg));
+    report.ewq = evaluateWithWeights(model, w1_ewq, test);
+    return report;
+}
 
 KvAccuracyReport
 compareKvAccuracy(std::uint64_t seed)
 {
-    Rng rng(seed);
-    TaskSpec spec;
-    Dataset all = makeTask(spec, rng);
-
-    Dataset train, test;
-    train.features = Tensor<float>({spec.train_samples, spec.input_dim});
-    test.features = Tensor<float>({spec.test_samples, spec.input_dim});
-    train.labels.assign(all.labels.begin(),
-                        all.labels.begin() + spec.train_samples);
-    test.labels.assign(all.labels.begin() + spec.train_samples,
-                       all.labels.end());
-    for (std::size_t i = 0; i < spec.train_samples; ++i)
-        for (std::size_t d = 0; d < spec.input_dim; ++d)
-            train.features.at(i, d) = all.features.at(i, d);
-    for (std::size_t i = 0; i < spec.test_samples; ++i)
-        for (std::size_t d = 0; d < spec.input_dim; ++d)
-            test.features.at(i, d) =
-                all.features.at(spec.train_samples + i, d);
-
-    // Hidden width 192 divides by both CQ vector sizes (2 and 4).
-    const std::size_t hidden_width = 192;
-    MlpModel model = trainMlp(train, hidden_width, 14, 0.02, rng);
+    const auto [model, test] = trainOnTask(seed);
 
     // Cache the test set's hidden activations once — the stand-in for
     // the KV vectors a serving run would store — then reconstruct them
     // through each KV scheme's round-trip.
-    Tensor<float> hidden({spec.test_samples, hidden_width});
+    const std::size_t rows = test.labels.size();
+    const std::size_t hidden_width = model.w1.dim(0);
+    Tensor<float> hidden({rows, hidden_width});
     std::vector<float> h;
-    for (std::size_t i = 0; i < spec.test_samples; ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
         forward(model, model.w1, test.features, i, &h);
         for (std::size_t j = 0; j < hidden_width; ++j)
             hidden.at(i, j) = h[j];

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "ewq/int_quant.h"
 #include "tensor/tensor.h"
@@ -58,6 +59,11 @@ struct TaskSpec
 
 /** Generate a synthetic correlated classification dataset. */
 Dataset makeTask(const TaskSpec &spec, Rng &rng);
+
+/** Split a dataset: its first `train_rows` rows train, the rest test.
+ *  @return {train, test} */
+std::pair<Dataset, Dataset> splitTask(const Dataset &all,
+                                      std::size_t train_rows);
 
 /**
  * Train the MLP with SGD on softmax cross-entropy.

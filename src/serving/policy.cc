@@ -1,121 +1,6 @@
 #include "serving/policy.h"
 
-#include "common/logging.h"
-
 namespace vqllm::serving {
-
-namespace {
-
-/** Arrival order with an id tiebreak (total order over a trace). */
-bool
-arrivesBefore(const Request &a, const Request &b)
-{
-    if (a.arrival_us != b.arrival_us)
-        return a.arrival_us < b.arrival_us;
-    return a.id < b.id;
-}
-
-class FcfsPolicy final : public SchedulingPolicy
-{
-  public:
-    const char *
-    name() const override
-    {
-        return "fcfs";
-    }
-
-    bool
-    admitBefore(const Request &a, const Request &b) const override
-    {
-        return arrivesBefore(a, b);
-    }
-
-    bool
-    evictBefore(const Request &a, const Request &b) const override
-    {
-        // Latest arrival loses its blocks first.
-        return arrivesBefore(b, a);
-    }
-};
-
-class PriorityPolicy final : public SchedulingPolicy
-{
-  public:
-    const char *
-    name() const override
-    {
-        return "priority";
-    }
-
-    bool
-    admitBefore(const Request &a, const Request &b) const override
-    {
-        if (a.priority != b.priority)
-            return a.priority > b.priority;
-        return arrivesBefore(a, b);
-    }
-
-    bool
-    evictBefore(const Request &a, const Request &b) const override
-    {
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return arrivesBefore(b, a);
-    }
-};
-
-class EdfPolicy final : public SchedulingPolicy
-{
-  public:
-    const char *
-    name() const override
-    {
-        return "edf";
-    }
-
-    bool
-    admitBefore(const Request &a, const Request &b) const override
-    {
-        double da = edfDeadlineUs(a), db = edfDeadlineUs(b);
-        if (da != db)
-            return da < db;
-        return arrivesBefore(a, b);
-    }
-
-    bool
-    evictBefore(const Request &a, const Request &b) const override
-    {
-        // The request with the most slack absorbs the stall best.
-        double da = edfDeadlineUs(a), db = edfDeadlineUs(b);
-        if (da != db)
-            return da > db;
-        return arrivesBefore(b, a);
-    }
-};
-
-} // namespace
-
-double
-edfDeadlineUs(const Request &r)
-{
-    if (r.generated == 0)
-        return r.arrival_us + r.ttft_deadline_us;
-    return r.last_token_us + r.tbt_deadline_us;
-}
-
-std::unique_ptr<SchedulingPolicy>
-makePolicy(PolicyKind kind)
-{
-    switch (kind) {
-      case PolicyKind::FCFS:
-        return std::make_unique<FcfsPolicy>();
-      case PolicyKind::Priority:
-        return std::make_unique<PriorityPolicy>();
-      case PolicyKind::EDF:
-        return std::make_unique<EdfPolicy>();
-    }
-    vqllm_panic("unknown PolicyKind");
-}
 
 const char *
 policyKindName(PolicyKind kind)

@@ -2,12 +2,13 @@
  * @file
  * Scheduling policies for the continuous-batching scheduler.
  *
- * A SchedulingPolicy supplies the two orderings batch formation needs:
- * *admission* (which waiting request enters the running set first) and
- * *eviction* (which running request loses its KV blocks first when a
- * decode step cannot take a block).  The scheduler owns the queues and
- * the KV accounting; policies only compare requests, so every policy
- * inherits the same preemption/recompute machinery.
+ * A policy is one total order over requests, admitBefore(kind, a, b),
+ * and batch formation needs nothing else: *admission* takes waiting
+ * requests in that order, and *eviction* takes it reversed (the
+ * running request that would be admitted last loses its KV blocks
+ * first when a decode step cannot take a block).  The scheduler owns
+ * the queues and the KV accounting, so every policy shares the same
+ * preemption/recompute machinery.
  *
  * Three policies ship:
  *  - FCFS      — strict arrival order; evict the latest arrival
@@ -18,12 +19,11 @@
  *                TTFT deadline (before the first token) or TBT deadline
  *                (after it); evict the request with the most slack.
  *
- * Every comparator is a strict weak order with a request-id tiebreak,
- * so batch formation is deterministic for any policy.
+ * Every order ends in an arrival and then request-id tiebreak, so it
+ * is total and batch formation is deterministic for any policy.
  */
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "serving/request.h"
@@ -37,28 +37,39 @@ enum class PolicyKind {
     EDF,
 };
 
-/** Admission and eviction orderings over requests. */
-class SchedulingPolicy
-{
-  public:
-    virtual ~SchedulingPolicy() = default;
-
-    /** Policy name for reports ("fcfs", "priority", "edf"). */
-    virtual const char *name() const = 0;
-
-    /** @return true when a should be admitted before b. */
-    virtual bool admitBefore(const Request &a, const Request &b) const = 0;
-
-    /** @return true when a is the better preemption victim than b. */
-    virtual bool evictBefore(const Request &a, const Request &b) const = 0;
-};
-
 /** @return the next deadline EDF schedules r against: TTFT deadline
  *  until the first token, then the TBT deadline of the next token. */
-double edfDeadlineUs(const Request &r);
+inline double
+edfDeadlineUs(const Request &r)
+{
+    if (r.generated == 0)
+        return r.arrival_us + r.ttft_deadline_us;
+    return r.last_token_us + r.tbt_deadline_us;
+}
 
-/** Construct a policy instance. */
-std::unique_ptr<SchedulingPolicy> makePolicy(PolicyKind kind);
+/** @return true when policy `kind` admits a before b (and so evicts b
+ *  before a). */
+inline bool
+admitBefore(PolicyKind kind, const Request &a, const Request &b)
+{
+    switch (kind) {
+      case PolicyKind::FCFS:
+        break;
+      case PolicyKind::Priority:
+        if (a.priority != b.priority)
+            return a.priority > b.priority;
+        break;
+      case PolicyKind::EDF: {
+        double da = edfDeadlineUs(a), db = edfDeadlineUs(b);
+        if (da != db)
+            return da < db;
+        break;
+      }
+    }
+    if (a.arrival_us != b.arrival_us)
+        return a.arrival_us < b.arrival_us;
+    return a.id < b.id;
+}
 
 /** @return lower-case policy name ("fcfs", "priority", "edf"). */
 const char *policyKindName(PolicyKind kind);

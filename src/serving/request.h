@@ -48,7 +48,7 @@ struct Request
     std::size_t max_new_tokens = 0;
     /** Codebook group the request's KV codebooks belong to. */
     std::uint64_t codebook_group = 0;
-    /** Scheduling priority (higher = more urgent; PriorityPolicy). */
+    /** Scheduling priority (higher = more urgent; PolicyKind::Priority). */
     int priority = 0;
     /** Shared-prefix group: requests with the same group open with the
      *  same prefix_tokens-long prompt prefix (a tenant's system

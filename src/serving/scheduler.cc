@@ -41,7 +41,7 @@ constexpr double kUploadFixedUs = 10.0;
 } // namespace
 
 Scheduler::Scheduler(const SchedulerConfig &cfg, KvBlockPool &pool)
-    : cfg_(cfg), pool_(pool), policy_(makePolicy(cfg.policy))
+    : cfg_(cfg), pool_(pool)
 {
     vqllm_assert(cfg_.max_batch > 0, "max_batch must be positive");
 }
@@ -80,16 +80,33 @@ Scheduler::requeue(Request *r)
     // insertions.  admitBefore is total (id tiebreak), making the
     // position, and thus batch formation, deterministic.
     auto pos = std::lower_bound(waiting_.begin(), waiting_.end(), r,
-                                [this](const Request *a,
-                                       const Request *b) {
-                                    return policy_->admitBefore(*a, *b);
+                                [kind = cfg_.policy](const Request *a,
+                                                     const Request *b) {
+                                    return admitBefore(kind, *a, *b);
                                 });
     waiting_.insert(pos, r);
 }
 
-void
-Scheduler::preempt(Request *r)
+Request *
+Scheduler::preemptVictim(Iteration &it)
 {
+    // The victim is the running request the policy would admit last,
+    // among those that have not decoded this iteration — a sequence
+    // whose token was already scheduled must keep its blocks until the
+    // iteration lands.
+    std::size_t v = running_.size();
+    for (std::size_t j = 0; j < running_.size(); ++j) {
+        Request *c = running_[j];
+        if (std::find(it.decode.begin(), it.decode.end(), c) !=
+            it.decode.end())
+            continue;
+        if (v == running_.size() ||
+            admitBefore(cfg_.policy, *running_[v], *c))
+            v = j;
+    }
+    vqllm_assert(v < running_.size(), "no preemption victim available");
+    Request *r = running_[v];
+    running_.erase(running_.begin() + v);
     if (trace_ != nullptr)
         trace_->instant(
             "preempt", "sched", 0, trace_->now(),
@@ -104,26 +121,22 @@ Scheduler::preempt(Request *r)
     r->prefill_complete = false;
     ++r->preemptions;
     requeue(r);
+    ++it.preempted;
+    return r;
 }
 
-std::size_t
-Scheduler::victimIndex(const Iteration &it) const
+void
+Scheduler::sortRunning(bool prefilled)
 {
-    // Policy-worst running request among those that have not decoded
-    // this iteration — a sequence whose token was already scheduled
-    // must keep its blocks until the iteration lands.
-    std::size_t v = running_.size();
-    for (std::size_t j = 0; j < running_.size(); ++j) {
-        Request *c = running_[j];
-        if (std::find(it.decode.begin(), it.decode.end(), c) !=
-            it.decode.end())
-            continue;
-        if (v == running_.size() ||
-            policy_->evictBefore(*c, *running_[v]))
-            v = j;
-    }
-    vqllm_assert(v < running_.size(), "no preemption victim available");
-    return v;
+    order_.clear();
+    for (Request *r : running_)
+        if (r->prefill_complete == prefilled)
+            order_.push_back(r);
+    std::stable_sort(order_.begin(), order_.end(),
+                     [kind = cfg_.policy](const Request *a,
+                                          const Request *b) {
+                         return admitBefore(kind, *a, *b);
+                     });
 }
 
 void
@@ -133,35 +146,20 @@ Scheduler::decodeStep(Iteration &it)
     // that cannot take a block evicts the policy victim until its
     // append succeeds or it preempts itself.  Decoded sequences are
     // eviction-protected for the rest of the iteration, so visit them
-    // most-protected-first (reverse eviction order): when pressure
-    // hits, the not-yet-decoded tail still holds the policy's
+    // in admission order (the reverse of eviction order): when
+    // pressure hits, the not-yet-decoded tail still holds the policy's
     // preferred victims — a high-priority sequence must never
     // self-preempt because a protected low-priority one decoded ahead
     // of it.
-    order_.clear();
-    for (Request *r : running_)
-        if (r->prefill_complete)
-            order_.push_back(r);
-    std::stable_sort(order_.begin(), order_.end(),
-                     [this](const Request *a, const Request *b) {
-                         return policy_->evictBefore(*b, *a);
-                     });
+    sortRunning(true);
     // One allocation for the step's decode list, not one per doubling.
     it.decode.reserve(order_.size());
     for (Request *r : order_) {
         if (r->state != RequestState::Running)
             continue; // fell victim to an earlier sequence's pressure
         bool ok = pool_.appendToken(r->id);
-        while (!ok) {
-            std::size_t v = victimIndex(it);
-            Request *victim = running_[v];
-            running_.erase(running_.begin() + v);
-            preempt(victim);
-            ++it.preempted;
-            if (victim == r)
-                break;
+        while (!ok && preemptVictim(it) != r)
             ok = pool_.appendToken(r->id);
-        }
         if (!ok)
             continue; // r preempted itself
         ++r->prefilled_tokens;
@@ -176,14 +174,7 @@ Scheduler::prefillChunks(Iteration &it)
 
     // ---- Continue in-flight (partially prefilled) sequences in
     // policy admission order.
-    order_.clear();
-    for (Request *r : running_)
-        if (!r->prefill_complete)
-            order_.push_back(r);
-    std::stable_sort(order_.begin(), order_.end(),
-                     [this](const Request *a, const Request *b) {
-                         return policy_->admitBefore(*a, *b);
-                     });
+    sortRunning(false);
     for (Request *r : order_) {
         if (budget == 0)
             break;
@@ -318,11 +309,7 @@ Scheduler::nextChunked()
         // Every running sequence is mid-prefill and blocked on KV
         // capacity: evict the policy victim and retry, so the oldest
         // prefill can make progress.
-        std::size_t v = victimIndex(it);
-        Request *victim = running_[v];
-        running_.erase(running_.begin() + v);
-        preempt(victim);
-        ++it.preempted;
+        preemptVictim(it);
     }
 }
 

@@ -4,8 +4,8 @@
  *
  * The scheduler owns the waiting/running queues and forms one
  * *iteration* at a time.  Queue order and preemption-victim selection
- * are delegated to a SchedulingPolicy (FCFS, priority, SLO-aware EDF),
- * so every policy shares the same KV block accounting through one
+ * follow one policy order (serving/policy.h: FCFS, priority, SLO-aware
+ * EDF), so every policy shares the same KV block accounting through one
  * KvBlockPool (one block table for every device under tensor
  * parallelism) and the same recompute-style preemption: a sequence
  * that loses its blocks re-queues and re-prefills its full context
@@ -33,7 +33,7 @@
  * through the decode-step model the end-to-end estimates use
  * (llm::DecodeStep, priced by llm::decodeLinearUs / decodeAttnUs, which
  * compile adaptive VQ kernels through the compiler::Engine facade and
- * price them with gpusim::CostModel).  Decode attention is priced per
+ * price them with gpusim::estimateLatency).  Decode attention is priced per
  * context-length bucket — mirroring flash-decoding's homogeneous
  * sub-launches over a ragged batch — and prefill slices via
  * llm::estimateChunkedPrefillUs on the (slice, context) bucket.
@@ -48,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "llm/model_config.h"
@@ -90,8 +89,8 @@ struct SchedulerConfig
  *
  * The waiting queue is kept in policy admission order (for FCFS that
  * is arrival order, so preempted sequences re-admit ahead of younger
- * requests); preemption victims are the policy's evictBefore minimum
- * among requests that have not decoded in the current iteration.
+ * requests); a preemption victim is the request the policy would admit
+ * last among those that have not decoded in the current iteration.
  */
 class Scheduler
 {
@@ -176,17 +175,20 @@ class Scheduler
     Iteration nextChunked();
     void decodeStep(Iteration &it);
     void prefillChunks(Iteration &it);
-    std::size_t victimIndex(const Iteration &it) const;
-    void preempt(Request *r);
+    /** Fill order_ with the running requests whose prefill_complete
+     *  equals `prefilled`, in policy admission order. */
+    void sortRunning(bool prefilled);
+    /** Preempt the policy victim (see the class comment) into the
+     *  waiting queue, counting it in `it`; @return the victim. */
+    Request *preemptVictim(Iteration &it);
     void requeue(Request *r);
 
     SchedulerConfig cfg_;
     KvBlockPool &pool_;
-    std::unique_ptr<SchedulingPolicy> policy_;
     /** Waiting queue, kept in policy admission order (requeue()). */
     std::vector<Request *> waiting_;
     /** Running set (admission order; batch formation orders its own
-     *  views with total policy comparators, so this order is not
+     *  views with the total policy order, so this order is not
      *  load-bearing). */
     std::vector<Request *> running_;
     /** Reused per-step view of running_: the visiting order of

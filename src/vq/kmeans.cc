@@ -218,7 +218,7 @@ lloydFit(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
         if (prev_inertia < std::numeric_limits<double>::max()) {
             double rel = (prev_inertia - inertia) /
                          std::max(prev_inertia, 1e-30);
-            if (rel >= 0 && rel < opts.tol)
+            if (rel >= 0 && rel < kKMeansTolerance)
                 break;
         }
         prev_inertia = inertia;

@@ -14,13 +14,14 @@
 
 namespace vqllm::vq {
 
+/** Relative inertia improvement below which Lloyd iteration stops. */
+inline constexpr double kKMeansTolerance = 1e-4;
+
 /** Options controlling a k-means run. */
 struct KMeansOptions
 {
     /** Maximum Lloyd iterations. */
     int max_iters = 25;
-    /** Relative inertia improvement below which iteration stops. */
-    double tol = 1e-4;
     /** RNG seed (k-means++ initialization and empty-cluster reseeding). */
     std::uint64_t seed = 0x5eedu;
     /**

@@ -9,6 +9,7 @@
  */
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <string>
 
@@ -92,6 +93,10 @@ struct VQConfig
 
     /** @return "VQ<v,b,r>" notation used throughout the paper. */
     std::string notation() const;
+
+    /** Member-wise, in declaration order (the compiler's cache key
+     *  orders by it). */
+    auto operator<=>(const VQConfig &) const = default;
 };
 
 /** QuiP#-4: VQ<8,16,2>, lattice codebook, per-tensor scope, 4-bit. */

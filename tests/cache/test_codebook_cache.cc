@@ -45,10 +45,8 @@ TEST(CachePlan, TierBoundaries)
 
 TEST(PlanCache, GcPolicyCachesNothing)
 {
-    CachePolicy policy;
-    policy.use_shared = false;
     auto plan = planCache(rtx4090(), {128, 4096, 48}, 256, 8, nullptr,
-                          policy);
+                          CacheTiers::None);
     EXPECT_EQ(plan.n_reg, 0u);
     EXPECT_EQ(plan.n_shared, 0u);
     EXPECT_EQ(plan.smemBytes(), 0u);
@@ -56,17 +54,15 @@ TEST(PlanCache, GcPolicyCachesNothing)
 
 TEST(PlanCache, GreedyCachesEverythingUpToHardLimit)
 {
-    CachePolicy policy;
-    policy.greedy_shared = true;
     auto plan = planCache(rtx4090(), {128, 4096, 48}, 256, 8, nullptr,
-                          policy);
+                          CacheTiers::GreedyShared);
     EXPECT_EQ(plan.n_reg, 0u);
     EXPECT_EQ(plan.n_shared, 256u);
 
     // A working set beyond the per-block shared limit is clamped
     // (AQLM-3's 128 KiB codebooks cannot fully reside).
     auto huge = planCache(rtx4090(), {128, 4096, 48}, 8192, 16, nullptr,
-                          policy);
+                          CacheTiers::GreedyShared);
     EXPECT_LT(huge.n_shared, 8192u);
     EXPECT_LE(huge.smemBytes() + 4096,
               rtx4090().max_smem_per_block);
@@ -103,16 +99,14 @@ TEST(PlanCache, HistogramCapsRegisterTier)
     EXPECT_EQ(plan.n_reg, 2u);
     // Without a histogram the policy cap applies.
     auto plan2 = planCache(rtx4090(), {128, 2048, 32}, 256, 8, nullptr);
-    EXPECT_LE(plan2.n_reg, CachePolicy{}.max_reg_entries);
+    EXPECT_LE(plan2.n_reg, kMaxRegEntries);
     EXPECT_GT(plan2.n_reg, 0u);
 }
 
 TEST(PlanCache, O1PolicyUsesNoRegisters)
 {
-    CachePolicy policy;
-    policy.use_registers = false;
     auto plan = planCache(rtx4090(), {128, 2048, 32}, 256, 8, nullptr,
-                          policy);
+                          CacheTiers::Shared);
     EXPECT_EQ(plan.n_reg, 0u);
     EXPECT_GT(plan.n_shared, 0u);
 }

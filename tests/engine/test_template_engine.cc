@@ -201,28 +201,22 @@ stagingBytes(const gpusim::BlockResources &base, const vq::VQConfig &config)
            2;
 }
 
-cache::CachePolicy
+cache::CacheTiers
 policyForLevel(OptLevel level)
 {
-    cache::CachePolicy policy;
     switch (level) {
       case OptLevel::GC:
-        policy.use_shared = false;
-        policy.use_registers = false;
-        break;
+        return cache::CacheTiers::None;
       case OptLevel::SC:
-        policy.greedy_shared = true;
-        policy.use_registers = false;
-        break;
+        return cache::CacheTiers::GreedyShared;
       case OptLevel::O1:
-        policy.use_registers = false;
-        break;
+        return cache::CacheTiers::Shared;
       case OptLevel::O2:
       case OptLevel::O3:
       case OptLevel::O4:
         break;
     }
-    return policy;
+    return cache::CacheTiers::SharedAndRegisters;
 }
 
 void

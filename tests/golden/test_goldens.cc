@@ -156,6 +156,29 @@ goldenCases()
                          return runServing(cfg);
                      },
                      true});
+    // The same KV pressure under the non-FCFS orders: priority and EDF
+    // admission, and victims taken in the reverse of it.
+    cases.push_back({"fp16_tp2_hbm8p5_priority4_preempt",
+                     [] {
+                         auto cfg = baseSim(QuantScheme::FP16, 6, 10);
+                         cfg.tp.degree = 2;
+                         cfg.hbm_gb = 8.5;
+                         cfg.workload.priority_levels = 4;
+                         cfg.scheduler.policy =
+                             serving::PolicyKind::Priority;
+                         return runServing(cfg);
+                     },
+                     true});
+    cases.push_back({"fp16_tp2_hbm8p5_edf_chunk256_preempt",
+                     [] {
+                         auto cfg = baseSim(QuantScheme::FP16, 6, 10);
+                         cfg.tp.degree = 2;
+                         cfg.hbm_gb = 8.5;
+                         cfg.scheduler.policy = serving::PolicyKind::EDF;
+                         cfg.scheduler.chunk_tokens = 256;
+                         return runServing(cfg);
+                     },
+                     true});
     cases.push_back({"vq2_kvvq4_tp2_prefix_hbm3_pressure",
                      [] {
                          auto cfg = baseSim(QuantScheme::VQ2, 4, 12);

@@ -22,12 +22,11 @@ bigGrid()
 
 TEST(CostModel, MoreDramBytesMoreLatency)
 {
-    CostModel model(rtx4090());
     KernelCounters a, b;
     a.dram_read_bytes = 16ull << 20;
     b.dram_read_bytes = 64ull << 20;
-    auto la = model.estimate(bigGrid(), a);
-    auto lb = model.estimate(bigGrid(), b);
+    auto la = estimateLatency(rtx4090(), bigGrid(), a);
+    auto lb = estimateLatency(rtx4090(), bigGrid(), b);
     EXPECT_GT(lb.total_us, la.total_us);
     // 4x the bytes should be ~4x the dram time.
     EXPECT_NEAR(lb.dram_us / la.dram_us, 4.0, 0.2);
@@ -37,17 +36,15 @@ TEST(CostModel, MemoryBoundKernelNearsPeakBandwidth)
 {
     // A 16 MiB streaming read on a 4090 (1008 GB/s, 82% efficient)
     // should take roughly 20 us.
-    CostModel model(rtx4090());
     KernelCounters c;
     c.dram_read_bytes = 16ull << 20;
-    auto lat = model.estimate(bigGrid(), c);
+    auto lat = estimateLatency(rtx4090(), bigGrid(), c);
     EXPECT_GT(lat.dram_us, 15.0);
     EXPECT_LT(lat.dram_us, 30.0);
 }
 
 TEST(CostModel, LowOccupancyDeratesBandwidth)
 {
-    CostModel model(rtx4090());
     KernelCounters c;
     c.dram_read_bytes = 64ull << 20;
 
@@ -55,14 +52,13 @@ TEST(CostModel, LowOccupancyDeratesBandwidth)
     LaunchConfig low = bigGrid();
     low.block.threads = 128;          // 4 warps
     low.block.smem_bytes = 90 * 1024; // 1 block/SM -> very low occupancy
-    auto lh = model.estimate(high, c);
-    auto ll = model.estimate(low, c);
+    auto lh = estimateLatency(rtx4090(), high, c);
+    auto ll = estimateLatency(rtx4090(), low, c);
     EXPECT_GT(ll.dram_us, lh.dram_us * 1.2);
 }
 
 TEST(CostModel, SmallGridIsLatencyBound)
 {
-    CostModel model(rtx4090());
     KernelCounters c;
     c.dram_read_bytes = 4ull << 20;
 
@@ -70,70 +66,65 @@ TEST(CostModel, SmallGridIsLatencyBound)
     tiny.grid_blocks = 8; // only 8 of 128 SMs busy
     LaunchConfig big = bigGrid();
     big.grid_blocks = 4096;
-    auto lt = model.estimate(tiny, c);
-    auto lb = model.estimate(big, c);
+    auto lt = estimateLatency(rtx4090(), tiny, c);
+    auto lb = estimateLatency(rtx4090(), big, c);
     EXPECT_GT(lt.total_us, lb.total_us);
 }
 
 TEST(CostModel, BankConflictsSerializeSmem)
 {
-    CostModel model(rtx4090());
     KernelCounters clean, conflicted;
     clean.smem_ideal_transactions = 1u << 20;
     clean.smem_transactions = 1u << 20;
     conflicted.smem_ideal_transactions = 1u << 20;
     conflicted.smem_transactions = 4u << 20; // 4-way conflicts
-    auto lc = model.estimate(bigGrid(), clean);
-    auto lx = model.estimate(bigGrid(), conflicted);
+    auto lc = estimateLatency(rtx4090(), bigGrid(), clean);
+    auto lx = estimateLatency(rtx4090(), bigGrid(), conflicted);
     EXPECT_NEAR(lx.smem_us / lc.smem_us, 4.0, 0.01);
     EXPECT_DOUBLE_EQ(conflicted.conflictMultiplier(), 4.0);
 }
 
 TEST(CostModel, ReductionAddsSecondPass)
 {
-    CostModel model(rtx4090());
     KernelCounters with, without;
     without.dram_read_bytes = 8ull << 20;
     with.dram_read_bytes = 8ull << 20;
     with.reduce_bytes = 4ull << 20;
-    auto lw = model.estimate(bigGrid(), with);
-    auto lo = model.estimate(bigGrid(), without);
+    auto lw = estimateLatency(rtx4090(), bigGrid(), with);
+    auto lo = estimateLatency(rtx4090(), bigGrid(), without);
     EXPECT_GT(lw.total_us, lo.total_us);
     EXPECT_GT(lw.reduce_us, 0.0);
 }
 
 TEST(CostModel, ScalarOverheadCostsCompute)
 {
-    CostModel model(rtx4090());
     KernelCounters lean, heavy;
     lean.flops = 1ull << 30;
     heavy.flops = 1ull << 30;
     heavy.dequant_lookups = 1ull << 28;
     heavy.unpack_ops = 1ull << 28;
-    auto ll = model.estimate(bigGrid(), lean);
-    auto lh = model.estimate(bigGrid(), heavy);
+    auto ll = estimateLatency(rtx4090(), bigGrid(), lean);
+    auto lh = estimateLatency(rtx4090(), bigGrid(), heavy);
     EXPECT_GT(lh.compute_us, ll.compute_us);
 }
 
 TEST(CostModel, TensorCoresBeatCudaCores)
 {
-    CostModel model(rtx4090());
     KernelCounters c;
     c.flops = 1ull << 34;
     LaunchConfig tc = bigGrid();
     tc.uses_tensor_cores = true;
     LaunchConfig cc = bigGrid();
     cc.uses_tensor_cores = false;
-    EXPECT_LT(model.estimate(tc, c).compute_us,
-              model.estimate(cc, c).compute_us);
+    EXPECT_LT(estimateLatency(rtx4090(), tc, c).compute_us,
+              estimateLatency(rtx4090(), cc, c).compute_us);
 }
 
 TEST(CostModel, UnlaunchableBlockIsFlagged)
 {
-    CostModel model(rtx4090());
     LaunchConfig bad = bigGrid();
     bad.block.smem_bytes = 10 * 1024 * 1024;
-    auto lat = model.estimate(bad, KernelCounters{});
+    auto lat = estimateLatency(rtx4090(), bad, KernelCounters{});
     EXPECT_GE(lat.total_us, 1e11);
 }
 
@@ -141,11 +132,10 @@ TEST(CostModel, A40SlowerThan4090ForSameTraffic)
 {
     // The A40 has 69% of the 4090's bandwidth; a memory-bound kernel
     // slows accordingly (basis of the paper's Fig. 17 A40 point).
-    CostModel fast(rtx4090()), slow(teslaA40());
     KernelCounters c;
     c.dram_read_bytes = 64ull << 20;
-    auto lf = fast.estimate(bigGrid(), c);
-    auto ls = slow.estimate(bigGrid(), c);
+    auto lf = estimateLatency(rtx4090(), bigGrid(), c);
+    auto ls = estimateLatency(teslaA40(), bigGrid(), c);
     EXPECT_NEAR(ls.dram_us / lf.dram_us,
                 rtx4090().dram_bw_gbps / teslaA40().dram_bw_gbps, 0.05);
 }

@@ -38,6 +38,16 @@ using Counts = std::vector<std::uint64_t>;
 
 namespace ref {
 
+/** The calibration the estimators read (vq_kernels.h), passed to the
+ *  reference explicitly. */
+struct VqCostParams
+{
+    double gc_l1_hit = kGcL1Hit;
+    double sector_bytes = kSectorBytes;
+    int conflict_samples = kConflictSamples;
+    std::uint64_t conflict_seed = kConflictSeed;
+};
+
 std::vector<std::uint32_t>
 frequencyOrder(const Counts &counts)
 {
@@ -496,9 +506,9 @@ TEST(HistogramFacts, TierFractionsMatchRankSumsOnHandBuiltPlans)
  */
 void
 checkConfig(const gpusim::GpuSpec &spec, const vq::VQConfig &cfg,
-            const std::vector<HistCase> &cases,
-            const VqCostParams &params = VqCostParams{})
+            const std::vector<HistCase> &cases)
 {
+    const ref::VqCostParams params;
     const bool kv = cfg.scope == vq::CodebookScope::PerChannelGroup;
     for (OptLevel level : engine::kAllOptLevels) {
         for (const HistCase &h : cases) {
@@ -527,15 +537,13 @@ checkConfig(const gpusim::GpuSpec &spec, const vq::VQConfig &cfg,
                     what);
                 if (kv)
                     expectSameResult(
-                        estimateVqAttentionKernel(spec, plan, h.hist.get(),
-                                                  params),
+                        estimateVqAttentionKernel(spec, plan, h.hist.get()),
                         ref::estimateAttention(spec, plan, h.counts.get(),
                                                params),
                         what);
                 else
                     expectSameResult(
-                        estimateVqWeightKernel(spec, plan, h.hist.get(),
-                                               params),
+                        estimateVqWeightKernel(spec, plan, h.hist.get()),
                         ref::estimateWeight(spec, plan, h.counts.get(),
                                             params),
                         what);
@@ -555,11 +563,10 @@ TEST(HistogramEstimates, TableIIConfigsMatchReferenceAtEveryLevel)
 TEST(HistogramEstimates, MemoKeyCoversSpecParamsAndContent)
 {
     // The conflict memo is keyed by the histogram digest and shared
-    // ranks (or the resident count), entry width, sample count, seed,
-    // warp size and bank count.  After the default sweep has filled the
-    // memo, a GPU with half the banks, another seed and another sample
-    // count must each get their own estimate, and so must a book of the
-    // same size and boundaries with other counts.
+    // ranks (or the resident count), entry width, warp size and bank
+    // count.  After the default sweep has filled the memo, a GPU with
+    // half the banks must get its own estimate, and so must a book of
+    // the same size and boundaries with other counts.
     Rng rng(99);
     const vq::VQConfig cfg = vq::gptvq2();
     auto cases = histCases(cfg.storedEntries(), rng);
@@ -568,10 +575,6 @@ TEST(HistogramEstimates, MemoKeyCoversSpecParamsAndContent)
     gpusim::GpuSpec narrow = gpusim::rtx4090();
     narrow.smem_banks = 16;
     checkConfig(narrow, cfg, cases);
-    VqCostParams reseeded;
-    reseeded.conflict_seed = 77;
-    reseeded.conflict_samples = 96;
-    checkConfig(gpusim::rtx4090(), cfg, cases, reseeded);
 
     // The skewed book with its cold half one access warmer: the same
     // hot entries, so the same cache boundaries, but other weights in

@@ -226,6 +226,21 @@ TEST(VqAttentionFunctional, CountsLookupsForBothCaches)
     EXPECT_EQ(r.stats.total(), expected);
 }
 
+TEST(VqAttentionFunctional, RejectsHeadDimNotMultipleOfVectorSize)
+{
+    // CQ-2's 4-element sub-vectors quantize the 12 columns fine, but
+    // would straddle the two 6-channel heads.
+    const std::size_t H = 2, T = 16, C = 6;
+    auto qt_k = smallKv(vq::cq2(), T, H, C, 43);
+    auto qt_v = smallKv(vq::cq2(), T, H, C, 47);
+    Tensor<float> q({H, C});
+    AttnShape shape{1, H, T, C};
+    auto plan = engine::planAttentionKernel(shape, qt_k.config,
+                                            OptLevel::O2, inputs());
+    EXPECT_DEATH(runVqAttention(plan, qt_k, qt_v, q),
+                 "multiple of the K and V vector size");
+}
+
 // ---------------------------------------------------------------------
 // Analytic model: the paper's qualitative results.
 // ---------------------------------------------------------------------

@@ -17,21 +17,8 @@ TEST(Accuracy, TaskIsLearnable)
     TaskSpec spec;
     spec.train_samples = 1200;
     spec.test_samples = 600;
-    Dataset all = makeTask(spec, rng);
-    Dataset train, test;
-    train.features = Tensor<float>({spec.train_samples, spec.input_dim});
-    test.features = Tensor<float>({spec.test_samples, spec.input_dim});
-    train.labels.assign(all.labels.begin(),
-                        all.labels.begin() + spec.train_samples);
-    test.labels.assign(all.labels.begin() + spec.train_samples,
-                       all.labels.end());
-    for (std::size_t i = 0; i < spec.train_samples; ++i)
-        for (std::size_t d = 0; d < spec.input_dim; ++d)
-            train.features.at(i, d) = all.features.at(i, d);
-    for (std::size_t i = 0; i < spec.test_samples; ++i)
-        for (std::size_t d = 0; d < spec.input_dim; ++d)
-            test.features.at(i, d) =
-                all.features.at(spec.train_samples + i, d);
+    auto [train, test] = splitTask(makeTask(spec, rng), spec.train_samples);
+    ASSERT_EQ(test.labels.size(), spec.test_samples);
 
     MlpModel model = trainMlp(train, 48, 8, 0.02, rng);
     double acc = evaluate(model, test);

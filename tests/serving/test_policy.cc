@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for the scheduling-policy interface: FCFS / priority / EDF
- * comparator semantics and their effect on scheduler admission order
- * and preemption-victim selection.
+ * Tests for the scheduling policies: FCFS / priority / EDF order
+ * semantics and their effect on scheduler admission order and
+ * preemption-victim selection.
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "common/rng.h"
 #include "serving/policy.h"
 #include "serving/scheduler.h"
 
@@ -36,34 +39,33 @@ poolCfg(std::uint64_t blocks, std::size_t block_tokens = 4)
 
 TEST(Policy, FcfsOrdersByArrivalWithIdTiebreak)
 {
-    auto p = makePolicy(PolicyKind::FCFS);
+    const auto k = PolicyKind::FCFS;
     auto a = makeRequest(0, 10, 4, 4);
     auto b = makeRequest(1, 20, 4, 4);
-    EXPECT_TRUE(p->admitBefore(a, b));
-    EXPECT_FALSE(p->admitBefore(b, a));
-    EXPECT_TRUE(p->evictBefore(b, a)); // latest arrival evicted first
+    EXPECT_TRUE(admitBefore(k, a, b));
+    EXPECT_FALSE(admitBefore(k, b, a));
     auto c = makeRequest(2, 10, 4, 4); // same arrival as a: id breaks
-    EXPECT_TRUE(p->admitBefore(a, c));
-    EXPECT_TRUE(p->evictBefore(c, a));
+    EXPECT_TRUE(admitBefore(k, a, c));
+    EXPECT_FALSE(admitBefore(k, c, a));
 }
 
 TEST(Policy, PriorityBeatsArrivalAndEvictsLowestFirst)
 {
-    auto p = makePolicy(PolicyKind::Priority);
+    const auto k = PolicyKind::Priority;
     auto low = makeRequest(0, 0, 4, 4);
     auto high = makeRequest(1, 100, 4, 4);
     high.priority = 5;
-    EXPECT_TRUE(p->admitBefore(high, low));
-    EXPECT_TRUE(p->evictBefore(low, high));
+    EXPECT_TRUE(admitBefore(k, high, low));
+    EXPECT_FALSE(admitBefore(k, low, high)); // lowest evicted first
     // Equal priority falls back to arrival order.
     auto low2 = makeRequest(2, 50, 4, 4);
-    EXPECT_TRUE(p->admitBefore(low, low2));
-    EXPECT_TRUE(p->evictBefore(low2, low));
+    EXPECT_TRUE(admitBefore(k, low, low2));
+    EXPECT_FALSE(admitBefore(k, low2, low));
 }
 
 TEST(Policy, EdfTracksTtftThenTbtDeadline)
 {
-    auto p = makePolicy(PolicyKind::EDF);
+    const auto k = PolicyKind::EDF;
     auto a = makeRequest(0, 0, 4, 4);
     a.ttft_deadline_us = 1000;
     auto b = makeRequest(1, 500, 4, 4);
@@ -71,15 +73,15 @@ TEST(Policy, EdfTracksTtftThenTbtDeadline)
     // b's first-token deadline (700) beats a's (1000).
     EXPECT_EQ(edfDeadlineUs(a), 1000);
     EXPECT_EQ(edfDeadlineUs(b), 700);
-    EXPECT_TRUE(p->admitBefore(b, a));
-    EXPECT_TRUE(p->evictBefore(a, b)); // most slack evicted first
+    EXPECT_TRUE(admitBefore(k, b, a));
+    EXPECT_FALSE(admitBefore(k, a, b)); // most slack evicted first
 
     // Once a token is out, the TBT deadline takes over.
     a.generated = 1;
     a.last_token_us = 2000;
     a.tbt_deadline_us = 100;
     EXPECT_EQ(edfDeadlineUs(a), 2100);
-    EXPECT_TRUE(p->admitBefore(b, a));
+    EXPECT_TRUE(admitBefore(k, b, a));
 }
 
 TEST(Policy, NamesRoundTrip)
@@ -89,10 +91,119 @@ TEST(Policy, NamesRoundTrip)
         PolicyKind parsed;
         ASSERT_TRUE(parsePolicyKind(policyKindName(kind), &parsed));
         EXPECT_EQ(parsed, kind);
-        EXPECT_STREQ(makePolicy(kind)->name(), policyKindName(kind));
     }
     PolicyKind out;
     EXPECT_FALSE(parsePolicyKind("rr", &out));
+}
+
+// Reference: per-policy comparator classes that write admission and
+// eviction as two separate orders.  admitBefore(kind, ...) must agree
+// with both, eviction being its reverse.
+class ReferencePolicy
+{
+  public:
+    virtual ~ReferencePolicy() = default;
+    virtual bool admitBefore(const Request &a, const Request &b) const = 0;
+    virtual bool evictBefore(const Request &a, const Request &b) const = 0;
+};
+
+bool
+arrivesBefore(const Request &a, const Request &b)
+{
+    if (a.arrival_us != b.arrival_us)
+        return a.arrival_us < b.arrival_us;
+    return a.id < b.id;
+}
+
+class ReferenceFcfs final : public ReferencePolicy
+{
+  public:
+    bool
+    admitBefore(const Request &a, const Request &b) const override
+    {
+        return arrivesBefore(a, b);
+    }
+
+    bool
+    evictBefore(const Request &a, const Request &b) const override
+    {
+        return arrivesBefore(b, a);
+    }
+};
+
+class ReferencePriority final : public ReferencePolicy
+{
+  public:
+    bool
+    admitBefore(const Request &a, const Request &b) const override
+    {
+        if (a.priority != b.priority)
+            return a.priority > b.priority;
+        return arrivesBefore(a, b);
+    }
+
+    bool
+    evictBefore(const Request &a, const Request &b) const override
+    {
+        if (a.priority != b.priority)
+            return a.priority < b.priority;
+        return arrivesBefore(b, a);
+    }
+};
+
+class ReferenceEdf final : public ReferencePolicy
+{
+  public:
+    bool
+    admitBefore(const Request &a, const Request &b) const override
+    {
+        double da = edfDeadlineUs(a), db = edfDeadlineUs(b);
+        if (da != db)
+            return da < db;
+        return arrivesBefore(a, b);
+    }
+
+    bool
+    evictBefore(const Request &a, const Request &b) const override
+    {
+        double da = edfDeadlineUs(a), db = edfDeadlineUs(b);
+        if (da != db)
+            return da > db;
+        return arrivesBefore(b, a);
+    }
+};
+
+TEST(Policy, OneOrderMatchesReferenceAdmissionAndEviction)
+{
+    // Small value ranges make ties in arrival, priority and deadline
+    // (and so every tiebreak level) common.
+    Rng rng(42);
+    auto draw = [&rng](std::uint64_t id) {
+        Request r = makeRequest(id, static_cast<double>(rng.uniformInt(4)),
+                                4, 4);
+        r.priority = static_cast<int>(rng.uniformInt(3));
+        r.ttft_deadline_us = static_cast<double>(rng.uniformInt(3));
+        r.tbt_deadline_us = static_cast<double>(rng.uniformInt(3));
+        r.generated = rng.uniformInt(2);
+        r.last_token_us = static_cast<double>(rng.uniformInt(4));
+        return r;
+    };
+    const ReferenceFcfs fcfs;
+    const ReferencePriority priority;
+    const ReferenceEdf edf;
+    const std::pair<PolicyKind, const ReferencePolicy *> policies[] = {
+        {PolicyKind::FCFS, &fcfs},
+        {PolicyKind::Priority, &priority},
+        {PolicyKind::EDF, &edf}};
+    for (int i = 0; i < 4000; ++i) {
+        Request a = draw(rng.uniformInt(3));
+        Request b = draw(rng.uniformInt(3));
+        for (const auto &[kind, ref] : policies) {
+            SCOPED_TRACE(policyKindName(kind));
+            EXPECT_EQ(admitBefore(kind, a, b), ref->admitBefore(a, b));
+            EXPECT_EQ(admitBefore(kind, b, a), ref->evictBefore(a, b));
+        }
+    }
 }
 
 TEST(PolicyScheduler, PriorityAdmitsHighPriorityFirst)
