@@ -1,11 +1,9 @@
 #include "codegen/cuda_emitter.h"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
 
 #include "common/bitutils.h"
-#include "common/logging.h"
+#include "common/text_builder.h"
 
 namespace vqllm::codegen {
 
@@ -16,20 +14,24 @@ using engine::OptLevel;
 
 namespace {
 
-std::string
-sanitize(std::string name)
+/** Append `name` as a C identifier fragment: ASCII letters lowered,
+ *  digits kept, every other byte '_'. */
+void
+appendSanitized(TextBuilder &out, std::string_view name)
 {
-    for (char &c : name)
-        if (!std::isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    std::transform(name.begin(), name.end(), name.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    return name;
+    for (char c : name) {
+        if (c >= 'A' && c <= 'Z')
+            out << static_cast<char>(c - 'A' + 'a');
+        else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9'))
+            out << c;
+        else
+            out << '_';
+    }
 }
 
 /** Emit the #define block binding all plan parameters. */
 void
-emitParameters(std::ostringstream &out, const KernelPlan &plan)
+emitParameters(TextBuilder &out, const KernelPlan &plan)
 {
     const auto &cfg = plan.config;
     out << "// ---- plan parameters (resolved offline, Alg. 2) ----\n";
@@ -52,7 +54,7 @@ emitParameters(std::ostringstream &out, const KernelPlan &plan)
 
 /** Emit the codebook-cache device functions (paper Sec. V-C API). */
 void
-emitCodebookCache(std::ostringstream &out)
+emitCodebookCache(TextBuilder &out)
 {
     out << R"(// ---- codebook cache (Load / Access / Switch) ----
 struct CodebookCache {
@@ -115,7 +117,7 @@ cb_access(const CodebookCache& cb, unsigned stored_index)
 
 /** Emit index unpack + dequantization for the config's bit layout. */
 void
-emitDequant(std::ostringstream &out, const KernelPlan &plan)
+emitDequant(TextBuilder &out, const KernelPlan &plan)
 {
     const auto &cfg = plan.config;
     out << "// ---- index unpack + dequantization ----\n";
@@ -176,7 +178,7 @@ emitDequant(std::ostringstream &out, const KernelPlan &plan)
 
 /** Emit the register-level exchange schedule (paper Fig. 12 / Alg. 1). */
 void
-emitRegFusion(std::ostringstream &out, const KernelPlan &plan)
+emitRegFusion(TextBuilder &out, const KernelPlan &plan)
 {
     out << "// ---- register-level fusion: xor-shuffle exchange ----\n";
     out << "// Thread remapping (lane_map[dequant_subvector] = lane):\n"
@@ -201,7 +203,7 @@ emitRegFusion(std::ostringstream &out, const KernelPlan &plan)
 
 /** Emit the shared-memory fusion staging helpers. */
 void
-emitSharedFusion(std::ostringstream &out)
+emitSharedFusion(TextBuilder &out)
 {
     out << R"(// ---- shared-memory fusion: staging round-trip ----
 __device__ __forceinline__ void
@@ -225,8 +227,8 @@ shared_fusion_load(const half* staging, int element)
 
 /** Emit the op-specific kernel body skeleton. */
 void
-emitKernelBody(std::ostringstream &out, const KernelPlan &plan,
-               const std::string &name)
+emitKernelBody(TextBuilder &out, const KernelPlan &plan,
+               std::string_view name)
 {
     const bool reg_fusion =
         plan.fusion.level == FusionLevel::Register;
@@ -295,9 +297,12 @@ emitKernelBody(std::ostringstream &out, const KernelPlan &plan,
             << "        for (int i = 0; i < MINI_WARP; ++i) {\n"
             << "            frag[i] = __half2float(deq[i % "
                "VQ_VECTOR_SIZE]);\n"
-            << "        }\n"
-            << "        reg_fusion_exchange(frag);\n"
-            << "        acc += frag[0];\n";
+            << "        }\n";
+        // With no shuffle the dequantized layout is the consumer's, and
+        // emitCudaKernel emits no exchange helper to call.
+        if (plan.fusion.num_shuffles > 0)
+            out << "        reg_fusion_exchange(frag);\n";
+        out << "        acc += frag[0];\n";
     } else {
         out << "        shared_fusion_store(staging, threadIdx.x, "
                "deq);\n"
@@ -323,8 +328,8 @@ emitKernelBody(std::ostringstream &out, const KernelPlan &plan,
 
 /** Emit the global-reduction epilogue kernel. */
 void
-emitReduceKernel(std::ostringstream &out, const KernelPlan &plan,
-                 const std::string &name)
+emitReduceKernel(TextBuilder &out, const KernelPlan &plan,
+                 std::string_view name)
 {
     out << "// ---- global reduction over the split segments ----\n"
         << "extern \"C\" __global__ void\n" << name << "_reduce(\n"
@@ -346,8 +351,8 @@ emitReduceKernel(std::ostringstream &out, const KernelPlan &plan,
 
 /** Emit the host-side launcher. */
 void
-emitLauncher(std::ostringstream &out, const KernelPlan &plan,
-             const std::string &name)
+emitLauncher(TextBuilder &out, const KernelPlan &plan,
+             std::string_view name)
 {
     std::size_t smem = plan.cache_plan.smemBytes();
     if (plan.fusion.level == FusionLevel::Shared)
@@ -378,42 +383,52 @@ kernelSymbolName(const KernelPlan &plan)
     // histogram, not just the shape).  Two distinct plans must never
     // share a symbol — the dump example writes one file per symbol,
     // and a deployment links the translation units together.
-    std::ostringstream oss;
-    oss << "vqllm_" << sanitize(engine::opKindName(plan.kind)) << "_"
-        << sanitize(plan.config.name) << "_";
+    TextBuilder out(96);
+    out << "vqllm_";
+    appendSanitized(out, engine::opKindName(plan.kind));
+    out << '_';
+    appendSanitized(out, plan.config.name);
+    out << '_';
     if (plan.kind == engine::OpKind::AttentionDecode) {
-        oss << "b" << plan.attn.batch << "h" << plan.attn.heads << "t"
+        out << "b" << plan.attn.batch << "h" << plan.attn.heads << "t"
             << plan.attn.seq_len << "c" << plan.attn.head_dim;
         if (plan.attn.kvHeads() != plan.attn.heads)
-            oss << "g" << plan.attn.kvHeads();
+            out << "g" << plan.attn.kvHeads();
     } else {
-        oss << "m" << plan.gemm.m << "n" << plan.gemm.n << "k"
+        out << "m" << plan.gemm.m << "n" << plan.gemm.n << "k"
             << plan.gemm.k;
     }
-    oss << "_" << sanitize(engine::optLevelName(plan.level)) << "_f"
+    out << '_';
+    appendSanitized(out, engine::optLevelName(plan.level));
+    out << "_f"
         << (plan.fusion.level == engine::FusionLevel::Register ? "r"
                                                                : "s");
     if (plan.dataflow.split > 1)
-        oss << "_s" << plan.dataflow.split;
+        out << "_s" << plan.dataflow.split;
     if (plan.cache_plan.n_reg > 0 || plan.cache_plan.n_shared > 0)
-        oss << "_c" << plan.cache_plan.n_reg << "x"
+        out << "_c" << plan.cache_plan.n_reg << "x"
             << plan.cache_plan.n_shared;
-    return oss.str();
+    return out.take();
 }
 
 std::string
 emitCudaKernel(const KernelPlan &plan)
 {
-    const std::string name = kernelSymbolName(plan);
-    std::ostringstream out;
+    return emitCudaKernel(plan, kernelSymbolName(plan));
+}
+
+std::string
+emitCudaKernel(const KernelPlan &plan, std::string_view name)
+{
+    // Room for the longest source the Fig. 13 matrix emits (~6.7 KB);
+    // take() trims the spare capacity off the retained result.
+    TextBuilder out(8192);
     out << "// Auto-generated by VQ-LLM; do not edit.\n"
         << "// " << plan.config.name << " " << plan.config.notation()
         << " fused with " << engine::opKindName(plan.kind) << " at "
         << engine::optLevelName(plan.level) << "\n"
         << "//\n";
-    std::istringstream summary(plan.summary());
-    for (std::string line; std::getline(summary, line);)
-        out << "// " << line << "\n";
+    plan.appendSummary(out, "// ");
     out << "\n#include <cuda_fp16.h>\n\n";
 
     emitParameters(out, plan);
@@ -429,7 +444,7 @@ emitCudaKernel(const KernelPlan &plan)
     if (plan.dataflow.needsGlobalReduce())
         emitReduceKernel(out, plan, name);
     emitLauncher(out, plan, name);
-    return out.str();
+    return out.take();
 }
 
 std::string

@@ -15,11 +15,13 @@
  *
  * This host environment has no nvcc, so emitted sources are validated
  * structurally (see tests) rather than compiled; emission itself is pure
- * C++ string construction, exactly the paper's host-side layer.
+ * C++ string construction, exactly the paper's host-side layer, appended
+ * through one TextBuilder (common/text_builder.h) per source.
  */
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "engine/kernel_plan.h"
 
@@ -29,6 +31,11 @@ namespace vqllm::codegen {
  *  kernel under kernelSymbolName(plan), the reduction epilogue kernel
  *  when the plan needs one, and a host-side launcher. */
 std::string emitCudaKernel(const engine::KernelPlan &plan);
+
+/** emitCudaKernel(plan) for a caller that already holds
+ *  `symbol == kernelSymbolName(plan)` (the compiler's artifacts do). */
+std::string emitCudaKernel(const engine::KernelPlan &plan,
+                           std::string_view symbol);
 
 /** @return the kernel symbol name the emitter derives for a plan. */
 std::string kernelSymbolName(const engine::KernelPlan &plan);

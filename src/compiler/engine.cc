@@ -56,7 +56,7 @@ const std::string &
 CompiledKernel::source() const
 {
     std::call_once(source_once_, [this] {
-        source_ = codegen::emitCudaKernel(plan_);
+        source_ = codegen::emitCudaKernel(plan_, symbol_);
     });
     return source_;
 }

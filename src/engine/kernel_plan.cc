@@ -1,6 +1,6 @@
 #include "engine/kernel_plan.h"
 
-#include <sstream>
+#include "common/text_builder.h"
 
 namespace vqllm::engine {
 
@@ -21,37 +21,43 @@ optLevelName(OptLevel level)
 std::string
 KernelPlan::summary() const
 {
-    std::ostringstream oss;
-    oss << opKindName(kind) << " / " << config.name << " ("
+    TextBuilder out(512);
+    appendSummary(out, "");
+    return out.take();
+}
+
+void
+KernelPlan::appendSummary(TextBuilder &out, std::string_view prefix) const
+{
+    out << prefix << opKindName(kind) << " / " << config.name << " ("
         << config.notation() << ") @ " << optLevelName(level) << "\n";
     if (kind == OpKind::AttentionDecode) {
-        oss << "  shape: batch=" << attn.batch << " heads=" << attn.heads
-            << " seq=" << attn.seq_len << " head_dim=" << attn.head_dim
-            << "\n";
+        out << prefix << "  shape: batch=" << attn.batch
+            << " heads=" << attn.heads << " seq=" << attn.seq_len
+            << " head_dim=" << attn.head_dim << "\n";
     } else {
-        oss << "  shape: m=" << gemm.m << " n=" << gemm.n
+        out << prefix << "  shape: m=" << gemm.m << " n=" << gemm.n
             << " k=" << gemm.k << "\n";
     }
-    oss << "  cache: n_reg=" << cache_plan.n_reg
+    out << prefix << "  cache: n_reg=" << cache_plan.n_reg
         << " n_shared=" << cache_plan.n_shared << " of "
         << cache_plan.total_entries << " entries ("
         << cache_plan.smemBytes() << " B smem, "
         << cache_plan.regsPerThread() << " regs/thread)\n";
-    oss << "  dataflow: split=" << dataflow.split << " (raw "
+    out << prefix << "  dataflow: split=" << dataflow.split << " (raw "
         << dataflow.split_factor_raw << ", max " << dataflow.max_split
         << "), codebook bytes " << dataflow.codebook_bytes
         << ", reduce bytes " << dataflow.reduce_bytes << "\n";
-    oss << "  fusion: " << fusionLevelName(fusion.level) << ", "
+    out << prefix << "  fusion: " << fusionLevelName(fusion.level) << ", "
         << fusion.num_shuffles << " shuffles, compute layout "
         << fusion.compute_layout << "\n";
-    oss << "  launch: " << grid_blocks << " blocks x " << block.threads
-        << " threads, smem " << block.smem_bytes << " B, regs "
-        << block.regs_per_thread << "/thread"
+    out << prefix << "  launch: " << grid_blocks << " blocks x "
+        << block.threads << " threads, smem " << block.smem_bytes
+        << " B, regs " << block.regs_per_thread << "/thread"
         << (uses_tensor_cores ? ", tensor cores" : "") << "\n";
-    oss << "  books: total=" << total_books
+    out << prefix << "  books: total=" << total_books
         << " resident=" << resident_books
         << " switches/block=" << switches_per_block << "\n";
-    return oss.str();
 }
 
 } // namespace vqllm::engine

@@ -12,12 +12,17 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "cache/codebook_cache.h"
 #include "engine/dataflow.h"
 #include "engine/fusion.h"
 #include "engine/op_desc.h"
 #include "gpusim/occupancy.h"
+
+namespace vqllm {
+class TextBuilder;
+} // namespace vqllm
 
 namespace vqllm::engine {
 
@@ -93,6 +98,10 @@ struct KernelPlan
 
     /** @return human-readable multi-line description of the plan. */
     std::string summary() const;
+
+    /** Append summary() to `out`, each line led by `prefix` (the
+     *  emitter writes it into the source as `// ` comments). */
+    void appendSummary(TextBuilder &out, std::string_view prefix) const;
 };
 
 } // namespace vqllm::engine

@@ -1,9 +1,5 @@
 #include "engine/thread_map.h"
 
-#include <algorithm>
-#include <map>
-#include <numeric>
-
 #include "common/logging.h"
 
 namespace vqllm::engine {
@@ -20,49 +16,28 @@ computeThreadMapping(int warp_size, int vector_size, int compute_layout)
     vqllm_assert(warp_size % ratio == 0,
                  "mini-warp size must divide the warp");
 
+    // Alg. 1 in closed form.  Lines 2-3 give element e of the warp
+    // tile the dequant lane e / vector_size and the compute lane
+    // (e / compute_layout) % warp_size.  Dequant lane d therefore holds
+    // fragments d * ratio .. d * ratio + ratio - 1, and since ratio
+    // divides the warp they never wrap: its ordered consumer list
+    // (lines 4-9) is the ratio lanes from (d * ratio) % warp_size =
+    // (d % groups) * ratio on, with groups = warp_size / ratio.  The
+    // dequant lanes sharing that list, i.e. one mini-warp, are
+    // d % groups + i * groups for i = 0 .. ratio - 1, in ascending
+    // order.  Lines 10-11 remap the i-th member, i = d / groups, onto
+    // the i-th consumer lane:
+    //   lane_map[d] = (d % groups) * ratio + d / groups,
+    // so all exchanges stay within the mini-warp.  Ratio 1 (layouts
+    // already match) gives the identity.
+    const int groups = warp_size / ratio;
     ThreadMapping mapping;
     mapping.mini_warp_size = ratio;
     mapping.lane_map.resize(warp_size);
+    for (int d = 0; d < warp_size; ++d)
+        mapping.lane_map[d] = (d % groups) * ratio + d / groups;
 
-    if (ratio == 1) {
-        // Dequantization layout already matches the consumer: identity.
-        std::iota(mapping.lane_map.begin(), mapping.lane_map.end(), 0);
-        return mapping;
-    }
-
-    // Alg. 1 lines 2-3: associate every element of the warp tile with its
-    // dequantizing lane and its computing lane.
-    const int elements = warp_size * vector_size;
-    std::vector<int> tid_dequant(elements), tid_compute(elements);
-    for (int e = 0; e < elements; ++e) {
-        tid_dequant[e] = e / vector_size;
-        tid_compute[e] = (e / compute_layout) % warp_size;
-    }
-
-    // Alg. 1 lines 4-9: for each dequant lane, the ordered list of
-    // compute lanes that consume its data keys its mini-warp.
-    std::map<std::vector<int>, std::vector<int>> mini_warps;
-    for (int d = 0; d < warp_size; ++d) {
-        std::vector<int> consumers;
-        for (int e = d * vector_size; e < (d + 1) * vector_size; ++e) {
-            if (consumers.empty() || consumers.back() != tid_compute[e])
-                consumers.push_back(tid_compute[e]);
-        }
-        vqllm_assert(static_cast<int>(consumers.size()) == ratio,
-                     "expected ", ratio, " consumer lanes, got ",
-                     consumers.size());
-        mini_warps[consumers].push_back(d);
-    }
-
-    // Alg. 1 lines 10-11: remap the i-th member of each mini-warp onto
-    // the i-th consumer lane, so all exchanges stay within the mini-warp.
-    for (const auto &[consumers, members] : mini_warps) {
-        vqllm_assert(members.size() == consumers.size(),
-                     "mini-warp member/lane count mismatch");
-        for (std::size_t i = 0; i < members.size(); ++i)
-            mapping.lane_map[members[i]] = consumers[i];
-    }
-
+    // Line 13: one xor-shuffle per non-identity exchange iteration.
     for (int off = 1; off < ratio; ++off)
         mapping.shuffle_offsets.push_back(off);
     return mapping;

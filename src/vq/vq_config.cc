@@ -1,17 +1,18 @@
 #include "vq/vq_config.h"
 
-#include <sstream>
 #include <vector>
+
+#include "common/text_builder.h"
 
 namespace vqllm::vq {
 
 std::string
 VQConfig::notation() const
 {
-    std::ostringstream oss;
-    oss << "VQ<" << vector_size << "," << indexBits() << "," << residuals
+    TextBuilder out;
+    out << "VQ<" << vector_size << "," << indexBits() << "," << residuals
         << ">";
-    return oss.str();
+    return out.take();
 }
 
 VQConfig

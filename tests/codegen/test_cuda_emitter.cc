@@ -205,6 +205,50 @@ TEST(CudaEmitter, SymbolNamesAreSanitized)
     EXPECT_NE(name.find("gemv"), std::string::npos);
 }
 
+TEST(CudaEmitter, EveryHelperTheBodyCallsIsDefined)
+{
+    // validateCudaSource checks structure only, so a call to a device
+    // helper the source never defines would pass it and fail nvcc.  A
+    // definition starts its line (the return type sits on the line
+    // above); any other occurrence is a call.
+    const std::string helpers[] = {
+        "cb_load",        "cb_access",           "vq_unpack_index",
+        "vq_dequant",     "reg_fusion_exchange", "shared_fusion_store",
+        "shared_fusion_load"};
+    // Vector sizes 2, 4 and 8: at O4 the GeMM (mma layout 2) of the
+    // first fuses in registers with no shuffle at all.
+    for (const vq::VQConfig &cfg : {vq::cq4(), vq::gptvq2(), vq::aqlm3()}) {
+        for (OpKind kind :
+             {OpKind::GeMM, OpKind::GeMV, OpKind::AttentionDecode}) {
+            for (OptLevel level : engine::kAllOptLevels) {
+                const engine::KernelPlan plan =
+                    kind == OpKind::AttentionDecode
+                        ? attnPlan(cfg, level)
+                        : engine::planWeightKernel(
+                              kind, {kind == OpKind::GeMM ? 64u : 1u,
+                                     4096, 4096},
+                              cfg, level, inputs());
+                const std::string src = emitCudaKernel(plan);
+                for (const std::string &helper : helpers) {
+                    const std::string token = helper + "(";
+                    bool defined = false, called = false;
+                    for (std::size_t at = src.find(token);
+                         at != std::string::npos;
+                         at = src.find(token, at + 1)) {
+                        if (at > 0 && src[at - 1] == '\n')
+                            defined = true;
+                        else
+                            called = true;
+                    }
+                    EXPECT_TRUE(defined || !called)
+                        << kernelSymbolName(plan) << " calls " << helper
+                        << " but does not define it";
+                }
+            }
+        }
+    }
+}
+
 TEST(CudaEmitter, ValidatorCatchesDefects)
 {
     EXPECT_NE(validateCudaSource("__global__ void f() {"), "");

@@ -3,17 +3,92 @@
  * Tests for the offline thread-mapping algorithm (paper Alg. 1): the
  * remapping confines exchanges to mini-warps and the xor schedule
  * delivers every fragment to its computing lane; the naive mapping
- * provably does not.
+ * provably does not.  computeThreadMapping evaluates Alg. 1 in closed
+ * form; referenceMapping below runs the algorithm step by step, and
+ * the two must agree on every valid layout.
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "engine/thread_map.h"
 
 namespace vqllm::engine {
 namespace {
+
+/** Alg. 1 as written: key each dequant lane by the ordered list of
+ *  lanes that consume its data, then send the i-th member of each
+ *  group onto the i-th consumer lane. */
+ThreadMapping
+referenceMapping(int warp_size, int vector_size, int compute_layout)
+{
+    const int ratio = vector_size / compute_layout;
+    ThreadMapping mapping;
+    mapping.mini_warp_size = ratio;
+    mapping.lane_map.resize(warp_size);
+    if (ratio == 1) {
+        std::iota(mapping.lane_map.begin(), mapping.lane_map.end(), 0);
+        return mapping;
+    }
+    // Lines 2-3: each element's dequantizing and computing lane.
+    const int elements = warp_size * vector_size;
+    std::vector<int> tid_compute(elements);
+    for (int e = 0; e < elements; ++e)
+        tid_compute[e] = (e / compute_layout) % warp_size;
+    // Lines 4-9: the consumer list of a dequant lane keys its mini-warp.
+    std::map<std::vector<int>, std::vector<int>> mini_warps;
+    for (int d = 0; d < warp_size; ++d) {
+        std::vector<int> consumers;
+        for (int e = d * vector_size; e < (d + 1) * vector_size; ++e) {
+            if (consumers.empty() || consumers.back() != tid_compute[e])
+                consumers.push_back(tid_compute[e]);
+        }
+        EXPECT_EQ(static_cast<int>(consumers.size()), ratio);
+        mini_warps[consumers].push_back(d);
+    }
+    // Lines 10-11: i-th member onto the i-th consumer lane.
+    for (const auto &[consumers, members] : mini_warps) {
+        EXPECT_EQ(members.size(), consumers.size());
+        for (std::size_t i = 0; i < members.size(); ++i)
+            mapping.lane_map[members[i]] = consumers[i];
+    }
+    for (int off = 1; off < ratio; ++off)
+        mapping.shuffle_offsets.push_back(off);
+    return mapping;
+}
+
+TEST(ThreadMap, ClosedFormEqualsAlgorithmOnEveryValidLayout)
+{
+    // Warps of 1..128 lanes (powers of two), vectors of 1..64
+    // elements, every layout dividing the vector whose mini-warp
+    // divides the warp.
+    int triples = 0;
+    for (int warp = 1; warp <= 128; warp *= 2) {
+        for (int vec = 1; vec <= 64; ++vec) {
+            for (int layout = 1; layout <= vec; ++layout) {
+                if (vec % layout != 0 || warp % (vec / layout) != 0)
+                    continue;
+                ++triples;
+                const ThreadMapping got =
+                    computeThreadMapping(warp, vec, layout);
+                const ThreadMapping want =
+                    referenceMapping(warp, vec, layout);
+                SCOPED_TRACE(testing::Message() << "warp=" << warp
+                                                << " vec=" << vec
+                                                << " layout=" << layout);
+                EXPECT_EQ(got.mini_warp_size, want.mini_warp_size);
+                EXPECT_EQ(got.lane_map, want.lane_map);
+                EXPECT_EQ(got.shuffle_offsets, want.shuffle_offsets);
+                EXPECT_TRUE(verifyMapping(want, warp, vec, layout));
+                EXPECT_TRUE(verifyMapping(got, warp, vec, layout));
+            }
+        }
+    }
+    EXPECT_EQ(triples, 896);
+}
 
 TEST(ThreadMap, IdentityWhenLayoutsMatch)
 {

@@ -23,6 +23,13 @@
  * bless rewrites `llm_analytic.golden` only when it is missing, its
  * keys changed or a value moved past the tolerance, so blessing a
  * clean tree changes no byte.
+ *
+ * `codegen_sources.golden` pins the compiler's emitted CUDA: for each
+ * kernel of the Fig. 13 matrix at every optimization level, plus a GQA
+ * attention shape and a CQ-4 weight GeMM, once without and once with
+ * an access histogram, one line
+ *   <symbol> <source bytes> <FNV-1a of source> <FNV-1a of summary()>
+ * so any change to an emitted byte, a symbol or a plan shows up here.
  */
 #include <gtest/gtest.h>
 
@@ -32,12 +39,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "compiler/engine.h"
 #include "fleet/fleet.h"
 #include "llm/tensor_parallel.h"
 #include "obs/trace.h"
@@ -439,6 +448,116 @@ TEST(AnalyticGolden, E2EAndTensorParallelMatchCommittedFile)
         EXPECT_NEAR(actual[i].value, want[i].value,
                     kAnalyticRelTol * std::fabs(want[i].value))
             << actual[i].key;
+    }
+}
+
+/** One request per Fig. 13 kernel (QuiP#-4/AQLM-3/GPTVQ-2 weights as
+ *  GeMM at m=4096 and GeMV at m=1 and 16, CQ-2/CQ-4 attention at batch
+ *  1 and 8 over 1k/4k/16k tokens, for Llama-7B and -65B), plus a GQA
+ *  attention shape and CQ-4 as the weights of an m=64 GeMM; all at O4,
+ *  each with its config's histogram from `hists` when given. */
+std::vector<compiler::KernelRequest>
+codegenRequests(const std::map<std::string, vq::AccessHistogram> *hists)
+{
+    using KR = compiler::KernelRequest;
+    auto hist = [hists](const vq::VQConfig &cfg) {
+        return hists != nullptr ? &hists->at(cfg.name) : nullptr;
+    };
+    const auto O4 = engine::OptLevel::O4;
+    struct Model
+    {
+        std::size_t hidden, heads;
+    };
+    std::vector<KR> out;
+    for (const Model m : {Model{4096, 32}, Model{8192, 64}}) {
+        for (const vq::VQConfig &cfg :
+             {vq::quip4(), vq::aqlm3(), vq::gptvq2()}) {
+            for (std::size_t rows : {4096, 1, 16}) {
+                const engine::GemmShape shape{rows, m.hidden, m.hidden};
+                out.push_back(rows > 16
+                                  ? KR::gemmOp(shape, cfg, O4, hist(cfg))
+                                  : KR::gemvOp(shape, cfg, O4, hist(cfg)));
+            }
+        }
+        for (const vq::VQConfig &cfg : {vq::cq2(), vq::cq4()})
+            for (std::size_t batch : {1, 8})
+                for (std::size_t seq : {1024, 4096, 16384})
+                    out.push_back(KR::attentionOp(
+                        {batch, m.heads, seq, 128}, cfg, O4, hist(cfg)));
+    }
+    out.push_back(KR::attentionOp({4, 64, 4096, 128, 8}, vq::cq2(), O4,
+                                  hist(vq::cq2())));
+    out.push_back(KR::gemmOp({64, 4096, 4096}, vq::cq4(), O4,
+                             hist(vq::cq4())));
+    return out;
+}
+
+/** A fixed skewed histogram over the config's stored entries: Zipf
+ *  counts by rank, ranks scattered over the indices by a stride
+ *  coprime to the (power-of-two) entry count. */
+vq::AccessHistogram
+fixedHistogram(const vq::VQConfig &cfg)
+{
+    const std::size_t n = cfg.storedEntries();
+    std::vector<std::uint64_t> counts(n);
+    for (std::size_t i = 0; i < n; ++i)
+        counts[i] = 1 + 1000000 / (1 + (i * 7919) % n);
+    return vq::AccessHistogram(std::move(counts));
+}
+
+/** Every line of `codegen_sources.golden`, from one fresh engine. */
+std::string
+codegenLines()
+{
+    std::map<std::string, vq::AccessHistogram> hists;
+    for (const vq::VQConfig &cfg : vq::paperConfigs())
+        hists.emplace(cfg.name, fixedHistogram(cfg));
+    std::vector<compiler::KernelRequest> requests = codegenRequests(nullptr);
+    for (const auto &r : codegenRequests(&hists))
+        requests.push_back(r);
+
+    compiler::Engine engine(gpusim::rtx4090());
+    std::string out;
+    for (const auto &request : requests) {
+        for (engine::OptLevel level : engine::kAllOptLevels) {
+            const auto kernel = engine.compile(request.atLevel(level));
+            const std::string &source = kernel->source();
+            char line[256];
+            std::snprintf(
+                line, sizeof(line), "%s %zu %016llx %016llx\n",
+                kernel->symbolName().c_str(), source.size(),
+                static_cast<unsigned long long>(fnv1a64(source)),
+                static_cast<unsigned long long>(
+                    fnv1a64(kernel->plan().summary())));
+            out += line;
+        }
+    }
+    return out;
+}
+
+TEST(CodegenGolden, SourcesMatchCommittedFile)
+{
+    const std::string actual = codegenLines();
+    const std::string path = goldenPath("codegen_sources");
+    if (blessing()) {
+        std::ofstream os(path, std::ios::binary);
+        ASSERT_TRUE(os) << "cannot write " << path;
+        os << actual;
+        return;
+    }
+    std::ifstream is(path, std::ios::binary);
+    ASSERT_TRUE(is) << "missing golden " << path
+                    << " (run scripts/bless_goldens.sh)";
+    std::istringstream got(actual);
+    std::string want_line, got_line;
+    for (int n = 1;; ++n) {
+        const bool more_want = static_cast<bool>(std::getline(is, want_line));
+        const bool more_got = static_cast<bool>(std::getline(got, got_line));
+        if (!more_want && !more_got)
+            break;
+        ASSERT_EQ(got_line, want_line)
+            << path << " line " << n << (more_want ? "" : " (extra)")
+            << (more_got ? "" : " (missing)");
     }
 }
 
