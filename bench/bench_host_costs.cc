@@ -9,10 +9,12 @@
  * ride along: the prefix cache's longest-match lookup and
  * reclaimable-capacity query, the KV pool's per-token decode append,
  * the iteration pricer's decode step and the end-of-run latency
- * summary.
+ * summary, and one whole scheduler step (batch formation plus its
+ * price).
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bench_common.h"
@@ -447,6 +449,88 @@ BM_IterationPricerDecode(benchmark::State &state)
 }
 BENCHMARK(BM_IterationPricerDecode)->Arg(0)->Arg(1)->Name(
     "iteration_pricer_decode(vq)");
+
+void
+BM_SchedulerStep(benchmark::State &state)
+{
+    // One steady chunked serving step: Scheduler::next() over 32
+    // running sequences (each decodes a token; the 512-token chunk
+    // budget finds no prompt left to slice) and the step's EWQ4-weight,
+    // INT4-KV price from a warm pricer.  Contexts start spread over 8
+    // buckets and grow a token per step; every 256 steps the batch is
+    // retired and prefilled again with the timer paused.
+    constexpr std::size_t kSeqs = 32;
+    constexpr std::size_t kWindow = 256;
+    const std::size_t bucket = serving::IterationPricer::kSeqBucket;
+    serving::KvBlockPoolConfig cfg;
+    cfg.block_tokens = 16;
+    cfg.bytes_per_token = 1;
+    cfg.capacity_bytes = kSeqs * (9 * bucket + 2 * kWindow);
+    serving::KvBlockPool pool(cfg);
+    serving::SchedulerConfig sched_cfg;
+    sched_cfg.chunk_tokens = 512;
+    serving::Scheduler sched(sched_cfg, pool);
+    compiler::Engine eng(gpusim::rtx4090());
+    serving::IterationPricer pricer(eng, llm::llama7b(),
+                                    llm::QuantScheme::EWQ4,
+                                    llm::KvScheme::INT4, llm::TpConfig{});
+    Rng rng(16);
+    std::vector<serving::Request> reqs(kSeqs);
+    for (std::size_t i = 0; i < kSeqs; ++i) {
+        reqs[i].id = i;
+        reqs[i].prompt_len = (i % 8) * bucket + 1 + rng.uniformInt(bucket - 1);
+        // Longer than a window plus the decodes that overlap prefill,
+        // so no sequence finishes between refills.
+        reqs[i].max_new_tokens = 2 * kWindow;
+    }
+    // One step: form, price, and emit a token for every sequence whose
+    // forward pass produced one.
+    auto step = [&] {
+        const serving::Scheduler::Iteration &it = sched.next();
+        double us = pricer.iterationUs(it);
+        benchmark::DoNotOptimize(us);
+        for (const auto &chunk : it.prefill)
+            chunk.req->generated += chunk.last ? 1 : 0;
+        for (serving::Request *r : it.decode)
+            ++r->generated;
+    };
+    auto refill = [&] {
+        for (serving::Request &r : reqs) {
+            if (r.state == serving::RequestState::Running)
+                sched.retire(&r);
+            r.generated = 0;
+            sched.submit(&r);
+        }
+        while (sched.waitingCount() > 0 ||
+               std::any_of(reqs.begin(), reqs.end(),
+                           [](const serving::Request &r) {
+                               return r.state ==
+                                          serving::RequestState::Running &&
+                                      !r.prefill_complete;
+                           }))
+            step();
+    };
+    refill();
+    if (sched.runningCount() != kSeqs) {
+        state.SkipWithError("KV pool too small for the batch");
+        return;
+    }
+    for (std::size_t i = 0; i < kWindow; ++i)
+        step(); // warm the pricer's memo over one window
+    std::size_t steps = kWindow;
+    for (auto _ : state) {
+        if (steps == kWindow) {
+            state.PauseTiming();
+            refill();
+            steps = 0;
+            state.ResumeTiming();
+        }
+        step();
+        ++steps;
+    }
+    state.counters["running"] = static_cast<double>(sched.runningCount());
+}
+BENCHMARK(BM_SchedulerStep)->Name("scheduler_step");
 
 void
 BM_LatencySummarize(benchmark::State &state)

@@ -81,7 +81,7 @@ KvBlockPool::availableBlocks() const
 bool
 KvBlockPool::allocSequence(std::uint64_t seq_id, std::size_t tokens)
 {
-    vqllm_assert(seqs_.find(seq_id) == seqs_.end(),
+    vqllm_assert(seqs_.find(seq_id) == nullptr,
                 "sequence already resident");
     std::uint64_t need = blocksForTokens(tokens);
     if (!ensureFree(need)) {
@@ -95,7 +95,7 @@ KvBlockPool::allocSequence(std::uint64_t seq_id, std::size_t tokens)
                              {"shard", 0.0}});
         return false;
     }
-    SeqEntry &e = seqs_[seq_id];
+    SeqEntry &e = seqs_.insert(seq_id);
     e.tokens = tokens;
     e.blocks.reserve(need);
     for (std::uint64_t i = 0; i < need; ++i) {
@@ -117,7 +117,7 @@ KvBlockPool::attachSequence(std::uint64_t seq_id,
                             const std::vector<BlockId> &blocks,
                             std::size_t tokens)
 {
-    vqllm_assert(seqs_.find(seq_id) == seqs_.end(),
+    vqllm_assert(seqs_.find(seq_id) == nullptr,
                 "sequence already resident");
     vqllm_assert(blocksForTokens(tokens) == blocks.size(),
                 "attached block list does not cover the tokens");
@@ -131,7 +131,7 @@ KvBlockPool::attachSequence(std::uint64_t seq_id,
                 "attached blocks do not store the claimed tokens");
     for (BlockId b : blocks)
         ++block_refs_[b];
-    SeqEntry &e = seqs_[seq_id];
+    SeqEntry &e = seqs_.insert(seq_id);
     e.tokens = tokens;
     e.blocks = blocks;
 }
@@ -139,12 +139,33 @@ KvBlockPool::attachSequence(std::uint64_t seq_id,
 bool
 KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens)
 {
-    auto it = seqs_.find(seq_id);
-    vqllm_assert(it != seqs_.end(), "sequence not resident");
-    SeqEntry &e = it->second;
+    SeqEntry *entry = seqs_.find(seq_id);
+    vqllm_assert(entry != nullptr, "sequence not resident");
+    SeqEntry &e = *entry;
     std::size_t new_tokens = e.tokens + tokens;
-    std::uint64_t need_total = blocksForTokens(new_tokens);
     std::size_t held = e.blocks.size();
+    auto traceExtend = [&] {
+        trace_->instant("kv_extend", "kv", 0, trace_->now(),
+                        {{"seq", static_cast<double>(seq_id)},
+                         {"tokens", static_cast<double>(tokens)}});
+    };
+
+    // In-tail append (the common decode step): the tokens fit in a
+    // tail block only this sequence holds, so no block is taken or
+    // forked and only the tail's fill grows.  The tail's fill is the
+    // sequence's tokens past its full blocks, as every path below
+    // leaves it.
+    if (tokens > 0 && new_tokens <= held * cfg_.block_tokens &&
+        block_refs_[e.blocks.back()] == 1) {
+        e.tokens = new_tokens;
+        block_fill_[e.blocks.back()] += static_cast<std::uint32_t>(tokens);
+        stored_tokens_ += tokens;
+        if (trace_)
+            traceExtend();
+        return true;
+    }
+
+    std::uint64_t need_total = blocksForTokens(new_tokens);
 
     // Writing into a shared tail block's slack would clobber the other
     // owners' view: privatize it first (copy-on-write fork).
@@ -180,9 +201,7 @@ KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens)
         if (fork)
             trace_->instant("cow_fork", "prefix", 0, trace_->now(),
                             {{"seq", static_cast<double>(seq_id)}});
-        trace_->instant("kv_extend", "kv", 0, trace_->now(),
-                        {{"seq", static_cast<double>(seq_id)},
-                         {"tokens", static_cast<double>(tokens)}});
+        traceExtend();
     }
     return true;
 }
@@ -190,9 +209,9 @@ KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens)
 std::size_t
 KvBlockPool::extendableTokens(std::uint64_t seq_id) const
 {
-    auto it = seqs_.find(seq_id);
-    vqllm_assert(it != seqs_.end(), "sequence not resident");
-    const SeqEntry &e = it->second;
+    const SeqEntry *entry = seqs_.find(seq_id);
+    vqllm_assert(entry != nullptr, "sequence not resident");
+    const SeqEntry &e = *entry;
     std::size_t slack =
         e.blocks.size() * cfg_.block_tokens - e.tokens;
     std::uint64_t avail = availableBlocks();
@@ -211,39 +230,24 @@ KvBlockPool::extendableTokens(std::uint64_t seq_id) const
 void
 KvBlockPool::freeSequence(std::uint64_t seq_id)
 {
-    auto it = seqs_.find(seq_id);
-    if (it == seqs_.end())
+    const SeqEntry *e = seqs_.find(seq_id);
+    if (e == nullptr)
         return;
-    for (BlockId b : it->second.blocks)
+    for (BlockId b : e->blocks)
         dropRef(b);
-    if (trace_ && it->second.tokens > 0)
+    if (trace_ && e->tokens > 0)
         trace_->instant("kv_free", "kv", 0, trace_->now(),
                         {{"seq", static_cast<double>(seq_id)},
-                         {"tokens",
-                          static_cast<double>(it->second.tokens)}});
-    seqs_.erase(it);
-}
-
-std::uint64_t
-KvBlockPool::seqBlocks(std::uint64_t seq_id) const
-{
-    auto it = seqs_.find(seq_id);
-    return it == seqs_.end() ? 0 : it->second.blocks.size();
-}
-
-std::size_t
-KvBlockPool::seqTokens(std::uint64_t seq_id) const
-{
-    auto it = seqs_.find(seq_id);
-    return it == seqs_.end() ? 0 : it->second.tokens;
+                         {"tokens", static_cast<double>(e->tokens)}});
+    seqs_.erase(seq_id);
 }
 
 const std::vector<BlockId> &
 KvBlockPool::seqBlockIds(std::uint64_t seq_id) const
 {
-    auto it = seqs_.find(seq_id);
-    vqllm_assert(it != seqs_.end(), "sequence not resident");
-    return it->second.blocks;
+    const SeqEntry *e = seqs_.find(seq_id);
+    vqllm_assert(e != nullptr, "sequence not resident");
+    return e->blocks;
 }
 
 bool

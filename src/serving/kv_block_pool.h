@@ -52,6 +52,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_id_map.h"
+
 namespace vqllm::obs {
 class MetricsRegistry;
 class TraceRecorder;
@@ -197,10 +199,20 @@ class KvBlockPool
     void freeSequence(std::uint64_t seq_id);
 
     /** @return blocks held by a sequence (0 if not resident). */
-    std::uint64_t seqBlocks(std::uint64_t seq_id) const;
+    std::uint64_t
+    seqBlocks(std::uint64_t seq_id) const
+    {
+        const SeqEntry *e = seqs_.find(seq_id);
+        return e == nullptr ? 0 : e->blocks.size();
+    }
 
     /** @return tokens stored by a sequence (0 if not resident). */
-    std::size_t seqTokens(std::uint64_t seq_id) const;
+    std::size_t
+    seqTokens(std::uint64_t seq_id) const
+    {
+        const SeqEntry *e = seqs_.find(seq_id);
+        return e == nullptr ? 0 : e->tokens;
+    }
 
     /** @return the sequence's physical block list (must be resident). */
     const std::vector<BlockId> &seqBlockIds(std::uint64_t seq_id) const;
@@ -306,7 +318,9 @@ class KvBlockPool
     std::uint64_t used_blocks_ = 0;
     /** Sum of live blocks' fills (shared blocks counted once). */
     std::size_t stored_tokens_ = 0;
-    std::unordered_map<std::uint64_t, SeqEntry> seqs_;
+    /** Resident sequences by id.  Pointers into it stay valid only
+     *  until the next sequence is created or freed. */
+    FlatIdMap<SeqEntry> seqs_;
     /** Physical block table, materialized lazily up to the high-water
      *  mark; index = BlockId. */
     std::vector<std::uint32_t> block_refs_;

@@ -110,27 +110,11 @@ MetricsCollector::recordTtft(double us)
 }
 
 void
-MetricsCollector::recordTbt(double us)
-{
-    tbt_us_.push_back(us);
-    if (h_tbt_)
-        h_tbt_->record(us);
-}
-
-void
 MetricsCollector::recordE2e(double us)
 {
     e2e_us_.push_back(us);
     if (h_e2e_)
         h_e2e_->record(us);
-}
-
-void
-MetricsCollector::recordDecodeTokens(std::uint64_t n)
-{
-    decode_tokens_ += n;
-    if (c_decode_tokens_)
-        c_decode_tokens_->add(n);
 }
 
 void

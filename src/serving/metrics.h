@@ -17,11 +17,7 @@
 #include <string>
 #include <vector>
 
-namespace vqllm::obs {
-class Counter;
-class Histogram;
-class MetricsRegistry;
-}
+#include "obs/metrics.h"
 
 namespace vqllm::serving {
 
@@ -74,10 +70,26 @@ class MetricsCollector
     explicit MetricsCollector(obs::MetricsRegistry *registry = nullptr);
 
     void recordTtft(double us);
-    void recordTbt(double us);
     void recordE2e(double us);
-    void recordDecodeTokens(std::uint64_t n);
     void recordPrefillTokens(std::uint64_t n);
+
+    // Recorded once per decoded sequence per step, so defined here.
+    void
+    recordTbt(double us)
+    {
+        tbt_us_.push_back(us);
+        if (h_tbt_)
+            h_tbt_->record(us);
+    }
+
+    void
+    recordDecodeTokens(std::uint64_t n)
+    {
+        decode_tokens_ += n;
+        if (c_decode_tokens_)
+            c_decode_tokens_->add(n);
+    }
+
     void recordPreemption();
 
     const std::vector<double> &ttftSamples() const { return ttft_us_; }

@@ -1,6 +1,7 @@
 #include "serving/scheduler.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 #include "compiler/engine.h"
@@ -132,11 +133,17 @@ Scheduler::sortRunning(bool prefilled)
     for (Request *r : running_)
         if (r->prefill_complete == prefilled)
             order_.push_back(r);
-    std::stable_sort(order_.begin(), order_.end(),
-                     [kind = cfg_.policy](const Request *a,
-                                          const Request *b) {
-                         return admitBefore(kind, *a, *b);
-                     });
+    // Insertion sort: no buffer to allocate, and running_ keeps
+    // admission order, so the view is nearly sorted already.
+    // admitBefore is a strict total order (it ends in an id
+    // tiebreak), so any correct sort gives this one sequence.
+    for (std::size_t i = 1; i < order_.size(); ++i) {
+        Request *r = order_[i];
+        std::size_t j = i;
+        for (; j > 0 && admitBefore(cfg_.policy, *r, *order_[j - 1]); --j)
+            order_[j] = order_[j - 1];
+        order_[j] = r;
+    }
 }
 
 void
@@ -152,8 +159,6 @@ Scheduler::decodeStep(Iteration &it)
     // self-preempt because a protected low-priority one decoded ahead
     // of it.
     sortRunning(true);
-    // One allocation for the step's decode list, not one per doubling.
-    it.decode.reserve(order_.size());
     for (Request *r : order_) {
         if (r->state != RequestState::Running)
             continue; // fell victim to an earlier sequence's pressure
@@ -246,11 +251,9 @@ Scheduler::prefillChunks(Iteration &it)
     }
 }
 
-Scheduler::Iteration
-Scheduler::nextUnchunked()
+void
+Scheduler::nextUnchunked(Iteration &it)
 {
-    Iteration it;
-
     // ---- Prefill-prioritized admission in policy order.  Stop at the
     // first request that does not fit (no hole-skipping).
     std::size_t prefill_tokens = 0;
@@ -290,22 +293,18 @@ Scheduler::nextUnchunked()
         if (prefix_cache_ != nullptr)
             prefix_cache_->onPrefillAdvance(*r);
     }
-    if (!it.prefill.empty())
-        return it;
-
-    decodeStep(it);
-    return it;
+    if (it.prefill.empty())
+        decodeStep(it);
 }
 
-Scheduler::Iteration
-Scheduler::nextChunked()
+void
+Scheduler::nextChunked(Iteration &it)
 {
-    Iteration it;
     decodeStep(it);
     for (;;) {
         prefillChunks(it);
         if (!it.empty() || running_.empty())
-            return it;
+            return;
         // Every running sequence is mid-prefill and blocked on KV
         // capacity: evict the policy victim and retry, so the oldest
         // prefill can make progress.
@@ -345,13 +344,18 @@ Scheduler::admitImported()
     }
 }
 
-Scheduler::Iteration
+const Scheduler::Iteration &
 Scheduler::next()
 {
+    iter_.prefill.clear();
+    iter_.decode.clear();
+    iter_.preempted = 0;
     admitImported();
     if (cfg_.chunk_tokens == 0)
-        return nextUnchunked();
-    return nextChunked();
+        nextUnchunked(iter_);
+    else
+        nextChunked(iter_);
+    return iter_;
 }
 
 void
@@ -431,24 +435,28 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
 
     // Attention over a ragged batch: group sequences into context
     // buckets and price one homogeneous sub-launch per bucket
-    // (flash-decoding style), in ascending bucket order.
+    // (flash-decoding style), in ascending bucket order: a scan of the
+    // counts between the lowest and highest occupied bucket.
+    std::size_t lo = std::numeric_limits<std::size_t>::max(), hi = 0;
     for (const Request *r : batch) {
         std::size_t ctx = std::max<std::size_t>(r->contextTokens(), 1);
         std::size_t bucket = (ctx + kSeqBucket - 1) / kSeqBucket;
         if (bucket >= bucket_counts_.size())
             bucket_counts_.resize(bucket + 1, 0);
-        if (bucket_counts_[bucket]++ == 0)
-            buckets_.push_back(bucket);
+        ++bucket_counts_[bucket];
+        lo = std::min(lo, bucket);
+        hi = std::max(hi, bucket);
     }
-    std::sort(buckets_.begin(), buckets_.end());
 
     // The critical shard (llm::DecodeStep) sets the step latency: the
     // shards launch in lockstep, and every model splits evenly at
     // every degree the simulator accepts, so no shard is slower.
     const std::size_t n = batch.size();
     llm::DecodeStep step;
-    for (std::size_t bucket : buckets_) {
+    for (std::size_t bucket = lo; bucket <= hi; ++bucket) {
         std::size_t count = bucket_counts_[bucket];
+        if (count == 0)
+            continue;
         step.attn_us += attn_memo_.get(bucket, count, [&] {
             return llm::decodeAttnUs(eng_, model_, kv_scheme_, tp_, count,
                                      bucket * kSeqBucket);
@@ -472,8 +480,10 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
     const double layers = static_cast<double>(model_.layers);
     if (kv_scheme_ != llm::KvScheme::FP16) {
         double fp16_us = 0;
-        for (std::size_t bucket : buckets_) {
+        for (std::size_t bucket = lo; bucket <= hi; ++bucket) {
             std::size_t count = bucket_counts_[bucket];
+            if (count == 0)
+                continue;
             fp16_us += fp16_attn_memo_.get(bucket, count, [&] {
                 return llm::decodeAttnUs(eng_, model_, llm::KvScheme::FP16,
                                          tp_, count, bucket * kSeqBucket);
@@ -481,9 +491,8 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
         }
         kv_dequant_us_ += (step.attn_us - fp16_us) * layers;
     }
-    for (std::size_t bucket : buckets_)
-        bucket_counts_[bucket] = 0;
-    buckets_.clear();
+    std::fill(bucket_counts_.begin() + lo, bucket_counts_.begin() + hi + 1,
+              0);
 
     const double compute_us = step.computeUs() * layers;
     const double comm_us = step.comm_us * layers;

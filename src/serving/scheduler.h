@@ -137,8 +137,10 @@ class Scheduler
      */
     void submit(Request *r);
 
-    /** Form the next iteration (empty when no work is schedulable). */
-    Iteration next();
+    /** Form the next iteration (empty when no work is schedulable).
+     *  The scheduler reuses one Iteration across calls: the returned
+     *  reference is valid until the next call (copy it to keep it). */
+    const Iteration &next();
 
     /** Retire a finished request: release its KV blocks. */
     void retire(Request *r);
@@ -171,8 +173,8 @@ class Scheduler
 
   private:
     void admitImported();
-    Iteration nextUnchunked();
-    Iteration nextChunked();
+    void nextUnchunked(Iteration &it);
+    void nextChunked(Iteration &it);
     void decodeStep(Iteration &it);
     void prefillChunks(Iteration &it);
     /** Fill order_ with the running requests whose prefill_complete
@@ -194,6 +196,9 @@ class Scheduler
     /** Reused per-step view of running_: the visiting order of
      *  decodeStep() and prefillChunks() (never both at once). */
     std::vector<Request *> order_;
+    /** The iteration next() forms, reused so a step allocates nothing
+     *  once its vectors have grown to the batch. */
+    Iteration iter_;
     std::uint64_t rejected_ = 0;
     obs::TraceRecorder *trace_ = nullptr;
     PrefixCache *prefix_cache_ = nullptr;
@@ -370,10 +375,9 @@ class IterationPricer
     /** (bucket, count) -> FP16 attention, kvDequantUs()'s reference. */
     PriceMemo fp16_attn_memo_;
 
-    /** Reused per-step bucketing buffers: sequence counts indexed by
-     *  context bucket, and the step's occupied buckets. */
+    /** Reused per-step bucketing buffer: sequence counts indexed by
+     *  context bucket, all zero between steps. */
     std::vector<std::size_t> bucket_counts_;
-    std::vector<std::size_t> buckets_;
 };
 
 } // namespace vqllm::serving

@@ -157,7 +157,7 @@ SimulatorCore::step()
     if (trace_rec_ != nullptr)
         trace_rec_->setNow(now_us_);
 
-    auto iter = scheduler_.next();
+    const Scheduler::Iteration &iter = scheduler_.next();
     if (iter.empty()) {
         // Waiting head cannot be admitted until running sequences
         // finish; with nothing running this cannot happen (submit
@@ -256,7 +256,7 @@ SimulatorCore::step()
     busy_us_ += iter_us;
 
     // ---- Emit tokens and retire finished requests.
-    std::vector<Request *> finished;
+    retiring_.clear();
     for (const auto &chunk : iter.prefill) {
         metrics_.recordPrefillTokens(chunk.tokens);
         if (!chunk.last)
@@ -280,7 +280,7 @@ SimulatorCore::step()
         r->last_token_us = now_us_;
         metrics_.recordDecodeTokens(1);
         if (r->done())
-            finished.push_back(r);
+            retiring_.push_back(r);
     }
     for (Request *r : iter.decode) {
         ++r->generated;
@@ -288,9 +288,9 @@ SimulatorCore::step()
         r->last_token_us = now_us_;
         metrics_.recordDecodeTokens(1);
         if (r->done())
-            finished.push_back(r);
+            retiring_.push_back(r);
     }
-    for (Request *r : finished) {
+    for (Request *r : retiring_) {
         r->finish_us = now_us_;
         metrics_.recordE2e(now_us_ - r->arrival_us);
         scheduler_.retire(r);

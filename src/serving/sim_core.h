@@ -179,6 +179,8 @@ class SimulatorCore
     std::uint64_t iterations_ = 0;
     std::uint64_t peak_running_ = 0;
     std::vector<std::uint64_t> groups_;
+    /** Requests the current step finishes (reused across steps). */
+    std::vector<Request *> retiring_;
     std::vector<Request *> finished_;
     /** Enqueued, undelivered requests in (arrival_us, id) order. */
     std::deque<Request *> pending_;

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "serving/kv_block_pool.h"
 
 namespace vqllm::serving {
@@ -174,6 +177,94 @@ TEST(KvBlockPool, ExtendForksSharedPartialTail)
     EXPECT_EQ(pool.usedBlocks(), 3u);
     // 4 shared + 2 (seq1 tail) + 3 (seq2 forked tail) stored once each.
     EXPECT_EQ(pool.storedTokens(), 4u + 2u + 3u);
+}
+
+using Instants = std::vector<std::pair<std::string, std::vector<double>>>;
+
+/** The recorder's instants as (name, arg values) pairs, then cleared. */
+Instants
+takeInstants(obs::TraceRecorder &rec)
+{
+    Instants out;
+    for (const obs::TraceEvent &e : rec.events()) {
+        std::vector<double> args;
+        for (const obs::TraceArg &a : e.args)
+            args.push_back(a.value);
+        out.emplace_back(e.name, args);
+    }
+    rec.clear();
+    return out;
+}
+
+TEST(KvBlockPool, AppendPathsPinBlocksFillsStatsAndInstants)
+{
+    obs::TraceRecorder rec;
+    KvBlockPool pool(smallPool(8));
+    pool.setTrace(&rec);
+    ASSERT_TRUE(pool.allocSequence(1, 5)); // blocks 0 (4), 1 (1)
+    ASSERT_TRUE(pool.allocSequence(2, 8)); // blocks 2 (4), 3 (4)
+    takeInstants(rec);
+
+    // In-tail: seq 1's private tail has slack; only its fill grows.
+    ASSERT_TRUE(pool.appendToken(1));
+    EXPECT_EQ(pool.seqTokens(1), 6u);
+    EXPECT_EQ(pool.seqBlockIds(1), (std::vector<BlockId>{0, 1}));
+    EXPECT_EQ(pool.storedTokens(), 14u);
+    EXPECT_EQ(pool.stats().block_allocs, 4u);
+    EXPECT_EQ(pool.stats().cow_forks, 0u);
+    EXPECT_EQ(pool.internalFragmentation(), 1.0 - 14.0 / 16.0);
+    EXPECT_EQ(takeInstants(rec), (Instants{{"kv_extend", {1, 1}}}));
+
+    // Boundary: seq 2's tail is full; the token takes block 4.
+    ASSERT_TRUE(pool.appendToken(2));
+    EXPECT_EQ(pool.seqTokens(2), 9u);
+    EXPECT_EQ(pool.seqBlockIds(2), (std::vector<BlockId>{2, 3, 4}));
+    EXPECT_EQ(pool.storedTokens(), 15u);
+    EXPECT_EQ(pool.usedBlocks(), 5u);
+    EXPECT_EQ(pool.stats().block_allocs, 5u);
+    EXPECT_EQ(pool.stats().peak_used_blocks, 5u);
+    EXPECT_EQ(pool.stats().cow_forks, 0u);
+    EXPECT_EQ(pool.internalFragmentation(), 1.0 - 15.0 / 20.0);
+    EXPECT_EQ(takeInstants(rec), (Instants{{"kv_extend", {2, 1}}}));
+
+    // Shared partial tail: seq 3 maps seq 1's blocks (tail fill 2).
+    // Its token forks the tail into block 5; seq 1's view and fill
+    // stay, and the fork stores the copied tokens plus the new one.
+    pool.attachSequence(3, pool.seqBlockIds(1), 6);
+    ASSERT_TRUE(pool.appendToken(3));
+    EXPECT_EQ(pool.seqTokens(3), 7u);
+    EXPECT_EQ(pool.seqBlockIds(3), (std::vector<BlockId>{0, 5}));
+    EXPECT_EQ(pool.seqTokens(1), 6u);
+    EXPECT_EQ(pool.seqBlockIds(1), (std::vector<BlockId>{0, 1}));
+    EXPECT_EQ(pool.blockRefs(0), 2u);
+    EXPECT_EQ(pool.blockRefs(1), 1u);
+    EXPECT_EQ(pool.blockRefs(5), 1u);
+    EXPECT_EQ(pool.storedTokens(), 15u + 3u);
+    EXPECT_EQ(pool.usedBlocks(), 6u);
+    EXPECT_EQ(pool.stats().block_allocs, 6u);
+    EXPECT_EQ(pool.stats().cow_forks, 1u);
+    EXPECT_EQ(pool.stats().failed_allocs, 0u);
+    EXPECT_EQ(takeInstants(rec),
+              (Instants{{"cow_fork", {3}}, {"kv_extend", {3, 1}}}));
+
+    // The forked tail is private now: the next token is in-tail.
+    ASSERT_TRUE(pool.appendToken(3));
+    EXPECT_EQ(pool.seqBlockIds(3), (std::vector<BlockId>{0, 5}));
+    EXPECT_EQ(pool.storedTokens(), 19u);
+    EXPECT_EQ(pool.stats().block_allocs, 6u);
+    EXPECT_EQ(pool.stats().cow_forks, 1u);
+    EXPECT_EQ(takeInstants(rec), (Instants{{"kv_extend", {3, 1}}}));
+
+    // Each free drops exactly the fills of the blocks whose last
+    // reference goes: block 1 holds 2, blocks 2-4 hold 4, 4 and 1, and
+    // blocks 0 and 5 hold 4 each.
+    pool.freeSequence(1);
+    EXPECT_EQ(pool.storedTokens(), 19u - 2u);
+    pool.freeSequence(2);
+    EXPECT_EQ(pool.storedTokens(), 17u - 9u);
+    pool.freeSequence(3);
+    EXPECT_EQ(pool.usedBlocks(), 0u);
+    EXPECT_EQ(pool.storedTokens(), 0u);
 }
 
 TEST(KvBlockPool, ExtendableTokensChargesTheCowFork)

@@ -9,6 +9,8 @@
 
 #include <deque>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "serving/prefix_cache.h"
@@ -352,13 +354,16 @@ TEST(ServingSimulator, IdleGapsDoNotDiluteThroughput)
  * requests) and steps (next(), then token emission and retire, as
  * SimulatorCore::step does them).  After every op the KV accounting
  * SimulatorCore::step asserts must hold; a drained run leaks no block.
+ * After every next(), before any token moves an EDF deadline, the
+ * decode list and the slices continuing in-flight prefills must each
+ * be in strictly increasing policy order (admitBefore).
  */
 class SchedulerOps
 {
   public:
     SchedulerOps(std::uint64_t seed, PolicyKind policy,
                  std::size_t chunk_tokens, bool prefix_cache)
-        : rng_(seed), pool_(poolCfg(40)),
+        : rng_(seed), policy_(policy), pool_(poolCfg(40)),
           sched_({.max_batch = 6,
                   .max_prefill_tokens = 64,
                   .chunk_tokens = chunk_tokens,
@@ -405,6 +410,13 @@ class SchedulerOps
 
     std::uint64_t preemptions() const { return preemptions_; }
     std::uint64_t imports() const { return imports_; }
+    /** Adjacent pairs the visit-order check compared in decode lists
+     *  and in continuation slices, and those among them that arrived
+     *  together (ordered by the id tiebreak unless a policy key
+     *  differed). */
+    std::uint64_t decodePairs() const { return decode_pairs_; }
+    std::uint64_t slicePairs() const { return slice_pairs_; }
+    std::uint64_t tiedArrivalPairs() const { return tied_pairs_; }
 
     std::uint64_t
     prefixHits() const
@@ -421,7 +433,11 @@ class SchedulerOps
         r.arrival_us = now_;
         r.prompt_len = 1 + rng_.uniformInt(40);
         r.max_new_tokens = 1 + rng_.uniformInt(16);
-        r.priority = static_cast<int>(rng_.uniformInt(3));
+        r.priority = static_cast<int>(rng_.uniformInt(4));
+        // Deadlines of a few steps of the 1-us clock: EDF keys tie
+        // often and reorder as tokens land.
+        r.ttft_deadline_us = static_cast<double>(2 + 2 * rng_.uniformInt(3));
+        r.tbt_deadline_us = static_cast<double>(1 + rng_.uniformInt(3));
         switch (rng_.uniformInt(4)) {
         case 0:
             // A fleet handoff: the prefill replica already emitted the
@@ -452,10 +468,27 @@ class SchedulerOps
     void
     step()
     {
+        // In-flight prefills, with their preemption counts: a slice
+        // continues one unless the step preempted and re-admitted it.
+        std::vector<std::pair<const Request *, std::size_t>> in_flight;
+        for (const Request *r : sched_.running())
+            if (!r->prefill_complete)
+                in_flight.emplace_back(r, r->preemptions);
         Scheduler::Iteration it = sched_.next();
         // A busy scheduler always forms work (SimulatorCore::step
         // panics otherwise).
         ASSERT_FALSE(it.empty());
+        std::vector<const Request *> continuing;
+        for (const auto &chunk : it.prefill)
+            for (const auto &[r, preemptions] : in_flight)
+                if (r == chunk.req && r->preemptions == preemptions)
+                    continuing.push_back(r);
+        ASSERT_NO_FATAL_FAILURE(checkOrder(
+            std::vector<const Request *>(it.decode.begin(),
+                                         it.decode.end()),
+            "decode", decode_pairs_));
+        ASSERT_NO_FATAL_FAILURE(
+            checkOrder(continuing, "continuation", slice_pairs_));
         preemptions_ += it.preempted;
         now_ += 1;
         std::vector<Request *> finished;
@@ -474,6 +507,20 @@ class SchedulerOps
             emit(r);
         for (Request *r : finished)
             sched_.retire(r);
+    }
+
+    void
+    checkOrder(const std::vector<const Request *> &reqs, const char *what,
+               std::uint64_t &pairs)
+    {
+        for (std::size_t i = 1; i < reqs.size(); ++i) {
+            ASSERT_TRUE(admitBefore(policy_, *reqs[i - 1], *reqs[i]))
+                << what << " order: request " << reqs[i - 1]->id
+                << " visited before " << reqs[i]->id;
+            ++pairs;
+            if (reqs[i - 1]->arrival_us == reqs[i]->arrival_us)
+                ++tied_pairs_;
+        }
     }
 
     void
@@ -506,6 +553,7 @@ class SchedulerOps
     }
 
     Rng rng_;
+    PolicyKind policy_;
     KvBlockPool pool_;
     /** After the pool: its destructor unregisters the reclaimer. */
     std::optional<PrefixCache> cache_;
@@ -515,6 +563,9 @@ class SchedulerOps
     double now_ = 0;
     std::uint64_t preemptions_ = 0;
     std::uint64_t imports_ = 0;
+    std::uint64_t decode_pairs_ = 0;
+    std::uint64_t slice_pairs_ = 0;
+    std::uint64_t tied_pairs_ = 0;
 };
 
 TEST(SchedulerProperty, RandomOpSequencesKeepKvAccounting)
@@ -522,9 +573,11 @@ TEST(SchedulerProperty, RandomOpSequencesKeepKvAccounting)
     std::uint64_t preemptions = 0;
     std::uint64_t imports = 0;
     std::uint64_t prefix_hits = 0;
+    std::uint64_t tied_pairs = 0;
     for (PolicyKind policy :
          {PolicyKind::FCFS, PolicyKind::Priority, PolicyKind::EDF}) {
         for (std::size_t chunk_tokens : {0u, 16u}) {
+            std::uint64_t decode_pairs = 0, slice_pairs = 0;
             for (bool prefix_cache : {false, true}) {
                 for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                     SCOPED_TRACE(testing::Message()
@@ -538,7 +591,18 @@ TEST(SchedulerProperty, RandomOpSequencesKeepKvAccounting)
                     preemptions += ops.preemptions();
                     imports += ops.imports();
                     prefix_hits += ops.prefixHits();
+                    tied_pairs += ops.tiedArrivalPairs();
+                    decode_pairs += ops.decodePairs();
+                    slice_pairs += ops.slicePairs();
                 }
+            }
+            // Every policy's visit order was checked in both regimes,
+            // and chunked steps continued several prefills at once.
+            SCOPED_TRACE(testing::Message() << policyKindName(policy)
+                                            << " chunk " << chunk_tokens);
+            EXPECT_GT(decode_pairs, 0u);
+            if (chunk_tokens > 0) {
+                EXPECT_GT(slice_pairs, 0u);
             }
         }
     }
@@ -546,6 +610,7 @@ TEST(SchedulerProperty, RandomOpSequencesKeepKvAccounting)
     EXPECT_GT(preemptions, 0u);
     EXPECT_GT(imports, 0u);
     EXPECT_GT(prefix_hits, 0u);
+    EXPECT_GT(tied_pairs, 0u);
 }
 
 // Workload generator sanity.
